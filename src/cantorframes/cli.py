@@ -7,20 +7,12 @@ are deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-
-def _set_thread_cap(threads: int | None) -> None:
-    if threads is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(threads)
 
 
 def parse_digit_system(text: str):
@@ -65,7 +57,7 @@ def _default_hadamard_digits(ds) -> list:
 
 
 def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
-    from .serialize import canonical_json, csv_text, write_csv, write_json
+    from .serialize import canonical_json, csv_text, write_json
 
     fmt = getattr(args, "format", "json")
     if fmt == "csv" and csv_header is not None:
@@ -332,8 +324,6 @@ def _add_common(parser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--manifest", action="store_true", help="emit the resolved config next to the output")
     parser.add_argument("--atom-budget", type=int, default=None, help="override the atom budget")
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS thread pools")
-    parser.add_argument("--seed", type=int, default=None, help="reserved; all algorithms are deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_thread_cap(args.threads)
     if args.command_path == "packing check":
         has_compact = args.R is not None and args.B is not None and args.C is not None
         has_systems = args.system_a is not None and args.system_b is not None

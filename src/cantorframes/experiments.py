@@ -147,7 +147,7 @@ def collinear_lower_bounds(
         lam_n = level_measure(lam_ds, (n + 1) // 2, budget)
         rho = add(convolve(nu_n, lam_n, budget), translate(nu_n, t))
         pool = integer_pool(pool_factor * len(rho))
-        report = frame_bounds(rho, pool, eigen_budget=max(4096, len(rho)))
+        report = frame_bounds(rho, pool)
         out.append((n, report.lower))
     return tuple(out)
 

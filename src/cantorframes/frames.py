@@ -2,7 +2,7 @@
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
 atom-indexed Hermitian square of the synthesis matrix. Everything is
-deterministic: fixed eigensolvers, fixed start vectors, fixed tie-breaks.
+deterministic: one dense eigendecomposition per Gram, fixed tie-breaks.
 """
 from __future__ import annotations
 
@@ -25,11 +25,6 @@ from .errors import (
 from .measures import AtomicMeasure, DigitSystem, as_float_arrays, atom_budget
 
 DEFAULT_EIGEN_BUDGET = 4096
-# Above this atom count the extremal eigenvalues come from deterministic
-# power iteration instead of a full eigendecomposition.
-_DENSE_EIG_LIMIT = 1024
-_POWER_TOL = 1e-10
-_POWER_MAXIT = 100_000
 _DISTINCT_RESOLUTION = 1e-12
 
 
@@ -161,41 +156,6 @@ def _exact_phase_matrix(m: AtomicMeasure, freq_set: "FrequencySet") -> np.ndarra
     return rows
 
 
-def _power_extremes(gram: np.ndarray, tol: float = _POWER_TOL):
-    """Extremal eigenvalues by deterministic power iteration with a spectral shift."""
-
-    def largest(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-        v = np.ones(matrix.shape[0], dtype=complex)
-        v /= np.linalg.norm(v)
-        value = 0.0
-        for _ in range(_POWER_MAXIT):
-            w = matrix @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0, v
-            v_new = w / norm
-            new_value = float(np.real(np.vdot(v_new, matrix @ v_new)))
-            if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-                return new_value, v_new
-            value, v = new_value, v_new
-        return value, v
-
-    upper, _ = largest(gram)
-    shift = upper + 1.0
-    shifted_value, vec = largest(shift * np.eye(gram.shape[0]) - gram)
-    lower = shift - shifted_value
-    return lower, upper, vec
-
-
-def _gram_extremes(gram: np.ndarray):
-    m = gram.shape[0]
-    if m <= _DENSE_EIG_LIMIT:
-        values, vectors = np.linalg.eigh(gram)
-        return float(values[0]), float(values[-1]), vectors[:, 0]
-    lower, upper, vec = _power_extremes(gram)
-    return lower, upper, vec
-
-
 def frame_bounds_from_arrays(
     locations: np.ndarray,
     weights: np.ndarray,
@@ -218,19 +178,13 @@ def _frame_report_from_phi(phi: np.ndarray, weights: np.ndarray, freq_count: int
     m = phi.shape[1]
     gram = phi.conj().T @ phi
     gram = (gram + gram.conj().T) / 2.0
-    lower, upper, vec = _gram_extremes(gram)
-    upper = max(upper, 0.0)
+    values, vectors = np.linalg.eigh(gram)
+    upper = max(float(values[-1]), 0.0)
     tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
-    if m <= _DENSE_EIG_LIMIT:
-        eigvals = np.linalg.eigvalsh(gram)
-        rank = int(np.count_nonzero(eigvals > tol))
-    else:
-        rank = m if lower > tol else m - 1
-    if rank < m:
-        lower = 0.0
-    lower = max(lower, 0.0)
+    rank = int(np.count_nonzero(values > tol))
+    lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
-    worst = tuple(np.conj(vec) / np.sqrt(weights))
+    worst = tuple(np.conj(vectors[:, 0]) / np.sqrt(weights))
     return FrameReport(
         lower=lower,
         upper=upper,

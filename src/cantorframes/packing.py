@@ -31,6 +31,7 @@ from .measures import (
     translate,
     validate_digit_system,
     _scaled_digit_vectors,
+    _sqrt_upper_bound,
 )
 
 CERTIFIED_PACKING = "certified-packing"
@@ -117,12 +118,6 @@ def _norm_sq(v) -> Fraction:
     return sum((x * x for x in v), Fraction(0))
 
 
-def _sqrt_ub(value: Fraction) -> Fraction:
-    from .measures import _sqrt_upper_bound
-
-    return _sqrt_upper_bound(value)
-
-
 def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     """Certify a packing pair for two digit sets under a common matrix.
 
@@ -153,7 +148,7 @@ def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
 
     dd = difference_set(bb, cc)
     d_sq = max(_norm_sq(v) for v in dd)
-    d_ub = _sqrt_ub(d_sq)
+    d_ub = _sqrt_upper_bound(d_sq)
     inv = ds_b.inverse_norm_bound()
     contraction = d_ub * inv
     bound = contraction / (1 - contraction) if contraction < 1 else None

@@ -37,10 +37,6 @@ def fraction_to_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def str_to_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def point_to_strs(point) -> list:
     return [fraction_to_str(x) for x in point]
 
@@ -220,7 +216,3 @@ def csv_text(header, rows) -> str:
     for row in rows:
         writer.writerow([format_cell(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(path, header, rows) -> None:
-    Path(path).write_text(csv_text(header, rows))

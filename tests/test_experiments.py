@@ -5,10 +5,12 @@ import pytest
 
 from cantorframes import (
     DigitSystem,
+    EigenBudgetExceeded,
     NotCertifiedPacking,
     collinear_lower_bounds,
     cross_bessel_experiment,
     degeneracy_experiment,
+    frames,
     jp_spectrum,
     rotation_experiment,
 )
@@ -53,6 +55,15 @@ class TestCollapse:
     def test_levels_below_two_rejected(self):
         with pytest.raises(ValueError):
             collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, (1,))
+
+    def test_eigen_budget_applies(self, monkeypatch):
+        # Sum level 13 has 8192 atoms, twice the default eigen budget.
+        def no_phases(*args, **kwargs):
+            raise AssertionError("phases computed before the budget check")
+
+        monkeypatch.setattr(frames, "_exact_phase_matrix", no_phases)
+        with pytest.raises(EigenBudgetExceeded):
+            collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, (13,))
 
 
 class TestRotation:

@@ -102,6 +102,34 @@ class TestFrameBounds:
         report = frame_bounds(m, freq_set)
         assert abs(bessel_quotient(m, freq_set, report.worst_vector) - report.lower) < 1e-8
 
+    def test_one_eigh_per_gram(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        frame_bounds(level_measure(FOUR, 3), FrequencySet.from_scalars([0, 1, 3, 4, 9, 11, 12, 15]))
+        assert calls == ["eigh"]
+
+    def test_more_than_1024_atoms_agrees_with_eigvalsh(self):
+        # 1088 atoms against 1000 frequencies: F < M, so no frame.
+        measure = add(level_measure(FOUR, 10), translate(level_measure(FOUR, 6), Fraction(1, 3)))
+        locations, weights = as_float_arrays(measure)
+        freq_set = FrequencySet.from_scalars(range(1000))
+        report = frame_bounds_from_arrays(locations, weights, freq_set)
+        assert report.atom_count == 1088
+        assert report.lower == 0
+        assert report.rank <= len(freq_set)
+        phi = synthesis_matrix(locations, weights, freq_set.as_array())
+        eigvals = np.linalg.eigvalsh(phi.conj().T @ phi)
+        tol = 1088 * np.finfo(float).eps * max(report.upper, 1.0)
+        assert report.rank == int(np.count_nonzero(eigvals > tol))
+        assert abs(report.upper - eigvals[-1]) < 1e-10
+
 
 class TestBesselQuotient:
     def test_zero_norm_rejected(self):
