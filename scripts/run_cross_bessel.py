@@ -12,8 +12,8 @@ from cantorframes.cli import main
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
-def run() -> int:
-    RESULTS.mkdir(exist_ok=True)
+def run(results: Path = RESULTS) -> int:
+    results.mkdir(exist_ok=True)
     args = [
         "exp", "cross-bessel",
         "--src", "8:0,1",
@@ -22,9 +22,9 @@ def run() -> int:
         "--levels", "2,3,4,5,6,7,8",
         "--manifest",
     ]
-    rc = main(args + ["--format", "csv", "--out", str(RESULTS / "cross_bessel.csv")])
-    rc |= main(args + ["--format", "json", "--out", str(RESULTS / "cross_bessel.json")])
-    print(f"wrote {RESULTS / 'cross_bessel.csv'}")
+    rc = main(args + ["--format", "csv", "--out", str(results / "cross_bessel.csv")])
+    rc |= main(args + ["--format", "json", "--out", str(results / "cross_bessel.json")])
+    print(f"wrote {results / 'cross_bessel.csv'}")
     return rc
 
 

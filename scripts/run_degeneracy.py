@@ -12,8 +12,8 @@ from cantorframes.cli import main
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
-def run() -> int:
-    RESULTS.mkdir(exist_ok=True)
+def run(results: Path = RESULTS) -> int:
+    results.mkdir(exist_ok=True)
     args = [
         "exp", "degeneracy",
         "--nu", "16:0,1",
@@ -27,9 +27,9 @@ def run() -> int:
         "--collapse-levels", "2,3,4,5",
         "--manifest",
     ]
-    rc = main(args + ["--format", "csv", "--out", str(RESULTS / "degeneracy.csv")])
-    rc |= main(args + ["--format", "json", "--out", str(RESULTS / "degeneracy.json")])
-    print(f"wrote {RESULTS / 'degeneracy.csv'}")
+    rc = main(args + ["--format", "csv", "--out", str(results / "degeneracy.csv")])
+    rc |= main(args + ["--format", "json", "--out", str(results / "degeneracy.json")])
+    print(f"wrote {results / 'degeneracy.csv'}")
     return rc
 
 

@@ -12,8 +12,8 @@ from cantorframes.cli import main
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
-def run() -> int:
-    RESULTS.mkdir(exist_ok=True)
+def run(results: Path = RESULTS) -> int:
+    results.mkdir(exist_ok=True)
     args = [
         "exp", "rotation",
         "--thetas", "0,10,30,45,60,80,90",
@@ -21,9 +21,9 @@ def run() -> int:
         "--collapse-levels", "2,3,4,5",
         "--manifest",
     ]
-    rc = main(args + ["--format", "csv", "--out", str(RESULTS / "rotation.csv")])
-    rc |= main(args + ["--format", "json", "--out", str(RESULTS / "rotation.json")])
-    print(f"wrote {RESULTS / 'rotation.csv'}")
+    rc = main(args + ["--format", "csv", "--out", str(results / "rotation.csv")])
+    rc |= main(args + ["--format", "json", "--out", str(results / "rotation.json")])
+    print(f"wrote {results / 'rotation.csv'}")
     return rc
 
 

@@ -7,6 +7,7 @@ are deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -72,14 +73,15 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
         else:
             sys.stdout.write(canonical_json(payload_json))
     if getattr(args, "manifest", False):
-        manifest = {
-            "command": args.command_path,
-            "config": {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in {"func", "command_path"} and not k.startswith("_")
-            },
+        config = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in {"func", "command_path"} and not k.startswith("_")
         }
+        if args.out:
+            # Relative to the working directory, so a manifest reads the same in any checkout.
+            config["out"] = os.path.relpath(args.out)
+        manifest = {"command": args.command_path, "config": config}
         target = Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json") if args.out else None
         if target is None:
             sys.stdout.write(canonical_json(manifest))

@@ -3,12 +3,20 @@
 Frame bounds of a discretized measure are the extremal eigenvalues of the
 atom-indexed Hermitian square of the synthesis matrix. Everything is
 deterministic: one dense eigendecomposition per Gram, fixed tie-breaks.
+
+On rational skeletons the phases <freq, atom> mod 1 are exact integer
+residues (F @ A.T) mod p*q over common denominators p (frequencies) and
+q (atoms), rounded once to float. The kernel runs in int64 when
+dim * max|F| * max|A| < 2^62 and p*q <= 2^53, and on Python-int object
+arrays otherwise (float frequencies or offsets with long binary
+expansions); both give the correctly rounded phase.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,10 +30,12 @@ from .errors import (
     SizeMismatch,
     ZeroNormInput,
 )
-from .measures import AtomicMeasure, DigitSystem, as_float_arrays, atom_budget
+from .measures import AtomicMeasure, DigitSystem, absolute_atoms, as_float_arrays, atom_budget
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
+_INT64_PRODUCT_LIMIT = 2**62
+_EXACT_DOUBLE_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,12 @@ class FrequencySet:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Extremal frame bounds of an exponential system on a discrete measure."""
+    """Extremal frame bounds of an exponential system on a discrete measure.
+
+    ``resolution`` is the eigenvalue tolerance of the float eigensolve:
+    eigenvalues at or below it count as zero, so ``lower`` reads 0 and
+    ``rank`` falls short of ``atom_count`` whenever the smallest does.
+    """
 
     lower: float
     upper: float
@@ -70,6 +85,7 @@ class FrameReport:
     worst_vector: tuple
     atom_count: int
     freq_count: int
+    resolution: float
 
 
 @dataclass(frozen=True)
@@ -136,24 +152,58 @@ def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarr
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
 
 
-def _exact_phase_matrix(m: AtomicMeasure, freq_set: "FrequencySet") -> np.ndarray:
-    """Phases <freq, atom> reduced mod 1 in exact rational arithmetic.
+def _common_numerators(rows) -> tuple:
+    """Integer numerators of rational rows over the lcm of their denominators."""
+    denominator = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (denominator // x.denominator) for x in row] for row in rows], denominator
+
+
+def _phase_operands(m: AtomicMeasure, freq_set: FrequencySet) -> tuple:
+    """Frequency numerators F over p, atom numerators A over q, and the modulus p*q."""
+    freq_nums, p = _common_numerators([[Fraction(v) for v in f] for f in freq_set.freqs])
+    atom_nums, q = _common_numerators([loc for loc, _ in absolute_atoms(m)])
+    return freq_nums, atom_nums, p * q
+
+
+def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
+    """The kernel that is exact on these operands: "int64" or "object".
+
+    int64 needs dim * max|F| * max|A| < 2^62, so no entry of F @ A.T and
+    no partial sum can wrap (an all-zero side counts as 1, so both arrays
+    fit int64 too), and p*q <= 2^53, so residues and modulus are exact
+    doubles and one IEEE division rounds the quotient correctly.
+    """
+    def bound(rows):
+        return max((abs(x) for row in rows for x in row), default=0) or 1
+
+    if dim * bound(freq_nums) * bound(atom_nums) < _INT64_PRODUCT_LIMIT and modulus <= _EXACT_DOUBLE_LIMIT:
+        return "int64"
+    return "object"
+
+
+def _exact_phase_matrix(m: AtomicMeasure, freq_set: FrequencySet) -> np.ndarray:
+    """Phases <freq, atom> reduced mod 1, exact up to one final rounding.
 
     Large integer frequencies against deep-level atoms would lose several
-    digits in a float dot product; stored floats are exact rationals, so
-    the reduction costs nothing in accuracy.
+    digits in a float dot product. Instead, with F the frequency
+    numerators over p and A the atom numerators (offset included) over q,
+    the phase is (F @ A.T mod p*q) / (p*q). Both paths round that exact
+    rational once, correctly, as ``float(Fraction)`` does: int64 arrays
+    and a float64 division within the guards of ``_phase_path``, Python
+    int object arrays and int true division outside them. Nothing wraps.
     """
-    from fractions import Fraction
-
-    offset = [Fraction(o) for o in m.offset]
-    columns = [[x + o for x, o in zip(p, offset)] for p, _ in m.atoms]
-    rows = np.empty((len(freq_set), len(columns)), dtype=float)
-    for i, f in enumerate(freq_set.freqs):
-        exact = [Fraction(v) for v in f]
-        for j, col in enumerate(columns):
-            value = sum((a * b for a, b in zip(exact, col)), Fraction(0))
-            rows[i, j] = float(value - (value.numerator // value.denominator))
-    return rows
+    freq_nums, atom_nums, modulus = _phase_operands(m, freq_set)
+    path = _phase_path(m.dim, freq_nums, atom_nums, modulus)
+    dtype = np.int64 if path == "int64" else object
+    freqs = np.array(freq_nums, dtype=dtype).reshape(len(freq_nums), freq_set.dim)
+    atoms = np.array(atom_nums, dtype=dtype).reshape(len(atom_nums), m.dim)
+    if path == "int64":
+        return (freqs @ atoms.T) % modulus / modulus
+    # Row by row, so no F x M array of Python ints is ever alive.
+    phases = np.empty((len(freqs), len(atoms)))
+    for i, row in enumerate(freqs):
+        phases[i] = (atoms @ row) % modulus / modulus
+    return phases
 
 
 def frame_bounds_from_arrays(
@@ -193,6 +243,7 @@ def _frame_report_from_phi(phi: np.ndarray, weights: np.ndarray, freq_count: int
         worst_vector=worst,
         atom_count=m,
         freq_count=freq_count,
+        resolution=float(tol),
     )
 
 
@@ -216,6 +267,8 @@ def frame_bounds(
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
+    if freq_set.dim != m.dim:
+        raise SizeMismatch("frequency dimension does not match the measure")
     _, weights = as_float_arrays(m)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
@@ -230,7 +283,7 @@ def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> f
 
 def indicator_coefficients(m: AtomicMeasure, points) -> np.ndarray:
     """Indicator of an exact point set, aligned with the canonical atom order."""
-    from .measures import absolute_atoms, as_point
+    from .measures import as_point
 
     wanted = {as_point(p, m.dim) for p in points}
     return np.array([1.0 if loc in wanted else 0.0 for loc, _ in absolute_atoms(m)], dtype=complex)

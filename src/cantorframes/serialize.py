@@ -28,7 +28,7 @@ from .packing import (
 SCHEMA_DIGIT_SYSTEM = "digit-system/1"
 SCHEMA_MEASURE = "atomic-measure/1"
 SCHEMA_CERTIFICATE = "packing-certificate/1"
-SCHEMA_FRAME_REPORT = "frame-report/1"
+SCHEMA_FRAME_REPORT = "frame-report/2"
 SCHEMA_WITNESS = "singularity-witness/1"
 
 
@@ -125,6 +125,7 @@ def frame_report_to_jsonable(report: FrameReport) -> dict:
         "rank": report.rank,
         "atom_count": report.atom_count,
         "freq_count": report.freq_count,
+        "resolution": report.resolution,
         "worst_vector": [[z.real, z.imag] for z in report.worst_vector],
     }
 

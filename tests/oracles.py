@@ -1,10 +1,15 @@
-"""Independent extremal-eigenvalue oracle for the test suite.
+"""Independent oracles for the test suite.
 
-Power iteration on the Gram matrix and on its spectral shift
+Eigenvalues: power iteration on the Gram matrix and on its spectral shift
 (upper + 1) * I - G locates the extremes; inverse iteration polishes the
 smallest eigenvalue when the shifted ratio is too flat. No call into the
 production eigendecomposition path.
+
+Phases: one ``Fraction`` dot product per (frequency, atom) pair, the
+reference for the integer phase kernel.
 """
+from fractions import Fraction
+
 import numpy as np
 
 _RESIDUAL_TOL = 1e-11
@@ -89,3 +94,16 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
                 acc += complex(math.cos(2 * math.pi * phase), -math.sin(2 * math.pi * phase))
             gram[row, col] = math.sqrt(weights[row] * weights[col]) * acc
     return oracle_extremes(gram)
+
+
+def oracle_phase_matrix(measure, freq_set) -> np.ndarray:
+    """Phases <freq, atom> mod 1, each an exact Fraction rounded once to float."""
+    offset = [Fraction(o) for o in measure.offset]
+    columns = [[x + o for x, o in zip(p, offset)] for p, _ in measure.atoms]
+    rows = np.empty((len(freq_set), len(columns)), dtype=float)
+    for i, f in enumerate(freq_set.freqs):
+        exact = [Fraction(v) for v in f]
+        for j, col in enumerate(columns):
+            value = sum((a * b for a, b in zip(exact, col)), Fraction(0))
+            rows[i, j] = float(value - (value.numerator // value.denominator))
+    return rows

@@ -236,3 +236,13 @@ class TestDeterminism:
         assert manifest["command"] == "packing check"
         assert manifest["config"]["R"] == 16
         assert json.loads(canonical_json(manifest)) == manifest
+
+    def test_manifest_records_out_relative_to_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "tables" / "cert.json"
+        out.parent.mkdir()
+        argv = ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4",
+                "--out", str(out), "--manifest"]
+        assert out.is_absolute() and main(argv) == 0
+        manifest = load_json(Path(str(out) + ".manifest.json"))
+        assert manifest["config"]["out"] == "tables/cert.json"

@@ -30,6 +30,7 @@ from cantorframes import (
     transform_spectrum,
     translate,
 )
+from cantorframes.serialize import frame_report_to_jsonable
 from instances import build_instances
 from oracles import oracle_frame_bounds
 
@@ -83,6 +84,15 @@ class TestFrameBounds:
         assert report.lower == 0
         assert report.rank == 1
 
+    def test_rank_deficient_report_states_resolution(self):
+        report = frame_bounds(level_measure(FOUR, 2), FrequencySet.from_scalars([0, 1]))
+        assert report.rank < report.atom_count
+        assert report.lower == 0
+        assert report.resolution > 0
+        data = frame_report_to_jsonable(report)
+        assert data["schema"] == "frame-report/2"
+        assert data["resolution"] == report.resolution
+
     def test_empty_frequency_set(self):
         with pytest.raises(EmptyFrequencySet):
             frame_bounds(level_measure(FOUR, 1), FrequencySet(dim=1, freqs=()))
@@ -132,6 +142,11 @@ class TestFrameBounds:
 
 
 class TestBesselQuotient:
+    def test_dimension_mismatch_rejected(self):
+        planar = FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0)))
+        with pytest.raises(SizeMismatch):
+            bessel_quotient(level_measure(FOUR, 2), planar, [1, 0, 0, 0])
+
     def test_zero_norm_rejected(self):
         m = level_measure(FOUR, 2)
         with pytest.raises(ZeroNormInput):
