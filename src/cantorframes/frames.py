@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    AtomBudgetExceeded,
     EigenBudgetExceeded,
     EmptyFrequencySet,
     HadamardCheckFailed,
@@ -30,7 +29,8 @@ from .errors import (
     SizeMismatch,
     ZeroNormInput,
 )
-from .measures import AtomicMeasure, DigitSystem, absolute_atoms, as_float_arrays, atom_budget
+from .measures import AtomicMeasure, DigitSystem, absolute_atoms, as_float_arrays
+from .measures import _common_numerators, _matvec, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -121,28 +121,17 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
     freq_digits = tuple((l,) if isinstance(l, int) else tuple(int(x) for x in l) for l in L)
     if not hadamard_triple_check(ds.matrix, ds.digits, freq_digits):
         raise HadamardCheckFailed("the digit and frequency sets do not form a Hadamard pair")
-    if len(freq_digits) ** n > atom_budget(budget):
-        raise AtomBudgetExceeded("spectrum enumeration exceeds the atom budget")
-    d = ds.dim
-    rt = tuple(tuple(ds.matrix[j][i] for j in range(d)) for i in range(d))
+    rt = tuple(zip(*ds.matrix))
 
-    def mat_mul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)) for i in range(d)
-        )
+    def layers():
+        vecs = freq_digits
+        for _ in range(n):
+            yield dict.fromkeys(vecs, 1)
+            vecs = [_matvec(rt, v) for v in vecs]
 
-    def mat_vec(a, v):
-        return tuple(sum(a[i][k] * v[k] for k in range(d)) for i in range(d))
-
-    power = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    current = {(0,) * d}
-    for _ in range(n):
-        layer = [mat_vec(power, l) for l in freq_digits]
-        current = {tuple(c + v for c, v in zip(pt, vec)) for pt in current for vec in layer}
-        power = mat_mul(power, rt)
-    freqs = sorted(current)
+    freqs = sorted(_sumset(ds.dim, layers(), budget))
     return FrequencySet(
-        dim=d, freqs=tuple(tuple(float(x) for x in f) for f in freqs), provenance="jp-spectrum"
+        dim=ds.dim, freqs=tuple(tuple(float(x) for x in f) for f in freqs), provenance="jp-spectrum"
     )
 
 
@@ -150,12 +139,6 @@ def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarr
     """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>)."""
     phases = freqs @ locations.T
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
-
-
-def _common_numerators(rows) -> tuple:
-    """Integer numerators of rational rows over the lcm of their denominators."""
-    denominator = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (denominator // x.denominator) for x in row] for row in rows], denominator
 
 
 def _phase_operands(m: AtomicMeasure, freq_set: FrequencySet) -> tuple:

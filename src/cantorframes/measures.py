@@ -1,12 +1,14 @@
 """Finite-level atomic approximations of self-affine measures.
 
-All coordinates on the rational skeleton are exact ``fractions.Fraction``
-values; an optional shared real-valued offset vector carries irrational
-translations so that set operations on the skeleton stay exact.
+Skeletons are enumerated on integer numerators over one common
+denominator and returned with exact ``fractions.Fraction`` coordinates; an
+optional shared real-valued offset vector carries irrational translations
+so that set operations on the skeleton stay exact.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -288,23 +290,77 @@ def as_float_arrays(m: AtomicMeasure):
     return locs, weights
 
 
-def _scaled_digit_vectors(ds: DigitSystem, level: int):
-    """R^-k B for k = 1..level, as lists of exact Fraction vectors."""
-    rinv = ds.inverse_matrix()
-    layers = []
-    current = [tuple(Fraction(x) for x in b) for b in ds.digits]
-    for _ in range(level):
-        current = [_matvec(rinv, v) for v in current]
-        layers.append(current)
-    return layers
+def _common_numerators(rows) -> tuple:
+    """Integer numerators of rational rows over the lcm of their denominators."""
+    denominator = math.lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows], denominator
+
+
+def _sumset(dim: int, layers, budget: int | None = None) -> dict:
+    """Every sum of one vector from each layer, with its multiplicity.
+
+    Layers map integer numerator vectors over one common denominator to
+    integer weights; multiplicities add the words' weight products. All
+    layers, which may be lazy, are read first; reading stops at the budget.
+    """
+    max_atoms = atom_budget(budget)
+    words, read = 1, []
+    for layer in layers:
+        words *= len(layer)
+        if words > max_atoms:
+            raise AtomBudgetExceeded(f"enumeration exceeds the atom budget {max_atoms}")
+        read.append(layer)
+    sums = {(0,) * dim: 1}
+    for layer in read:
+        merged: dict = {}
+        for p, w in sums.items():
+            for s, v in layer.items():
+                q = tuple(map(operator.add, p, s))
+                merged[q] = merged.get(q, 0) + w * v
+        sums = merged
+    return sums
+
+
+def _fraction_points(sums, denominator: int) -> tuple:
+    """The points of ``sums`` over a positive denominator, which keeps their order, as sorted Fractions."""
+    return tuple(tuple(Fraction(x, denominator) for x in p) for p in sorted(sums))
+
+
+def _measure_from_sums(dim: int, sums, denominator: int, weight_denominator: int, offset=None) -> AtomicMeasure:
+    """The canonical measure with mass multiplicity/weight_denominator at each point/denominator."""
+    keys = sorted(sums)
+    points = _fraction_points(keys, denominator)
+    weights = (Fraction(sums[p], weight_denominator) for p in keys)
+    return AtomicMeasure(dim=dim, atoms=tuple(zip(points, weights)), offset=offset)
+
+
+def _digit_layers(ds: DigitSystem, picks) -> tuple:
+    """Lazy numerator layers of R^-k B over one denominator q^n, and q^n.
+
+    ``picks[k-1]`` lists the digit indices kept at level k <= n = len(picks),
+    or is None to leave level k out. With R^-1 = M/q for an integer M, the
+    numerator of R^-k b over q^n is q^(n-k) M^k b.
+    """
+    inverse, q = _common_numerators(ds.inverse_matrix())
+
+    def layers():
+        vecs = ds.digits
+        for k, pick in enumerate(picks, start=1):
+            vecs = [_matvec(inverse, v) for v in vecs]
+            if pick is not None:
+                scale = q ** (len(picks) - k)
+                yield {tuple(scale * x for x in vecs[i]): 1 for i in pick}
+
+    return layers(), q ** len(picks)
 
 
 def scaled_digit_layer(ds: DigitSystem, k: int) -> AtomicMeasure:
     """The equal-weight Dirac comb on R^-k B."""
+    if k < 1:
+        raise ValueError("layer index must be >= 1")
     validate_digit_system(ds)
-    vecs = _scaled_digit_vectors(ds, k)[-1]
-    share = Fraction(1, ds.branch)
-    return AtomicMeasure.from_atoms(ds.dim, [(v, share) for v in vecs])
+    layers, denominator = _digit_layers(ds, [None] * (k - 1) + [range(ds.branch)])
+    return _measure_from_sums(ds.dim, _sumset(ds.dim, layers), denominator, ds.branch)
 
 
 def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicMeasure:
@@ -316,21 +372,8 @@ def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicM
     if n < 1:
         raise ValueError("level must be >= 1")
     validate_digit_system(ds)
-    max_atoms = atom_budget(budget)
-    if ds.branch**n > max_atoms:
-        raise AtomBudgetExceeded(f"{ds.branch}^{n} atoms exceed budget {max_atoms}")
-    share = Fraction(1, ds.branch)
-    zero = (Fraction(0),) * ds.dim
-    acc = {zero: Fraction(1)}
-    for layer in _scaled_digit_vectors(ds, n):
-        nxt: dict = {}
-        for p, w in acc.items():
-            pw = w * share
-            for s in layer:
-                q = tuple(a + b for a, b in zip(p, s))
-                nxt[q] = nxt.get(q, Fraction(0)) + pw
-        acc = nxt
-    return AtomicMeasure.from_atoms(ds.dim, acc.items())
+    layers, denominator = _digit_layers(ds, [range(ds.branch)] * n)
+    return _measure_from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, ds.branch**n)
 
 
 @dataclass(frozen=True)
@@ -363,25 +406,17 @@ def attractor_points(ds: DigitSystem, n: int, budget: int | None = None) -> Poin
 
 def cylinder_points(ds: DigitSystem, n: int, prefix, budget: int | None = None) -> tuple:
     """Level-n points whose leading digit word equals ``prefix``."""
-    digit_index = {tuple(int(x) for x in b): i for i, b in enumerate(ds.digits)}
-    word = []
+    validate_digit_system(ds)
+    picks = []
     for b in prefix:
         b = (b,) if isinstance(b, int) else tuple(int(x) for x in b)
-        if b not in digit_index:
+        if b not in ds.digits:
             raise ValueError("prefix contains a vector outside the digit set")
-        word.append(digit_index[b])
-    if len(word) > n:
+        picks.append((ds.digits.index(b),))
+    if len(picks) > n:
         raise ValueError("prefix longer than the level")
-    if ds.branch ** (n - len(word)) > atom_budget(budget):
-        raise AtomBudgetExceeded("cylinder enumeration exceeds the atom budget")
-    layers = _scaled_digit_vectors(ds, n)
-    base = (Fraction(0),) * ds.dim
-    for k, idx in enumerate(word):
-        base = tuple(a + b for a, b in zip(base, layers[k][idx]))
-    pts = {base}
-    for layer in layers[len(word):]:
-        pts = {tuple(a + b for a, b in zip(p, s)) for p in pts for s in layer}
-    return tuple(sorted(pts))
+    layers, denominator = _digit_layers(ds, picks + [range(ds.branch)] * (n - len(picks)))
+    return _fraction_points(_sumset(ds.dim, layers, budget), denominator)
 
 
 def split_by_index_set(
@@ -396,39 +431,26 @@ def split_by_index_set(
     mask = set(int(k) for k in indices)
     if any(k < 1 or k > n for k in mask):
         raise ValueError("index set must lie inside 1..n")
-    layers = _scaled_digit_vectors(ds, n)
-    max_atoms = atom_budget(budget)
-
-    def enumerate_sums(active: set) -> tuple:
-        if ds.branch ** len(active) > max_atoms:
-            raise AtomBudgetExceeded("index-set enumeration exceeds the atom budget")
-        pts = {(Fraction(0),) * ds.dim}
-        for k in sorted(active):
-            layer = layers[k - 1]
-            pts = {tuple(a + b for a, b in zip(p, s)) for p in pts for s in layer}
-        return tuple(sorted(pts))
-
     tail = tail_radius(ds, n)
-    complement = set(range(1, n + 1)) - mask
-    return (
-        PointCloud(ds.dim, enumerate_sums(mask), tail),
-        PointCloud(ds.dim, enumerate_sums(complement), tail),
-    )
+
+    def cloud(active: bool) -> PointCloud:
+        picks = [range(ds.branch) if (k in mask) == active else None for k in range(1, n + 1)]
+        layers, denominator = _digit_layers(ds, picks)
+        return PointCloud(ds.dim, _fraction_points(_sumset(ds.dim, layers, budget), denominator), tail)
+
+    return cloud(True), cloud(False)
 
 
 def convolve(a: AtomicMeasure, b: AtomicMeasure, budget: int | None = None) -> AtomicMeasure:
     """Convolution: atoms at all pairwise sums, weights multiplied."""
     if a.dim != b.dim:
         raise DimensionMismatch("convolve requires equal dimensions")
-    if len(a) * len(b) > atom_budget(budget):
-        raise AtomBudgetExceeded("convolution product exceeds the atom budget")
-    acc: dict = {}
-    for p, wp in a.atoms:
-        for q, wq in b.atoms:
-            s = tuple(x + y for x, y in zip(p, q))
-            acc[s] = acc.get(s, Fraction(0)) + wp * wq
+    locations, denominator = _common_numerators(a.locations + b.locations)
+    weights, weight_denominator = _common_numerators([a.weights, b.weights])
+    layers = [dict(zip(locations[: len(a)], weights[0])), dict(zip(locations[len(a) :], weights[1]))]
     offset = tuple(x + y for x, y in zip(a.offset, b.offset))
-    return AtomicMeasure.from_atoms(a.dim, acc.items(), offset=offset)
+    sums = _sumset(a.dim, layers, budget)
+    return _measure_from_sums(a.dim, sums, denominator, weight_denominator**2, offset)
 
 
 def translate(m: AtomicMeasure, shift) -> AtomicMeasure:

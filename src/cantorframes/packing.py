@@ -7,8 +7,10 @@ reported as inconclusive, never as a refutation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 
 from .errors import (
     AtomBudgetExceeded,
@@ -23,16 +25,14 @@ from .measures import (
     absolute_atoms,
     add,
     as_point,
-    atom_budget,
     attractor_points,
     convolve,
     level_measure,
     tail_radius,
     translate,
     validate_digit_system,
-    _scaled_digit_vectors,
-    _sqrt_upper_bound,
 )
+from .measures import _common_numerators, _digit_layers, _fraction_points, _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
 CERTIFIED_NOT_PACKING = "certified-not-packing"
@@ -111,11 +111,24 @@ def difference_set(p_points, q_points) -> tuple:
     qs = [as_point(q) for q in q_points]
     if ps and qs and len(ps[0]) != len(qs[0]):
         raise DimensionMismatch("difference_set requires equal dimensions")
-    return tuple(sorted({tuple(a - b for a, b in zip(p, q)) for p in ps for q in qs}))
+    numerators, denominator = _common_numerators(ps + qs)
+    return _fraction_points(_differences(numerators[: len(ps)], numerators[len(ps) :]), denominator)
 
 
-def _norm_sq(v) -> Fraction:
-    return sum((x * x for x in v), Fraction(0))
+def _differences(xs, ys) -> dict:
+    """The integer points x - y with multiplicities; unbudgeted, as both inputs are in memory."""
+    layers = [dict.fromkeys(xs, 1), {tuple(-v for v in y): 1 for y in ys}]
+    return _sumset(len(xs[0]) if xs else 0, layers, budget=math.inf)
+
+
+def _min_gap_sq(xs, ys, denominator: int):
+    """Smallest nonzero |x - y|^2 of integer points over ``denominator``, or None if there is none."""
+    gap = min((_norm_sq(w) for w in _differences(xs, ys) if any(w)), default=None)
+    return None if gap is None else Fraction(gap, denominator**2)
+
+
+def _norm_sq(v):
+    return sum(x * x for x in v)
 
 
 def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
@@ -204,14 +217,9 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
         raise AtomBudgetExceeded("difference-set pair scan exceeds the internal budget")
     threshold = 2 * (cloud1.tail_radius + cloud2.tail_radius)
     threshold_sq = threshold * threshold
-    gap_sq = None
-    for u in d1:
-        for v in d2:
-            if u == zero and v == zero:
-                continue
-            dist_sq = _norm_sq(tuple(a - b for a, b in zip(u, v)))
-            if gap_sq is None or dist_sq < gap_sq:
-                gap_sq = dist_sq
+    # No common nonzero difference is left, so u - v vanishes only for u = v = 0.
+    numerators, denominator = _common_numerators(d1 + d2)
+    gap_sq = _min_gap_sq(numerators[: len(d1)], numerators[len(d1) :], denominator)
     evidence = {
         "gap_squared": gap_sq,
         "threshold": threshold,
@@ -235,57 +243,44 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
     if depth < 1:
         raise ValueError("depth must be >= 1")
     validate_digit_system(ds)
-    max_atoms = atom_budget(budget)
     d = depth
-    last_evidence: dict = {}
-    while ds.branch ** (d + 1) <= max_atoms:
-        layers = _scaled_digit_vectors(ds, d + 1)
-        clouds = []
-        for i in range(ds.branch):
-            pts = {layers[0][i]}
-            for layer in layers[1:]:
-                pts = {tuple(a + b for a, b in zip(p, s)) for p in pts for s in layer}
-            clouds.append(pts)
-        owner: dict = {}
-        for i, pts in enumerate(clouds):
-            for p in pts:
-                if p in owner and owner[p] != i:
-                    return SscCertificate(
-                        status=CERTIFIED_OVERLAP,
-                        depth_used=d,
-                        evidence={"collision": p, "cylinders": (owner[p], i)},
-                    )
-                owner[p] = i
+    depth_used, last_evidence = depth, {}
+    while True:
+        # Level d+1, each sum tagged with its first digit index: one budget for branch^(d+1) words.
+        layers, denominator = _digit_layers(ds, [range(ds.branch)] * (d + 1))
+        first = {s + (i,): 1 for i, s in enumerate(next(layers))}
+        tagged = chain([first], ({s + (0,): 1 for s in layer} for layer in layers))
+        try:
+            sums = _sumset(ds.dim + 1, tagged, budget)
+        except AtomBudgetExceeded:
+            evidence = {"reason": "atom budget reached", **last_evidence}
+            return SscCertificate(status=INCONCLUSIVE, depth_used=depth_used, evidence=evidence)
+        keys = sorted(sums)
+        for a, b in zip(keys, keys[1:]):
+            if a[:-1] == b[:-1]:
+                collision = tuple(Fraction(x, denominator) for x in a[:-1])
+                return SscCertificate(
+                    status=CERTIFIED_OVERLAP,
+                    depth_used=d,
+                    evidence={"collision": collision, "cylinders": (a[-1], b[-1])},
+                )
+        clouds = [[key[:-1] for key in keys if key[-1] == i] for i in range(ds.branch)]
         radius = tail_radius(ds, d + 1)
         if radius is None:
             return SscCertificate(
                 status=INCONCLUSIVE, depth_used=d, evidence={"reason": "no certified tail radius"}
             )
         threshold_sq = (2 * radius) ** 2
-        min_gap_sq = None
-        if sum(len(c) for c in clouds) ** 2 > _PAIR_BUDGET:
-            last_evidence = {"reason": "pair scan budget reached", "depth": d}
-            break
-        for i in range(ds.branch):
-            for j in range(i + 1, ds.branch):
-                for p in clouds[i]:
-                    for q in clouds[j]:
-                        g = _norm_sq(tuple(a - b for a, b in zip(p, q)))
-                        if min_gap_sq is None or g < min_gap_sq:
-                            min_gap_sq = g
+        if len(sums) ** 2 > _PAIR_BUDGET:
+            evidence = {"reason": "pair scan budget reached", "depth": d}
+            return SscCertificate(status=INCONCLUSIVE, depth_used=d, evidence=evidence)
+        pairs = combinations(range(ds.branch), 2)
+        min_gap_sq = min((_min_gap_sq(clouds[i], clouds[j], denominator) for i, j in pairs), default=None)
+        evidence = {"min_gap_squared": min_gap_sq, "threshold_squared": threshold_sq}
         if min_gap_sq is not None and min_gap_sq > threshold_sq:
-            return SscCertificate(
-                status=CERTIFIED_SSC,
-                depth_used=d,
-                evidence={"min_gap_squared": min_gap_sq, "threshold_squared": threshold_sq},
-            )
-        last_evidence = {
-            "min_gap_squared": min_gap_sq,
-            "threshold_squared": threshold_sq,
-            "depth": d,
-        }
+            return SscCertificate(status=CERTIFIED_SSC, depth_used=d, evidence=evidence)
+        depth_used, last_evidence = d, {**evidence, "depth": d}
         d *= 2
-    return SscCertificate(status=INCONCLUSIVE, depth_used=d, evidence=last_evidence)
 
 
 def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeasure:
@@ -364,25 +359,24 @@ def singularity_witness(
     t = as_point(shift, nu_ds.dim)
     nu_n = level_measure(nu_ds, level, budget)
     lam_n = level_measure(lam_ds, level, budget)
-    nu_points = nu_n.locations
-    shifted_nu = {tuple(a + b for a, b in zip(p, t)) for p in nu_points}
+    points, denominator = _common_numerators(nu_n.locations + lam_n.locations + (t,))
+    (nu_weights,), weight_denominator = _common_numerators([nu_n.weights])
+    nu_layer = dict(zip(points[: len(nu_n)], nu_weights))
+    shifted_nu = _sumset(nu_ds.dim, [nu_layer, {points[-1]: 1}], budget)
 
     mu_n = convolve(nu_n, lam_n, budget)
     rho = add(mu_n, translate(nu_n, t))
 
     max_overlap = Fraction(0)
-    for x in lam_n.locations:
-        translated = {tuple(a + b for a, b in zip(p, x)) for p in nu_points}
-        collisions = translated & shifted_nu
+    for x, x_numerators in zip(lam_n.locations, points[len(nu_n) : -1]):
+        # Each translate carries the weight numerators of nu's atoms.
+        translated = _sumset(nu_ds.dim, [nu_layer, {x_numerators: 1}], budget)
+        collisions = translated.keys() & shifted_nu.keys()
         if collisions:
-            overlap_mass = sum(
-                (w for p, w in zip(nu_points, nu_n.weights)
-                 if tuple(a + b for a, b in zip(p, x)) in shifted_nu),
-                Fraction(0),
-            )
+            overlap_mass = Fraction(sum(translated[p] for p in collisions), weight_denominator)
             max_overlap = max(max_overlap, overlap_mass)
             continue
-        witness_points = tuple(sorted(translated))
+        witness_points = _fraction_points(translated, denominator)
         witness_set = set(witness_points)
         rho_mass = sum((w for p, w in rho.atoms if p in witness_set), Fraction(0))
         shift_back = tuple(a - b for a, b in zip(t, x))

@@ -7,6 +7,9 @@ production eigendecomposition path.
 
 Phases: one ``Fraction`` dot product per (frequency, atom) pair, the
 reference for the integer phase kernel.
+
+Skeletons: the ``Fraction`` set-comprehension enumerations that the
+integer-numerator sumset replaced, without atom budgets.
 """
 from fractions import Fraction
 
@@ -107,3 +110,112 @@ def oracle_phase_matrix(measure, freq_set) -> np.ndarray:
             value = sum((a * b for a, b in zip(exact, col)), Fraction(0))
             rows[i, j] = float(value - (value.numerator // value.denominator))
     return rows
+
+
+def _oracle_digit_layers(ds, level: int) -> list:
+    """R^-k B for k = 1..level, as lists of exact Fraction vectors."""
+    rinv = ds.inverse_matrix()
+    layers = []
+    current = [tuple(Fraction(x) for x in b) for b in ds.digits]
+    for _ in range(level):
+        current = [tuple(sum(row[j] * v[j] for j in range(len(v))) for row in rinv) for v in current]
+        layers.append(current)
+    return layers
+
+
+def _oracle_add(p, s) -> tuple:
+    return tuple(a + b for a, b in zip(p, s))
+
+
+def oracle_level_measure(ds, n: int):
+    from cantorframes import AtomicMeasure
+
+    share = Fraction(1, ds.branch)
+    acc = {(Fraction(0),) * ds.dim: Fraction(1)}
+    for layer in _oracle_digit_layers(ds, n):
+        nxt: dict = {}
+        for p, w in acc.items():
+            for s in layer:
+                q = _oracle_add(p, s)
+                nxt[q] = nxt.get(q, Fraction(0)) + w * share
+        acc = nxt
+    return AtomicMeasure.from_atoms(ds.dim, acc.items())
+
+
+def oracle_cylinder_points(ds, n: int, word) -> tuple:
+    """Level-n points whose leading digit indices equal ``word``."""
+    layers = _oracle_digit_layers(ds, n)
+    base = (Fraction(0),) * ds.dim
+    for k, idx in enumerate(word):
+        base = _oracle_add(base, layers[k][idx])
+    pts = {base}
+    for layer in layers[len(word):]:
+        pts = {_oracle_add(p, s) for p in pts for s in layer}
+    return tuple(sorted(pts))
+
+
+def oracle_split_by_index_set(ds, indices, n: int) -> tuple:
+    layers = _oracle_digit_layers(ds, n)
+
+    def enumerate_sums(active) -> tuple:
+        pts = {(Fraction(0),) * ds.dim}
+        for k in sorted(active):
+            pts = {_oracle_add(p, s) for p in pts for s in layers[k - 1]}
+        return tuple(sorted(pts))
+
+    mask = set(indices)
+    return enumerate_sums(mask), enumerate_sums(set(range(1, n + 1)) - mask)
+
+
+def oracle_jp_spectrum(ds, L, n: int) -> tuple:
+    """Sorted sums l_0 + R^t l_1 + ... + (R^t)^(n-1) l_(n-1), as float tuples."""
+    d = ds.dim
+    rt = [[ds.matrix[j][i] for j in range(d)] for i in range(d)]
+    layer = [(l,) if isinstance(l, int) else tuple(l) for l in L]
+    current = {(0,) * d}
+    for _ in range(n):
+        current = {_oracle_add(p, v) for p in current for v in layer}
+        layer = [tuple(sum(rt[i][k] * v[k] for k in range(d)) for i in range(d)) for v in layer]
+    return tuple(tuple(float(x) for x in f) for f in sorted(current))
+
+
+def oracle_convolve(a, b):
+    from cantorframes import AtomicMeasure
+
+    acc: dict = {}
+    for p, wp in a.atoms:
+        for q, wq in b.atoms:
+            s = _oracle_add(p, q)
+            acc[s] = acc.get(s, Fraction(0)) + wp * wq
+    offset = tuple(x + y for x, y in zip(a.offset, b.offset))
+    return AtomicMeasure.from_atoms(a.dim, acc.items(), offset=offset)
+
+
+def oracle_difference_set(ps, qs) -> tuple:
+    return tuple(sorted({tuple(a - b for a, b in zip(p, q)) for p in ps for q in qs}))
+
+
+def oracle_ssc_gap(ds, d: int):
+    """Cross-cylinder collision or squared gap of the level-(d+1) first-digit cylinders.
+
+    Returns ("collision", point set) with every colliding point, or
+    ("gap", smallest squared distance between points of distinct cylinders).
+    """
+    layers = _oracle_digit_layers(ds, d + 1)
+    clouds = []
+    for i in range(ds.branch):
+        pts = {layers[0][i]}
+        for layer in layers[1:]:
+            pts = {_oracle_add(p, s) for p in pts for s in layer}
+        clouds.append(pts)
+    pairs = [(i, j) for i in range(ds.branch) for j in range(i + 1, ds.branch)]
+    collisions = {p for i, j in pairs for p in clouds[i] & clouds[j]}
+    if collisions:
+        return "collision", collisions
+    gaps = [
+        sum(((a - b) ** 2 for a, b in zip(p, q)), Fraction(0))
+        for i, j in pairs
+        for p in clouds[i]
+        for q in clouds[j]
+    ]
+    return "gap", min(gaps, default=None)

@@ -89,6 +89,10 @@ class TestLevelMeasure:
         with pytest.raises(AtomBudgetExceeded):
             level_measure(TWO, 10, budget=512)
 
+    def test_layer_index_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            scaled_digit_layer(FOUR, 0)
+
     def test_layer_recursion(self):
         for n in (1, 2, 3):
             lhs = level_measure(FOUR, n + 1)
@@ -196,6 +200,14 @@ class TestSplitAndCylinders:
     def test_cylinder_prefix(self):
         pts = cylinder_points(FOUR, 2, [1])
         assert [p[0] for p in pts] == [fr(1, 4), fr(5, 16)]
+
+    def test_cylinder_rejects_non_expanding_matrix(self):
+        with pytest.raises(NonExpandingMatrix):
+            cylinder_points(DigitSystem.one_dimensional(1, [0, 1]), 2, [])
+
+    def test_cylinder_rejects_duplicate_digits(self):
+        with pytest.raises(DuplicateDigits):
+            cylinder_points(DigitSystem.one_dimensional(4, [0, 0, 1]), 2, [0])
 
 
 measures_strategy = st.builds(

@@ -124,6 +124,28 @@ class TestSsc:
         cert = ssc_certificate(DigitSystem.one_dimensional(2, [0, 1, 2]), 2)
         assert cert.status == CERTIFIED_OVERLAP
 
+    def test_overlap_reports_smallest_collision(self):
+        cert = ssc_certificate(DigitSystem.one_dimensional(2, [0, 1, 2]), 2)
+        assert cert.evidence == {"collision": (fr(1, 2),), "cylinders": (0, 1)}
+
+    def test_certified_depth_is_the_requested_one(self):
+        cert = ssc_certificate(FOUR, 7)
+        assert (cert.status, cert.depth_used) == (CERTIFIED_SSC, 7)
+
+    def test_budget_stop_reports_last_scanned_depth(self):
+        # Depths 1, 2, 4, 8 fit the default budget of 2^16 words; 16 needs 2^17.
+        cert = ssc_certificate(TWO, 1)
+        assert cert.status == INCONCLUSIVE
+        assert cert.depth_used == 8
+        assert cert.evidence["reason"] == "atom budget reached"
+        assert cert.evidence["depth"] == 8
+        assert cert.evidence["min_gap_squared"] <= cert.evidence["threshold_squared"]
+
+    def test_budget_stop_before_any_scan(self):
+        cert = ssc_certificate(FOUR, 20)
+        assert (cert.status, cert.depth_used) == (INCONCLUSIVE, 20)
+        assert cert.evidence == {"reason": "atom budget reached"}
+
 
 class TestTranslationOverlap:
     def test_zero_shift_full_support_is_identity(self):
