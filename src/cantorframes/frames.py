@@ -2,7 +2,12 @@
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
 atom-indexed Hermitian square of the synthesis matrix. Everything is
-deterministic: one dense eigendecomposition per Gram, fixed tie-breaks.
+deterministic: one dense eigendecomposition per reported Gram, fixed
+tie-breaks. Greedy frame search builds rank by pivoted Gram-Schmidt, then
+does one eigendecomposition per step and scores every candidate by the
+secular equation of its rank-one update. In both phases scores within
+1e-12 * max||v||^2 of the best tie (v a candidate's synthesis row), and
+the lowest pool index wins.
 
 On rational skeletons the phases <freq, atom> mod 1 are exact integer
 residues (F @ A.T) mod p*q over common denominators p (frequencies) and
@@ -36,6 +41,12 @@ DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
 _INT64_PRODUCT_LIMIT = 2**62
 _EXACT_DOUBLE_LIMIT = 2**53
+# Greedy picks within _TIE_RTOL * max||v||^2 of the best tie; the lowest
+# pool index wins, so rounding noise cannot decide a pick.
+_TIE_RTOL = 1e-12
+# 50 halvings leave a secular bracket of 2^-50 of its width, still at least
+# 4 ulps, so every midpoint stays strictly inside and no d_i - lambda is 0.
+_BISECTIONS = 50
 
 
 @dataclass(frozen=True)
@@ -367,6 +378,64 @@ def transform_spectrum(freq_set: FrequencySet, t: BlockedLinearMap) -> Frequency
     return FrequencySet(dim=freq_set.dim, freqs=tuple(mapped), provenance="sheared")
 
 
+def _first_best(values: np.ndarray, scale: float) -> int:
+    """Lowest index whose value is within _TIE_RTOL * scale of the largest."""
+    return int(np.flatnonzero(values >= values.max() - _TIE_RTOL * scale)[0])
+
+
+def _rank_building_picks(rows: np.ndarray, norms_sq: np.ndarray, count: int, scale: float) -> list:
+    """Pivoted Gram-Schmidt picks on v = conj(row), at most ``count``.
+
+    Stops once the picks span C^M. The residuals ||v||^2 - ||Q^H v||^2
+    take one pool-by-atom product per pick: with v = conj(r), |q^H v| is
+    |r . q|. A stalled pool (no residual above M * eps * scale) fills the
+    remaining picks with the lowest unchosen indices.
+    """
+    atoms = rows.shape[1]
+    basis = np.zeros((atoms, atoms), dtype=complex)
+    residual = norms_sq.copy()
+    selected: list[int] = []
+    for rank in range(min(count, atoms)):
+        if residual.max() <= atoms * np.finfo(float).eps * scale:
+            unchosen = np.flatnonzero(residual != -np.inf)
+            return selected + [int(i) for i in unchosen[: count - rank]]
+        idx = _first_best(residual, scale)
+        v = rows[idx].conj()
+        q = basis[:, :rank]
+        for _ in range(2):
+            v = v - q @ (q.conj().T @ v)
+        basis[:, rank] = v / np.linalg.norm(v)
+        residual -= np.abs(rows @ basis[:, rank]) ** 2
+        residual[idx] = -np.inf
+        selected.append(idx)
+    return selected
+
+
+def _secular_smallest(d: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
+    """lambda_min(diag(d) + z z^H) for each row of z_sq = |z|^2; d ascending.
+
+    The smallest root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 lies in
+    (d_0, min(d_1, d_0 + ||z||^2)), where the left side increases from
+    -inf; bisection there runs in t = lambda - d_0, on all rows at once.
+    A row with z_0 = 0, or with an empty bracket (d_1 = d_0), keeps d_0.
+    """
+    delta = d - d[0]
+    hi = z_sq.sum(axis=1)
+    if len(d) > 1:
+        hi = np.minimum(hi, delta[1])
+    shift = np.zeros_like(hi)
+    live = (hi > 0) & (z_sq[:, 0] > 0)
+    z_sq, hi = z_sq[live], hi[live]
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECTIONS):
+        t = (lo + hi) / 2
+        below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    shift[live] = (lo + hi) / 2
+    return d[0] + shift
+
+
 def greedy_frame_search(
     m: AtomicMeasure,
     pool: FrequencySet,
@@ -375,9 +444,25 @@ def greedy_frame_search(
 ) -> GreedySelection:
     """Select frequencies greedily to maximize the smallest Gram eigenvalue.
 
-    Deterministic: ties break toward the lowest pool index, zero-gain
-    steps are allowed. Raises PoolExhausted when a full-rank system is
-    requested but the pool cannot provide one.
+    Picking pool row r adds v v^H to the Gram G, with v = conj(r). The
+    search runs in two phases:
+
+    - Rank building, while the picks span less than C^M (M atoms). Every
+      candidate's lambda_min is 0 here, so the pick is the one with the
+      largest residual ||v||^2 - ||Q^H v||^2 against an orthonormal basis
+      Q of the picks (pivoted Gram-Schmidt, each new vector orthogonalized
+      twice). Once no residual exceeds M * eps * max||v||^2, no pick can
+      raise the rank and the remaining picks take the lowest unchosen
+      indices.
+    - After full rank, one ``eigh`` of G per step. lambda_min(G + v v^H)
+      for every candidate comes from the secular equation of the rank-one
+      update (Golub 1973; Bunch, Nielsen and Sorensen 1978); there is no
+      eigensolve per candidate.
+
+    Deterministic: in both phases values within 1e-12 * max||v||^2 of the
+    best tie, and the lowest pool index wins; zero-gain steps are allowed.
+    Raises PoolExhausted when a full-rank system is requested but the pool
+    cannot provide one.
     """
     locations, weights = as_float_arrays(m)
     atoms = locations.shape[0]
@@ -388,23 +473,22 @@ def greedy_frame_search(
     if target_count < atoms:
         warnings.warn("target count below atom count: the selection cannot be a frame", stacklevel=2)
     rows = synthesis_matrix(locations, weights, pool.as_array())
-    selected: list[int] = []
-    chosen: set[int] = set()
+    norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
+    scale = float(np.max(norms_sq, initial=0.0))
+    selected = _rank_building_picks(rows, norms_sq, target_count, scale)
     gram = np.zeros((atoms, atoms), dtype=complex)
-    for _ in range(target_count):
-        best_idx = -1
-        best_value = -1.0
-        for idx in range(len(pool)):
-            if idx in chosen:
-                continue
-            candidate = gram + np.outer(rows[idx].conj(), rows[idx])
-            value = float(np.linalg.eigvalsh(candidate)[0])
-            if value > best_value:
-                best_value = value
-                best_idx = idx
-        selected.append(best_idx)
-        chosen.add(best_idx)
-        gram = gram + np.outer(rows[best_idx].conj(), rows[best_idx])
+    for idx in selected:
+        gram += np.outer(rows[idx].conj(), rows[idx])
+    open_mask = np.ones(len(pool), dtype=bool)
+    open_mask[selected] = False
+    for _ in range(target_count - len(selected)):
+        values, vectors = np.linalg.eigh(gram)
+        open_idx = np.flatnonzero(open_mask)
+        z_sq = np.abs(rows[open_idx] @ vectors) ** 2
+        best = int(open_idx[_first_best(_secular_smallest(values, z_sq), scale)])
+        selected.append(best)
+        open_mask[best] = False
+        gram += np.outer(rows[best].conj(), rows[best])
     freq_set = FrequencySet(
         dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
     )

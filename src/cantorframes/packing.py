@@ -239,10 +239,14 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
     clouds, doubling d up to the atom budget. An exact cross-cylinder
     collision certifies overlap (append any common digit tail to both
     expansions); separation beyond twice the tail radius certifies SSC.
+    A single-digit system has one cylinder and certifies SSC at once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     validate_digit_system(ds)
+    if ds.branch == 1:
+        evidence = {"reason": "single cylinder"}
+        return SscCertificate(status=CERTIFIED_SSC, depth_used=depth, evidence=evidence)
     d = depth
     depth_used, last_evidence = depth, {}
     while True:

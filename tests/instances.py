@@ -53,6 +53,21 @@ def _planar_sum(level: int) -> AtomicMeasure:
     )
 
 
+def rotation_greedy_instance(level: int) -> tuple:
+    """(base, pool, target) of the greedy search in ``rotation_experiment``."""
+    base = _planar_sum(level)
+    pool = FrequencySet(
+        dim=2,
+        freqs=tuple(
+            (a[0], b[0])
+            for a in jp_spectrum(FOUR, JP4, level).freqs
+            for b in jp_spectrum(SIXTEEN_01, JP16, level).freqs
+        ),
+        provenance="lattice-pool",
+    )
+    return base, pool, min(2 * len(base), len(pool))
+
+
 def build_instances():
     instances = [
         ("jp4-onb-level3", level_measure(FOUR, 3), jp_spectrum(FOUR, JP4, 3)),

@@ -10,6 +10,9 @@ reference for the integer phase kernel.
 
 Skeletons: the ``Fraction`` set-comprehension enumerations that the
 integer-numerator sumset replaced, without atom budgets.
+
+Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
+the secular-equation scoring replaced.
 """
 from fractions import Fraction
 
@@ -97,6 +100,11 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
                 acc += complex(math.cos(2 * math.pi * phase), -math.sin(2 * math.pi * phase))
             gram[row, col] = math.sqrt(weights[row] * weights[col]) * acc
     return oracle_extremes(gram)
+
+
+def oracle_greedy_values(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of gram + v v^H, v = conj(row), for each synthesis row."""
+    return np.array([np.linalg.eigvalsh(gram + np.outer(row.conj(), row))[0] for row in rows])
 
 
 def oracle_phase_matrix(measure, freq_set) -> np.ndarray:

@@ -1,0 +1,158 @@
+"""Greedy frame search: rank-building picks, secular scoring and determinism.
+
+The secular values are checked against ``oracles.oracle_greedy_values``
+(one ``eigvalsh`` per candidate) on random Grams, a repeated smallest
+eigenvalue, candidates orthogonal to the bottom eigenvector, and the
+Gram that the rotation experiment's search reaches at full rank.
+"""
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cantorframes import (
+    DigitSystem,
+    FrequencySet,
+    PoolExhausted,
+    as_float_arrays,
+    greedy_frame_search,
+    level_measure,
+    synthesis_matrix,
+)
+from cantorframes.frames import _rank_building_picks, _secular_smallest
+from instances import rotation_greedy_instance
+from oracles import oracle_greedy_values
+
+FOUR = DigitSystem.one_dimensional(4, [0, 1])
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _complex_normal(rng, rows: int, cols: int) -> np.ndarray:
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def _hermitian(rng, eigenvalues) -> tuple:
+    unitary, _ = np.linalg.qr(_complex_normal(rng, len(eigenvalues), len(eigenvalues)))
+    gram = (unitary * np.asarray(eigenvalues)) @ unitary.conj().T
+    return (gram + gram.conj().T) / 2, unitary
+
+
+def _assert_matches_oracle(gram: np.ndarray, rows: np.ndarray) -> None:
+    d, u = np.linalg.eigh(gram)
+    values = _secular_smallest(d, np.abs(rows @ u) ** 2)
+    expected = oracle_greedy_values(gram, rows)
+    assert np.max(np.abs(values - expected)) <= 1e-10 * max(d[-1], 1.0)
+
+
+def _rotation_rows(level: int) -> tuple:
+    base, pool, target = rotation_greedy_instance(level)
+    locations, weights = as_float_arrays(base)
+    rows = synthesis_matrix(locations, weights, pool.as_array())
+    return base, pool, target, rows
+
+
+class TestSecularAgainstOracle:
+    def test_random_positive_definite(self):
+        rng = np.random.default_rng(3)
+        a = _complex_normal(rng, 12, 12)
+        _assert_matches_oracle(a.conj().T @ a + 0.1 * np.eye(12), _complex_normal(rng, 40, 12))
+
+    def test_repeated_smallest_eigenvalue(self):
+        rng = np.random.default_rng(5)
+        gram, _ = _hermitian(rng, [0.5, 0.5, 0.5, 1, 2, 3, 4, 5, 6, 7])
+        _assert_matches_oracle(gram, _complex_normal(rng, 30, 10))
+
+    def test_candidates_orthogonal_to_bottom_eigenvector(self):
+        rng = np.random.default_rng(7)
+        d = np.linspace(0.25, 4.0, 8)
+        rows = _complex_normal(rng, 20, 8)
+        rows[:, 0] = 0
+        assert np.array_equal(_secular_smallest(d, np.abs(rows) ** 2), np.full(20, d[0]))
+        _assert_matches_oracle(np.diag(d).astype(complex), rows)
+        # In a rotated basis z_0 vanishes only up to rounding.
+        gram, unitary = _hermitian(rng, d)
+        _assert_matches_oracle(gram, rows @ unitary.conj().T)
+
+    def test_rotation_gram_after_rank_building(self):
+        base, _, target, rows = _rotation_rows(3)
+        norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
+        selected = _rank_building_picks(rows, norms_sq, target, float(norms_sq.max()))
+        assert len(selected) == len(base)
+        gram = sum(np.outer(rows[i].conj(), rows[i]) for i in selected)
+        assert np.linalg.eigvalsh(gram)[0] > 0
+        _assert_matches_oracle(gram, np.delete(rows, selected, axis=0))
+
+    def test_picks_maximize_the_oracle_value(self):
+        base, pool, target, rows = _rotation_rows(3)
+        picks = list(greedy_frame_search(base, pool, target).selected_indices)
+        scale = float(np.max(np.sum(np.abs(rows) ** 2, axis=1)))
+        for step in range(len(base), target):
+            gram = sum(np.outer(rows[i].conj(), rows[i]) for i in picks[:step])
+            values = oracle_greedy_values(gram, rows)
+            values[picks[:step]] = -np.inf
+            assert values[picks[step]] >= values.max() - 1e-10 * scale
+
+
+class TestEigenCalls:
+    @pytest.mark.parametrize("target", [8, 20])
+    def test_one_eigh_per_step_after_full_rank(self, monkeypatch, target):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = level_measure(FOUR, 3)
+        selection = greedy_frame_search(m, FrequencySet.from_scalars(range(64)), target)
+        assert selection.report.rank == len(m) == 8
+        # One eigh per step past rank 8, then one for the report.
+        assert calls == ["eigh"] * (target - 8 + 1)
+
+
+class TestRankDeficientPools:
+    def test_stalled_pool_raises_without_runtime_warning(self):
+        m = level_measure(FOUR, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoolExhausted):
+                greedy_frame_search(m, FrequencySet.from_scalars([0, 16, 32, 48, 64]), 5)
+
+    def test_stalled_picks_take_lowest_unchosen_indices(self):
+        # 0, 16 and 32 give one row; 1 adds a second direction, then the pool stalls.
+        m = level_measure(FOUR, 2)
+        pool = FrequencySet.from_scalars([0, 16, 32, 1, 48])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            selection = greedy_frame_search(m, pool, 3)
+        assert [w.category for w in caught] == [UserWarning]
+        assert selection.selected_indices == (0, 3, 1)
+
+    def test_first_pick_of_equal_norm_pool_is_lowest_index(self):
+        m = level_measure(FOUR, 3)
+        pool = FrequencySet.from_scalars([7, 3, 12, 5, 0, 9, 14, 1, 10, 6])
+        assert greedy_frame_search(m, pool, 8).selected_indices[0] == 0
+
+
+def test_selection_does_not_depend_on_blas_threads():
+    code = (
+        "from cantorframes import greedy_frame_search\n"
+        "from instances import rotation_greedy_instance\n"
+        "print(greedy_frame_search(*rotation_greedy_instance(4)).selected_indices)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("(")

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +131,19 @@ class TestSsc:
     def test_overlap_reports_smallest_collision(self):
         cert = ssc_certificate(DigitSystem.one_dimensional(2, [0, 1, 2]), 2)
         assert cert.evidence == {"collision": (fr(1, 2),), "cylinders": (0, 1)}
+
+    def test_single_digit_system_returns(self):
+        # One cylinder and no pair to scan; without an early return the depth doubles forever.
+        code = (
+            "from cantorframes import DigitSystem, ssc_certificate\n"
+            "print(ssc_certificate(DigitSystem.one_dimensional(4, [0]), 3).status)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=5)
+        assert done.stdout.strip() == CERTIFIED_SSC
+        cert = ssc_certificate(DigitSystem.one_dimensional(4, [0]), 3)
+        assert (cert.status, cert.depth_used, cert.evidence) == (CERTIFIED_SSC, 3, {"reason": "single cylinder"})
 
     def test_certified_depth_is_the_requested_one(self):
         cert = ssc_certificate(FOUR, 7)
