@@ -3,7 +3,9 @@
 The transform of a self-affine measure is an infinite product of digit
 masks; truncations carry a certified tail bound derived from the
 Lipschitz estimate |1 - mask(eta)| <= 2*pi*max|b|*|eta| and the geometric
-decay of the scaled frequencies.
+decay of the scaled frequencies. Windowed transforms of atomic measures
+are exponential sums over atoms: their phases come from the exact kernel
+of ``frames``, one call per measure for a whole frequency grid.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .measures import (
     convolve,
     validate_digit_system,
 )
+from .frames import _exact_phase_matrix
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
@@ -105,34 +108,29 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
     return TransformValue(value=value, tail_bound=bound, factors=n_factors)
 
 
-def _window_coefficient(window, location) -> complex:
-    if window is None:
-        return 1.0
-    if isinstance(window, dict):
-        return window.get(location, 0.0)
-    return 1.0 if location in window else 0.0
+def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
+    """``windowed_transform`` at every row of ``xi_rows``, from one kernel call."""
+    if window is not None and not isinstance(window, dict):
+        window = dict.fromkeys((as_point(p, m.dim) for p in window), 1.0)
+    locations, coefficients = [], []
+    for loc, w in absolute_atoms(m):
+        f = 1.0 if window is None else window.get(loc, 0.0)
+        if f != 0:
+            locations.append(loc)
+            coefficients.append(f * float(w))
+    terms = np.asarray(coefficients) * np.exp(-2j * np.pi * _exact_phase_matrix(m.dim, xi_rows, locations))
+    return [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
 
 
 def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
-    """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with compensated accumulation.
+    """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with exact phases and compensated accumulation.
 
     ``window`` is None for the constant 1, a set of exact points for an
-    indicator, or a dict from exact points to coefficients.
+    indicator, or a dict from exact points to coefficients. The phases
+    <xi, x> mod 1 are exact, with a float xi taken as the binary rational
+    it is, so a large xi loses no digits.
     """
-    xi = _as_vector(xi, m.dim)
-    if isinstance(window, (list, tuple, set, frozenset)):
-        window = {as_point(p, m.dim) for p in window}
-    reals = []
-    imags = []
-    for loc, w in absolute_atoms(m):
-        f = _window_coefficient(window, loc)
-        if f == 0:
-            continue
-        phase = -2.0 * math.pi * sum(v * float(x) for v, x in zip(xi, loc))
-        term = f * float(w) * cmath.exp(1j * phase)
-        reals.append(term.real)
-        imags.append(term.imag)
-    return complex(math.fsum(reals), math.fsum(imags))
+    return _windowed_sums(m, window, [_as_vector(xi, m.dim)])[0]
 
 
 @dataclass(frozen=True)
@@ -169,20 +167,13 @@ def factorization_check(
     f_pts = {as_point(p, lam.dim) for p in window_f}
     sum_pts = {tuple(a + b for a, b in zip(p, q)) for p in e_pts for q in f_pts}
     mu = convolve(nu, lam)
-
-    worst = -1.0
-    argmax = None
-    count = 0
-    for xi in xi_grid:
-        count += 1
-        lhs = windowed_transform(mu, sum_pts, xi)
-        rhs = windowed_transform(nu, e_pts, xi) * windowed_transform(lam, f_pts, xi)
-        dev = abs(lhs - rhs)
-        if dev > worst:
-            worst = dev
-            argmax = tuple(_as_vector(xi, nu.dim))
-    if argmax is None:
+    xis = [_as_vector(xi, nu.dim) for xi in xi_grid]
+    if not xis:
         raise ValueError("empty frequency grid")
+    lhs = _windowed_sums(mu, sum_pts, xis)
+    rhs = [a * b for a, b in zip(_windowed_sums(nu, e_pts, xis), _windowed_sums(lam, f_pts, xis))]
+    deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
+    worst = max(range(len(xis)), key=deviations.__getitem__)
     return FactorizationReport(
-        max_deviation=worst, argmax_xi=argmax, grid_size=count, certified=certified
+        max_deviation=deviations[worst], argmax_xi=tuple(xis[worst]), grid_size=len(xis), certified=certified
     )

@@ -1,27 +1,29 @@
 """Frequency sets, frame/Bessel bounds, and shear transport of spectra.
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
-atom-indexed Hermitian square of the synthesis matrix. Everything is
-deterministic: one dense eigendecomposition per reported Gram, fixed
-tie-breaks. Greedy frame search builds rank by pivoted Gram-Schmidt, then
-does one eigendecomposition per step and scores every candidate by the
-secular equation of its rank-one update. In both phases scores within
+atom-indexed Hermitian square of the synthesis matrix. Every frame entry
+point shares one set of input checks and one dense eigendecomposition per
+reported Gram. Everything is deterministic, with fixed tie-breaks. Greedy
+frame search builds rank by pivoted Gram-Schmidt, then does one
+eigendecomposition per step and scores every candidate by the secular
+equation of its rank-one update. In both phases scores within
 1e-12 * max||v||^2 of the best tie (v a candidate's synthesis row), and
 the lowest pool index wins.
 
-On rational skeletons the phases <freq, atom> mod 1 are exact integer
-residues (F @ A.T) mod p*q over common denominators p (frequencies) and
-q (atoms), rounded once to float. The kernel runs in int64 when
+Every exponential sum over atoms, here and in ``fourier``, takes its
+phases <freq, atom> mod 1 from one kernel: exact integer residues
+(F @ A.T) mod p*q over common denominators p (frequencies) and q (atoms),
+rounded once to float, with float coordinates taken as the exact binary
+rationals they are. The kernel runs in int64 when
 dim * max|F| * max|A| < 2^62 and p*q <= 2^53, and on Python-int object
-arrays otherwise (float frequencies or offsets with long binary
-expansions); both give the correctly rounded phase.
+arrays otherwise (float coordinates with long binary expansions); both
+give the correctly rounded phase.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,13 +36,14 @@ from .errors import (
     SizeMismatch,
     ZeroNormInput,
 )
-from .measures import AtomicMeasure, DigitSystem, absolute_atoms, as_float_arrays
+from .measures import AtomicMeasure, DigitSystem, absolute_atoms
 from .measures import _common_numerators, _matvec, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
 _INT64_PRODUCT_LIMIT = 2**62
 _EXACT_DOUBLE_LIMIT = 2**53
+_OBJECT_BLOCK = 2**12
 # Greedy picks within _TIE_RTOL * max||v||^2 of the best tie; the lowest
 # pool index wins, so rounding noise cannot decide a pick.
 _TIE_RTOL = 1e-12
@@ -109,17 +112,13 @@ class GreedySelection:
 def hadamard_triple_check(R, B, L, tol: float = 1e-12) -> bool:
     """True iff the normalized exponential matrix of (R, B, L) is unitary."""
     ds = DigitSystem(R, B)
-    digits = np.asarray(ds.digits, dtype=float)
-    freqs = np.asarray([(l,) if isinstance(l, int) else tuple(l) for l in L], dtype=float)
-    if freqs.shape[0] != digits.shape[0]:
+    freqs = [(l,) if isinstance(l, int) else tuple(l) for l in L]
+    if len(freqs) != ds.branch:
         raise SizeMismatch("digit and frequency sets must have equal size")
-    if freqs.ndim == 1:
-        freqs = freqs.reshape(-1, 1)
-    rinv = np.array([[float(x) for x in row] for row in ds.inverse_matrix()])
-    scaled = digits @ rinv.T
-    matrix = np.exp(2j * np.pi * (scaled @ freqs.T)) / math.sqrt(len(digits))
-    gram = matrix.conj().T @ matrix
-    return bool(np.max(np.abs(gram - np.eye(len(digits)))) <= tol)
+    rinv = ds.inverse_matrix()
+    scaled = [_matvec(rinv, b) for b in ds.digits]
+    matrix = np.exp(2j * np.pi * _exact_phase_matrix(ds.dim, freqs, scaled)) / math.sqrt(ds.branch)
+    return bool(np.max(np.abs(matrix @ matrix.conj().T - np.eye(ds.branch))) <= tol)
 
 
 def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> FrequencySet:
@@ -146,16 +145,10 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
     )
 
 
-def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>)."""
-    phases = freqs @ locations.T
-    return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
-
-
-def _phase_operands(m: AtomicMeasure, freq_set: FrequencySet) -> tuple:
+def _phase_operands(freq_rows, atom_rows) -> tuple:
     """Frequency numerators F over p, atom numerators A over q, and the modulus p*q."""
-    freq_nums, p = _common_numerators([[Fraction(v) for v in f] for f in freq_set.freqs])
-    atom_nums, q = _common_numerators([loc for loc, _ in absolute_atoms(m)])
+    freq_nums, p = _common_numerators(freq_rows)
+    atom_nums, q = _common_numerators(atom_rows)
     return freq_nums, atom_nums, p * q
 
 
@@ -175,51 +168,65 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     return "object"
 
 
-def _exact_phase_matrix(m: AtomicMeasure, freq_set: FrequencySet) -> np.ndarray:
-    """Phases <freq, atom> reduced mod 1, exact up to one final rounding.
+def _exact_phase_matrix(dim: int, freq_rows, atom_rows) -> np.ndarray:
+    """Phases <freq, atom> reduced mod 1 for every frequency row and atom row.
 
-    Large integer frequencies against deep-level atoms would lose several
-    digits in a float dot product. Instead, with F the frequency
-    numerators over p and A the atom numerators (offset included) over q,
+    The only code that computes a phase of an exponential sum over atoms.
+    Coordinates are ints, Fractions or floats; a float enters as the
+    binary rational it is. Large integer frequencies against deep-level
+    atoms would lose several digits in a float dot product. Instead, with
+    F the frequency numerators over p and A the atom numerators over q,
     the phase is (F @ A.T mod p*q) / (p*q). Both paths round that exact
     rational once, correctly, as ``float(Fraction)`` does: int64 arrays
     and a float64 division within the guards of ``_phase_path``, Python
     int object arrays and int true division outside them. Nothing wraps.
     """
-    freq_nums, atom_nums, modulus = _phase_operands(m, freq_set)
-    path = _phase_path(m.dim, freq_nums, atom_nums, modulus)
+    freq_nums, atom_nums, modulus = _phase_operands(freq_rows, atom_rows)
+    path = _phase_path(dim, freq_nums, atom_nums, modulus)
     dtype = np.int64 if path == "int64" else object
-    freqs = np.array(freq_nums, dtype=dtype).reshape(len(freq_nums), freq_set.dim)
-    atoms = np.array(atom_nums, dtype=dtype).reshape(len(atom_nums), m.dim)
+    freqs = np.array(freq_nums, dtype=dtype).reshape(len(freq_nums), dim)
+    atoms = np.array(atom_nums, dtype=dtype).reshape(len(atom_nums), dim)
     if path == "int64":
         return (freqs @ atoms.T) % modulus / modulus
-    # Row by row, so no F x M array of Python ints is ever alive.
+    # In blocks of rows, so at most about _OBJECT_BLOCK Python ints are alive at once.
     phases = np.empty((len(freqs), len(atoms)))
-    for i, row in enumerate(freqs):
-        phases[i] = (atoms @ row) % modulus / modulus
+    step = max(1, _OBJECT_BLOCK // max(len(atoms), 1))
+    for i in range(0, len(freqs), step):
+        phases[i : i + step] = (freqs[i : i + step] @ atoms.T) % modulus / modulus
     return phases
 
 
-def frame_bounds_from_arrays(
-    locations: np.ndarray,
-    weights: np.ndarray,
-    freq_set: FrequencySet,
-    eigen_budget: int = DEFAULT_EIGEN_BUDGET,
-) -> FrameReport:
-    """Frame bounds of the exponential system on explicit weighted points."""
-    if len(freq_set) == 0:
-        raise EmptyFrequencySet("frequency set is empty")
-    m = locations.shape[0]
-    if m == 0:
+def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases."""
+    locations, freqs = np.asarray(locations), np.asarray(freqs)
+    phases = _exact_phase_matrix(locations.shape[-1], freqs.tolist(), locations.tolist())
+    return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
+
+
+def _exact_atoms(m: AtomicMeasure) -> tuple:
+    """Atom rows with the offset folded in exactly, and float weights."""
+    atoms = absolute_atoms(m)
+    return [loc for loc, _ in atoms], np.array([float(w) for _, w in atoms])
+
+
+def _synthesis_rows(dim: int, atom_rows, weights: np.ndarray, freq_set: FrequencySet, eigen_budget: int):
+    """Synthesis rows of ``freq_set`` on the atoms, after the checks shared by every frame entry point."""
+    if freq_set.dim != dim:
+        raise SizeMismatch("frequency dimension does not match the measure")
+    if len(atom_rows) == 0:
         raise ZeroNormInput("measure has no atoms")
-    if m > eigen_budget:
-        raise EigenBudgetExceeded(f"{m} atoms exceed the eigen budget {eigen_budget}")
-    phi = synthesis_matrix(locations, weights, freq_set.as_array())
-    return _frame_report_from_phi(phi, weights, len(freq_set))
+    if len(weights) != len(atom_rows):
+        raise SizeMismatch("weight count does not match the atom count")
+    if len(atom_rows) > eigen_budget:
+        raise EigenBudgetExceeded(f"{len(atom_rows)} atoms exceed the eigen budget {eigen_budget}")
+    return synthesis_matrix(atom_rows, weights, freq_set.freqs)
 
 
-def _frame_report_from_phi(phi: np.ndarray, weights: np.ndarray, freq_count: int) -> FrameReport:
-    m = phi.shape[1]
+def _frame_report(phi: np.ndarray, weights: np.ndarray) -> FrameReport:
+    """Frame bounds from one ``eigh`` of the Gram of the synthesis rows ``phi``."""
+    freq_count, m = phi.shape
+    if freq_count == 0:
+        raise EmptyFrequencySet("frequency set is empty")
     gram = phi.conj().T @ phi
     gram = (gram + gram.conj().T) / 2.0
     values, vectors = np.linalg.eigh(gram)
@@ -241,36 +248,37 @@ def _frame_report_from_phi(phi: np.ndarray, weights: np.ndarray, freq_count: int
     )
 
 
+def frame_bounds_from_arrays(
+    locations: np.ndarray,
+    weights: np.ndarray,
+    freq_set: FrequencySet,
+    eigen_budget: int = DEFAULT_EIGEN_BUDGET,
+) -> FrameReport:
+    """Frame bounds of the exponential system on explicit weighted points, exact phases."""
+    phi = _synthesis_rows(np.shape(locations)[-1], locations, weights, freq_set, eigen_budget)
+    return _frame_report(phi, weights)
+
+
 def frame_bounds(
     m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
 ) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
-    if freq_set.dim != m.dim:
-        raise SizeMismatch("frequency dimension does not match the measure")
-    if len(freq_set) == 0:
-        raise EmptyFrequencySet("frequency set is empty")
-    if len(m) == 0:
-        raise ZeroNormInput("measure has no atoms")
-    if len(m) > eigen_budget:
-        raise EigenBudgetExceeded(f"{len(m)} atoms exceed the eigen budget {eigen_budget}")
-    _, weights = as_float_arrays(m)
-    phases = _exact_phase_matrix(m, freq_set)
-    phi = np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
-    return _frame_report_from_phi(phi, weights, len(freq_set))
+    atom_rows, weights = _exact_atoms(m)
+    return _frame_report(_synthesis_rows(m.dim, atom_rows, weights, freq_set, eigen_budget), weights)
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
     if freq_set.dim != m.dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    _, weights = as_float_arrays(m)
+    atom_rows, weights = _exact_atoms(m)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise SizeMismatch("coefficient vector length does not match the atom count")
     norm_sq = float(np.sum(np.abs(f) ** 2 * weights))
     if norm_sq == 0.0:
         raise ZeroNormInput("coefficients have zero norm in L2(m)")
-    phases = _exact_phase_matrix(m, freq_set)
+    phases = _exact_phase_matrix(m.dim, freq_set.freqs, atom_rows)
     analysis = np.exp(2j * np.pi * phases) @ (f * weights)
     return float(np.sum(np.abs(analysis) ** 2) / norm_sq)
 
@@ -464,15 +472,13 @@ def greedy_frame_search(
     Raises PoolExhausted when a full-rank system is requested but the pool
     cannot provide one.
     """
-    locations, weights = as_float_arrays(m)
-    atoms = locations.shape[0]
-    if atoms > eigen_budget:
-        raise EigenBudgetExceeded(f"{atoms} atoms exceed the eigen budget {eigen_budget}")
+    atom_rows, weights = _exact_atoms(m)
+    rows = _synthesis_rows(m.dim, atom_rows, weights, pool, eigen_budget)
+    atoms = len(atom_rows)
     if target_count > len(pool):
         raise PoolExhausted("target count exceeds the pool size")
     if target_count < atoms:
         warnings.warn("target count below atom count: the selection cannot be a frame", stacklevel=2)
-    rows = synthesis_matrix(locations, weights, pool.as_array())
     norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
     scale = float(np.max(norms_sq, initial=0.0))
     selected = _rank_building_picks(rows, norms_sq, target_count, scale)
@@ -492,7 +498,7 @@ def greedy_frame_search(
     freq_set = FrequencySet(
         dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
     )
-    report = frame_bounds_from_arrays(locations, weights, freq_set, eigen_budget)
+    report = _frame_report(rows[selected], weights)
     if target_count >= atoms and report.rank < atoms:
         raise PoolExhausted("pool cannot span the atom space: rank %d < %d" % (report.rank, atoms))
     return GreedySelection(frequencies=freq_set, report=report, selected_indices=tuple(selected))

@@ -291,9 +291,13 @@ def as_float_arrays(m: AtomicMeasure):
 
 
 def _common_numerators(rows) -> tuple:
-    """Integer numerators of rational rows over the lcm of their denominators."""
-    denominator = math.lcm(*(x.denominator for row in rows for x in row))
-    return [tuple(x.numerator * (denominator // x.denominator) for x in row) for row in rows], denominator
+    """Integer numerators of exact rows over the lcm of their denominators.
+
+    Entries are ints, Fractions or floats; a float is the binary rational it is.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    denominator = math.lcm(*(d for row in ratios for _, d in row))
+    return [tuple(n * (denominator // d) for n, d in row) for row in ratios], denominator
 
 
 def _sumset(dim: int, layers, budget: int | None = None) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from cantorframes import (
     DigitSystem,
+    FrequencySet,
     MaskPolynomial,
     NotCertifiedPacking,
     ToleranceUnreachable,
@@ -19,6 +20,7 @@ from cantorframes import (
     translate,
     windowed_transform,
 )
+from oracles import oracle_phase_matrix
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -106,6 +108,14 @@ class TestWindowedTransform:
         shifted = translate(m, Fraction(3, 8))
         expected = cmath.exp(-2j * cmath.pi * xi * 3 / 8) * windowed_transform(m, None, xi)
         assert abs(windowed_transform(shifted, None, xi) - expected) < 1e-12
+
+    def test_large_frequency_matches_fraction_phases(self):
+        # A float product <xi, x> at xi ~ 2^30 keeps only ~7 phase digits.
+        m = level_measure(FOUR, 6)
+        xi = 2.0**30 + 0.3
+        phases = oracle_phase_matrix(m, FrequencySet.from_scalars([xi]))[0]
+        expected = sum(float(w) * cmath.exp(-2j * cmath.pi * p) for w, p in zip(m.weights, phases))
+        assert abs(windowed_transform(m, None, xi) - expected) < 1e-12
 
 
 class TestFactorization:

@@ -141,6 +141,26 @@ class TestFrameBounds:
         assert abs(report.upper - eigvals[-1]) < 1e-10
 
 
+ENTRY_POINTS = {
+    "frame_bounds": frame_bounds,
+    "frame_bounds_from_arrays": lambda m, fs: frame_bounds_from_arrays(*as_float_arrays(m), fs),
+    "greedy_frame_search": lambda m, fs: greedy_frame_search(m, fs, len(fs)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_share_input_checks(entry):
+    call, pair = ENTRY_POINTS[entry], FrequencySet.from_scalars([0, 1])
+    with pytest.raises(ZeroNormInput):
+        call(AtomicMeasure.from_atoms(1, []), pair)
+    with pytest.raises(SizeMismatch):
+        call(level_measure(FOUR, 2), FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0))))
+    if entry == "frame_bounds_from_arrays":
+        locations, weights = as_float_arrays(level_measure(FOUR, 2))
+        with pytest.raises(SizeMismatch):
+            frame_bounds_from_arrays(locations, weights[1:], pair)
+
+
 class TestBesselQuotient:
     def test_dimension_mismatch_rejected(self):
         planar = FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0)))

@@ -19,6 +19,7 @@ from cantorframes import (
     FrequencySet,
     PoolExhausted,
     as_float_arrays,
+    frame_bounds,
     greedy_frame_search,
     level_measure,
     synthesis_matrix,
@@ -138,6 +139,12 @@ class TestRankDeficientPools:
         m = level_measure(FOUR, 3)
         pool = FrequencySet.from_scalars([7, 3, 12, 5, 0, 9, 14, 1, 10, 6])
         assert greedy_frame_search(m, pool, 8).selected_indices[0] == 0
+
+
+def test_report_is_frame_bounds_of_the_selection():
+    base, pool, target = rotation_greedy_instance(4)
+    selection = greedy_frame_search(base, pool, target)
+    assert selection.report == frame_bounds(base, selection.frequencies)
 
 
 def test_selection_does_not_depend_on_blas_threads():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorframes import (
+    AtomBudgetExceeded,
     AtomicMeasure,
     DigitSystem,
     FrequencySet,
@@ -58,6 +59,12 @@ class TestDifferenceSet:
 
     def test_singleton(self):
         assert difference_set([(fr(1, 3),)], [(fr(1, 3),)]) == ((fr(0),),)
+
+    def test_pair_budget_refuses_before_forming_sums(self):
+        # 2049^2 words exceed the 2^22 pair budget; 2048^2 would fit it exactly.
+        points = [(k,) for k in range(2049)]
+        with pytest.raises(AtomBudgetExceeded):
+            difference_set(points, points)
 
 
 class TestDigitCriterion:
