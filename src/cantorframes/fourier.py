@@ -79,6 +79,7 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
 
     The number of factors is chosen so the certified tail bound drops
     below ``tol``; the achieved bound is returned alongside the value.
+    A non-finite coordinate of ``xi`` raises ValueError.
     """
     if tol <= 0 or tol < 1e-15:
         raise ToleranceUnreachable("tolerance below float resolution")
@@ -87,6 +88,8 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
     if inv >= 1.0:
         raise ToleranceUnreachable("inverse norm bound >= 1; geometric tail does not converge")
     xi = _as_vector(xi, ds.dim)
+    if not np.isfinite(xi).all():
+        raise ValueError(f"frequency {tuple(xi.tolist())} is not finite")
     max_b = float(ds.max_digit_norm_bound())
     xi_norm = float(np.linalg.norm(xi))
     prefactor = 2.0 * math.pi * max_b * xi_norm / (1.0 - inv)

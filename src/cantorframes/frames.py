@@ -5,10 +5,11 @@ atom-indexed Hermitian square of the synthesis matrix. Every frame entry
 point shares one set of input checks and one dense eigendecomposition per
 reported Gram. Everything is deterministic, with fixed tie-breaks. Greedy
 frame search builds rank by pivoted Gram-Schmidt, then does one
-eigendecomposition per step and scores every candidate by the secular
-equation of its rank-one update. In both phases scores within
-1e-12 * max||v||^2 of the best tie (v a candidate's synthesis row), and
-the lowest pool index wins.
+eigendecomposition per step and scores every candidate by bisection on
+the secular equation of its rank-one update, dropping candidates that
+can no longer win or tie and stopping once one is left. In both phases
+scores within 1e-12 * max||v||^2 of the best tie (v a candidate's
+synthesis row), and the lowest pool index wins.
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one kernel: exact integer residues
@@ -419,29 +420,41 @@ def _rank_building_picks(rows: np.ndarray, norms_sq: np.ndarray, count: int, sca
     return selected
 
 
-def _secular_smallest(d: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
-    """lambda_min(diag(d) + z z^H) for each row of z_sq = |z|^2; d ascending.
+def _secular_pick(d: np.ndarray, z_sq: np.ndarray, scale: float) -> int:
+    """First best row of z_sq = |z|^2 by lambda_min(diag(d) + z z^H); d ascending.
 
-    The smallest root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 lies in
-    (d_0, min(d_1, d_0 + ||z||^2)), where the left side increases from
-    -inf; bisection there runs in t = lambda - d_0, on all rows at once.
-    A row with z_0 = 0, or with an empty bracket (d_1 = d_0), keeps d_0.
+    The root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 in (d_0, min(d_1,
+    d_0 + ||z||^2)), where the left side rises from -inf, is bisected in
+    t = lambda - d_0; a row scores d_0 + its last midpoint. A dead row
+    (z_0 = 0, or d_1 = d_0) scores d_0, the least score: it ties only if
+    every row ties, and then row 0 wins. Rows with hi < max(lo) - margin
+    are dropped: margin = _TIE_RTOL * scale + 8 eps (|d_0| + H), H the
+    widest bracket, exceeds the tie tolerance by more than the roundings
+    in between (d_0 + t twice, the margin, the tie and drop thresholds),
+    at most 6 eps (|d_0| + H) in all, as a drop needs H > margin.
     """
     delta = d - d[0]
-    hi = z_sq.sum(axis=1)
-    if len(d) > 1:
-        hi = np.minimum(hi, delta[1])
-    shift = np.zeros_like(hi)
+    hi = np.minimum(z_sq.sum(axis=1), delta[1] if len(d) > 1 else np.inf)
     live = (hi > 0) & (z_sq[:, 0] > 0)
-    z_sq, hi = z_sq[live], hi[live]
-    lo = np.zeros_like(hi)
+    if not live.any():
+        return 0
+    rows, z_sq, hi = np.flatnonzero(live), z_sq[live], hi[live]
+    lo, dead = np.zeros_like(hi), not live.all()
+    margin = _TIE_RTOL * scale + 8 * np.finfo(float).eps * (abs(d[0]) + hi.max())
     for _ in range(_BISECTIONS):
         t = (lo + hi) / 2
         below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-    shift[live] = (lo + hi) / 2
-    return d[0] + shift
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        floor = lo.max() - margin
+        dead = dead and floor <= 0
+        keep = hi >= floor
+        rows, lo, hi, z_sq = rows[keep], lo[keep], hi[keep], z_sq[keep]
+        if len(rows) == 1 and not dead:
+            return int(rows[0])
+    values = d[0] + (lo + hi) / 2
+    if dead and d[0] >= values.max() - _TIE_RTOL * scale:
+        return 0
+    return int(rows[_first_best(values, scale)])
 
 
 def greedy_frame_search(
@@ -456,16 +469,18 @@ def greedy_frame_search(
     search runs in two phases:
 
     - Rank building, while the picks span less than C^M (M atoms). Every
-      candidate's lambda_min is 0 here, so the pick is the one with the
-      largest residual ||v||^2 - ||Q^H v||^2 against an orthonormal basis
-      Q of the picks (pivoted Gram-Schmidt, each new vector orthogonalized
-      twice). Once no residual exceeds M * eps * max||v||^2, no pick can
-      raise the rank and the remaining picks take the lowest unchosen
-      indices.
-    - After full rank, one ``eigh`` of G per step. lambda_min(G + v v^H)
-      for every candidate comes from the secular equation of the rank-one
-      update (Golub 1973; Bunch, Nielsen and Sorensen 1978); there is no
-      eigensolve per candidate.
+      lambda_min is 0 here, so the pick has the largest residual
+      ||v||^2 - ||Q^H v||^2 against an orthonormal basis Q of the picks
+      (pivoted Gram-Schmidt, orthogonalized twice). Once no residual
+      exceeds M * eps * max||v||^2, the lowest unchosen indices follow.
+    - After full rank, one ``eigh`` of G per step, and lambda_min(G + v v^H)
+      by bisection on the secular equation of the rank-one update (Golub
+      1973; Bunch, Nielsen and Sorensen 1978), all candidates at once.
+      Each pass drops every candidate whose bracket top lies below the
+      best bracket bottom by more than the tie tolerance plus rounding;
+      one left is the pick. A dropped candidate ends at most at its top,
+      the best at least at the best bottom, so it can neither win nor tie;
+      survivors run the passes of the full bisection bit for bit.
 
     Deterministic: in both phases values within 1e-12 * max||v||^2 of the
     best tie, and the lowest pool index wins; zero-gain steps are allowed.
@@ -491,7 +506,7 @@ def greedy_frame_search(
         values, vectors = np.linalg.eigh(gram)
         open_idx = np.flatnonzero(open_mask)
         z_sq = np.abs(rows[open_idx] @ vectors) ** 2
-        best = int(open_idx[_first_best(_secular_smallest(values, z_sq), scale)])
+        best = int(open_idx[_secular_pick(values, z_sq, scale)])
         selected.append(best)
         open_mask[best] = False
         gram += np.outer(rows[best].conj(), rows[best])

@@ -12,11 +12,14 @@ Skeletons: the ``Fraction`` set-comprehension enumerations that the
 integer-numerator sumset replaced, without atom budgets.
 
 Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
-the secular-equation scoring replaced.
+the secular-equation scoring replaced; and the plain secular bisection,
+every row through every pass, that the eliminating pick replaced.
 """
 from fractions import Fraction
 
 import numpy as np
+
+from cantorframes.frames import _BISECTIONS
 
 _RESIDUAL_TOL = 1e-11
 _POWER_MAXIT = 20_000
@@ -105,6 +108,31 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
 def oracle_greedy_values(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of gram + v v^H, v = conj(row), for each synthesis row."""
     return np.array([np.linalg.eigvalsh(gram + np.outer(row.conj(), row))[0] for row in rows])
+
+
+def oracle_secular_smallest(d: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
+    """lambda_min(diag(d) + z z^H) for each row of z_sq = |z|^2; d ascending.
+
+    The smallest root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 lies in
+    (d_0, min(d_1, d_0 + ||z||^2)), where the left side increases from
+    -inf; bisection there runs in t = lambda - d_0, on all rows at once.
+    A row with z_0 = 0, or with an empty bracket (d_1 = d_0), keeps d_0.
+    """
+    delta = d - d[0]
+    hi = z_sq.sum(axis=1)
+    if len(d) > 1:
+        hi = np.minimum(hi, delta[1])
+    shift = np.zeros_like(hi)
+    live = (hi > 0) & (z_sq[:, 0] > 0)
+    z_sq, hi = z_sq[live], hi[live]
+    lo = np.zeros_like(hi)
+    for _ in range(_BISECTIONS):
+        t = (lo + hi) / 2
+        below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+    shift[live] = (lo + hi) / 2
+    return d[0] + shift
 
 
 def oracle_phase_matrix(measure, freq_set) -> np.ndarray:

@@ -13,7 +13,7 @@ from cantorframes import (
     singularity_witness,
     translate,
 )
-from cantorframes.cli import main
+from cantorframes.cli import EXIT_ERROR, main
 from cantorframes.serialize import (
     canonical_json,
     certificate_to_jsonable,
@@ -155,6 +155,17 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "xi1,re,im,certified_tail_bound"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("xi_max", ["nan", "inf", "-inf"])
+    def test_ft_grid_non_finite_bound_is_error(self, tmp_path, capsys, xi_max):
+        out = tmp_path / "grid.csv"
+        rc = main(
+            ["ft", "grid", "--system", "4:0,1", "--count", "3", "--xi-min", "0", f"--xi-max={xi_max}",
+             "--format", "csv", "--out", str(out)]
+        )
+        assert rc == EXIT_ERROR
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_certificate_roundtrip(self, tmp_path):
         cert_path = tmp_path / "cert.json"

@@ -25,6 +25,7 @@ from oracles import oracle_phase_matrix
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
+PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
 
 
 class TestMask:
@@ -80,6 +81,14 @@ class TestMuHat:
     def test_tolerance_floor(self):
         with pytest.raises(ToleranceUnreachable):
             mu_hat(FOUR, 1.0, 1e-18)
+
+    @pytest.mark.parametrize(
+        "ds, xi",
+        [(FOUR, float("nan")), (FOUR, float("inf")), (FOUR, float("-inf")), (PLANAR, (0.5, float("nan")))],
+    )
+    def test_non_finite_frequency_raises(self, ds, xi):
+        with pytest.raises(ValueError, match="not finite"):
+            mu_hat(ds, xi, 1e-10)
 
 
 class TestWindowedTransform:

@@ -3,7 +3,9 @@
 The secular values are checked against ``oracles.oracle_greedy_values``
 (one ``eigvalsh`` per candidate) on random Grams, a repeated smallest
 eigenvalue, candidates orthogonal to the bottom eigenvector, and the
-Gram that the rotation experiment's search reaches at full rank.
+Gram that the rotation experiment's search reaches at full rank. The
+eliminating pick is checked against the first best of
+``oracles.oracle_secular_smallest`` (every row through every pass).
 """
 import os
 import subprocess
@@ -24,9 +26,10 @@ from cantorframes import (
     level_measure,
     synthesis_matrix,
 )
-from cantorframes.frames import _rank_building_picks, _secular_smallest
+from cantorframes import frames
+from cantorframes.frames import _TIE_RTOL, _first_best, _rank_building_picks, _secular_pick
 from instances import rotation_greedy_instance
-from oracles import oracle_greedy_values
+from oracles import oracle_greedy_values, oracle_secular_smallest
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +47,7 @@ def _hermitian(rng, eigenvalues) -> tuple:
 
 def _assert_matches_oracle(gram: np.ndarray, rows: np.ndarray) -> None:
     d, u = np.linalg.eigh(gram)
-    values = _secular_smallest(d, np.abs(rows @ u) ** 2)
+    values = oracle_secular_smallest(d, np.abs(rows @ u) ** 2)
     expected = oracle_greedy_values(gram, rows)
     assert np.max(np.abs(values - expected)) <= 1e-10 * max(d[-1], 1.0)
 
@@ -72,7 +75,7 @@ class TestSecularAgainstOracle:
         d = np.linspace(0.25, 4.0, 8)
         rows = _complex_normal(rng, 20, 8)
         rows[:, 0] = 0
-        assert np.array_equal(_secular_smallest(d, np.abs(rows) ** 2), np.full(20, d[0]))
+        assert np.array_equal(oracle_secular_smallest(d, np.abs(rows) ** 2), np.full(20, d[0]))
         _assert_matches_oracle(np.diag(d).astype(complex), rows)
         # In a rotated basis z_0 vanishes only up to rounding.
         gram, unitary = _hermitian(rng, d)
@@ -96,6 +99,80 @@ class TestSecularAgainstOracle:
             values = oracle_greedy_values(gram, rows)
             values[picks[:step]] = -np.inf
             assert values[picks[step]] >= values.max() - 1e-10 * scale
+
+
+def _oracle_pick(d: np.ndarray, z_sq: np.ndarray, scale: float) -> int:
+    return _first_best(oracle_secular_smallest(d, z_sq), scale)
+
+
+class TestSecularPick:
+    SPECTRUM = np.linspace(0.25, 4.0, 8)
+
+    def _z_sq(self, seed: int, count: int) -> np.ndarray:
+        return np.abs(_complex_normal(np.random.default_rng(seed), count, len(self.SPECTRUM))) ** 2
+
+    def _pick(self, d: np.ndarray, z_sq: np.ndarray) -> int:
+        """The oracle pick, after checking that ``_secular_pick`` agrees."""
+        scale = float(z_sq.sum(axis=1).max())
+        expected = _oracle_pick(d, z_sq, scale)
+        assert _secular_pick(d, z_sq, scale) == expected
+        return expected
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_every_rotation_step_matches_oracle_pick(self, monkeypatch, level):
+        picks = []
+
+        def checked(d, z_sq, scale):
+            picks.append((_secular_pick(d, z_sq, scale), _oracle_pick(d, z_sq, scale)))
+            return picks[-1][0]
+
+        monkeypatch.setattr(frames, "_secular_pick", checked)
+        base, pool, target = rotation_greedy_instance(level)
+        greedy_frame_search(base, pool, target)
+        assert len(picks) == target - len(base)
+        assert all(got == want for got, want in picks)
+
+    def test_all_rows_dead(self):
+        # The spectrum of the triple-eigenvalue Gram: d_1 = d_0 leaves every bracket empty.
+        d = np.array([0.5, 0.5, 0.5, 1, 2, 3, 4, 5, 6, 7])
+        z_sq = np.abs(_complex_normal(np.random.default_rng(5), 30, 10)) ** 2
+        assert self._pick(d, z_sq) == 0
+
+    def test_dead_and_live_rows_mixed(self):
+        z_sq = self._z_sq(11, 12)
+        z_sq[[0, 2, 5], 0] = 0
+        assert self._pick(self.SPECTRUM, z_sq) not in (0, 2, 5)
+
+    def test_dead_row_ties_every_live_row(self):
+        # Tiny z_0 keeps every live score within the tie tolerance of d_0, so dead row 0 wins.
+        z_sq = self._z_sq(13, 6)
+        z_sq[0, 0] = 0
+        z_sq[1:, 0] = 1e-30
+        values = oracle_secular_smallest(self.SPECTRUM, z_sq)
+        assert values[0] == self.SPECTRUM[0] < values[1:].min()
+        assert self._pick(self.SPECTRUM, z_sq) == 0
+
+    def test_duplicated_rows_tie_and_lowest_index_wins(self):
+        z_sq = self._z_sq(17, 10)
+        best = self._pick(self.SPECTRUM, z_sq)
+        assert self._pick(self.SPECTRUM, np.vstack([z_sq, z_sq])) == best
+        assert self._pick(self.SPECTRUM, np.vstack([z_sq[best], z_sq, z_sq[best]])) == 0
+
+    def test_perturbed_tie_lowest_index_wins(self):
+        # Row 0 scores just below row 1, inside the tie tolerance but far outside the final bracket.
+        z_sq = self._z_sq(19, 10)
+        best = z_sq[self._pick(self.SPECTRUM, z_sq)]
+        z_sq = np.vstack([best * (1 - 1e-10), best, z_sq])
+        scale = float(z_sq.sum(axis=1).max())
+        values = oracle_secular_smallest(self.SPECTRUM, z_sq)
+        assert 1e-3 * _TIE_RTOL * scale < values[1] - values[0] < _TIE_RTOL * scale
+        assert self._pick(self.SPECTRUM, z_sq) == 0
+
+    def test_one_open_candidate(self):
+        assert self._pick(self.SPECTRUM, self._z_sq(23, 1)) == 0
+
+    def test_two_candidates_later_one_wins(self):
+        assert self._pick(self.SPECTRUM, self._z_sq(29, 2)[::-1]) == 1
 
 
 class TestEigenCalls:
