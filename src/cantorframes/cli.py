@@ -7,6 +7,7 @@ are deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -118,6 +119,9 @@ def _cmd_ft_grid(args) -> int:
 
     from .fourier import mu_hat
 
+    for flag, value in (("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} {value} is not finite")
     ds = parse_digit_system(args.system)
     if ds.dim != 1:
         raise ValueError("the CLI grid is one-dimensional; use the library for d >= 2")

@@ -21,12 +21,12 @@ from .measures import (
     AtomicMeasure,
     DigitSystem,
     PointCloud,
-    absolute_atoms,
     as_point,
     convolve,
     validate_digit_system,
 )
 from .frames import _exact_phase_matrix
+from .measures import _absolute, _numerators_over
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
@@ -113,15 +113,19 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
 
 def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
     """``windowed_transform`` at every row of ``xi_rows``, from one kernel call."""
-    if window is not None and not isinstance(window, dict):
-        window = dict.fromkeys((as_point(p, m.dim) for p in window), 1.0)
+    m = _absolute(m)
+    if window is not None:
+        if not isinstance(window, dict):
+            window = dict.fromkeys((as_point(p, m.dim) for p in window), 1.0)
+        window = {_numerators_over(as_point(p), m.denominator): f for p, f in window.items()}
     locations, coefficients = [], []
-    for loc, w in absolute_atoms(m):
-        f = 1.0 if window is None else window.get(loc, 0.0)
+    for p, w in zip(m.numerators, m.masses):
+        f = 1.0 if window is None else window.get(p, 0.0)
         if f != 0:
-            locations.append(loc)
-            coefficients.append(f * float(w))
-    terms = np.asarray(coefficients) * np.exp(-2j * np.pi * _exact_phase_matrix(m.dim, xi_rows, locations))
+            locations.append(p)
+            coefficients.append(f * (w / m.mass_denominator))
+    phases = _exact_phase_matrix(m.dim, xi_rows, locations, m.denominator)
+    terms = np.asarray(coefficients) * np.exp(-2j * np.pi * phases)
     return [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
 
 

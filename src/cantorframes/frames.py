@@ -37,8 +37,8 @@ from .errors import (
     SizeMismatch,
     ZeroNormInput,
 )
-from .measures import AtomicMeasure, DigitSystem, absolute_atoms
-from .measures import _common_numerators, _matvec, _sumset
+from .measures import AtomicMeasure, DigitSystem, as_point
+from .measures import _absolute, _common_numerators, _matvec, _numerators_over, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -68,6 +68,8 @@ class FrequencySet:
             raise SizeMismatch("frequency dimension mismatch")
         seen = {}
         for f in freqs:
+            if not all(map(math.isfinite, f)):
+                raise ValueError(f"frequency {f} is not finite")
             key = tuple(round(x / _DISTINCT_RESOLUTION) for x in f)
             if key in seen:
                 raise ValueError(f"frequencies {seen[key]} and {f} coincide within resolution")
@@ -118,7 +120,8 @@ def hadamard_triple_check(R, B, L, tol: float = 1e-12) -> bool:
         raise SizeMismatch("digit and frequency sets must have equal size")
     rinv = ds.inverse_matrix()
     scaled = [_matvec(rinv, b) for b in ds.digits]
-    matrix = np.exp(2j * np.pi * _exact_phase_matrix(ds.dim, freqs, scaled)) / math.sqrt(ds.branch)
+    phases = _exact_phase_matrix(ds.dim, freqs, *_common_numerators(scaled))
+    matrix = np.exp(2j * np.pi * phases) / math.sqrt(ds.branch)
     return bool(np.max(np.abs(matrix @ matrix.conj().T - np.eye(ds.branch))) <= tol)
 
 
@@ -146,13 +149,6 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
     )
 
 
-def _phase_operands(freq_rows, atom_rows) -> tuple:
-    """Frequency numerators F over p, atom numerators A over q, and the modulus p*q."""
-    freq_nums, p = _common_numerators(freq_rows)
-    atom_nums, q = _common_numerators(atom_rows)
-    return freq_nums, atom_nums, p * q
-
-
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     """The kernel that is exact on these operands: "int64" or "object".
 
@@ -169,20 +165,22 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     return "object"
 
 
-def _exact_phase_matrix(dim: int, freq_rows, atom_rows) -> np.ndarray:
+def _exact_phase_matrix(dim: int, freq_rows, atom_nums, q: int) -> np.ndarray:
     """Phases <freq, atom> reduced mod 1 for every frequency row and atom row.
 
     The only code that computes a phase of an exponential sum over atoms.
-    Coordinates are ints, Fractions or floats; a float enters as the
-    binary rational it is. Large integer frequencies against deep-level
+    Atoms come as integer numerators A over a positive denominator q.
+    Frequency coordinates are ints, Fractions or floats; a float enters as
+    the binary rational it is. Large integer frequencies against deep-level
     atoms would lose several digits in a float dot product. Instead, with
-    F the frequency numerators over p and A the atom numerators over q,
-    the phase is (F @ A.T mod p*q) / (p*q). Both paths round that exact
-    rational once, correctly, as ``float(Fraction)`` does: int64 arrays
-    and a float64 division within the guards of ``_phase_path``, Python
-    int object arrays and int true division outside them. Nothing wraps.
+    F the frequency numerators over p, the phase is (F @ A.T mod p*q) /
+    (p*q). Both paths round that exact rational once, correctly, as
+    ``float(Fraction)`` does: int64 arrays and a float64 division within
+    the guards of ``_phase_path``, Python int object arrays and int true
+    division outside them. Nothing wraps.
     """
-    freq_nums, atom_nums, modulus = _phase_operands(freq_rows, atom_rows)
+    freq_nums, p = _common_numerators(freq_rows)
+    modulus = p * q
     path = _phase_path(dim, freq_nums, atom_nums, modulus)
     dtype = np.int64 if path == "int64" else object
     freqs = np.array(freq_nums, dtype=dtype).reshape(len(freq_nums), dim)
@@ -200,27 +198,28 @@ def _exact_phase_matrix(dim: int, freq_rows, atom_rows) -> np.ndarray:
 def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases."""
     locations, freqs = np.asarray(locations), np.asarray(freqs)
-    phases = _exact_phase_matrix(locations.shape[-1], freqs.tolist(), locations.tolist())
+    phases = _exact_phase_matrix(locations.shape[-1], freqs.tolist(), *_common_numerators(locations.tolist()))
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
 
 
 def _exact_atoms(m: AtomicMeasure) -> tuple:
-    """Atom rows with the offset folded in exactly, and float weights."""
-    atoms = absolute_atoms(m)
-    return [loc for loc, _ in atoms], np.array([float(w) for _, w in atoms])
+    """Atom numerators with the offset folded in exactly and their denominator, and float weights."""
+    m = _absolute(m)
+    return (m.numerators, m.denominator), np.array([w / m.mass_denominator for w in m.masses], dtype=float)
 
 
-def _synthesis_rows(dim: int, atom_rows, weights: np.ndarray, freq_set: FrequencySet, eigen_budget: int):
-    """Synthesis rows of ``freq_set`` on the atoms, after the checks shared by every frame entry point."""
+def _synthesis_rows(dim: int, atoms, weights: np.ndarray, freq_set: FrequencySet, eigen_budget: int):
+    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator), after the checks every entry point shares."""
+    count = len(atoms[0])
     if freq_set.dim != dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    if len(atom_rows) == 0:
+    if count == 0:
         raise ZeroNormInput("measure has no atoms")
-    if len(weights) != len(atom_rows):
+    if len(weights) != count:
         raise SizeMismatch("weight count does not match the atom count")
-    if len(atom_rows) > eigen_budget:
-        raise EigenBudgetExceeded(f"{len(atom_rows)} atoms exceed the eigen budget {eigen_budget}")
-    return synthesis_matrix(atom_rows, weights, freq_set.freqs)
+    if count > eigen_budget:
+        raise EigenBudgetExceeded(f"{count} atoms exceed the eigen budget {eigen_budget}")
+    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, freq_set.freqs, *atoms)) * np.sqrt(weights)[None, :]
 
 
 def _frame_report(phi: np.ndarray, weights: np.ndarray) -> FrameReport:
@@ -256,7 +255,8 @@ def frame_bounds_from_arrays(
     eigen_budget: int = DEFAULT_EIGEN_BUDGET,
 ) -> FrameReport:
     """Frame bounds of the exponential system on explicit weighted points, exact phases."""
-    phi = _synthesis_rows(np.shape(locations)[-1], locations, weights, freq_set, eigen_budget)
+    atoms = _common_numerators(np.asarray(locations).tolist())
+    phi = _synthesis_rows(np.shape(locations)[-1], atoms, weights, freq_set, eigen_budget)
     return _frame_report(phi, weights)
 
 
@@ -264,32 +264,31 @@ def frame_bounds(
     m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
 ) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
-    atom_rows, weights = _exact_atoms(m)
-    return _frame_report(_synthesis_rows(m.dim, atom_rows, weights, freq_set, eigen_budget), weights)
+    atoms, weights = _exact_atoms(m)
+    return _frame_report(_synthesis_rows(m.dim, atoms, weights, freq_set, eigen_budget), weights)
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
     if freq_set.dim != m.dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    atom_rows, weights = _exact_atoms(m)
+    atoms, weights = _exact_atoms(m)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise SizeMismatch("coefficient vector length does not match the atom count")
     norm_sq = float(np.sum(np.abs(f) ** 2 * weights))
     if norm_sq == 0.0:
         raise ZeroNormInput("coefficients have zero norm in L2(m)")
-    phases = _exact_phase_matrix(m.dim, freq_set.freqs, atom_rows)
+    phases = _exact_phase_matrix(m.dim, freq_set.freqs, *atoms)
     analysis = np.exp(2j * np.pi * phases) @ (f * weights)
     return float(np.sum(np.abs(analysis) ** 2) / norm_sq)
 
 
 def indicator_coefficients(m: AtomicMeasure, points) -> np.ndarray:
     """Indicator of an exact point set, aligned with the canonical atom order."""
-    from .measures import as_point
-
-    wanted = {as_point(p, m.dim) for p in points}
-    return np.array([1.0 if loc in wanted else 0.0 for loc, _ in absolute_atoms(m)], dtype=complex)
+    m = _absolute(m)
+    wanted = {_numerators_over(as_point(p, m.dim), m.denominator) for p in points}
+    return np.array([1.0 if p in wanted else 0.0 for p in m.numerators], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -487,9 +486,9 @@ def greedy_frame_search(
     Raises PoolExhausted when a full-rank system is requested but the pool
     cannot provide one.
     """
-    atom_rows, weights = _exact_atoms(m)
-    rows = _synthesis_rows(m.dim, atom_rows, weights, pool, eigen_budget)
-    atoms = len(atom_rows)
+    exact_atoms, weights = _exact_atoms(m)
+    rows = _synthesis_rows(m.dim, exact_atoms, weights, pool, eigen_budget)
+    atoms = len(weights)
     if target_count > len(pool):
         raise PoolExhausted("target count exceeds the pool size")
     if target_count < atoms:

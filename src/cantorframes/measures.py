@@ -1,17 +1,23 @@
 """Finite-level atomic approximations of self-affine measures.
 
-Skeletons are enumerated on integer numerators over one common
-denominator and returned with exact ``fractions.Fraction`` coordinates; an
-optional shared real-valued offset vector carries irrational translations
-so that set operations on the skeleton stay exact.
+An ``AtomicMeasure`` stores its skeleton once, as integers: sorted,
+distinct numerator vectors over one positive denominator and positive
+masses over one mass denominator, both reduced. Enumeration, merging,
+translation, sums, convolution and ball masses all run on these integers;
+``atoms``, ``locations`` and ``weights`` are the exact
+``fractions.Fraction`` view, built on first use. An optional shared
+real-valued offset vector carries irrational translations so that set
+operations on the skeleton stay exact.
 """
 from __future__ import annotations
 
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -214,35 +220,53 @@ def validate_digit_system(ds: DigitSystem) -> ValidationReport:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """A finite weighted point set in canonical form.
+    """A finite weighted point set in canonical integer form.
 
-    Atom locations are exact rational skeleton coordinates, pairwise
-    distinct and sorted lexicographically; weights are positive rationals.
-    The shared ``offset`` shifts every atom by a real vector.
+    Atom j sits at ``numerators[j] / denominator`` and carries mass
+    ``masses[j] / mass_denominator``; the shared real ``offset`` shifts
+    every atom. The numerator vectors are distinct and sorted
+    lexicographically, the masses positive, and both fractions are
+    reduced, so equal measures have equal fields. Build one with
+    ``from_atoms`` or ``dirac``; ``atoms``, ``locations`` and ``weights``
+    are the exact ``Fraction`` view, built on first use.
     """
 
     dim: int
-    atoms: tuple  # tuple[(Point, Fraction), ...]
+    numerators: tuple  # tuple[tuple[int, ...], ...]
+    denominator: int
+    masses: tuple  # tuple[int, ...]
+    mass_denominator: int
     offset: tuple = None
 
     def __post_init__(self):
-        if self.offset is None:
-            object.__setattr__(self, "offset", (0.0,) * self.dim)
+        offset = (0.0,) * self.dim if self.offset is None else tuple(float(x) for x in self.offset)
+        if len(offset) != self.dim:
+            raise DimensionMismatch("offset dimension mismatch")
+        if not all(map(math.isfinite, offset)):
+            raise ValueError(f"offset {offset} is not finite")
+        object.__setattr__(self, "offset", offset)
 
     @classmethod
     def from_atoms(cls, dim: int, pairs, offset=None) -> "AtomicMeasure":
+        pairs = [(as_point(loc, dim), Fraction(weight)) for loc, weight in pairs]
+        if any(w < 0 for _, w in pairs):
+            raise ValueError("negative atom weight")
+        points, denominator = _common_numerators([p for p, _ in pairs])
+        (weights,), mass_denominator = _common_numerators([[w for _, w in pairs]])
         merged: dict = {}
-        for loc, weight in pairs:
-            pt = as_point(loc, dim)
-            w = Fraction(weight)
-            if w < 0:
-                raise ValueError("negative atom weight")
-            merged[pt] = merged.get(pt, Fraction(0)) + w
-        atoms = tuple(sorted((p, w) for p, w in merged.items() if w != 0))
-        off = (0.0,) * dim if offset is None else tuple(float(x) for x in offset)
-        if len(off) != dim:
-            raise DimensionMismatch("offset dimension mismatch")
-        return cls(dim=dim, atoms=atoms, offset=off)
+        for p, w in zip(points, weights):
+            merged[p] = merged.get(p, 0) + w
+        return cls._from_sums(dim, merged, denominator, mass_denominator, offset)
+
+    @classmethod
+    def _from_sums(cls, dim: int, sums, denominator: int, mass_denominator: int, offset=None) -> "AtomicMeasure":
+        """The canonical measure with mass sums[p]/mass_denominator at each point p/denominator."""
+        keys = sorted(p for p, w in sums.items() if w)
+        masses = [sums[p] for p in keys]
+        # Reduced: the gcd of all numerators and the denominator is 1, and likewise for the masses.
+        g, h = math.gcd(denominator, *chain.from_iterable(keys)), math.gcd(mass_denominator, *masses)
+        numerators = tuple(keys) if g == 1 else tuple(tuple(x // g for x in p) for p in keys)
+        return cls(dim, numerators, denominator // g, tuple(w // h for w in masses), mass_denominator // h, offset)
 
     @classmethod
     def dirac(cls, location, weight=1) -> "AtomicMeasure":
@@ -251,42 +275,59 @@ class AtomicMeasure:
 
     @property
     def total(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
+        return Fraction(sum(self.masses), self.mass_denominator)
 
-    @property
+    @cached_property
     def locations(self) -> tuple:
-        return tuple(p for p, _ in self.atoms)
+        return tuple(tuple(Fraction(x, self.denominator) for x in p) for p in self.numerators)
 
-    @property
+    @cached_property
     def weights(self) -> tuple:
-        return tuple(w for _, w in self.atoms)
+        return tuple(Fraction(w, self.mass_denominator) for w in self.masses)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """(location, weight) pairs: tuple[(Point, Fraction), ...]."""
+        return tuple(zip(self.locations, self.weights))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.numerators)
 
     def weight_at(self, location) -> Fraction:
-        pt = as_point(location, self.dim)
-        for p, w in self.atoms:
-            if p == pt:
-                return w
-        return Fraction(0)
+        return dict(self.atoms).get(as_point(location, self.dim), Fraction(0))
+
+
+def _over(m: AtomicMeasure, denominator: int) -> tuple:
+    """The atom numerators of ``m`` over a multiple of its denominator."""
+    scale = denominator // m.denominator
+    return m.numerators if scale == 1 else tuple(tuple(x * scale for x in p) for p in m.numerators)
+
+
+def _numerators_over(point, denominator: int):
+    """The integer numerators of an exact point over ``denominator``, or None if it has none."""
+    ratios = [x.as_integer_ratio() for x in point]
+    if any(denominator % d for _, d in ratios):
+        return None
+    return tuple(n * (denominator // d) for n, d in ratios)
+
+
+def _absolute(m: AtomicMeasure) -> AtomicMeasure:
+    """``m`` with its offset folded exactly into the skeleton (floats are rationals)."""
+    if not any(m.offset):
+        return m
+    return translate(replace(m, offset=None), tuple(Fraction(x) for x in m.offset))
 
 
 def absolute_atoms(m: AtomicMeasure):
     """Atoms with the offset folded in exactly (floats are rationals)."""
-    if all(x == 0.0 for x in m.offset):
-        return list(m.atoms)
-    off = tuple(Fraction(x) for x in m.offset)
-    return [(tuple(a + b for a, b in zip(p, off)), w) for p, w in m.atoms]
+    return list(_absolute(m).atoms)
 
 
 def as_float_arrays(m: AtomicMeasure):
     """Locations (with offset applied) and weights as float arrays."""
-    locs = np.array([[float(x) for x in p] for p in m.locations], dtype=float)
-    if locs.size == 0:
-        locs = locs.reshape(0, m.dim)
-    locs = locs + np.array(m.offset, dtype=float)
-    weights = np.array([float(w) for w in m.weights], dtype=float)
+    locs = np.array([[x / m.denominator for x in p] for p in m.numerators], dtype=float)
+    locs = locs.reshape(len(m), m.dim) + np.array(m.offset, dtype=float)
+    weights = np.array([w / m.mass_denominator for w in m.masses], dtype=float)
     return locs, weights
 
 
@@ -325,19 +366,6 @@ def _sumset(dim: int, layers, budget: int | None = None) -> dict:
     return sums
 
 
-def _fraction_points(sums, denominator: int) -> tuple:
-    """The points of ``sums`` over a positive denominator, which keeps their order, as sorted Fractions."""
-    return tuple(tuple(Fraction(x, denominator) for x in p) for p in sorted(sums))
-
-
-def _measure_from_sums(dim: int, sums, denominator: int, weight_denominator: int, offset=None) -> AtomicMeasure:
-    """The canonical measure with mass multiplicity/weight_denominator at each point/denominator."""
-    keys = sorted(sums)
-    points = _fraction_points(keys, denominator)
-    weights = (Fraction(sums[p], weight_denominator) for p in keys)
-    return AtomicMeasure(dim=dim, atoms=tuple(zip(points, weights)), offset=offset)
-
-
 def _digit_layers(ds: DigitSystem, picks) -> tuple:
     """Lazy numerator layers of R^-k B over one denominator q^n, and q^n.
 
@@ -364,7 +392,7 @@ def scaled_digit_layer(ds: DigitSystem, k: int) -> AtomicMeasure:
         raise ValueError("layer index must be >= 1")
     validate_digit_system(ds)
     layers, denominator = _digit_layers(ds, [None] * (k - 1) + [range(ds.branch)])
-    return _measure_from_sums(ds.dim, _sumset(ds.dim, layers), denominator, ds.branch)
+    return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers), denominator, ds.branch)
 
 
 def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicMeasure:
@@ -377,7 +405,7 @@ def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicM
         raise ValueError("level must be >= 1")
     validate_digit_system(ds)
     layers, denominator = _digit_layers(ds, [range(ds.branch)] * n)
-    return _measure_from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, ds.branch**n)
+    return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, ds.branch**n)
 
 
 @dataclass(frozen=True)
@@ -420,7 +448,7 @@ def cylinder_points(ds: DigitSystem, n: int, prefix, budget: int | None = None) 
     if len(picks) > n:
         raise ValueError("prefix longer than the level")
     layers, denominator = _digit_layers(ds, picks + [range(ds.branch)] * (n - len(picks)))
-    return _fraction_points(_sumset(ds.dim, layers, budget), denominator)
+    return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, 1).locations
 
 
 def split_by_index_set(
@@ -440,7 +468,8 @@ def split_by_index_set(
     def cloud(active: bool) -> PointCloud:
         picks = [range(ds.branch) if (k in mask) == active else None for k in range(1, n + 1)]
         layers, denominator = _digit_layers(ds, picks)
-        return PointCloud(ds.dim, _fraction_points(_sumset(ds.dim, layers, budget), denominator), tail)
+        points = AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, 1).locations
+        return PointCloud(ds.dim, points, tail)
 
     return cloud(True), cloud(False)
 
@@ -449,30 +478,24 @@ def convolve(a: AtomicMeasure, b: AtomicMeasure, budget: int | None = None) -> A
     """Convolution: atoms at all pairwise sums, weights multiplied."""
     if a.dim != b.dim:
         raise DimensionMismatch("convolve requires equal dimensions")
-    locations, denominator = _common_numerators(a.locations + b.locations)
-    weights, weight_denominator = _common_numerators([a.weights, b.weights])
-    layers = [dict(zip(locations[: len(a)], weights[0])), dict(zip(locations[len(a) :], weights[1]))]
+    denominator = math.lcm(a.denominator, b.denominator)
+    layers = [dict(zip(_over(m, denominator), m.masses)) for m in (a, b)]
     offset = tuple(x + y for x, y in zip(a.offset, b.offset))
     sums = _sumset(a.dim, layers, budget)
-    return _measure_from_sums(a.dim, sums, denominator, weight_denominator**2, offset)
+    return AtomicMeasure._from_sums(a.dim, sums, denominator, a.mass_denominator * b.mass_denominator, offset)
 
 
 def translate(m: AtomicMeasure, shift) -> AtomicMeasure:
     """Shift every atom by ``shift``.
 
     Rational components (int/Fraction) move the exact skeleton; float
-    components accumulate on the shared real offset.
+    components accumulate on the shared real offset, which must stay finite.
     """
-    if isinstance(shift, (int, float, Fraction)):
-        shift = (shift,)
-    shift = tuple(shift)
-    if len(shift) != m.dim:
-        raise DimensionMismatch("translation vector dimension mismatch")
-    skeleton = tuple(Fraction(s) if not isinstance(s, float) else Fraction(0) for s in shift)
-    extra = tuple(s if isinstance(s, float) else 0.0 for s in shift)
-    atoms = [(tuple(x + dx for x, dx in zip(p, skeleton)), w) for p, w in m.atoms]
-    offset = tuple(o + e for o, e in zip(m.offset, extra))
-    return AtomicMeasure.from_atoms(m.dim, atoms, offset=offset)
+    shift = (shift,) if isinstance(shift, (int, float, Fraction)) else tuple(shift)
+    skeleton = [0 if isinstance(s, float) else s for s in shift]
+    extra = [s if isinstance(s, float) else 0.0 for s in shift]
+    # The Dirac mass at the skeleton shift: one word per atom of m, whatever the atom budget.
+    return convolve(m, AtomicMeasure.from_atoms(m.dim, [(skeleton, 1)], offset=extra), budget=len(m))
 
 
 def add(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
@@ -481,32 +504,34 @@ def add(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
         raise DimensionMismatch("add requires equal dimensions")
     if a.offset != b.offset:
         raise OffsetMismatch("cannot add measures with different real offsets")
-    return AtomicMeasure.from_atoms(a.dim, list(a.atoms) + list(b.atoms), offset=a.offset)
+    denominator = math.lcm(a.denominator, b.denominator)
+    mass_denominator = math.lcm(a.mass_denominator, b.mass_denominator)
+    sums: dict = {}
+    for m in (a, b):
+        scale = mass_denominator // m.mass_denominator
+        for p, w in zip(_over(m, denominator), m.masses):
+            sums[p] = sums.get(p, 0) + w * scale
+    return AtomicMeasure._from_sums(a.dim, sums, denominator, mass_denominator, a.offset)
 
 
 def ball_mass(m: AtomicMeasure, center, radius) -> Fraction:
     """Mass inside the closed Euclidean ball, decided exactly."""
     if radius < 0:
         raise ValueError("radius must be positive")
-    c = as_point(center, m.dim)
-    r_sq = Fraction(radius) ** 2
-    total = Fraction(0)
-    for p, w in absolute_atoms(m):
-        dist_sq = sum((x - y) ** 2 for x, y in zip(p, c))
-        if dist_sq <= r_sq:
-            total += w
-    return total
+    r = Fraction(radius)
+    # Centred at the origin, |x|^2 <= r^2 reads |p|^2 * r.den^2 <= (r.num * den)^2 on numerators p over den.
+    m = translate(_absolute(m), tuple(-x for x in as_point(center, m.dim)))
+    bound, r_den_sq = (r.numerator * m.denominator) ** 2, r.denominator**2
+    inside = (r_den_sq * sum(x * x for x in p) <= bound for p in m.numerators)
+    return Fraction(sum(w for w, hit in zip(m.masses, inside) if hit), m.mass_denominator)
 
 
 def embed_axis(m: AtomicMeasure, dim: int, axis: int) -> AtomicMeasure:
     """Place a 1D measure on a coordinate axis of R^dim."""
     if m.dim != 1:
         raise DimensionMismatch("embed_axis expects a one-dimensional measure")
-    atoms = []
-    for p, w in m.atoms:
-        loc = [Fraction(0)] * dim
-        loc[axis] = p[0]
-        atoms.append((tuple(loc), w))
     offset = [0.0] * dim
     offset[axis] = m.offset[0]
-    return AtomicMeasure.from_atoms(dim, atoms, offset=offset)
+    # Zeros off the axis keep the numerators sorted and reduced.
+    numerators = tuple(tuple(x if i == axis % dim else 0 for i in range(dim)) for (x,) in m.numerators)
+    return AtomicMeasure(dim, numerators, m.denominator, m.masses, m.mass_denominator, offset)

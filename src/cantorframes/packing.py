@@ -7,6 +7,8 @@ reported as inconclusive, never as a refutation.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -21,7 +23,6 @@ from .measures import (
     AtomicMeasure,
     DigitSystem,
     PointCloud,
-    absolute_atoms,
     add,
     as_point,
     attractor_points,
@@ -31,7 +32,8 @@ from .measures import (
     translate,
     validate_digit_system,
 )
-from .measures import _common_numerators, _digit_layers, _fraction_points, _sqrt_upper_bound, _sumset
+from .measures import _absolute, _common_numerators, _digit_layers, _numerators_over, _over
+from .measures import _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
 CERTIFIED_NOT_PACKING = "certified-not-packing"
@@ -111,7 +113,8 @@ def difference_set(p_points, q_points) -> tuple:
     if ps and qs and len(ps[0]) != len(qs[0]):
         raise DimensionMismatch("difference_set requires equal dimensions")
     numerators, denominator = _common_numerators(ps + qs)
-    return _fraction_points(_differences(numerators[: len(ps)], numerators[len(ps) :]), denominator)
+    sums = _differences(numerators[: len(ps)], numerators[len(ps) :])
+    return AtomicMeasure._from_sums(len(ps[0]) if ps else 0, sums, denominator, 1).locations
 
 
 def _differences(xs, ys) -> dict:
@@ -290,33 +293,28 @@ def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeas
     Atoms sit at x with x + shift an atom of rho inside E + shift, carrying
     rho's weight there. All membership tests are exact.
     """
-    t = as_point(shift, rho.dim)
-    shifted_support = {tuple(a + b for a, b in zip(as_point(p, rho.dim), t)) for p in support_points}
-    atoms = []
-    for loc, w in absolute_atoms(rho):
-        if loc in shifted_support:
-            atoms.append((tuple(a - b for a, b in zip(loc, t)), w))
-    return AtomicMeasure.from_atoms(rho.dim, atoms)
+    moved = translate(_absolute(rho), tuple(-x for x in as_point(shift, rho.dim)))
+    support = {_numerators_over(as_point(p, rho.dim), moved.denominator) for p in support_points}
+    kept = {p: w for p, w in zip(moved.numerators, moved.masses) if p in support}
+    return AtomicMeasure._from_sums(rho.dim, kept, moved.denominator, moved.mass_denominator)
 
 
 def radon_nikodym_atoms(omega: AtomicMeasure, mu: AtomicMeasure) -> OverlapReport:
     """Split omega into a part with density against mu and a singular part."""
     if omega.dim != mu.dim:
         raise DimensionMismatch("measures live in different dimensions")
-    mu_abs = dict(absolute_atoms(mu))
-    ac = []
-    ac_mass = Fraction(0)
-    singular = Fraction(0)
-    for loc, w in absolute_atoms(omega):
-        if loc in mu_abs:
-            ac.append((loc, w / mu_abs[loc]))
+    omega, mu = _absolute(omega), _absolute(mu)
+    common = math.lcm(omega.denominator, mu.denominator)
+    mu_masses = dict(zip(_over(mu, common), mu.masses))
+    ac, ac_mass = [], 0
+    for p, w in zip(_over(omega, common), omega.masses):
+        if p in mu_masses:
+            ratio = Fraction(w * mu.mass_denominator, omega.mass_denominator * mu_masses[p])
+            ac.append((tuple(Fraction(x, common) for x in p), ratio))
             ac_mass += w
-        else:
-            singular += w
-    if singular > 0:
-        sup = float("inf")
-    else:
-        sup = max((r for _, r in ac), default=Fraction(0))
+    singular = Fraction(sum(omega.masses) - ac_mass, omega.mass_denominator)
+    sup = float("inf") if singular else max((r for _, r in ac), default=Fraction(0))
+    ac_mass = Fraction(ac_mass, omega.mass_denominator)
     return OverlapReport(ac_part=tuple(ac), ac_mass=ac_mass, singular_mass=singular, sup_ratio=sup)
 
 
@@ -360,43 +358,40 @@ def singularity_witness(
     t = as_point(shift, nu_ds.dim)
     nu_n = level_measure(nu_ds, level, budget)
     lam_n = level_measure(lam_ds, level, budget)
-    points, denominator = _common_numerators(nu_n.locations + lam_n.locations + (t,))
-    (nu_weights,), weight_denominator = _common_numerators([nu_n.weights])
-    nu_layer = dict(zip(points[: len(nu_n)], nu_weights))
-    shifted_nu = _sumset(nu_ds.dim, [nu_layer, {points[-1]: 1}], budget)
-
     mu_n = convolve(nu_n, lam_n, budget)
-    rho = add(mu_n, translate(nu_n, t))
+    shifted = translate(nu_n, t)
+    rho = add(mu_n, shifted)
 
-    max_overlap = Fraction(0)
-    for x, x_numerators in zip(lam_n.locations, points[len(nu_n) : -1]):
-        # Each translate carries the weight numerators of nu's atoms.
-        translated = _sumset(nu_ds.dim, [nu_layer, {x_numerators: 1}], budget)
-        collisions = translated.keys() & shifted_nu.keys()
+    # Points below are numerators over one denominator. Translation keeps
+    # the sorted order, so shifted_points[j] = nu_points[j] + t.
+    denominator = math.lcm(*(m.denominator for m in (nu_n, lam_n, mu_n, shifted, rho)))
+    nu_points, shifted_points = _over(nu_n, denominator), _over(shifted, denominator)
+    shifted_nu, support_e = set(shifted_points), set(_over(mu_n, denominator))
+    rho_masses = dict(zip(_over(rho, denominator), rho.masses))
+
+    max_overlap = 0
+    for i, x in enumerate(_over(lam_n, denominator)):
+        # Each translate carries the masses of nu's atoms, in nu's order.
+        translated = {tuple(map(operator.add, p, x)): w for p, w in zip(nu_points, nu_n.masses)}
+        collisions = translated.keys() & shifted_nu
         if collisions:
-            overlap_mass = Fraction(sum(translated[p] for p in collisions), weight_denominator)
-            max_overlap = max(max_overlap, overlap_mass)
+            max_overlap = max(max_overlap, sum(translated[p] for p in collisions))
             continue
-        witness_points = _fraction_points(translated, denominator)
-        witness_set = set(witness_points)
-        rho_mass = sum((w for p, w in rho.atoms if p in witness_set), Fraction(0))
-        shift_back = tuple(a - b for a, b in zip(t, x))
-        support_e = mu_n.locations
-        omega_total = translation_overlap(rho, support_e, shift_back)
-        omega_nu = translation_overlap(translate(nu_n, t), support_e, shift_back)
-        overlap_total = sum((w for p, w in omega_total.atoms if p in witness_set), Fraction(0))
-        overlap_nu = sum((w for p, w in omega_nu.atoms if p in witness_set), Fraction(0))
+        # Moved back by t - x onto E, delta_t * nu and rho charge each
+        # point n + x of the witness set that lies in E with nu(n) and rho(n + t).
+        hits = [j for j, y in enumerate(translated) if y in support_e]
+        overlap_total = sum(rho_masses.get(shifted_points[j], 0) for j in hits)
         return SingularityWitness(
-            shift_point=x,
-            witness_points=witness_points,
-            rho_mass=rho_mass,
-            overlap_mass=overlap_nu,
-            overlap_mass_total=overlap_total,
+            shift_point=lam_n.locations[i],
+            witness_points=AtomicMeasure._from_sums(nu_n.dim, translated, denominator, 1).locations,
+            rho_mass=Fraction(sum(rho_masses.get(y, 0) for y in translated), rho.mass_denominator),
+            overlap_mass=Fraction(sum(nu_n.masses[j] for j in hits), nu_n.mass_denominator),
+            overlap_mass_total=Fraction(overlap_total, rho.mass_denominator),
             level=level,
             certificate=cert,
         )
     raise NoWitnessFound(
         "every level-%d translate meets the shifted copy" % level,
-        max_overlap=max_overlap,
+        max_overlap=Fraction(max_overlap, nu_n.mass_denominator),
         suggested_level=level + 1,
     )

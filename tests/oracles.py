@@ -11,6 +11,13 @@ reference for the integer phase kernel.
 Skeletons: the ``Fraction`` set-comprehension enumerations that the
 integer-numerator sumset replaced, without atom budgets.
 
+Measure operations: the ``Fraction`` implementations of atom merging,
+translation, sums, axis embedding, ball masses, translated overlaps,
+Radon-Nikodym splits and the singularity-witness search that the integer
+numerator representation replaced. They read a measure's public
+``Fraction`` view and return atom tuples, offsets and masses, never a
+measure built by the code under test.
+
 Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
 the secular-equation scoring replaced; and the plain secular bisection,
 every row through every pass, that the eliminating pick replaced.
@@ -255,3 +262,121 @@ def oracle_ssc_gap(ds, d: int):
         for q in clouds[j]
     ]
     return "gap", min(gaps, default=None)
+
+
+def _oracle_sub(p, s) -> tuple:
+    return tuple(a - b for a, b in zip(p, s))
+
+
+def oracle_merge(pairs) -> tuple:
+    """Sorted (point, weight) atoms with coinciding points merged and zero weights dropped."""
+    merged: dict = {}
+    for loc, weight in pairs:
+        pt, w = tuple(Fraction(x) for x in loc), Fraction(weight)
+        if w < 0:
+            raise ValueError("negative atom weight")
+        merged[pt] = merged.get(pt, Fraction(0)) + w
+    return tuple(sorted((p, w) for p, w in merged.items() if w != 0))
+
+
+def oracle_absolute_atoms(measure) -> tuple:
+    """Atoms with the float offset folded in as the binary rational it is."""
+    offset = tuple(Fraction(x) for x in measure.offset)
+    return tuple((_oracle_add(p, offset), w) for p, w in measure.atoms)
+
+
+def oracle_translate(measure, shift) -> tuple:
+    """(atoms, offset): rational components move the atoms, float components the offset."""
+    shift = (shift,) if isinstance(shift, (int, float, Fraction)) else tuple(shift)
+    skeleton = tuple(Fraction(0) if isinstance(s, float) else Fraction(s) for s in shift)
+    offset = tuple(o + (s if isinstance(s, float) else 0.0) for o, s in zip(measure.offset, shift))
+    return oracle_merge((_oracle_add(p, skeleton), w) for p, w in measure.atoms), offset
+
+
+def oracle_add(a, b) -> tuple:
+    """(atoms, offset) of a + b for measures with one offset."""
+    return oracle_merge(a.atoms + b.atoms), a.offset
+
+
+def oracle_embed_axis(measure, dim: int, axis: int) -> tuple:
+    """(atoms, offset) of a 1D measure placed on coordinate ``axis`` of R^dim."""
+    atoms = []
+    for p, w in measure.atoms:
+        loc = [Fraction(0)] * dim
+        loc[axis] = p[0]
+        atoms.append((tuple(loc), w))
+    offset = [0.0] * dim
+    offset[axis] = measure.offset[0]
+    return oracle_merge(atoms), tuple(offset)
+
+
+def oracle_ball_mass(measure, center, radius) -> Fraction:
+    c = tuple(Fraction(x) for x in center)
+    r_sq = Fraction(radius) ** 2
+    return sum(
+        (w for p, w in oracle_absolute_atoms(measure) if sum((x - y) ** 2 for x, y in zip(p, c)) <= r_sq),
+        Fraction(0),
+    )
+
+
+def oracle_translation_overlap(rho, support_points, shift) -> tuple:
+    """Atoms at x with x + shift an atom of rho (offset folded in) inside support + shift."""
+    t = tuple(Fraction(x) for x in shift)
+    shifted_support = {_oracle_add(tuple(Fraction(x) for x in p), t) for p in support_points}
+    return oracle_merge(
+        (_oracle_sub(loc, t), w) for loc, w in oracle_absolute_atoms(rho) if loc in shifted_support
+    )
+
+
+def oracle_radon_nikodym(omega, mu) -> tuple:
+    """(ac_part, ac_mass, singular_mass, sup_ratio) of omega against mu, offsets folded in."""
+    mu_abs = dict(oracle_absolute_atoms(mu))
+    ac, ac_mass, singular = [], Fraction(0), Fraction(0)
+    for loc, w in oracle_absolute_atoms(omega):
+        if loc in mu_abs:
+            ac.append((loc, w / mu_abs[loc]))
+            ac_mass += w
+        else:
+            singular += w
+    sup = float("inf") if singular > 0 else max((r for _, r in ac), default=Fraction(0))
+    return tuple(ac), ac_mass, singular, sup
+
+
+def oracle_singularity_witness(nu, lam, shift) -> tuple:
+    """The witness search over level measures nu and lam with a rational shift.
+
+    Returns ("witness", shift_point, witness_points, rho_mass, overlap_mass,
+    overlap_mass_total) for the first atom x of lam, in order, whose nu + x
+    misses nu + shift, or ("none", largest overlap mass) when every one
+    meets it. rho = nu * lam + delta_shift * nu, E its convolution support.
+    """
+    t = tuple(Fraction(x) for x in shift)
+    mu: dict = {}
+    for p, wp in nu.atoms:
+        for q, wq in lam.atoms:
+            s = _oracle_add(p, q)
+            mu[s] = mu.get(s, Fraction(0)) + wp * wq
+    shifted = {_oracle_add(p, t): w for p, w in nu.atoms}
+    rho = dict(mu)
+    for p, w in shifted.items():
+        rho[p] = rho.get(p, Fraction(0)) + w
+    max_overlap = Fraction(0)
+    for x in lam.locations:
+        translated = {_oracle_add(p, x): w for p, w in nu.atoms}
+        collisions = translated.keys() & shifted.keys()
+        if collisions:
+            max_overlap = max(max_overlap, sum((translated[p] for p in collisions), Fraction(0)))
+            continue
+        back = _oracle_sub(t, x)
+        # The overlaps moved back by t - x onto E, summed over the witness set.
+        omega_total = {_oracle_sub(p, back): w for p, w in rho.items() if _oracle_sub(p, back) in mu}
+        omega_nu = {_oracle_sub(p, back): w for p, w in shifted.items() if _oracle_sub(p, back) in mu}
+        return (
+            "witness",
+            x,
+            tuple(sorted(translated)),
+            sum((rho.get(p, Fraction(0)) for p in translated), Fraction(0)),
+            sum((w for p, w in omega_nu.items() if p in translated), Fraction(0)),
+            sum((w for p, w in omega_total.items() if p in translated), Fraction(0)),
+        )
+    return "none", max_overlap

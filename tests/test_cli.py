@@ -156,15 +156,21 @@ class TestCliCommands:
         assert lines[0] == "xi1,re,im,certified_tail_bound"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("xi_max", ["nan", "inf", "-inf"])
-    def test_ft_grid_non_finite_bound_is_error(self, tmp_path, capsys, xi_max):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--xi-max", "nan"), ("--xi-max", "inf"), ("--xi-max", "-inf"),
+         ("--xi-min", "nan"), ("--xi-min", "inf"), ("--xi-min", "-inf")],
+        ids=["nan", "inf", "-inf", "xi-min-nan", "xi-min-inf", "xi-min--inf"],
+    )
+    def test_ft_grid_non_finite_bound_is_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "grid.csv"
+        bounds = {"--xi-min": "0", "--xi-max": "1", flag: value}
         rc = main(
-            ["ft", "grid", "--system", "4:0,1", "--count", "3", "--xi-min", "0", f"--xi-max={xi_max}",
+            ["ft", "grid", "--system", "4:0,1", "--count", "3", *(f"{k}={v}" for k, v in bounds.items()),
              "--format", "csv", "--out", str(out)]
         )
         assert rc == EXIT_ERROR
-        assert "not finite" in capsys.readouterr().err
+        assert f"{flag} {value} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_certificate_roundtrip(self, tmp_path):

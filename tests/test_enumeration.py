@@ -1,10 +1,13 @@
-"""The integer-numerator sumset against the Fraction enumerations it replaced.
+"""The integer-numerator code against the Fraction implementations it replaced.
 
-Every skeleton enumeration must equal its reference in ``tests/oracles.py``
-exactly: 1D bases 2-7 (and their negatives) with digit sets whose
-expansions coincide, so atoms merge; non-triangular planar matrices, one
-with a negative determinant; measures translated by rationals and floats.
-The atom budget is checked at exactly the budget and one word past it.
+Every skeleton enumeration and every exact measure operation (merging,
+translation, sums, axis embedding, ball masses, translated overlaps,
+Radon-Nikodym splits, the singularity witness) must equal its reference in
+``tests/oracles.py`` exactly: 1D bases 2-7 (and their negatives) with
+digit sets whose expansions coincide, so atoms merge; non-triangular
+planar matrices, one with a negative determinant; measures translated by
+rationals and floats. The atom budget is checked at exactly the budget and
+one word past it.
 """
 import math
 import time
@@ -18,24 +21,40 @@ from cantorframes import (
     AtomBudgetExceeded,
     AtomicMeasure,
     DigitSystem,
+    NoWitnessFound,
+    add,
+    ball_mass,
     convolve,
     cylinder_points,
     difference_set,
+    embed_axis,
     jp_spectrum,
     level_measure,
+    radon_nikodym_atoms,
+    singularity_witness,
     split_by_index_set,
     ssc_certificate,
     translate,
+    translation_overlap,
 )
 from cantorframes.packing import CERTIFIED_OVERLAP, CERTIFIED_SSC
 from oracles import (
+    oracle_absolute_atoms,
+    oracle_add,
+    oracle_ball_mass,
     oracle_convolve,
     oracle_cylinder_points,
     oracle_difference_set,
+    oracle_embed_axis,
     oracle_jp_spectrum,
     oracle_level_measure,
+    oracle_merge,
+    oracle_radon_nikodym,
+    oracle_singularity_witness,
     oracle_split_by_index_set,
     oracle_ssc_gap,
+    oracle_translate,
+    oracle_translation_overlap,
 )
 
 BASES = [b for b in range(-7, 8) if abs(b) >= 2]
@@ -176,6 +195,151 @@ def test_ssc_scan_matches_oracle(ds, data):
         assert cert.status != CERTIFIED_OVERLAP
         assert cert.evidence["min_gap_squared"] == value
         assert (cert.status == CERTIFIED_SSC) == (value > cert.evidence["threshold_squared"])
+
+
+FLOAT_SHIFTS = [0.1, -0.25, 1e-3]
+DIMS = st.sampled_from([1, 2])
+
+
+def _rationals(dim: int):
+    return st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=12)] * dim)
+
+
+@st.composite
+def _shifts(draw, dim: int):
+    """A shift vector whose components are ints, Fractions or floats, mixed."""
+    parts = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12), st.sampled_from(FLOAT_SHIFTS))
+    return tuple(draw(parts) for _ in range(dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * d), st.integers(0, 5)), max_size=8),
+    st.none() | st.tuples(*[st.sampled_from([0.0] + FLOAT_SHIFTS)] * d),
+)))
+def test_from_atoms_matches_oracle(case):
+    dim, raw, offset = case
+    # Points on a 1/6 grid coincide often; zero weights drop.
+    pairs = [(tuple(Fraction(x, 6) for x in p), Fraction(w, 7)) for p, w in raw]
+    m = AtomicMeasure.from_atoms(dim, pairs, offset=offset)
+    assert (m.atoms, m.offset) == (oracle_merge(pairs), offset or (0.0,) * dim)
+    again = AtomicMeasure.from_atoms(dim, pairs[::-1], offset=offset)
+    assert again == m and hash(again) == hash(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(measures(d), _shifts(d))))
+def test_translate_matches_oracle(case):
+    m, shift = case
+    moved = translate(m, shift)
+    assert (moved.atoms, moved.offset) == oracle_translate(m, shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(measures(d), measures(d))))
+def test_add_matches_oracle(pair):
+    a, b = pair
+    b = AtomicMeasure.from_atoms(a.dim, b.atoms, offset=a.offset)
+    for x, y in ((a, b), (a, a)):
+        total = add(x, y)
+        assert (total.atoms, total.offset) == oracle_add(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(measures(1), st.integers(2, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(-d, d - 1))))
+def test_embed_axis_matches_oracle(m, target):
+    dim, axis = target
+    embedded = embed_axis(m, dim, axis)
+    assert (embedded.atoms, embedded.offset) == oracle_embed_axis(m, dim, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(measures(d), _shifts(d))), st.integers(0, 12), st.booleans())
+def test_ball_mass_matches_oracle(case, k, on_boundary):
+    m, center = case
+    radius = Fraction(k, 5)
+    if on_boundary and len(m):
+        # An atom exactly on the sphere: the closed ball must count it.
+        atom = oracle_absolute_atoms(m)[k % len(m)][0]
+        center = (atom[0] + radius,) + atom[1:]
+    assert ball_mass(m, center, radius) == oracle_ball_mass(m, center, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(measures(d), _shifts(d), st.lists(_rationals(d), max_size=4))), st.data())
+def test_translation_overlap_matches_oracle(case, data):
+    rho, shift, extra = case
+    # Support points that hit: absolute atoms moved back by the shift, as exact rationals.
+    exact = tuple(Fraction(s) for s in shift)
+    hits = [tuple(a - s for a, s in zip(p, exact)) for p, _ in oracle_absolute_atoms(rho)]
+    support = data.draw(st.lists(st.sampled_from(hits), max_size=6)) if hits else []
+    omega = translation_overlap(rho, support + extra, shift)
+    assert (omega.atoms, omega.offset) == (oracle_translation_overlap(rho, support + extra, shift), (0.0,) * rho.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIMS.flatmap(lambda d: st.tuples(measures(d), st.lists(_rationals(d), max_size=4))), st.data())
+def test_radon_nikodym_matches_oracle(case, data):
+    mu, extra = case
+    shared = data.draw(st.lists(st.sampled_from(mu.locations), max_size=6)) if len(mu) else []
+    weights = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)
+    pairs = [(p, data.draw(weights)) for p in shared + extra]
+    omega = AtomicMeasure.from_atoms(mu.dim, pairs, offset=mu.offset)
+    report = radon_nikodym_atoms(omega, mu)
+    assert (report.ac_part, report.ac_mass, report.singular_mass, report.sup_ratio) == oracle_radon_nikodym(omega, mu)
+
+
+@st.composite
+def _packing_pairs(draw):
+    """Digit pairs {0, e} and {0, k e'} under N (or N I) that the digit criterion certifies."""
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        base = draw(st.integers(2 * k + 3, 2 * k + 8))
+        nu, lam = DigitSystem.one_dimensional(base, [0, 1]), DigitSystem.one_dimensional(base, [0, k])
+        return nu, lam, draw(st.integers(1, 4))
+    base = draw(st.integers(5, 8))
+    matrix = ((base, 0), (0, base))
+    return DigitSystem(matrix, ((0, 0), (1, 0))), DigitSystem(matrix, ((0, 0), (0, 2))), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_packing_pairs(), st.data())
+def test_singularity_witness_matches_oracle(case, data):
+    nu_ds, lam_ds, level = case
+    nu, lam = level_measure(nu_ds, level), level_measure(lam_ds, level)
+    base = nu_ds.matrix[0][0]
+    # Shifts on the level grid make nu + x meet nu + shift for some x; off-grid ones never do.
+    on_grid = st.tuples(*[st.integers(-base, base).map(lambda j: Fraction(j, base))] * nu.dim)
+    shift = data.draw(st.one_of(on_grid, st.sampled_from(lam.locations), _rationals(nu.dim)))
+    expected = oracle_singularity_witness(nu, lam, shift)
+    try:
+        w = singularity_witness(nu_ds, lam_ds, shift, level)
+    except NoWitnessFound as exc:
+        assert expected == ("none", exc.max_overlap)
+    else:
+        found = (w.shift_point, w.witness_points, w.rho_mass, w.overlap_mass, w.overlap_mass_total)
+        assert expected == ("witness", *found)
+
+
+def test_exhausted_witness_search_matches_oracle():
+    # Base 7, digits {0, 1} and {0, 2}, shift 1/7: both level-1 translates meet nu + 1/7.
+    nu_ds, lam_ds = DigitSystem.one_dimensional(7, [0, 1]), DigitSystem.one_dimensional(7, [0, 2])
+    shift = Fraction(1, 7)
+    with pytest.raises(NoWitnessFound) as exc:
+        singularity_witness(nu_ds, lam_ds, shift, 1)
+    expected = oracle_singularity_witness(level_measure(nu_ds, 1), level_measure(lam_ds, 1), (shift,))
+    assert expected == ("none", exc.value.max_overlap)
+
+
+def test_two_constructions_of_one_measure_are_equal():
+    # Base-16 digits b + 4c with b, c in {0, 1} are the base-4 pairs: mu_4 at level 12.
+    sixteen = convolve(
+        level_measure(DigitSystem.one_dimensional(16, [0, 1]), 6),
+        level_measure(DigitSystem.one_dimensional(16, [0, 4]), 6),
+    )
+    four = level_measure(FOUR, 12)
+    assert sixteen == four and hash(sixteen) == hash(four)
 
 
 class TestBudgetBoundary:

@@ -161,6 +161,16 @@ def test_entry_points_share_input_checks(entry):
             frame_bounds_from_arrays(locations, weights[1:], pair)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_frequency_set_rejects_non_finite(bad):
+    with pytest.raises(ValueError) as one_d:
+        FrequencySet.from_scalars([0.0, bad])
+    assert str(one_d.value) == f"frequency {(bad,)} is not finite"
+    with pytest.raises(ValueError) as planar:
+        FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, bad)))
+    assert str(planar.value) == f"frequency {(2.0, bad)} is not finite"
+
+
 class TestBesselQuotient:
     def test_dimension_mismatch_rejected(self):
         planar = FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0)))

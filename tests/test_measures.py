@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from cantorframes import (
     ball_mass,
     convolve,
     cylinder_points,
+    indicator_coefficients,
     level_measure,
     scaled_digit_layer,
     split_by_index_set,
     tail_radius,
     translate,
+    translation_overlap,
     validate_digit_system,
 )
 
@@ -171,6 +174,23 @@ class TestTranslateAdd:
         m = level_measure(FOUR, 1)
         with pytest.raises(OffsetMismatch):
             add(m, translate(m, 0.1))
+
+    def test_off_grid_point_matches_no_atom(self):
+        # 1/3 is not on the quarter grid; truncating 4 * 1/3 would land on 1/4.
+        m = level_measure(FOUR, 1)
+        assert m.weight_at(fr(1, 3)) == 0
+        assert len(translation_overlap(m, [fr(1, 3)], 0)) == 0
+        assert not indicator_coefficients(m, [fr(1, 3)]).any()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, bad):
+        m = level_measure(FOUR, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            translate(m, bad)
+        with pytest.raises(ValueError, match="not finite"):
+            translate(translate(m, 1e308), 1e308)
+        with pytest.raises(ValueError, match="not finite"):
+            AtomicMeasure.from_atoms(1, m.atoms, offset=[bad])
 
 
 class TestBallMass:

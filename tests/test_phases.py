@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import cantorframes as cf
 from cantorframes import AtomicMeasure, FrequencySet, fourier, frames, translate
+from cantorframes.measures import _common_numerators
 from instances import build_instances
 from oracles import oracle_phase_matrix
 
@@ -23,11 +24,13 @@ DENOMINATOR_GUARD = 2**53
 
 
 def _path(measure, freq_set) -> str:
-    return frames._phase_path(measure.dim, *frames._phase_operands(freq_set.freqs, frames._exact_atoms(measure)[0]))
+    (atom_nums, q), _ = frames._exact_atoms(measure)
+    freq_nums, p = _common_numerators(freq_set.freqs)
+    return frames._phase_path(measure.dim, freq_nums, atom_nums, p * q)
 
 
 def _assert_matches_oracle(measure, freq_set):
-    phases = frames._exact_phase_matrix(measure.dim, freq_set.freqs, frames._exact_atoms(measure)[0])
+    phases = frames._exact_phase_matrix(measure.dim, freq_set.freqs, *frames._exact_atoms(measure)[0])
     assert phases.dtype == np.float64
     assert np.array_equal(phases, oracle_phase_matrix(measure, freq_set))
 
