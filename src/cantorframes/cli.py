@@ -97,7 +97,7 @@ def _cmd_measure_build(args) -> int:
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
     data = measure_to_jsonable(measure)
-    rows = [[*(str(x) for x in p), str(w)] for p, w in measure.atoms]
+    rows = [[*atom["location"], atom["weight"]] for atom in data["atoms"]]
     header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
     _emit(args, data, header, rows)
     return EXIT_OK
@@ -117,7 +117,7 @@ def _cmd_measure_convolve(args) -> int:
 def _cmd_ft_grid(args) -> int:
     import numpy as np
 
-    from .fourier import mu_hat
+    from .fourier import _mu_hat_grid
 
     for flag, value in (("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
         if not math.isfinite(value):
@@ -126,10 +126,10 @@ def _cmd_ft_grid(args) -> int:
     if ds.dim != 1:
         raise ValueError("the CLI grid is one-dimensional; use the library for d >= 2")
     xs = np.linspace(args.xi_min, args.xi_max, args.count)
-    rows = []
-    for x in xs:
-        value = mu_hat(ds, float(x), args.tol)
-        rows.append([float(x), value.value.real, value.value.imag, value.tail_bound])
+    rows = [
+        [x, v.value.real, v.value.imag, v.tail_bound]
+        for x, v in zip(xs.tolist(), _mu_hat_grid(ds, xs, args.tol))
+    ]
     payload = {
         "schema": "ft-grid/1",
         "rows": [

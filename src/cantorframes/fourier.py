@@ -3,9 +3,14 @@
 The transform of a self-affine measure is an infinite product of digit
 masks; truncations carry a certified tail bound derived from the
 Lipschitz estimate |1 - mask(eta)| <= 2*pi*max|b|*|eta| and the geometric
-decay of the scaled frequencies. Windowed transforms of atomic measures
-are exponential sums over atoms: their phases come from the exact kernel
-of ``frames``, one call per measure for a whole frequency grid.
+decay of the scaled frequencies. Every truncation, one point (``mu_hat``)
+or a whole grid (``ft grid``), runs through one vectorized pass,
+``_mu_hat_grid``, which multiplies complex values out in real arithmetic
+so that no value depends on whether the CPU fuses multiply-adds.
+
+Windowed transforms of atomic measures are exponential sums over atoms:
+their phases come from the exact kernel of ``frames``, one call per
+measure for a whole frequency grid.
 """
 from __future__ import annotations
 
@@ -74,41 +79,104 @@ class TransformValue:
     factors: int
 
 
-def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
-    """Truncated mask product for the self-affine measure's transform.
+def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
+    """``mu_hat`` at every point of ``xis``, in one vectorized pass.
 
-    The number of factors is chosen so the certified tail bound drops
-    below ``tol``; the achieved bound is returned alongside the value.
-    A non-finite coordinate of ``xi`` raises ValueError.
+    The system is validated, and R^-T and the norm bounds formed, once per
+    grid. Each point gets the float sequence of the per-point definition:
+    its factor count comes from the same ``bound *= inv`` loop, applied
+    only to the points still above ``tol``; then every point runs its own
+    number of factors, all points at once. A step maps eta to R^-T eta by
+    elementwise sums in a fixed order (no BLAS), and the mask is
+    exp(-2*pi*i <eta, b>) summed over the digits in order, over #B.
+
+    The running product is multiplied out in real arithmetic. numpy's
+    complex ``*`` may fuse a multiply into an add (FMA) and then differs
+    from CPython's ``complex * complex`` in the last bit, so a grid value
+    would depend on the CPU; the explicit real form rounds every product
+    and sum on its own, as CPython does. In one dimension each value, tail
+    bound and factor count is therefore bit-identical to a per-point loop
+    of ``cmath.exp`` over the digits. An empty grid returns [] unchecked.
     """
+    points = np.asarray(xis, dtype=float)
+    if len(points) == 0:
+        return []
     if tol <= 0 or tol < 1e-15:
         raise ToleranceUnreachable("tolerance below float resolution")
     validate_digit_system(ds)
     inv = float(ds.inverse_norm_bound())
     if inv >= 1.0:
         raise ToleranceUnreachable("inverse norm bound >= 1; geometric tail does not converge")
-    xi = _as_vector(xi, ds.dim)
-    if not np.isfinite(xi).all():
-        raise ValueError(f"frequency {tuple(xi.tolist())} is not finite")
+    points = points.reshape(len(points), -1)
+    if points.shape[1] != ds.dim:
+        raise ValueError(f"frequency has dimension {points.shape[1]}, expected {ds.dim}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = points[np.argmin(finite)]
+        raise ValueError(f"frequency {tuple(bad.tolist())} is not finite")
+
     max_b = float(ds.max_digit_norm_bound())
-    xi_norm = float(np.linalg.norm(xi))
-    prefactor = 2.0 * math.pi * max_b * xi_norm / (1.0 - inv)
-
-    n_factors = 0
+    with np.errstate(over="ignore"):  # |xi|^2 = inf leaves an infinite tail bound: too many factors
+        norm = np.sqrt(_fixed_order_dot(points.T, points))  # squares summed in coordinate order
+    prefactor = 2.0 * math.pi * max_b * norm / (1.0 - inv)
     bound = prefactor * inv
-    while bound >= tol:
-        n_factors += 1
-        bound *= inv
-        if n_factors > _MAX_FACTORS:
+    factors = np.zeros(len(points), dtype=np.int64)
+    live = bound >= tol
+    steps = 0
+    while live.any():
+        steps += 1
+        if steps > _MAX_FACTORS:
             raise ToleranceUnreachable("tolerance requires too many factors")
+        factors += live
+        bound = np.where(live, bound * inv, bound)
+        live = bound >= tol
 
-    rinv_t = np.array([[float(x) for x in row] for row in ds.inverse_matrix()], dtype=float).T
-    value = 1.0 + 0j
-    eta = xi.copy()
-    for _ in range(n_factors):
-        eta = rinv_t @ eta
-        value *= mask_eval(ds.digits, eta)
-    return TransformValue(value=value, tail_bound=bound, factors=n_factors)
+    # Points in descending factor count, so the points still running at any
+    # step are a prefix of this order.
+    order = np.argsort(-factors, kind="stable")
+    counts = factors[order]
+    eta = points[order]
+    re = np.ones(len(points))
+    im = np.zeros(len(points))
+    rinv_t = [[float(x) for x in row] for row in zip(*ds.inverse_matrix())]
+    digits = [[float(x) for x in b] for b in ds.digits]
+    for step in range(int(counts[0])):
+        k = int(np.count_nonzero(counts > step))
+        eta = eta[:k]
+        eta = np.stack([_fixed_order_dot(row, eta) for row in rinv_t], axis=1)
+        mask = np.zeros(k, dtype=complex)
+        for b in digits:
+            mask += np.exp(-2j * math.pi * _fixed_order_dot(b, eta))
+        mr, mi = mask.real / len(digits), mask.imag / len(digits)
+        vr, vi = re[:k], im[:k]
+        re[:k], im[:k] = vr * mr - vi * mi, vr * mi + vi * mr
+
+    back = np.argsort(order)
+    return [
+        TransformValue(value=complex(r, i), tail_bound=t, factors=n)
+        for r, i, t, n in zip(re[back].tolist(), im[back].tolist(), bound.tolist(), factors.tolist())
+    ]
+
+
+def _fixed_order_dot(coefficients, vectors: np.ndarray) -> np.ndarray:
+    """sum_j coefficients[j] * vectors[:, j], added left to right."""
+    total = coefficients[0] * vectors[:, 0]
+    for j in range(1, len(coefficients)):
+        total = total + coefficients[j] * vectors[:, j]
+    return total
+
+
+def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
+    """Truncated mask product for the self-affine measure's transform.
+
+    The number of factors is chosen so the certified tail bound drops
+    below ``tol``; the achieved bound is returned alongside the value.
+    A non-finite coordinate of ``xi`` raises ValueError. This is the
+    one-point grid of ``_mu_hat_grid``, the only mask-product path; it
+    forms the product without numpy's complex ``*``, whose fused
+    multiply-adds would round differently from CPython's complex product.
+    """
+    return _mu_hat_grid(ds, [xi], tol)[0]
 
 
 def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:

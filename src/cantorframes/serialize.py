@@ -32,9 +32,14 @@ SCHEMA_FRAME_REPORT = "frame-report/2"
 SCHEMA_WITNESS = "singularity-witness/1"
 
 
-def fraction_to_str(value: Fraction) -> str:
-    value = Fraction(value)
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+def fraction_to_str(value: Fraction | int) -> str:
+    return _ratio_to_str(value.numerator, value.denominator)
+
+
+def _ratio_to_str(numerator: int, denominator: int) -> str:
+    """numerator/denominator (denominator > 0) in lowest terms, "p/q" or "p"."""
+    g = math.gcd(numerator, denominator)
+    return str(numerator // g) if g == denominator else f"{numerator // g}/{denominator // g}"
 
 
 def point_to_strs(point) -> list:
@@ -61,14 +66,18 @@ def digit_system_from_jsonable(data: dict) -> DigitSystem:
 
 
 def measure_to_jsonable(m: AtomicMeasure) -> dict:
+    """The ``atomic-measure/1`` object, written from the integer skeleton."""
+    q, mq = m.denominator, m.mass_denominator
+    weights = {w: _ratio_to_str(w, mq) for w in set(m.masses)}
     return {
         "schema": SCHEMA_MEASURE,
         "dim": m.dim,
         "offset": list(m.offset),
         "atoms": [
-            {"location": point_to_strs(p), "weight": fraction_to_str(w)} for p, w in m.atoms
+            {"location": [_ratio_to_str(x, q) for x in p], "weight": weights[w]}
+            for p, w in zip(m.numerators, m.masses)
         ],
-        "total": fraction_to_str(m.total),
+        "total": _ratio_to_str(sum(m.masses), mq),
     }
 
 

@@ -21,12 +21,22 @@ measure built by the code under test.
 Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
 the secular-equation scoring replaced; and the plain secular bisection,
 every row through every pass, that the eliminating pick replaced.
+
+Transforms: the per-point truncated mask product, one ``cmath.exp`` per
+digit and factor, that the vectorized grid replaced.
+
+Serialization: the ``atomic-measure/1`` object built from the measure's
+``Fraction`` view, which the integer writer replaced.
 """
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from cantorframes.errors import ToleranceUnreachable
 from cantorframes.frames import _BISECTIONS
+from cantorframes.measures import validate_digit_system
 
 _RESIDUAL_TOL = 1e-11
 _POWER_MAXIT = 20_000
@@ -380,3 +390,56 @@ def oracle_singularity_witness(nu, lam, shift) -> tuple:
             sum((w for p, w in omega_total.items() if p in translated), Fraction(0)),
         )
     return "none", max_overlap
+
+
+def oracle_mu_hat(ds, xi, tol: float) -> tuple:
+    """(value, tail_bound, factors) of the truncated mask product at one point."""
+    if tol <= 0 or tol < 1e-15:
+        raise ToleranceUnreachable("tolerance below float resolution")
+    validate_digit_system(ds)
+    inv = float(ds.inverse_norm_bound())
+    if inv >= 1.0:
+        raise ToleranceUnreachable("inverse norm bound >= 1; geometric tail does not converge")
+    xi = np.asarray((float(xi),) if isinstance(xi, (int, float)) else xi, dtype=float).reshape(-1)
+    if xi.shape[0] != ds.dim:
+        raise ValueError(f"frequency has dimension {xi.shape[0]}, expected {ds.dim}")
+    if not np.isfinite(xi).all():
+        raise ValueError(f"frequency {tuple(xi.tolist())} is not finite")
+    max_b = float(ds.max_digit_norm_bound())
+    prefactor = 2.0 * math.pi * max_b * float(np.linalg.norm(xi)) / (1.0 - inv)
+    n_factors = 0
+    bound = prefactor * inv
+    while bound >= tol:
+        n_factors += 1
+        bound *= inv
+        if n_factors > 10_000:
+            raise ToleranceUnreachable("tolerance requires too many factors")
+    rinv_t = np.array([[float(x) for x in row] for row in ds.inverse_matrix()], dtype=float).T
+    value = 1.0 + 0j
+    eta = xi.copy()
+    for _ in range(n_factors):
+        eta = rinv_t @ eta
+        total = 0j
+        for b in ds.digits:
+            total += cmath.exp(-2j * math.pi * float(np.dot(eta, b)))
+        value *= total / len(ds.digits)
+    return value, bound, n_factors
+
+
+def _oracle_fraction_str(value) -> str:
+    value = Fraction(value)
+    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+def oracle_measure_jsonable(measure) -> dict:
+    """The ``atomic-measure/1`` object, every string formatted from the Fraction view."""
+    return {
+        "schema": "atomic-measure/1",
+        "dim": measure.dim,
+        "offset": list(measure.offset),
+        "atoms": [
+            {"location": [_oracle_fraction_str(x) for x in p], "weight": _oracle_fraction_str(w)}
+            for p, w in measure.atoms
+        ],
+        "total": _oracle_fraction_str(measure.total),
+    }

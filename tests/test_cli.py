@@ -4,9 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from functools import lru_cache
+
+import numpy as np
+
 from cantorframes import (
+    AtomicMeasure,
     DigitSystem,
+    add,
     attractor_points,
+    convolve,
     level_measure,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
@@ -17,18 +24,36 @@ from cantorframes.cli import EXIT_ERROR, main
 from cantorframes.serialize import (
     canonical_json,
     certificate_to_jsonable,
+    csv_text,
     digit_system_from_jsonable,
     digit_system_to_jsonable,
+    fraction_to_str,
     load_json,
     measure_from_jsonable,
     measure_to_jsonable,
     verify_certificate,
     witness_to_jsonable,
 )
+from oracles import oracle_measure_jsonable, oracle_mu_hat
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
+PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+
+
+@lru_cache(maxsize=None)
+def _oracle_ft_grid(count: int) -> tuple:
+    """CSV and JSON of the default ft grid on 4:0,1, built point by point from the oracle."""
+    rows = []
+    for x in np.linspace(-10.0, 10.0, count).tolist():
+        value, tail_bound, _ = oracle_mu_hat(FOUR, x, 1e-10)
+        rows.append([x, value.real, value.imag, tail_bound])
+    payload = {
+        "schema": "ft-grid/1",
+        "rows": [{"xi": r[0], "re": r[1], "im": r[2], "certified_tail_bound": r[3]} for r in rows],
+    }
+    return csv_text(["xi1", "re", "im", "certified_tail_bound"], rows), canonical_json(payload)
 
 
 class TestSerializeRoundTrips:
@@ -46,6 +71,31 @@ class TestSerializeRoundTrips:
         data["total"] = "2"
         with pytest.raises(Exception):
             measure_from_jsonable(data)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            level_measure(FOUR, 5),
+            level_measure(SIXTEEN_04, 3),
+            translate(level_measure(FOUR, 3), 0.1),
+            translate(level_measure(FOUR, 2), (Fraction(-7, 3),)),
+            level_measure(PLANAR, 3),
+            translate(level_measure(PLANAR, 2), (0.25, -1.5)),
+            convolve(level_measure(FOUR, 3), level_measure(FOUR, 2)),
+            add(level_measure(FOUR, 2), AtomicMeasure.dirac((Fraction(1, 64),), Fraction(2, 3))),
+            AtomicMeasure.from_atoms(2, [((Fraction(-1, 6), 2), 3), ((0, Fraction(5, 4)), Fraction(1, 9))]),
+        ],
+        ids=["4:0,1-level5", "16:0,4-level3", "float-offset", "negative-shift", "planar",
+             "planar-float-offset", "convolution", "sum", "from-atoms"],
+    )
+    def test_measure_writer_matches_fraction_view(self, measure):
+        assert measure_to_jsonable(measure) == oracle_measure_jsonable(measure)
+
+    @pytest.mark.parametrize(
+        "value, text", [(Fraction(3, 4), "3/4"), (Fraction(-8, 2), "-4"), (0, "0"), (-12, "-12")]
+    )
+    def test_fraction_to_str(self, value, text):
+        assert fraction_to_str(value) == text
 
     def test_witness_serializes(self):
         witness = singularity_witness(SIXTEEN_01, SIXTEEN_04, 0, 2)
@@ -112,6 +162,15 @@ class TestCliCommands:
         data = load_json(out)
         assert data["atoms"][1]["location"] == ["1/16"]
 
+    @pytest.mark.parametrize(
+        "system, ds", [("4:0,1", FOUR), ("-5:0,3,-7", DigitSystem.one_dimensional(-5, [0, 3, -7]))]
+    )
+    def test_measure_build_csv_matches_fraction_view(self, tmp_path, system, ds):
+        out = tmp_path / "m.csv"
+        assert main(["measure", "build", f"--system={system}", "--level", "3", "--format", "csv", "--out", str(out)]) == 0
+        rows = [[*(str(x) for x in p), str(w)] for p, w in level_measure(ds, 3).atoms]
+        assert out.read_text() == csv_text(["x1", "weight"], rows)
+
     def test_measure_convolve_matches_library(self, tmp_path):
         a_path, b_path, out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
         main(["measure", "build", "--system", "16:0,1", "--level", "2", "--out", str(a_path)])
@@ -155,6 +214,13 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "xi1,re,im,certified_tail_bound"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ft_grid_matches_per_point_oracle(self, tmp_path, fmt):
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["ft", "grid", "--system", "4:0,1", "--count", "1001", "--format", fmt, "--out", str(out)]) == 0
+        expected_csv, expected_json = _oracle_ft_grid(1001)
+        assert out.read_text() == (expected_csv if fmt == "csv" else expected_json)
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -10,6 +10,7 @@ from cantorframes import (
     MaskPolynomial,
     NotCertifiedPacking,
     ToleranceUnreachable,
+    TransformValue,
     convolve,
     cylinder_points,
     factorization_check,
@@ -20,12 +21,23 @@ from cantorframes import (
     translate,
     windowed_transform,
 )
-from oracles import oracle_phase_matrix
+from cantorframes.fourier import _mu_hat_grid
+from oracles import oracle_mu_hat, oracle_phase_matrix
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
 PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+SHEARED = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0), (0, 1)))
+THREE = DigitSystem.one_dimensional(3, [0, 2])
+
+
+def _mixed_grid() -> list:
+    """Zero, signed zero, tiny and huge |xi|, so factor counts run from 0 to the most."""
+    rng = np.random.default_rng(9)
+    tiny = [1e-300, -5e-324, 1e-14, -3e-11, 2e-9]
+    spread = 10 ** rng.uniform(-12, 4, 200) * rng.choice([-1.0, 1.0], 200)
+    return [0.0, -0.0, *tiny, *np.linspace(-1e4, 1e4, 401).tolist(), *spread.tolist(), 1e4, -1e4]
 
 
 class TestMask:
@@ -89,6 +101,59 @@ class TestMuHat:
     def test_non_finite_frequency_raises(self, ds, xi):
         with pytest.raises(ValueError, match="not finite"):
             mu_hat(ds, xi, 1e-10)
+
+
+class TestMuHatGrid:
+    @pytest.mark.parametrize("ds", [FOUR, SIXTEEN_04, THREE], ids=["4:0,1", "16:0,4", "3:0,2"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15, 1e-3])
+    def test_bit_identical_to_per_point_product(self, ds, tol):
+        grid = _mixed_grid()
+        values = _mu_hat_grid(ds, grid, tol)
+        assert len({v.factors for v in values}) > 5 and min(v.factors for v in values) == 0
+        for xi, got in zip(grid, values):
+            value, tail_bound, factors = oracle_mu_hat(ds, xi, tol)
+            assert (got.value.real, got.value.imag, got.tail_bound, got.factors) == (
+                value.real, value.imag, tail_bound, factors
+            ), xi
+
+    def test_public_mu_hat_is_the_one_point_grid(self):
+        for xi in (0.0, 1e-12, 0.3, -2.7, 9999.5):
+            value, tail_bound, factors = oracle_mu_hat(FOUR, xi, 1e-10)
+            assert mu_hat(FOUR, xi, 1e-10) == _mu_hat_grid(FOUR, [xi], 1e-10)[0]
+            assert _mu_hat_grid(FOUR, [xi], 1e-10)[0] == TransformValue(value, tail_bound, factors)
+
+    @pytest.mark.parametrize("ds", [PLANAR, SHEARED], ids=["diagonal", "sheared"])
+    def test_planar_matches_per_point_product(self, ds):
+        rng = np.random.default_rng(4)
+        grid = [(0.0, 0.0), (1e-9, -2e-9), *(tuple(p) for p in rng.uniform(-10, 10, (150, 2)).tolist())]
+        for xi, got in zip(grid, _mu_hat_grid(ds, grid, 1e-10)):
+            value, tail_bound, factors = oracle_mu_hat(ds, xi, 1e-10)
+            assert abs(got.value - value) <= 1e-15, xi
+            assert got.factors == factors
+            assert abs(got.tail_bound - tail_bound) <= 4 * np.finfo(float).eps * tail_bound
+
+    def test_empty_grid(self):
+        assert _mu_hat_grid(FOUR, [], 1e-10) == []
+
+    def test_non_finite_middle_point_is_named(self):
+        with pytest.raises(ValueError, match=r"frequency \(nan,\) is not finite"):
+            _mu_hat_grid(FOUR, [0.0, 1.5, float("nan"), 2.0], 1e-10)
+        with pytest.raises(ValueError, match=r"frequency \(0\.5, inf\) is not finite"):
+            _mu_hat_grid(PLANAR, [(0.0, 1.0), (0.5, float("inf")), (2.0, 2.0)], 1e-10)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension 1, expected 2"):
+            _mu_hat_grid(PLANAR, [0.5, 1.0], 1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-18, 0.0, -1.0])
+    def test_tolerance_floor(self, tol):
+        with pytest.raises(ToleranceUnreachable, match="below float resolution"):
+            _mu_hat_grid(FOUR, [0.0, 1.0], tol)
+
+    def test_too_many_factors(self):
+        # |xi|^2 overflows, so the tail bound stays infinite at every factor.
+        with pytest.raises(ToleranceUnreachable, match="too many factors"):
+            _mu_hat_grid(FOUR, [1.0, 1e200, 2.0], 1e-10)
 
 
 class TestWindowedTransform:
