@@ -97,8 +97,10 @@ def _cmd_measure_build(args) -> int:
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
     data = measure_to_jsonable(measure)
-    rows = [[*atom["location"], atom["weight"]] for atom in data["atoms"]]
-    header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
+    header = rows = None
+    if args.format == "csv":
+        header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
+        rows = [[*atom["location"], atom["weight"]] for atom in data["atoms"]]
     _emit(args, data, header, rows)
     return EXIT_OK
 

@@ -250,5 +250,5 @@ def factorization_check(
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)
     return FactorizationReport(
-        max_deviation=deviations[worst], argmax_xi=tuple(xis[worst]), grid_size=len(xis), certified=certified
+        max_deviation=deviations[worst], argmax_xi=tuple(xis[worst].tolist()), grid_size=len(xis), certified=certified
     )

@@ -15,16 +15,20 @@ Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one kernel: exact integer residues
 (F @ A.T) mod p*q over common denominators p (frequencies) and q (atoms),
 rounded once to float, with float coordinates taken as the exact binary
-rationals they are. The kernel runs in int64 when
-dim * max|F| * max|A| < 2^62 and p*q <= 2^53, and on Python-int object
-arrays otherwise (float coordinates with long binary expansions); both
-give the correctly rounded phase.
+rationals they are. The kernel has three paths, all giving the correctly
+rounded phase: one int64 product when dim * max|F| * max|A| < 2^62 and
+p*q <= 2^53; 21-bit int64 limbs when p*q is a larger power of two, as for
+float grids, float shifts and rotated rows against dyadic atoms; and
+Python-int object arrays for every other modulus, such as atoms over 3^n.
+The Hadamard check needs no phases: it decides exactly whether sums of
+roots of unity vanish.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -45,6 +49,10 @@ _DISTINCT_RESOLUTION = 1e-12
 _INT64_PRODUCT_LIMIT = 2**62
 _EXACT_DOUBLE_LIMIT = 2**53
 _OBJECT_BLOCK = 2**12
+_LIMB_BLOCK = 2**16
+_LIMB_BITS = 21
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_LIMB_MAX_EXPONENT = 1022
 # Greedy picks within _TIE_RTOL * max||v||^2 of the best tie; the lowest
 # pool index wins, so rounding noise cannot decide a pick.
 _TIE_RTOL = 1e-12
@@ -113,16 +121,60 @@ class GreedySelection:
 
 
 def hadamard_triple_check(R, B, L, tol: float = 1e-12) -> bool:
-    """True iff the normalized exponential matrix of (R, B, L) is unitary."""
+    """True iff the normalized exponential matrix of (R, B, L) is unitary.
+
+    Decided exactly; ``tol`` is accepted for compatibility and has no
+    effect. The frequency digits L must be integer vectors. With
+    R^-1 B = A/N over the least common denominator N (a divisor of
+    |det R|), the Gram entry of frequencies l != l' is the mean over b of
+    exp(2*pi*i*e_b/N), e_b = <l - l', A_b>. A sum of N-th roots of unity
+    vanishes iff the integer polynomial sum_b x^(e_b mod N) is divisible by
+    the cyclotomic polynomial Phi_N, the minimal polynomial of
+    exp(2*pi*i/N).
+    """
     ds = DigitSystem(R, B)
     freqs = [(l,) if isinstance(l, int) else tuple(l) for l in L]
     if len(freqs) != ds.branch:
         raise SizeMismatch("digit and frequency sets must have equal size")
-    rinv = ds.inverse_matrix()
-    scaled = [_matvec(rinv, b) for b in ds.digits]
-    phases = _exact_phase_matrix(ds.dim, freqs, *_common_numerators(scaled))
-    matrix = np.exp(2j * np.pi * phases) / math.sqrt(ds.branch)
-    return bool(np.max(np.abs(matrix @ matrix.conj().T - np.eye(ds.branch))) <= tol)
+    freq_nums, p = _common_numerators(freqs)
+    if p != 1:
+        raise ValueError("frequency digits must be integer vectors")
+    atom_nums, n = _common_numerators([_matvec(ds.inverse_matrix(), b) for b in ds.digits])
+    phi = _cyclotomic(n)
+    for f, g in combinations(freq_nums, 2):
+        poly = [0] * n
+        for a in atom_nums:
+            poly[sum((x - y) * z for x, y, z in zip(f, g, a)) % n] += 1
+        if any(_divide_monic(poly, phi)[1]):
+            return False
+    return True
+
+
+def _cyclotomic(n: int) -> list:
+    """Integer coefficients of Phi_n, lowest degree first.
+
+    x^d - 1 is the product of Phi_e over the divisors e of d, so each Phi_d
+    is x^d - 1 divided exactly by the Phi_e already found.
+    """
+    found = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        poly = [-1] + [0] * (d - 1) + [1]
+        for e, phi in found.items():
+            if d % e == 0:
+                poly = _divide_monic(poly, phi)[0]
+        found[d] = poly
+    return found[n]
+
+
+def _divide_monic(poly: list, divisor: list) -> tuple:
+    """Quotient and remainder of integer polynomials, lowest degree first, by a monic divisor."""
+    rem, deg = list(poly), len(divisor) - 1
+    quotient = [0] * max(len(rem) - deg, 0)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = quotient[i - deg] = rem[i]
+        for j, coefficient in enumerate(divisor):
+            rem[i - deg + j] -= c * coefficient
+    return quotient, rem[:deg]
 
 
 def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> FrequencySet:
@@ -150,18 +202,24 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
 
 
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
-    """The kernel that is exact on these operands: "int64" or "object".
+    """The kernel that is exact on these operands: "int64", "limbs" or "object".
 
     int64 needs dim * max|F| * max|A| < 2^62, so no entry of F @ A.T and
     no partial sum can wrap (an all-zero side counts as 1, so both arrays
     fit int64 too), and p*q <= 2^53, so residues and modulus are exact
-    doubles and one IEEE division rounds the quotient correctly.
+    doubles and one IEEE division rounds the quotient correctly. limbs
+    needs p*q = 2^k with k <= 1022, so 2^-k is a normal double, and
+    dim * ceil(k/21) < 2^20, so no sum of 21-bit limb products wraps.
+    Every other modulus, such as atoms over 3^n, takes the object path.
     """
     def bound(rows):
         return max((abs(x) for row in rows for x in row), default=0) or 1
 
     if dim * bound(freq_nums) * bound(atom_nums) < _INT64_PRODUCT_LIMIT and modulus <= _EXACT_DOUBLE_LIMIT:
         return "int64"
+    k = modulus.bit_length() - 1
+    if modulus == 1 << k and k <= _LIMB_MAX_EXPONENT and dim * -(-k // _LIMB_BITS) < 2**20:
+        return "limbs"
     return "object"
 
 
@@ -174,24 +232,89 @@ def _exact_phase_matrix(dim: int, freq_rows, atom_nums, q: int) -> np.ndarray:
     the binary rational it is. Large integer frequencies against deep-level
     atoms would lose several digits in a float dot product. Instead, with
     F the frequency numerators over p, the phase is (F @ A.T mod p*q) /
-    (p*q). Both paths round that exact rational once, correctly, as
-    ``float(Fraction)`` does: int64 arrays and a float64 division within
-    the guards of ``_phase_path``, Python int object arrays and int true
-    division outside them. Nothing wraps.
+    (p*q). Each of the three paths that ``_phase_path`` chooses from rounds
+    that exact rational once, correctly, as ``float(Fraction)`` does:
+    int64 arrays and one float64 division; 21-bit int64 limbs when p*q is a
+    power of two, as it is for float coordinates against dyadic atoms
+    (``_limb_phases``); Python int object arrays and int true division
+    otherwise. Nothing wraps. The limb and object paths run in blocks of
+    rows, so their memory stays bounded.
     """
     freq_nums, p = _common_numerators(freq_rows)
     modulus = p * q
     path = _phase_path(dim, freq_nums, atom_nums, modulus)
-    dtype = np.int64 if path == "int64" else object
-    freqs = np.array(freq_nums, dtype=dtype).reshape(len(freq_nums), dim)
-    atoms = np.array(atom_nums, dtype=dtype).reshape(len(atom_nums), dim)
     if path == "int64":
+        freqs = np.array(freq_nums, dtype=np.int64).reshape(len(freq_nums), dim)
+        atoms = np.array(atom_nums, dtype=np.int64).reshape(len(atom_nums), dim)
         return (freqs @ atoms.T) % modulus / modulus
-    # In blocks of rows, so at most about _OBJECT_BLOCK Python ints are alive at once.
-    phases = np.empty((len(freqs), len(atoms)))
-    step = max(1, _OBJECT_BLOCK // max(len(atoms), 1))
-    for i in range(0, len(freqs), step):
-        phases[i : i + step] = (freqs[i : i + step] @ atoms.T) % modulus / modulus
+    if path == "limbs":
+        k = modulus.bit_length() - 1
+        freqs, atoms = _limbs(freq_nums, dim, k), _limbs(atom_nums, dim, k)
+        # Limb-major columns: column block b of atoms_cat holds limb b of every atom.
+        atoms_cat = atoms.transpose(2, 0, 1).reshape(dim, -1)
+        step = _LIMB_BLOCK // max(atoms.size, 1)
+        block = lambda rows: _limb_phases(freqs[:, rows], atoms_cat, k)
+    else:
+        freqs = np.array(freq_nums, dtype=object).reshape(len(freq_nums), dim)
+        atoms = np.array(atom_nums, dtype=object).reshape(len(atom_nums), dim)
+        step = _OBJECT_BLOCK // max(len(atoms), 1)
+        block = lambda rows: (freqs[rows] @ atoms.T) % modulus / modulus
+    phases = np.empty((len(freq_nums), len(atom_nums)))
+    step = max(1, step)
+    for i in range(0, len(phases), step):
+        phases[i : i + step] = block(slice(i, i + step))
+    return phases
+
+
+def _limbs(rows, dim: int, k: int) -> np.ndarray:
+    """The residues mod 2^k of integer rows as int64 21-bit limbs, shape (limbs, rows, dim), low limb first."""
+    count = max(1, -(-k // _LIMB_BITS))
+    residues = np.array(rows, dtype=object).reshape(len(rows), dim) & ((1 << k) - 1)
+    shifts = [_LIMB_BITS * i for i in range(count)]
+    return np.array([(residues >> s) & _LIMB_MASK for s in shifts], dtype=np.int64).reshape(count, len(rows), dim)
+
+
+def _limb_phases(freqs: np.ndarray, atoms_cat: np.ndarray, k: int) -> np.ndarray:
+    """(F @ A.T mod 2^k) / 2^k from limbs, correctly rounded to float64.
+
+    ``freqs`` holds the limbs of F as ``_limbs`` makes them; ``atoms_cat``
+    holds the limbs of A as columns, limb by limb. Only limb products of
+    weight below 2^k count: block s of the sums adds F_a A_b.T over
+    a + b = s, each entry below dim * limbs * 2^42 < 2^62. Carrying leaves
+    the 21-bit digits of R = F @ A.T mod 2^k. The top 63 bits of the k-bit
+    field, R >> max(k - 63, 0), with a sticky bit set for any 1 below them,
+    make an int64 whose one conversion to float64 rounds R to nearest, ties
+    to even, whenever it has at least 55 significant bits (the sticky bit
+    then lies below the rounding position) or nothing was cut off;
+    ``ldexp`` scales it by 2^-k exactly. The rest, phases below 2^-9 with
+    bits cut off, are divided exactly as Python ints.
+    """
+    count, rows, _ = freqs.shape
+    m = atoms_cat.shape[1] // count
+    sums = np.zeros((count, rows, m), dtype=np.int64)
+    for a in range(count):
+        sums[a:] += (freqs[a] @ atoms_cat[:, : (count - a) * m]).reshape(rows, count - a, m).transpose(1, 0, 2)
+    digits, carry = np.empty_like(sums), np.zeros((rows, m), dtype=np.int64)
+    for s in range(count):
+        total = sums[s] + carry
+        digits[s], carry = total & _LIMB_MASK, total >> _LIMB_BITS
+    digits[-1] &= (1 << (k - _LIMB_BITS * (count - 1))) - 1
+    cut = max(k - 63, 0)
+    head, sticky = np.zeros((rows, m), dtype=np.int64), np.zeros((rows, m), dtype=bool)
+    for s, digit in enumerate(digits):
+        shift = _LIMB_BITS * s - cut
+        if shift >= 0:
+            head |= digit << shift
+        elif shift > -_LIMB_BITS:
+            head |= digit >> -shift
+            sticky |= (digit & ((1 << -shift) - 1)) != 0
+        else:
+            sticky |= digit != 0
+    phases = np.ldexp((head | sticky).astype(np.float64), cut - k)
+    inexact = sticky & (head < 2**54)
+    if inexact.any():
+        exact = sum(digits[s][inexact].astype(object) << (_LIMB_BITS * s) for s in range(count))
+        phases[inexact] = (exact / (1 << k)).astype(np.float64)
     return phases
 
 

@@ -46,7 +46,7 @@ METHOD_DIFFERENCE_INTERSECTION = "difference-intersection"
 CERTIFIED_SSC = "certified-ssc"
 CERTIFIED_OVERLAP = "certified-overlap"
 
-# Words a difference set or an all-pairs distance scan may form.
+# Words a difference set or a planar all-pairs distance scan may form.
 _PAIR_BUDGET = 1 << 22
 
 
@@ -123,9 +123,29 @@ def _differences(xs, ys) -> dict:
     return _sumset(len(xs[0]) if xs else 0, layers, budget=_PAIR_BUDGET)
 
 
-def _min_gap_sq(xs, ys, denominator: int):
-    """Smallest nonzero |x - y|^2 of integer points over ``denominator``, or None if there is none."""
-    gap = min((_norm_sq(w) for w in _differences(xs, ys) if any(w)), default=None)
+def _min_gap_sq(dim: int, clouds, denominator: int):
+    """Smallest nonzero |x - y|^2 over x, y in different clouds of integer points over ``denominator``, or None.
+
+    In one dimension one sorted scan, O(N log N) and with no budget: each
+    value carries the bit set of the clouds that hold it, and the smallest
+    gap lies between sorted neighbours, since a value strictly between x
+    and y belongs to a cloud other than x's or other than y's and so makes
+    a smaller gap. Neighbours count unless both lie in the same single
+    cloud; a value shared by two clouds (the zero of two difference sets)
+    is one entry, so it hides neither neighbour. In more dimensions every
+    pair of clouds is scanned within _PAIR_BUDGET.
+    """
+    if dim == 1:
+        tags: dict = {}
+        for i, cloud in enumerate(clouds):
+            for (x,) in cloud:
+                tags[x] = tags.get(x, 0) | 1 << i
+        keys = sorted(tags)
+        pairs = zip(keys, keys[1:])
+        gaps = ((b - a) ** 2 for a, b in pairs if tags[a] != tags[b] or tags[a] & (tags[a] - 1))
+    else:
+        gaps = (_norm_sq(w) for xs, ys in combinations(clouds, 2) for w in _differences(xs, ys) if any(w))
+    gap = min(gaps, default=None)
     return None if gap is None else Fraction(gap, denominator**2)
 
 
@@ -219,7 +239,7 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
     threshold_sq = threshold * threshold
     # No common nonzero difference is left, so u - v vanishes only for u = v = 0.
     numerators, denominator = _common_numerators(d1 + d2)
-    gap_sq = _min_gap_sq(numerators[: len(d1)], numerators[len(d1) :], denominator)
+    gap_sq = _min_gap_sq(cloud1.dim, [numerators[: len(d1)], numerators[len(d1) :]], denominator)
     evidence = {
         "gap_squared": gap_sq,
         "threshold": threshold,
@@ -275,11 +295,10 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
                 status=INCONCLUSIVE, depth_used=d, evidence={"reason": "no certified tail radius"}
             )
         threshold_sq = (2 * radius) ** 2
-        if len(sums) ** 2 > _PAIR_BUDGET:
+        if ds.dim > 1 and len(sums) ** 2 > _PAIR_BUDGET:
             evidence = {"reason": "pair scan budget reached", "depth": d}
             return SscCertificate(status=INCONCLUSIVE, depth_used=d, evidence=evidence)
-        pairs = combinations(range(ds.branch), 2)
-        min_gap_sq = min((_min_gap_sq(clouds[i], clouds[j], denominator) for i, j in pairs), default=None)
+        min_gap_sq = _min_gap_sq(ds.dim, clouds, denominator)
         evidence = {"min_gap_squared": min_gap_sq, "threshold_squared": threshold_sq}
         if min_gap_sq is not None and min_gap_sq > threshold_sq:
             return SscCertificate(status=CERTIFIED_SSC, depth_used=d, evidence=evidence)

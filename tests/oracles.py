@@ -31,6 +31,7 @@ Serialization: the ``atomic-measure/1`` object built from the measure's
 import cmath
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -443,3 +444,9 @@ def oracle_measure_jsonable(measure) -> dict:
         ],
         "total": _oracle_fraction_str(measure.total),
     }
+
+
+def oracle_min_gap_sq(clouds):
+    """Smallest nonzero squared distance between integer points of different clouds, by all pairs."""
+    pairs = [(x, y) for i, j in combinations(range(len(clouds)), 2) for x in clouds[i] for y in clouds[j]]
+    return min((d for d in (sum((a - b) ** 2 for a, b in zip(x, y)) for x, y in pairs) if d), default=None)

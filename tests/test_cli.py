@@ -171,6 +171,14 @@ class TestCliCommands:
         rows = [[*(str(x) for x in p), str(w)] for p, w in level_measure(ds, 3).atoms]
         assert out.read_text() == csv_text(["x1", "weight"], rows)
 
+    def test_measure_build_json_forms_no_csv_rows(self, monkeypatch, capsys):
+        from cantorframes import cli
+
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda args, *payload: emitted.append(payload))
+        assert main(["measure", "build", "--system", "4:0,1", "--level", "2"]) == 0
+        assert len(emitted) == 1 and emitted[0][1:] == (None, None)
+
     def test_measure_convolve_matches_library(self, tmp_path):
         a_path, b_path, out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
         main(["measure", "build", "--system", "16:0,1", "--level", "2", "--out", str(a_path)])

@@ -200,6 +200,8 @@ class TestFactorization:
         report = factorization_check(nu, lam, cylinder_points(SIXTEEN_01, 3, [(0,)]), lam.locations, grid)
         assert report.certified
         assert report.max_deviation < 1e-10
+        assert len(report.argmax_xi) == 1 and type(report.argmax_xi[0]) is float
+        assert report.argmax_xi[0] in grid.tolist()
 
     def test_empty_window_vanishes(self):
         nu = level_measure(SIXTEEN_01, 2)

@@ -30,6 +30,7 @@ from cantorframes import (
     transform_spectrum,
     translate,
 )
+from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
 from instances import build_instances
 from oracles import oracle_frame_bounds
@@ -54,6 +55,36 @@ class TestHadamard:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1, 2])
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 10.0])
+    def test_exact_whatever_the_tolerance(self, tol):
+        # In floats exp(i*pi) + 1 is about 1.2e-16, so a zero tolerance used to refuse this pair.
+        assert hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2], tol=tol)
+        assert not hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1], tol=tol)
+
+    @pytest.mark.parametrize(
+        "R, B, L, expected",
+        [
+            (((-4,),), [(0,), (1,)], [0, 2], True),
+            (((6,),), [(0,), (2,), (4,)], [0, 1, 2], True),  # R^-1 B has denominator 3, not 6
+            (((12,),), [(0,), (4,), (8,)], [0, 1, 1], False),  # a repeated frequency
+            (((2, 0), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1), (1, 1)], True),
+            (((2, 0), (0, 2)), [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (0, 1), (1, 2)], False),
+            (((3, 1), (0, 3)), [(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0), (2, 0)], True),
+        ],
+    )
+    def test_cyclotomic_decision(self, R, B, L, expected):
+        assert hadamard_triple_check(R, B, L) is expected
+
+    def test_fractional_frequency_digits_are_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            hadamard_triple_check(((4,),), [(0,), (1,)], [(0,), (Fraction(1, 2),)])
+
+    def test_cyclotomic_polynomials(self):
+        assert frames._cyclotomic(1) == [-1, 1]
+        assert frames._cyclotomic(12) == [1, 0, -1, 0, 1]
+        assert frames._cyclotomic(15) == [1, -1, 0, 1, -1, 1, 0, -1, 1]
+        assert frames._cyclotomic(16) == [1] + [0] * 7 + [1]
 
 
 class TestJpSpectrum:

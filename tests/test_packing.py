@@ -38,7 +38,9 @@ from cantorframes.packing import (
     CERTIFIED_PACKING,
     CERTIFIED_SSC,
     INCONCLUSIVE,
+    _min_gap_sq,
 )
+from oracles import oracle_min_gap_sq
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 TWO = DigitSystem.one_dimensional(2, [0, 1])
@@ -169,6 +171,45 @@ class TestSsc:
         cert = ssc_certificate(FOUR, 20)
         assert (cert.status, cert.depth_used) == (INCONCLUSIVE, 20)
         assert cert.evidence == {"reason": "atom budget reached"}
+
+    @pytest.mark.parametrize("depth", range(1, 16))
+    def test_one_dimensional_scan_has_no_pair_budget(self, depth):
+        # Depth 15 scans 2^16 words, far past the 2^11 a pair scan could afford.
+        cert = ssc_certificate(FOUR, depth)
+        assert (cert.status, cert.depth_used) == (CERTIFIED_SSC, depth)
+        # The cylinders' closest points are sum_{k=2}^{depth+1} 4^-k and 1/4.
+        assert cert.evidence["min_gap_squared"] == (Fraction(1, 6) + Fraction(1, 12 * 4**depth)) ** 2
+
+    def test_planar_scan_stops_at_pair_budget(self):
+        # The four quarter squares touch, so no depth separates them; depth 5 has 4^6 words.
+        square = DigitSystem(((2, 0), (0, 2)), ((0, 0), (1, 0), (0, 1), (1, 1)))
+        cert = ssc_certificate(square, 5)
+        assert (cert.status, cert.depth_used) == (INCONCLUSIVE, 5)
+        assert cert.evidence == {"reason": "pair scan budget reached", "depth": 5}
+        assert ssc_certificate(square, 4, budget=4**5).evidence["min_gap_squared"] == Fraction(1, 32**2)
+
+
+def _gap_clouds(dim: int):
+    """Two or three integer clouds with duplicates, a point they may all share, single points and empty ones."""
+    point = st.tuples(*[st.integers(-12, 12)] * dim)
+    cloud = st.lists(point, max_size=8).flatmap(lambda pts: st.sampled_from([pts, pts + [(0,) * dim]]))
+    return st.tuples(st.just(dim), st.lists(cloud, min_size=2, max_size=3))
+
+
+class TestGapScan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(_gap_clouds), st.integers(1, 5))
+    def test_matches_all_pairs(self, case, denominator):
+        dim, clouds = case
+        expected = oracle_min_gap_sq(clouds)
+        expected = None if expected is None else Fraction(expected, denominator**2)
+        assert _min_gap_sq(dim, clouds, denominator) == expected
+
+    def test_shared_zero_hides_no_neighbour(self):
+        # Sorted by value alone, the zeros of the two sets would sit between -3 and 2.
+        assert _min_gap_sq(1, [[(-3,), (0,)], [(0,), (2,)]], 1) == 4
+        assert _min_gap_sq(1, [[(0,)], [(0,)]], 1) is None
+        assert _min_gap_sq(1, [[(5,)], []], 1) is None
 
 
 class TestTranslationOverlap:
