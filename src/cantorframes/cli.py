@@ -7,6 +7,7 @@ are deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -59,6 +60,7 @@ def _default_hadamard_digits(ds) -> list:
 
 
 def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
+    """Write the CSV rows under ``--format csv``, else the JSON payload (a ``str`` is already rendered)."""
     from .serialize import canonical_json, csv_text, write_json
 
     fmt = getattr(args, "format", "json")
@@ -72,7 +74,7 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
         if args.out:
             write_json(args.out, payload_json)
         else:
-            sys.stdout.write(canonical_json(payload_json))
+            sys.stdout.write(payload_json if isinstance(payload_json, str) else canonical_json(payload_json))
     if getattr(args, "manifest", False):
         config = {
             k: v
@@ -92,27 +94,27 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
 
 def _cmd_measure_build(args) -> int:
     from .measures import level_measure
-    from .serialize import measure_to_jsonable
+    from .serialize import measure_json, measure_to_jsonable
 
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
-    data = measure_to_jsonable(measure)
-    header = rows = None
     if args.format == "csv":
         header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
-        rows = [[*atom["location"], atom["weight"]] for atom in data["atoms"]]
-    _emit(args, data, header, rows)
+        rows = [[*atom["location"], atom["weight"]] for atom in measure_to_jsonable(measure)["atoms"]]
+        _emit(args, None, header, rows)
+    else:
+        _emit(args, measure_json(measure), None, None)
     return EXIT_OK
 
 
 def _cmd_measure_convolve(args) -> int:
     from .measures import convolve
-    from .serialize import load_json, measure_from_jsonable, measure_to_jsonable
+    from .serialize import load_json, measure_from_jsonable, measure_json
 
     a = measure_from_jsonable(load_json(args.a))
     b = measure_from_jsonable(load_json(args.b))
     result = convolve(a, b, args.atom_budget)
-    _emit(args, measure_to_jsonable(result))
+    _emit(args, measure_json(result))
     return EXIT_OK
 
 
@@ -132,13 +134,14 @@ def _cmd_ft_grid(args) -> int:
         [x, v.value.real, v.value.imag, v.tail_bound]
         for x, v in zip(xs.tolist(), _mu_hat_grid(ds, xs, args.tol))
     ]
-    payload = {
-        "schema": "ft-grid/1",
-        "rows": [
-            {"xi": r[0], "re": r[1], "im": r[2], "certified_tail_bound": r[3]} for r in rows
-        ],
-    }
-    _emit(args, payload, ["xi1", "re", "im", "certified_tail_bound"], rows)
+    if args.format == "csv":
+        _emit(args, None, ["xi1", "re", "im", "certified_tail_bound"], rows)
+    else:
+        payload = {
+            "schema": "ft-grid/1",
+            "rows": [{"xi": r[0], "re": r[1], "im": r[2], "certified_tail_bound": r[3]} for r in rows],
+        }
+        _emit(args, payload)
     return EXIT_OK
 
 
@@ -440,8 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command_path == "packing check":
         has_compact = args.R is not None and args.B is not None and args.C is not None

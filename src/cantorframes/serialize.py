@@ -65,20 +65,46 @@ def digit_system_from_jsonable(data: dict) -> DigitSystem:
     return DigitSystem(tuple(tuple(row) for row in data["matrix"]), tuple(tuple(b) for b in data["digits"]))
 
 
-def measure_to_jsonable(m: AtomicMeasure) -> dict:
-    """The ``atomic-measure/1`` object, written from the integer skeleton."""
+def _atom_strings(m: AtomicMeasure) -> list:
+    """(location strings, weight string) per atom, formatted from the integer skeleton."""
     q, mq = m.denominator, m.mass_denominator
     weights = {w: _ratio_to_str(w, mq) for w in set(m.masses)}
+    return [([_ratio_to_str(x, q) for x in p], weights[w]) for p, w in zip(m.numerators, m.masses)]
+
+
+def measure_to_jsonable(m: AtomicMeasure) -> dict:
+    """The ``atomic-measure/1`` object, written from the integer skeleton."""
     return {
         "schema": SCHEMA_MEASURE,
         "dim": m.dim,
         "offset": list(m.offset),
-        "atoms": [
-            {"location": [_ratio_to_str(x, q) for x in p], "weight": weights[w]}
-            for p, w in zip(m.numerators, m.masses)
-        ],
-        "total": _ratio_to_str(sum(m.masses), mq),
+        "atoms": [{"location": location, "weight": weight} for location, weight in _atom_strings(m)],
+        "total": _ratio_to_str(sum(m.masses), m.mass_denominator),
     }
+
+
+def _json_list(items, indent: int) -> str:
+    """Rendered JSON values as a list at ``indent``, laid out as ``canonical_json`` does."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def measure_json(m: AtomicMeasure) -> str:
+    """``canonical_json(measure_to_jsonable(m))``, rendered without building the object.
+
+    Every value is a ratio string of digits, "-" and "/", a float repr or
+    an int, none of which JSON escapes or holds a "%", so each atom fills
+    one fixed template.
+    """
+    atom = '{\n      "location": ' + _json_list(['"%s"'] * m.dim, 6) + ',\n      "weight": "%s"\n    }'
+    atoms = [atom % (*location, weight) for location, weight in _atom_strings(m)]
+    return (
+        '{\n  "atoms": ' + _json_list(atoms, 2)
+        + f',\n  "dim": {m.dim},\n  "offset": ' + _json_list([repr(x) for x in m.offset], 2)
+        + f',\n  "schema": "{SCHEMA_MEASURE}",\n  "total": "{_ratio_to_str(sum(m.masses), m.mass_denominator)}"\n}}\n'
+    )
 
 
 def measure_from_jsonable(data: dict) -> AtomicMeasure:
@@ -202,7 +228,8 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj))
+    """Write ``obj`` as canonical JSON; a ``str`` is taken as already rendered."""
+    Path(path).write_text(obj if isinstance(obj, str) else canonical_json(obj))
 
 
 def load_json(path) -> dict:

@@ -27,6 +27,11 @@ digit and factor, that the vectorized grid replaced.
 
 Serialization: the ``atomic-measure/1`` object built from the measure's
 ``Fraction`` view, which the integer writer replaced.
+
+Factorization windows: E, F and every sum e + f as sets of ``Fraction``
+points, the windows that the integer numerator maps replaced. Their sums
+run through ``fourier._windowed_sums``, the path of ``windowed_transform``,
+so the report must match ``factorization_check`` bit for bit.
 """
 import cmath
 import math
@@ -444,6 +449,22 @@ def oracle_measure_jsonable(measure) -> dict:
         ],
         "total": _oracle_fraction_str(measure.total),
     }
+
+
+def oracle_factorization(nu, lam, window_e, window_f, xi_grid) -> tuple:
+    """(max_deviation, argmax_xi, grid_size) of the factorization check, windows as ``Fraction`` sets."""
+    from cantorframes import convolve
+    from cantorframes.fourier import _windowed_sums
+
+    e_pts = {tuple(Fraction(x) for x in p) for p in window_e}
+    f_pts = {tuple(Fraction(x) for x in p) for p in window_f}
+    sum_pts = {tuple(a + b for a, b in zip(p, q)) for p in e_pts for q in f_pts}
+    xis = [np.asarray(xi, dtype=float).reshape(-1) for xi in xi_grid]
+    lhs = _windowed_sums(convolve(nu, lam), sum_pts, xis)
+    rhs = [a * b for a, b in zip(_windowed_sums(nu, e_pts, xis), _windowed_sums(lam, f_pts, xis))]
+    deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
+    worst = max(range(len(xis)), key=deviations.__getitem__)
+    return deviations[worst], tuple(xis[worst].tolist()), len(xis)
 
 
 def oracle_min_gap_sq(clouds):

@@ -34,7 +34,7 @@ from cantorframes import (
 from cantorframes.frames import BlockedLinearMap
 from cantorframes.packing import CERTIFIED_NOT_PACKING, CERTIFIED_PACKING, INCONCLUSIVE
 from instances import build_instances
-from oracles import oracle_frame_bounds
+from oracles import oracle_factorization, oracle_frame_bounds
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -94,6 +94,10 @@ def criterion_4_factorization_identity():
     worst = 0.0
     for window_e, window_f in windows:
         report = factorization_check(nu, lam, window_e, window_f, grid)
+        # The integer windows give the Fraction windows' report bit for bit.
+        assert (report.max_deviation, report.argmax_xi, report.grid_size) == oracle_factorization(
+            nu, lam, window_e, window_f, grid
+        )
         worst = max(worst, report.max_deviation)
     assert worst < 1e-10, f"max deviation {worst:.3e}"
     return f"max deviation {worst:.2e} over 4 cylinder pairs and a 200-point grid"

@@ -30,6 +30,7 @@ from cantorframes.serialize import (
     fraction_to_str,
     load_json,
     measure_from_jsonable,
+    measure_json,
     measure_to_jsonable,
     verify_certificate,
     witness_to_jsonable,
@@ -90,6 +91,7 @@ class TestSerializeRoundTrips:
     )
     def test_measure_writer_matches_fraction_view(self, measure):
         assert measure_to_jsonable(measure) == oracle_measure_jsonable(measure)
+        assert measure_json(measure) == canonical_json(oracle_measure_jsonable(measure))
 
     @pytest.mark.parametrize(
         "value, text", [(Fraction(3, 4), "3/4"), (Fraction(-8, 2), "-4"), (0, "0"), (-12, "-12")]
@@ -178,6 +180,20 @@ class TestCliCommands:
         monkeypatch.setattr(cli, "_emit", lambda args, *payload: emitted.append(payload))
         assert main(["measure", "build", "--system", "4:0,1", "--level", "2"]) == 0
         assert len(emitted) == 1 and emitted[0][1:] == (None, None)
+
+    def test_measure_files_match_fraction_view(self, tmp_path):
+        a_path, b_path, conv, built, table = (tmp_path / n for n in ("a.json", "b.json", "c.json", "m.json", "m.csv"))
+        assert main(["measure", "build", "--system", "4:0,1", "--level", "12", "--out", str(built)]) == 0
+        assert main(["measure", "build", "--system", "4:0,1", "--level", "12", "--format", "csv", "--out", str(table)]) == 0
+        main(["measure", "build", "--system", "16:0,1", "--level", "6", "--out", str(a_path)])
+        main(["measure", "build", "--system", "16:0,4", "--level", "6", "--out", str(b_path)])
+        assert main(["measure", "convolve", "--a", str(a_path), "--b", str(b_path), "--out", str(conv)]) == 0
+        measure = level_measure(FOUR, 12)
+        assert built.read_text() == canonical_json(oracle_measure_jsonable(measure))
+        product = convolve(level_measure(SIXTEEN_01, 6), level_measure(SIXTEEN_04, 6))
+        assert conv.read_text() == canonical_json(oracle_measure_jsonable(product))
+        rows = [[*(str(x) for x in p), str(w)] for p, w in measure.atoms]
+        assert table.read_text() == csv_text(["x1", "weight"], rows)
 
     def test_measure_convolve_matches_library(self, tmp_path):
         a_path, b_path, out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
@@ -337,3 +353,44 @@ class TestDeterminism:
         assert out.is_absolute() and main(argv) == 0
         manifest = load_json(Path(str(out) + ".manifest.json"))
         assert manifest["config"]["out"] == "tables/cert.json"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once; a run of calls must give what a fresh parser per call gives."""
+
+    SEQUENCE = [
+        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", "a.json", "--manifest"],
+        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", "b.json"],
+        ["measure", "build", "--system", "4:0,1", "--out", "c.json"],
+        ["measure", "build", "--system", "4:0,1", "--level", "3", "--out", "c.json"],
+        ["packing", "check", "--R", "16"],
+        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,1", "--manifest"],
+    ]
+
+    def _run(self, directory, monkeypatch, capsys):
+        monkeypatch.chdir(directory)
+        calls = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            calls.append((code, *capsys.readouterr()))
+        return calls, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        from cantorframes import cli
+
+        (tmp_path / "reused").mkdir()
+        (tmp_path / "fresh").mkdir()
+        cli._parser.cache_clear()
+        reused = self._run(tmp_path / "reused", monkeypatch, capsys)
+        assert cli._parser.cache_info().hits == len(self.SEQUENCE) - 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._run(tmp_path / "fresh", monkeypatch, capsys)
+        assert reused == fresh
+        calls, files = reused
+        assert [c[0] for c in calls] == [0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 2]
+        assert "--level" in calls[2][2] and "--R/--B/--C" in calls[4][2]
+        assert '"command": "packing check"' in calls[5][1]
+        assert sorted(files) == ["a.json", "a.json.manifest.json", "b.json", "c.json"]

@@ -11,6 +11,7 @@ from cantorframes import (
     NotCertifiedPacking,
     ToleranceUnreachable,
     TransformValue,
+    absolute_atoms,
     convolve,
     cylinder_points,
     factorization_check,
@@ -22,7 +23,7 @@ from cantorframes import (
     windowed_transform,
 )
 from cantorframes.fourier import _mu_hat_grid
-from oracles import oracle_mu_hat, oracle_phase_matrix
+from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -213,6 +214,23 @@ class TestFactorization:
         m = level_measure(DigitSystem.one_dimensional(2, [0, 1]), 2)
         with pytest.raises(NotCertifiedPacking):
             factorization_check(m, m, m.locations, m.locations, [0.0])
+
+    @pytest.mark.parametrize(
+        "shift_nu, shift_lam",
+        [(0, 0), (Fraction(1, 3), 0), (0.375, -0.5), (Fraction(-5, 4096), 0.1)],
+        ids=["no-shift", "third", "float-shifts", "mixed"],
+    )
+    def test_off_grid_windows_match_fraction_oracle(self, shift_nu, shift_lam):
+        # Float offsets, window points off every atom grid, float and repeated points.
+        nu = translate(level_measure(SIXTEEN_01, 2), shift_nu)
+        lam = translate(level_measure(SIXTEEN_04, 3), shift_lam)
+        window_e = [p for p, _ in absolute_atoms(nu)][::2] + [(Fraction(1, 3),), (0.25,), (0.1,)]
+        window_f = [p for p, _ in absolute_atoms(lam)][1::3] + [(Fraction(-1, 7),), (0.0625,)]
+        window_f += window_f[:2]
+        grid = np.linspace(-30.0, 30.0, 77)
+        report = factorization_check(nu, lam, window_e, window_f, grid, force=True)
+        expected = oracle_factorization(nu, lam, window_e, window_f, grid)
+        assert (report.max_deviation, report.argmax_xi, report.grid_size) == expected
 
     def test_forced_violation_is_visible(self):
         m = level_measure(DigitSystem.one_dimensional(2, [0, 1]), 2)

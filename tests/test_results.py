@@ -2,12 +2,21 @@
 
 Runs ``scripts/check_results.py``: every table field matches exactly,
 floats within its 1e-8 tolerance, so any skeleton or frame-bound change
-that moves a committed number fails here.
+that moves a committed number fails here. Its tolerance cannot see a
+byte change in the writer, so every committed JSON file, manifests
+included, must also be exactly its own canonical form.
 """
 import importlib.util
+import json
 from pathlib import Path
 
-CHECK_RESULTS = Path(__file__).resolve().parent.parent / "scripts" / "check_results.py"
+import pytest
+
+from cantorframes.serialize import canonical_json
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECK_RESULTS = ROOT / "scripts" / "check_results.py"
+RESULT_JSON = sorted((ROOT / "results").glob("*.json"))
 
 
 def test_committed_tables_regenerate():
@@ -15,3 +24,9 @@ def test_committed_tables_regenerate():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main() == 0
+
+
+@pytest.mark.parametrize("path", RESULT_JSON, ids=[p.name for p in RESULT_JSON])
+def test_committed_json_is_canonical(path):
+    text = path.read_text()
+    assert text == canonical_json(json.loads(text))
