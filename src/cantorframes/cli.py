@@ -275,7 +275,7 @@ def _cmd_exp_rotation(args) -> int:
         for r in result.rows
     ]
     payload = {
-        "schema": "rotation-table/1",
+        "schema": "rotation-table/2",
         "base": {"lower": result.base_report.lower, "upper": result.base_report.upper},
         "rows": [
             {

@@ -17,20 +17,19 @@ from .frames import (
     BlockedLinearMap,
     FrameReport,
     FrequencySet,
+    _exact_atoms,
+    _exact_phase_matrix,
+    _shear_transport,
     bessel_quotient,
     frame_bounds,
-    frame_bounds_from_arrays,
     greedy_frame_search,
     indicator_coefficients,
     jp_spectrum,
     shear_blocks,
-    transform_spectrum,
 )
 from .measures import (
-    AtomicMeasure,
     DigitSystem,
     add,
-    as_float_arrays,
     as_point,
     ball_mass,
     convolve,
@@ -155,11 +154,11 @@ def collinear_lower_bounds(
 @dataclass(frozen=True)
 class RotationRow:
     theta_degrees: float
-    status: str  # "ok" or "singular-a4"
-    lower: float
-    upper: float
-    lower_deviation: float
-    upper_deviation: float
+    status: str  # "ok" or "singular-a4"; the four floats are None on "singular-a4" rows
+    lower: float | None
+    upper: float | None
+    lower_deviation: float | None
+    upper_deviation: float | None
 
 
 @dataclass(frozen=True)
@@ -170,22 +169,20 @@ class RotationResult:
     collapse: tuple
 
 
-def _planar_sum_arrays(mu_1d: AtomicMeasure, nu_1d: AtomicMeasure, theta_radians: float):
-    """Atoms of the planar sum with the second factor rotated; exact merges."""
-    c, s = math.cos(theta_radians), math.sin(theta_radians)
-    pts: dict = {}
-    mu_locs, mu_w = as_float_arrays(mu_1d)
-    nu_locs, nu_w = as_float_arrays(nu_1d)
-    for x, w in zip(mu_locs[:, 0], mu_w):
-        key = (float(x), 0.0)
-        pts[key] = pts.get(key, 0.0) + float(w)
-    for y, w in zip(nu_locs[:, 0], nu_w):
-        key = (-s * float(y), c * float(y))
-        pts[key] = pts.get(key, 0.0) + float(w)
-    items = sorted(pts.items())
-    locations = np.array([k for k, _ in items], dtype=float)
-    weights = np.array([v for _, v in items], dtype=float)
-    return locations, weights
+def _sheared_atoms(atoms, t_map: BlockedLinearMap) -> tuple:
+    """Planar atoms (x, y) mapped to (x + a2 y, a4 y), in their given order, as numerators over one denominator.
+
+    ``atoms`` are integer numerators over a positive denominator; the map's
+    floats enter as the binary rationals they are. The map is injective,
+    so atom j of the image keeps weight j; an ``AtomicMeasure`` would sort
+    the atoms and so permute the columns of the synthesis matrix.
+    """
+    numerators, q = atoms
+    ((a2,),), ((a4,),) = t_map.a2, t_map.a4
+    (n2, d2), (n4, d4) = a2.as_integer_ratio(), a4.as_integer_ratio()
+    scale = math.lcm(d2, d4)
+    n2, n4 = n2 * (scale // d2), n4 * (scale // d4)
+    return [(x * scale + n2 * y, n4 * y) for x, y in numerators], q * scale
 
 
 def rotation_experiment(
@@ -198,9 +195,15 @@ def rotation_experiment(
     """Frame-bound invariance of the planar two-Cantor sum under rotation.
 
     A spectrum is found once for the axis-aligned sum by greedy selection
-    over the product of the two orthonormal spectra; each rotation
-    transports it by the shear map and must reproduce the same bounds.
-    Right angles report the singular block instead.
+    over the product of the two orthonormal spectra. A rotation with
+    (c, s) the floats ``BlockedLinearMap.rotation_2d`` stores, taken as
+    the binary rationals they are, maps the base atoms through
+    [[1, -s], [0, c]] and the spectrum, scaled by 1/c on its second
+    coordinate, through the shear transport, both exactly. The rotated
+    phase matrix must then equal the base one bit for bit, so the two
+    synthesis matrices are identical and the row carries the base bounds
+    with deviations 0.0, without an eigensolve; a mismatch raises. Right
+    angles report the singular block instead, with None for every bound.
     """
     mu_1d = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level, budget)
     nu_1d = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level, budget)
@@ -217,44 +220,24 @@ def rotation_experiment(
     selection = greedy_frame_search(base, pool, target)
     base_report = selection.report
     base_freqs = selection.frequencies
+    base_atoms, _ = _exact_atoms(base)
+    base_phases = _exact_phase_matrix(2, base_freqs.freqs, *base_atoms)
 
     rows = []
     for theta_deg in thetas_degrees:
-        theta = math.radians(float(theta_deg))
-        t_map = BlockedLinearMap.rotation_2d(theta)
+        t_map = BlockedLinearMap.rotation_2d(math.radians(float(theta_deg)))
         try:
             shear_blocks(t_map)
         except SingularA4:
-            rows.append(
-                RotationRow(
-                    theta_degrees=float(theta_deg),
-                    status="singular-a4",
-                    lower=math.nan,
-                    upper=math.nan,
-                    lower_deviation=math.nan,
-                    upper_deviation=math.nan,
-                )
-            )
+            rows.append(RotationRow(float(theta_deg), "singular-a4", None, None, None, None))
             continue
-        cos_t = math.cos(theta)
-        scaled = FrequencySet(
-            dim=2,
-            freqs=tuple((f[0], f[1] / cos_t) for f in base_freqs.freqs),
-            provenance="sheared",
-        )
-        transported = transform_spectrum(scaled, t_map)
-        locations, weights = _planar_sum_arrays(mu_1d, nu_1d, theta)
-        report = frame_bounds_from_arrays(locations, weights, transported)
-        rows.append(
-            RotationRow(
-                theta_degrees=float(theta_deg),
-                status="ok",
-                lower=report.lower,
-                upper=report.upper,
-                lower_deviation=abs(report.lower - base_report.lower),
-                upper_deviation=abs(report.upper - base_report.upper),
-            )
-        )
+        c = Fraction(t_map.a4[0][0])
+        freqs, p = _shear_transport([(f0, Fraction(f1) / c) for f0, f1 in base_freqs.freqs], t_map)
+        atoms, q = _sheared_atoms(base_atoms, t_map)
+        # <F/p, A/q> = <F, A/(pq)>: the frequency denominator moves onto the atoms.
+        if not np.array_equal(_exact_phase_matrix(2, freqs, atoms, p * q), base_phases):
+            raise RuntimeError(f"rotation by {theta_deg} degrees breaks the exact phase identity")
+        rows.append(RotationRow(float(theta_deg), "ok", base_report.lower, base_report.upper, 0.0, 0.0))
     collapse = collinear_lower_bounds(
         DigitSystem.one_dimensional(16, [0, 1]),
         DigitSystem.one_dimensional(16, [0, 4]),

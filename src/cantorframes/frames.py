@@ -18,8 +18,9 @@ rounded once to float, with float coordinates taken as the exact binary
 rationals they are. The kernel has three paths, all giving the correctly
 rounded phase: one int64 product when dim * max|F| * max|A| < 2^62 and
 p*q <= 2^53; 21-bit int64 limbs when p*q is a larger power of two, as for
-float grids, float shifts and rotated rows against dyadic atoms; and
-Python-int object arrays for every other modulus, such as atoms over 3^n.
+float grids and float shifts against dyadic atoms; and Python-int object
+arrays for every other modulus, such as atoms over 3^n, or rotated rows,
+whose 1/cos denominator is odd.
 The Hadamard check needs no phases: it decides exactly whether sums of
 roots of unity vanish.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -42,7 +44,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem, as_point
-from .measures import _absolute, _common_numerators, _matvec, _numerators_over, _sumset
+from .measures import _absolute, _common_numerators, _fraction_inverse, _matvec, _numerators_over, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -477,36 +479,34 @@ def shear_blocks(t: BlockedLinearMap) -> ShearData:
     scale = max(1.0, float(np.abs(t.matrix()).max()))
     if singular_values.size == 0 or singular_values[-1] <= 1e-12 * scale:
         raise SingularA4("lower-right block is singular within margin")
-    a2 = np.asarray(t.a2, dtype=float)
-    shear = a2 @ np.linalg.inv(a4)
+    shear = np.asarray(t.a2, dtype=float) @ np.linalg.inv(a4)
     condition = float(singular_values[0] / singular_values[-1])
-    return ShearData(
-        shear=tuple(tuple(float(x) for x in row) for row in shear),
-        a4=t.a4,
-        a4_condition=condition,
-    )
+    return ShearData(shear=tuple(tuple(float(x) for x in row) for row in shear), a4=t.a4, a4_condition=condition)
+
+
+def _shear_transport(freq_rows, t: BlockedLinearMap) -> tuple:
+    """Rows (l1, l2 - (A4^t)^-1 A2^t l1), exactly, as integer numerators over one positive denominator."""
+    a2 = [[Fraction(a) for a in row] for row in t.a2]
+    correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))])
+    nums, p = _common_numerators(freq_rows)
+    shifts = [_matvec(correction, f[: t.m]) for f in nums]
+    rows = [(*(x * d for x in f[: t.m]), *(y * d - x for y, x in zip(f[t.m :], e))) for f, e in zip(nums, shifts)]
+    return rows, p * d
 
 
 def transform_spectrum(freq_set: FrequencySet, t: BlockedLinearMap) -> FrequencySet:
     """Transport a spectrum for the axis-aligned sum to the sheared sum.
 
-    Maps (l1, l2) to (l1, l2 - (A4^t)^-1 A2^t l1), which makes the
+    Maps (l1, l2) to (l1, l2 - (A4^t)^-1 A2^t l1) exactly, which makes the
     synthesis matrix on the transformed measure equal entry by entry to
-    the one of the original pair.
+    the one of the original pair; each coordinate is then rounded once.
     """
     shear_blocks(t)  # raises SingularA4 when not applicable
-    m = t.m
     if freq_set.dim != t.dim:
         raise SizeMismatch("spectrum dimension does not match the map")
-    a2 = np.asarray(t.a2, dtype=float)
-    a4 = np.asarray(t.a4, dtype=float)
-    correction = np.linalg.solve(a4.T, a2.T)
-    mapped = []
-    for f in freq_set.freqs:
-        l1 = np.asarray(f[:m])
-        l2 = np.asarray(f[m:])
-        mapped.append(tuple(l1) + tuple(l2 - correction @ l1))
-    return FrequencySet(dim=freq_set.dim, freqs=tuple(mapped), provenance="sheared")
+    rows, d = _shear_transport(freq_set.freqs, t)
+    freqs = tuple(tuple(x / d for x in row) for row in rows)  # int / int rounds correctly
+    return FrequencySet(dim=freq_set.dim, freqs=freqs, provenance="sheared")
 
 
 def _first_best(values: np.ndarray, scale: float) -> int:

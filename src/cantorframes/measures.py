@@ -64,7 +64,7 @@ def _matvec(matrix, vec):
 
 
 def _fraction_inverse(matrix):
-    """Exact inverse of an integer matrix via Gauss-Jordan elimination."""
+    """Exact inverse of a rational matrix (ints, Fractions or floats, taken exactly) via Gauss-Jordan elimination."""
     d = len(matrix)
     aug = [[Fraction(matrix[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for col in range(d):

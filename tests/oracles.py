@@ -32,6 +32,13 @@ Factorization windows: E, F and every sum e + f as sets of ``Fraction``
 points, the windows that the integer numerator maps replaced. Their sums
 run through ``fourier._windowed_sums``, the path of ``windowed_transform``,
 so the report must match ``factorization_check`` bit for bit.
+
+Shear transport: (l1, l2 - (A4^t)^-1 A2^t l1) in ``Fraction`` arithmetic,
+with A4^t inverted by cofactors, each coordinate rounded once at the end.
+
+Rotation rows: the float pipeline that the exact phase identity replaced.
+Float cos/sin atoms merged in a dict, the spectrum scaled by 1/cos and
+sheared by a float ``np.linalg.solve``, and one eigensolve per angle.
 """
 import cmath
 import math
@@ -471,3 +478,57 @@ def oracle_min_gap_sq(clouds):
     """Smallest nonzero squared distance between integer points of different clouds, by all pairs."""
     pairs = [(x, y) for i, j in combinations(range(len(clouds)), 2) for x in clouds[i] for y in clouds[j]]
     return min((d for d in (sum((a - b) ** 2 for a, b in zip(x, y)) for x, y in pairs) if d), default=None)
+
+
+def oracle_shear_transport(freq_set, t) -> tuple:
+    """Transported frequencies, each coordinate a ``Fraction`` rounded once; A4 is 1x1 or 2x2."""
+    m = t.m
+    a2 = [[Fraction(x) for x in row] for row in t.a2]
+    a4t = [[Fraction(x) for x in column] for column in zip(*t.a4)]
+    if len(a4t) == 1:
+        inverse = [[1 / a4t[0][0]]]
+    else:
+        (a, b), (c, d) = a4t
+        det = a * d - b * c
+        inverse = [[d / det, -b / det], [-c / det, a / det]]
+    out = []
+    for f in freq_set.freqs:
+        l1 = [Fraction(x) for x in f[:m]]
+        a2t_l1 = [sum(a2[j][k] * l1[j] for j in range(m)) for k in range(len(a4t))]
+        l2 = [Fraction(y) - sum(r * x for r, x in zip(row, a2t_l1)) for y, row in zip(f[m:], inverse)]
+        out.append(tuple(float(x) for x in l1 + l2))
+    return tuple(out)
+
+
+def oracle_rotation_bounds(level: int, base_freqs, theta_degrees: float) -> tuple:
+    """(lower, upper) of the rotated planar sum, all in floats, with a fresh eigensolve."""
+    from cantorframes import (
+        BlockedLinearMap,
+        DigitSystem,
+        FrequencySet,
+        as_float_arrays,
+        frame_bounds_from_arrays,
+        level_measure,
+    )
+
+    theta = math.radians(theta_degrees)
+    c, s = math.cos(theta), math.sin(theta)
+    mu_locs, mu_w = as_float_arrays(level_measure(DigitSystem.one_dimensional(4, [0, 1]), level))
+    nu_locs, nu_w = as_float_arrays(level_measure(DigitSystem.one_dimensional(16, [0, 1]), level))
+    points: dict = {}
+    for x, w in zip(mu_locs[:, 0], mu_w):
+        points[(float(x), 0.0)] = points.get((float(x), 0.0), 0.0) + float(w)
+    for y, w in zip(nu_locs[:, 0], nu_w):
+        key = (-s * float(y), c * float(y))
+        points[key] = points.get(key, 0.0) + float(w)
+    items = sorted(points.items())
+    locations = np.array([k for k, _ in items], dtype=float)
+    weights = np.array([v for _, v in items], dtype=float)
+    t_map = BlockedLinearMap.rotation_2d(theta)
+    correction = np.linalg.solve(np.asarray(t_map.a4).T, np.asarray(t_map.a2).T)
+    freqs = []
+    for f in base_freqs.freqs:
+        l1, l2 = np.asarray(f[:1]), np.asarray([f[1] / c])
+        freqs.append(tuple(l1) + tuple(l2 - correction @ l1))
+    report = frame_bounds_from_arrays(locations, weights, FrequencySet(dim=2, freqs=tuple(freqs)))
+    return report.lower, report.upper

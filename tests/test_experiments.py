@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cantorframes import (
@@ -10,15 +11,18 @@ from cantorframes import (
     collinear_lower_bounds,
     cross_bessel_experiment,
     degeneracy_experiment,
+    experiments,
     frames,
     jp_spectrum,
     rotation_experiment,
 )
+from oracles import oracle_rotation_bounds
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 EIGHT = DigitSystem.one_dimensional(8, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
+IDENTITY_ANGLES = (0.0, 30.0, 45.0, 120.0, -45.0) + tuple(np.random.default_rng(2017).uniform(1, 89, 3).tolist())
 
 
 class TestDegeneracy:
@@ -83,6 +87,57 @@ class TestRotation:
         result = rotation_experiment(2, [0], collapse_levels=(2, 3))
         assert len(result.collapse) == 2
         assert result.collapse[0][1] > result.collapse[1][1]
+
+
+class TestRotationIdentity:
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_rows_carry_base_bounds_exactly(self, level):
+        result = rotation_experiment(level, IDENTITY_ANGLES)
+        base = result.base_report
+        assert [r.status for r in result.rows] == ["ok"] * len(IDENTITY_ANGLES)
+        for row in result.rows:
+            assert (row.lower, row.upper) == (base.lower, base.upper)
+            assert (row.lower_deviation, row.upper_deviation) == (0.0, 0.0)
+
+    def test_float_pipeline_agrees(self):
+        result = rotation_experiment(4, IDENTITY_ANGLES)
+        for row in result.rows:
+            lower, upper = oracle_rotation_bounds(4, result.base_frequencies, row.theta_degrees)
+            assert abs(lower - row.lower) < 1e-8, row.theta_degrees
+            assert abs(upper - row.upper) < 1e-8, row.theta_degrees
+
+    def test_wrong_transport_raises(self, monkeypatch):
+        # First coordinates are integers and stay so under the shear; this
+        # moves the numerator of one of them by one.
+        transport = experiments._shear_transport
+
+        def off_by_one(freq_rows, t_map):
+            rows, d = transport(freq_rows, t_map)
+            return [(rows[0][0] + d, *rows[0][1:])] + rows[1:], d
+
+        monkeypatch.setattr(experiments, "_shear_transport", off_by_one)
+        with pytest.raises(RuntimeError, match="phase identity"):
+            rotation_experiment(3, [30])
+
+    def test_no_eigensolve_per_angle(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for thetas in ([0.0], IDENTITY_ANGLES + (90.0,)):
+            calls.clear()
+            rotation_experiment(3, thetas)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_right_angle_fields_are_none(self):
+        (row,) = rotation_experiment(2, [90]).rows
+        assert (row.lower, row.upper, row.lower_deviation, row.upper_deviation) == (None,) * 4
 
 
 class TestCrossBessel:

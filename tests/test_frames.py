@@ -33,7 +33,7 @@ from cantorframes import (
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
 from instances import build_instances
-from oracles import oracle_frame_bounds
+from oracles import oracle_frame_bounds, oracle_shear_transport
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -305,6 +305,17 @@ class TestShear:
         freq_set = FrequencySet(dim=2, freqs=((1.0, 2.0),))
         out = transform_spectrum(freq_set, BlockedLinearMap.rotation_2d(theta))
         assert abs(out.freqs[0][1] - (2.0 + math.tan(theta) * 1.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "t_map",
+        [BlockedLinearMap.rotation_2d(math.radians(a)) for a in (10, 33, 45, 120, -70)]
+        + [BlockedLinearMap.from_matrix(np.random.default_rng(5).uniform(-2, 2, (3, 3)), m) for m in (1, 2)],
+        ids=["10deg", "33deg", "45deg", "120deg", "-70deg", "3x3-m1", "3x3-m2"],
+    )
+    def test_transform_spectrum_is_correctly_rounded(self, t_map):
+        rng = np.random.default_rng(33)
+        freq_set = FrequencySet(dim=t_map.dim, freqs=tuple(map(tuple, rng.uniform(-40, 40, (33, t_map.dim)))))
+        assert transform_spectrum(freq_set, t_map).freqs == oracle_shear_transport(freq_set, t_map)
 
     def test_gram_matrices_agree_after_transport(self):
         theta = math.radians(40)

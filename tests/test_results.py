@@ -4,7 +4,8 @@ Runs ``scripts/check_results.py``: every table field matches exactly,
 floats within its 1e-8 tolerance, so any skeleton or frame-bound change
 that moves a committed number fails here. Its tolerance cannot see a
 byte change in the writer, so every committed JSON file, manifests
-included, must also be exactly its own canonical form.
+included, must also be exactly its own canonical form, and strict JSON:
+no NaN or Infinity token.
 """
 import importlib.util
 import json
@@ -24,6 +25,15 @@ def test_committed_tables_regenerate():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.main() == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("path", RESULT_JSON, ids=[p.name for p in RESULT_JSON])
+def test_committed_json_is_strict(path):
+    json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("path", RESULT_JSON, ids=[p.name for p in RESULT_JSON])
