@@ -10,18 +10,21 @@ so that no value depends on whether the CPU fuses multiply-adds.
 
 Windowed transforms of atomic measures are exponential sums over atoms:
 their phases come from the exact kernel of ``frames``, one call per
-measure for a whole frequency grid.
+measure for a whole frequency grid; their windows enter the skeleton
+through ``measures._points_over``, the one map of exact points.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCertifiedPacking, ToleranceUnreachable
+from .errors import NotCertifiedPacking, ToleranceUnreachable
 from .measures import (
     AtomicMeasure,
     DigitSystem,
@@ -31,7 +34,7 @@ from .measures import (
     validate_digit_system,
 )
 from .frames import _exact_phase_matrix
-from .measures import _absolute, _common_numerators, _numerators_over
+from .measures import _absolute, _over, _points_over
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
@@ -183,17 +186,16 @@ def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
     """``windowed_transform`` at every row of ``xi_rows``, from one kernel call."""
     m = _absolute(m)
     if window is not None:
-        if not isinstance(window, dict):
-            window = dict.fromkeys((as_point(p, m.dim) for p in window), 1.0)
-        window = {_numerators_over(as_point(p), m.denominator): f for p, f in window.items()}
-    return _skeleton_sums(m, window, xi_rows)
+        coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
+        window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
+    return _skeleton_sums(m, window, xi_rows, m.denominator)
 
 
-def _skeleton_sums(m: AtomicMeasure, window, xi_rows) -> list:
-    """``_windowed_sums`` of an offset-free ``m``, ``window`` keyed by numerators over its denominator."""
+def _skeleton_sums(m: AtomicMeasure, window, xi_rows, denominator: int) -> list:
+    """``_windowed_sums`` of an offset-free ``m``, ``window`` keyed by numerators over a multiple of its denominator."""
     locations, coefficients = [], []
-    for p, w in zip(m.numerators, m.masses):
-        f = 1.0 if window is None else window.get(p, 0.0)
+    for p, key, w in zip(m.numerators, _over(m, denominator), m.masses):
+        f = 1.0 if window is None else window.get(key, 0.0)
         if f != 0:
             locations.append(p)
             coefficients.append(f * (w / m.mass_denominator))
@@ -211,22 +213,6 @@ def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
     it is, so a large xi loses no digits.
     """
     return _windowed_sums(m, window, [_as_vector(xi, m.dim)])[0]
-
-
-def _window_numerators(points, dim: int) -> tuple:
-    """Exact window points (scalars or tuples) as integer numerator rows over one denominator."""
-    rows = [(p,) if isinstance(p, (int, float, Fraction)) else tuple(p) for p in points]
-    wrong = [len(row) for row in rows if len(row) != dim]
-    if wrong:
-        raise DimensionMismatch(f"expected dimension {dim}, got {wrong[0]}")
-    return _common_numerators(rows)
-
-
-def _window_over(rows, denominator: int, target: int) -> dict:
-    """Coefficient 1.0 at each row's numerators over ``target``; a row off that grid matches no atom."""
-    g = math.gcd(denominator, target)
-    step, scale = denominator // g, target // g
-    return {tuple(x // step * scale for x in row): 1.0 for row in rows if not any(x % step for x in row)}
 
 
 @dataclass(frozen=True)
@@ -259,20 +245,20 @@ def factorization_check(
         raise NotCertifiedPacking(
             "atom supports do not form an exact packing pair; pass force=True to measure the violation"
         )
-    e_rows, e_den = _window_numerators(window_e, nu.dim)
-    f_rows, f_den = _window_numerators(window_f, lam.dim)
-    # E + F over the lcm of the two denominators.
-    den = math.lcm(e_den, f_den)
-    e_scaled = [tuple(x * (den // e_den) for x in p) for p in e_rows]
-    f_scaled = [tuple(x * (den // f_den) for x in q) for q in f_rows]
-    sum_rows = {tuple(a + b for a, b in zip(p, q)) for p in e_scaled for q in f_scaled}
+    e_pts = [as_point(p, nu.dim) for p in window_e]
+    f_pts = [as_point(q, lam.dim) for q in window_f]
     nu, lam, mu = _absolute(nu), _absolute(lam), _absolute(convolve(nu, lam))
+    # E, F and E + F over one denominator: a multiple of each measure's and of every window coordinate's.
+    window_dens = [x.denominator for p in e_pts + f_pts for x in p]
+    den = math.lcm(nu.denominator, lam.denominator, mu.denominator, *window_dens)
+    e_rows, f_rows = _points_over(e_pts, nu.dim, den), _points_over(f_pts, lam.dim, den)
+    sum_rows = {tuple(map(operator.add, p, q)) for p in e_rows for q in f_rows}
     xis = [_as_vector(xi, nu.dim) for xi in xi_grid]
     if not xis:
         raise ValueError("empty frequency grid")
-    lhs = _skeleton_sums(mu, _window_over(sum_rows, den, mu.denominator), xis)
-    e_sums = _skeleton_sums(nu, _window_over(e_rows, e_den, nu.denominator), xis)
-    f_sums = _skeleton_sums(lam, _window_over(f_rows, f_den, lam.denominator), xis)
+    lhs = _skeleton_sums(mu, dict.fromkeys(sum_rows, 1.0), xis, den)
+    e_sums = _skeleton_sums(nu, dict.fromkeys(e_rows, 1.0), xis, den)
+    f_sums = _skeleton_sums(lam, dict.fromkeys(f_rows, 1.0), xis, den)
     rhs = [a * b for a, b in zip(e_sums, f_sums)]
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)

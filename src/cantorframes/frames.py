@@ -43,8 +43,8 @@ from .errors import (
     SizeMismatch,
     ZeroNormInput,
 )
-from .measures import AtomicMeasure, DigitSystem, as_point
-from .measures import _absolute, _common_numerators, _fraction_inverse, _matvec, _numerators_over, _sumset
+from .measures import AtomicMeasure, DigitSystem
+from .measures import _absolute, _common_numerators, _fraction_inverse, _matvec, _points_over, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -135,11 +135,10 @@ def hadamard_triple_check(R, B, L, tol: float = 1e-12) -> bool:
     exp(2*pi*i/N).
     """
     ds = DigitSystem(R, B)
-    freqs = [(l,) if isinstance(l, int) else tuple(l) for l in L]
-    if len(freqs) != ds.branch:
+    freq_nums = _points_over(L, ds.dim, 1)
+    if len(freq_nums) != ds.branch:
         raise SizeMismatch("digit and frequency sets must have equal size")
-    freq_nums, p = _common_numerators(freqs)
-    if p != 1:
+    if None in freq_nums:
         raise ValueError("frequency digits must be integer vectors")
     atom_nums, n = _common_numerators([_matvec(ds.inverse_matrix(), b) for b in ds.digits])
     phi = _cyclotomic(n)
@@ -213,9 +212,10 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     needs p*q = 2^k with k <= 1022, so 2^-k is a normal double, and
     dim * ceil(k/21) < 2^20, so no sum of 21-bit limb products wraps.
     Every other modulus, such as atoms over 3^n, takes the object path.
+    |x| is taken as math.gcd(x), which refuses a non-integer with TypeError.
     """
     def bound(rows):
-        return max((abs(x) for row in rows for x in row), default=0) or 1
+        return max((math.gcd(x) for row in rows for x in row), default=0) or 1
 
     if dim * bound(freq_nums) * bound(atom_nums) < _INT64_PRODUCT_LIMIT and modulus <= _EXACT_DOUBLE_LIMIT:
         return "int64"
@@ -412,7 +412,7 @@ def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> f
 def indicator_coefficients(m: AtomicMeasure, points) -> np.ndarray:
     """Indicator of an exact point set, aligned with the canonical atom order."""
     m = _absolute(m)
-    wanted = {_numerators_over(as_point(p, m.dim), m.denominator) for p in points}
+    wanted = set(_points_over(points, m.dim, m.denominator))
     return np.array([1.0 if p in wanted else 0.0 for p in m.numerators], dtype=complex)
 
 

@@ -5,7 +5,8 @@ distinct numerator vectors over one positive denominator and positive
 masses over one mass denominator, both reduced. Enumeration, merging,
 translation, sums, convolution and ball masses all run on these integers;
 ``atoms``, ``locations`` and ``weights`` are the exact
-``fractions.Fraction`` view, built on first use. An optional shared
+``fractions.Fraction`` view, built on first use. Exact points from outside
+enter a skeleton through one map, ``_points_over``. An optional shared
 real-valued offset vector carries irrational translations so that set
 operations on the skeleton stay exact.
 """
@@ -294,21 +295,14 @@ class AtomicMeasure:
         return len(self.numerators)
 
     def weight_at(self, location) -> Fraction:
-        return dict(self.atoms).get(as_point(location, self.dim), Fraction(0))
+        (key,) = _points_over([location], self.dim, self.denominator)
+        return Fraction(dict(zip(self.numerators, self.masses)).get(key, 0), self.mass_denominator)
 
 
 def _over(m: AtomicMeasure, denominator: int) -> tuple:
     """The atom numerators of ``m`` over a multiple of its denominator."""
     scale = denominator // m.denominator
     return m.numerators if scale == 1 else tuple(tuple(x * scale for x in p) for p in m.numerators)
-
-
-def _numerators_over(point, denominator: int):
-    """The integer numerators of an exact point over ``denominator``, or None if it has none."""
-    ratios = [x.as_integer_ratio() for x in point]
-    if any(denominator % d for _, d in ratios):
-        return None
-    return tuple(n * (denominator // d) for n, d in ratios)
 
 
 def _absolute(m: AtomicMeasure) -> AtomicMeasure:
@@ -339,6 +333,14 @@ def _common_numerators(rows) -> tuple:
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     denominator = math.lcm(*(d for row in ratios for _, d in row))
     return [tuple(n * (denominator // d) for n, d in row) for row in ratios], denominator
+
+
+def _points_over(points, dim: int, denominator: int) -> list:
+    """Numerators over ``denominator`` of exact points (as ``as_point`` reads them), in order; None off that grid."""
+    rows, common = _common_numerators([as_point(p, dim) for p in points])
+    g = math.gcd(common, denominator)
+    step, scale = common // g, denominator // g
+    return [None if any(x % step for x in row) else tuple(x // step * scale for x in row) for row in rows]
 
 
 def _sumset(dim: int, layers, budget: int | None = None) -> dict:
@@ -440,8 +442,7 @@ def cylinder_points(ds: DigitSystem, n: int, prefix, budget: int | None = None) 
     """Level-n points whose leading digit word equals ``prefix``."""
     validate_digit_system(ds)
     picks = []
-    for b in prefix:
-        b = (b,) if isinstance(b, int) else tuple(int(x) for x in b)
+    for b in _points_over(prefix, ds.dim, 1):
         if b not in ds.digits:
             raise ValueError("prefix contains a vector outside the digit set")
         picks.append((ds.digits.index(b),))

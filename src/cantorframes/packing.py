@@ -3,7 +3,9 @@
 All set operations run on exact rational skeletons; tail-radius inflation
 turns finite-level separation into certificates about the infinite
 attractors. Certificates are tri-state: a failed sufficient criterion is
-reported as inconclusive, never as a refutation.
+reported as inconclusive, never as a refutation. Packing certificates decide
+on integer difference sets; only their evidence is built as ``Fraction``
+values. Exact points enter a skeleton through ``measures._points_over``.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .measures import (
     translate,
     validate_digit_system,
 )
-from .measures import _absolute, _common_numerators, _digit_layers, _numerators_over, _over
+from .measures import _absolute, _common_numerators, _digit_layers, _over, _points_over
 from .measures import _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
@@ -168,21 +170,18 @@ def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     validate_digit_system(ds_c)
     inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
 
-    bb = difference_set(ds_b.digits, ds_b.digits)
-    cc = difference_set(ds_c.digits, ds_c.digits)
-    zero = (Fraction(0),) * ds_b.dim
-    common = sorted(set(bb) & set(cc))
-    witnesses = [v for v in common if v != zero]
-    if witnesses:
+    bb = _differences(ds_b.digits, ds_b.digits)
+    cc = _differences(ds_c.digits, ds_c.digits)
+    common = [v for v in bb.keys() & cc.keys() if any(v)]
+    if common:
         return PackingCertificate(
             status=CERTIFIED_NOT_PACKING,
             method=METHOD_DIFFERENCE_INTERSECTION,
-            evidence={"witness": witnesses[0]},
+            evidence={"witness": tuple(map(Fraction, min(common)))},
             inputs=inputs,
         )
 
-    dd = difference_set(bb, cc)
-    d_sq = max(_norm_sq(v) for v in dd)
+    d_sq = Fraction(max(_norm_sq(v) for v in _differences(list(bb), list(cc))))
     d_ub = _sqrt_upper_bound(d_sq)
     inv = ds_b.inverse_norm_bound()
     contraction = d_ub * inv
@@ -211,21 +210,21 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
     """
     if cloud1.dim != cloud2.dim:
         raise DimensionMismatch("clouds live in different dimensions")
-    d1 = difference_set(cloud1.points, cloud1.points)
-    d2 = difference_set(cloud2.points, cloud2.points)
     inputs = {
         "points_1": cloud1.points,
         "tail_1": cloud1.tail_radius,
         "points_2": cloud2.points,
         "tail_2": cloud2.tail_radius,
     }
-    zero = (Fraction(0),) * cloud1.dim
-    common = [v for v in set(d1) & set(d2) if v != zero]
+    numerators, denominator = _common_numerators([*cloud1.points, *cloud2.points])
+    c1, c2 = numerators[: len(cloud1.points)], numerators[len(cloud1.points) :]
+    d1, d2 = _differences(c1, c1), _differences(c2, c2)
+    common = [v for v in d1.keys() & d2.keys() if any(v)]
     if common:
         return PackingCertificate(
             status=CERTIFIED_NOT_PACKING,
             method=METHOD_DIFFERENCE_INTERSECTION,
-            evidence={"witness": min(common)},
+            evidence={"witness": tuple(Fraction(x, denominator) for x in min(common))},
             inputs=inputs,
         )
     if cloud1.tail_radius is None or cloud2.tail_radius is None:
@@ -238,8 +237,7 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
     threshold = 2 * (cloud1.tail_radius + cloud2.tail_radius)
     threshold_sq = threshold * threshold
     # No common nonzero difference is left, so u - v vanishes only for u = v = 0.
-    numerators, denominator = _common_numerators(d1 + d2)
-    gap_sq = _min_gap_sq(cloud1.dim, [numerators[: len(d1)], numerators[len(d1) :]], denominator)
+    gap_sq = _min_gap_sq(cloud1.dim, [list(d1), list(d2)], denominator)
     evidence = {
         "gap_squared": gap_sq,
         "threshold": threshold,
@@ -313,7 +311,7 @@ def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeas
     rho's weight there. All membership tests are exact.
     """
     moved = translate(_absolute(rho), tuple(-x for x in as_point(shift, rho.dim)))
-    support = {_numerators_over(as_point(p, rho.dim), moved.denominator) for p in support_points}
+    support = set(_points_over(support_points, rho.dim, moved.denominator))
     kept = {p: w for p, w in zip(moved.numerators, moved.masses) if p in support}
     return AtomicMeasure._from_sums(rho.dim, kept, moved.denominator, moved.mass_denominator)
 

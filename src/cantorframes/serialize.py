@@ -110,7 +110,7 @@ def measure_json(m: AtomicMeasure) -> str:
 def measure_from_jsonable(data: dict) -> AtomicMeasure:
     if data.get("schema") != SCHEMA_MEASURE:
         raise CantorFramesError(f"unexpected schema {data.get('schema')!r}")
-    atoms = [(strs_to_point(a["location"]), Fraction(a["weight"])) for a in data["atoms"]]
+    atoms = [(a["location"], a["weight"]) for a in data["atoms"]]  # from_atoms parses each string once
     measure = AtomicMeasure.from_atoms(data["dim"], atoms, offset=data.get("offset"))
     recorded = Fraction(data["total"])
     if measure.total != recorded:

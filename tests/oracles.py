@@ -33,6 +33,11 @@ points, the windows that the integer numerator maps replaced. Their sums
 run through ``fourier._windowed_sums``, the path of ``windowed_transform``,
 so the report must match ``factorization_check`` bit for bit.
 
+Packing certificates: the digit and cloud certificates on ``Fraction``
+difference sets, the path that integer difference sets replaced, with
+every difference set a sorted ``Fraction`` set comprehension and the gap
+taken over all pairs.
+
 Shear transport: (l1, l2 - (A4^t)^-1 A2^t l1) in ``Fraction`` arithmetic,
 with A4^t inverted by cofactors, each coordinate rounded once at the end.
 
@@ -532,3 +537,60 @@ def oracle_rotation_bounds(level: int, base_freqs, theta_degrees: float) -> tupl
         freqs.append(tuple(l1) + tuple(l2 - correction @ l1))
     report = frame_bounds_from_arrays(locations, weights, FrequencySet(dim=2, freqs=tuple(freqs)))
     return report.lower, report.upper
+
+
+def _oracle_points(points) -> list:
+    return [tuple(Fraction(x) for x in p) for p in points]
+
+
+def oracle_packing_certificate_from_digits(R, B, C):
+    """The digit certificate with its difference sets as ``Fraction`` sets."""
+    from cantorframes.measures import DigitSystem, _sqrt_upper_bound
+    from cantorframes.packing import PackingCertificate
+
+    ds_b, ds_c = DigitSystem(R, B), DigitSystem(R, C)
+    validate_digit_system(ds_b)
+    validate_digit_system(ds_c)
+    inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
+    bb = oracle_difference_set(*[_oracle_points(ds_b.digits)] * 2)
+    cc = oracle_difference_set(*[_oracle_points(ds_c.digits)] * 2)
+    witnesses = [v for v in sorted(set(bb) & set(cc)) if any(v)]
+    if witnesses:
+        evidence = {"witness": witnesses[0]}
+        return PackingCertificate("certified-not-packing", "difference-intersection", evidence, inputs)
+    d_sq = max(sum((x * x for x in v), Fraction(0)) for v in oracle_difference_set(bb, cc))
+    d_ub = _sqrt_upper_bound(d_sq)
+    inv = ds_b.inverse_norm_bound()
+    contraction = d_ub * inv
+    bound = contraction / (1 - contraction) if contraction < 1 else None
+    evidence = {
+        "difference_intersection": "trivial", "D": d_ub, "D_squared": d_sq, "inverse_norm": inv, "bound": bound
+    }
+    status = "certified-packing" if bound is not None and bound < 1 else "inconclusive"
+    return PackingCertificate(status, "digit-criterion", evidence, inputs)
+
+
+def oracle_packing_certificate_from_clouds(cloud1, cloud2):
+    """The cloud certificate with both difference sets as ``Fraction`` sets and the gap over all pairs."""
+    from cantorframes.packing import PackingCertificate
+
+    d1 = oracle_difference_set(*[_oracle_points(cloud1.points)] * 2)
+    d2 = oracle_difference_set(*[_oracle_points(cloud2.points)] * 2)
+    inputs = {
+        "points_1": cloud1.points, "tail_1": cloud1.tail_radius, "points_2": cloud2.points, "tail_2": cloud2.tail_radius
+    }
+    common = [v for v in set(d1) & set(d2) if any(v)]
+    if common:
+        return PackingCertificate("certified-not-packing", "difference-intersection", {"witness": min(common)}, inputs)
+    if cloud1.tail_radius is None or cloud2.tail_radius is None:
+        evidence = {"reason": "no certified tail radius"}
+        return PackingCertificate("inconclusive", "finite-level-separation", evidence, inputs)
+    threshold = 2 * (cloud1.tail_radius + cloud2.tail_radius)
+    threshold_sq = threshold * threshold
+    gaps = (sum(((a - b) ** 2 for a, b in zip(u, v)), Fraction(0)) for u in d1 for v in d2)
+    gap_sq = min((g for g in gaps if g), default=None)
+    evidence = {
+        "gap_squared": gap_sq, "threshold": threshold, "threshold_squared": threshold_sq, "resolution": threshold
+    }
+    status = "certified-packing" if gap_sq is not None and gap_sq > threshold_sq else "inconclusive"
+    return PackingCertificate(status, "finite-level-separation", evidence, inputs)

@@ -11,6 +11,7 @@ import numpy as np
 from cantorframes import (
     AtomicMeasure,
     DigitSystem,
+    PointCloud,
     add,
     attractor_points,
     convolve,
@@ -41,6 +42,7 @@ FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
 PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+PLANAR_16 = [DigitSystem(((16, 0), (0, 16)), ((0, 0), (k, 0), (0, k))) for k in (1, 4)]
 
 
 @lru_cache(maxsize=None)
@@ -66,6 +68,19 @@ class TestSerializeRoundTrips:
         m = translate(level_measure(FOUR, 3), 0.25)
         data = measure_to_jsonable(m)
         assert measure_from_jsonable(json.loads(json.dumps(data))) == m
+
+    @pytest.mark.parametrize("field, text", [("location", ["1/x"]), ("weight", "one")])
+    def test_malformed_string_is_value_error(self, tmp_path, field, text):
+        data = measure_to_jsonable(level_measure(FOUR, 2))
+        data["atoms"][1][field] = text
+        with pytest.raises(ValueError):
+            measure_from_jsonable(data)
+        a_path, b_path, out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
+        a_path.write_text(canonical_json(data))
+        b_path.write_text(measure_json(level_measure(FOUR, 1)))
+        argv = ["measure", "convolve", "--a", str(a_path), "--b", str(b_path), "--out", str(out)]
+        assert main(argv) == EXIT_ERROR
+        assert not out.exists()
 
     def test_measure_total_guard(self):
         data = measure_to_jsonable(level_measure(FOUR, 2))
@@ -112,11 +127,22 @@ class TestCertificateVerification:
         ok, reason = verify_certificate(certificate_to_jsonable(cert))
         assert ok, reason
 
-    def test_cloud_certificate_verifies(self):
-        cert = packing_certificate_from_clouds(
-            attractor_points(SIXTEEN_01, 2), attractor_points(SIXTEEN_04, 2)
-        )
-        ok, reason = verify_certificate(certificate_to_jsonable(cert))
+    @pytest.mark.parametrize(
+        "clouds, method",
+        [
+            ((attractor_points(SIXTEEN_01, 2), attractor_points(SIXTEEN_04, 2)), "finite-level-separation"),
+            (
+                (PointCloud(1, ((0,), (1,)), Fraction(0)), PointCloud(1, ((0,), (1,), (2,)), Fraction(0))),
+                "difference-intersection",
+            ),
+            (tuple(attractor_points(ds, 2) for ds in PLANAR_16), "finite-level-separation"),
+        ],
+        ids=["sixteen", "refuted", "planar"],
+    )
+    def test_cloud_certificate_verifies(self, clouds, method):
+        data = certificate_to_jsonable(packing_certificate_from_clouds(*clouds))
+        assert data["method"] == method
+        ok, reason = verify_certificate(json.loads(canonical_json(data)))
         assert ok, reason
 
     def test_unknown_key_rejected(self):

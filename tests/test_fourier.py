@@ -6,6 +6,7 @@ import pytest
 
 from cantorframes import (
     DigitSystem,
+    DimensionMismatch,
     FrequencySet,
     MaskPolynomial,
     NotCertifiedPacking,
@@ -183,6 +184,11 @@ class TestWindowedTransform:
         shifted = translate(m, Fraction(3, 8))
         expected = cmath.exp(-2j * cmath.pi * xi * 3 / 8) * windowed_transform(m, None, xi)
         assert abs(windowed_transform(shifted, None, xi) - expected) < 1e-12
+
+    @pytest.mark.parametrize("window", [[(0, 0)], {(0, 0): 1.0}], ids=["set", "dict"])
+    def test_window_point_of_wrong_dimension_raises(self, window):
+        with pytest.raises(DimensionMismatch):
+            windowed_transform(level_measure(FOUR, 2), window, 0.5)
 
     def test_large_frequency_matches_fraction_phases(self):
         # A float product <xi, x> at xi ~ 2^30 keeps only ~7 phase digits.

@@ -8,6 +8,7 @@ from cantorframes import (
     AtomicMeasure,
     BlockedLinearMap,
     DigitSystem,
+    DimensionMismatch,
     EmptyFrequencySet,
     FrequencySet,
     HadamardCheckFailed,
@@ -79,6 +80,11 @@ class TestHadamard:
     def test_fractional_frequency_digits_are_refused(self):
         with pytest.raises(ValueError, match="integer"):
             hadamard_triple_check(((4,),), [(0,), (1,)], [(0,), (Fraction(1, 2),)])
+
+    def test_frequency_digit_of_wrong_dimension_is_refused(self):
+        # A 1-D frequency against planar digits used to be truncated by zip and decide the wrong sums.
+        with pytest.raises(DimensionMismatch):
+            hadamard_triple_check(((2, 0), (0, 2)), [(0, 0), (1, 0)], [0, 1])
 
     def test_cyclotomic_polynomials(self):
         assert frames._cyclotomic(1) == [-1, 1]

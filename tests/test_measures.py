@@ -221,6 +221,12 @@ class TestSplitAndCylinders:
         pts = cylinder_points(FOUR, 2, [1])
         assert [p[0] for p in pts] == [fr(1, 4), fr(5, 16)]
 
+    def test_cylinder_prefix_is_read_exactly(self):
+        # int(1/2) would be the digit 0; 1/2 is no digit. A float 1.0 is the digit 1.
+        with pytest.raises(ValueError, match="outside the digit set"):
+            cylinder_points(FOUR, 2, [Fraction(1, 2)])
+        assert cylinder_points(FOUR, 2, [1.0]) == cylinder_points(FOUR, 2, [1])
+
     def test_cylinder_rejects_non_expanding_matrix(self):
         with pytest.raises(NonExpandingMatrix):
             cylinder_points(DigitSystem.one_dimensional(1, [0, 1]), 2, [])

@@ -1,10 +1,12 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,15 @@ from cantorframes import (
     FrequencySet,
     NoWitnessFound,
     NotCertifiedPacking,
+    PointCloud,
     add,
     attractor_points,
     convolve,
     cylinder_points,
     difference_set,
+    factorization_check,
     frame_bounds,
+    indicator_coefficients,
     level_measure,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
@@ -40,7 +45,11 @@ from cantorframes.packing import (
     INCONCLUSIVE,
     _min_gap_sq,
 )
-from oracles import oracle_min_gap_sq
+from oracles import (
+    oracle_min_gap_sq,
+    oracle_packing_certificate_from_clouds,
+    oracle_packing_certificate_from_digits,
+)
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 TWO = DigitSystem.one_dimensional(2, [0, 1])
@@ -121,6 +130,114 @@ class TestFiniteLevelCertificate:
         even, odd = split_by_index_set(TWO, {2, 4}, 4)
         cert = packing_certificate_from_clouds(even, odd)
         assert cert.status == INCONCLUSIVE
+
+
+def _sweep_coordinate(rng, kind):
+    """An int, a Fraction, or a float (dyadic or not, so a binary rational with a large denominator)."""
+    k = rng.randint(-12, 12)
+    kind = rng.choice(["int", "fraction", "float"]) if kind == "mixed" else kind
+    if kind == "int":
+        return k
+    if kind == "fraction":
+        return Fraction(k, rng.choice([1, 3, 4, 7, 16]))
+    return k / rng.choice([1, 4, 10, 32])
+
+
+def _sweep_cloud(rng, dim, kind, points=None):
+    if points is None:
+        points = tuple(tuple(_sweep_coordinate(rng, kind) for _ in range(dim)) for _ in range(rng.randint(1, 6)))
+    return PointCloud(dim, points, rng.choice([None, Fraction(0), Fraction(1, 64), Fraction(1, 3), Fraction(2)]))
+
+
+class TestCertificateOracles:
+    """Both certificates against their ``Fraction``-path oracles, compared by repr."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_cloud_certificate_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        dim, kind = 1 + seed % 2, ["int", "fraction", "float", "mixed"][seed // 2 % 4]
+        cloud1 = _sweep_cloud(rng, dim, kind)
+        if seed % 3 == 0:
+            # A translate of cloud1 shares every difference, so two points or more refute packing.
+            shift = tuple(_sweep_coordinate(rng, kind) for _ in range(dim))
+            cloud2 = _sweep_cloud(rng, dim, kind, tuple(tuple(x + s for x, s in zip(p, shift)) for p in cloud1.points))
+        else:
+            cloud2 = _sweep_cloud(rng, dim, kind)
+        cert = packing_certificate_from_clouds(cloud1, cloud2)
+        assert repr(cert) == repr(oracle_packing_certificate_from_clouds(cloud1, cloud2))
+
+    def test_cloud_sweep_reaches_every_outcome(self):
+        # The seeded sweep above is only a check if it certifies, refutes and stays inconclusive.
+        statuses = set()
+        for seed in range(48):
+            rng = random.Random(seed)
+            dim = 1 + seed % 2
+            clouds = [_sweep_cloud(rng, dim, "mixed") for _ in range(2)]
+            statuses.add(packing_certificate_from_clouds(*clouds).status)
+        assert statuses == {CERTIFIED_PACKING, CERTIFIED_NOT_PACKING, INCONCLUSIVE}
+
+    @pytest.mark.parametrize("levels", [(2, 2), (3, 2)])
+    def test_attractor_clouds_match_oracle(self, levels):
+        planar = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+        other = DigitSystem(((4, 0), (0, 4)), ((0, 0), (2, 0), (0, 2)))
+        for nu, lam in [(SIXTEEN_01, SIXTEEN_04), (TWO, FOUR), (planar, other)]:
+            cloud1, cloud2 = attractor_points(nu, levels[0]), attractor_points(lam, levels[1])
+            cert = packing_certificate_from_clouds(cloud1, cloud2)
+            assert repr(cert) == repr(oracle_packing_certificate_from_clouds(cloud1, cloud2))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_digit_certificate_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        if seed % 2:
+            base = rng.randint(2, 20)
+            matrix = ((base,),)
+            draw = lambda: [(b,) for b in rng.sample(range(-2 * base, 2 * base + 1), rng.randint(1, 4))]
+        else:
+            matrix = rng.choice([((3, 0), (0, 3)), ((4, 1), (0, 5)), ((2, 1), (1, 3)), ((16, 0), (0, 16))])
+            span = range(-4, 5)
+            draw = lambda: list({(rng.choice(span), rng.choice(span)) for _ in range(rng.randint(1, 4))})
+        digits_b, digits_c = draw(), draw()
+        cert = packing_certificate_from_digits(matrix, digits_b, digits_c)
+        assert repr(cert) == repr(oracle_packing_certificate_from_digits(matrix, digits_b, digits_c))
+
+    def test_digit_sweep_reaches_every_outcome(self):
+        statuses = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            base = rng.randint(2, 20)
+            digits = [[(b,) for b in rng.sample(range(-2 * base, 2 * base + 1), rng.randint(1, 4))] for _ in "bc"]
+            statuses.add(packing_certificate_from_digits(((base,),), *digits).status)
+        assert statuses == {CERTIFIED_PACKING, CERTIFIED_NOT_PACKING, INCONCLUSIVE}
+
+
+class TestIterableInputs:
+    """Generators and sets give what lists give."""
+
+    def test_factorization_check(self):
+        nu, lam = level_measure(SIXTEEN_01, 2), level_measure(SIXTEEN_04, 2)
+        window_e, window_f = list(nu.locations[::2]) + [(fr(1, 3),)], list(lam.locations)
+        grid = [0.0, 0.7, -3.25]
+        expected = repr(factorization_check(nu, lam, window_e, window_f, grid))
+        assert repr(factorization_check(nu, lam, iter(window_e), (q for q in window_f), grid)) == expected
+        assert repr(factorization_check(nu, lam, set(window_e), set(window_f), grid)) == expected
+
+    def test_indicator_coefficients(self):
+        m = level_measure(FOUR, 3)
+        points = list(m.locations[1::3]) + [(0.125,), (fr(1, 3),)]
+        expected = indicator_coefficients(m, points)
+        assert expected.any()
+        for same in (iter(points), set(points)):
+            assert np.array_equal(indicator_coefficients(m, same), expected)
+
+    def test_translation_overlap(self):
+        nu, lam = level_measure(SIXTEEN_01, 2), level_measure(SIXTEEN_04, 2)
+        shift = fr(5, 7)
+        rho = add(convolve(nu, lam), translate(nu, shift))
+        points = list(convolve(nu, lam).locations) + [(0.5,)]
+        expected = translation_overlap(rho, points, shift)
+        assert len(expected)
+        for same in (iter(points), set(points)):
+            assert translation_overlap(rho, same, shift) == expected
 
 
 class TestSsc:

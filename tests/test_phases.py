@@ -165,6 +165,15 @@ def test_limb_rounding_edges():
     assert phases.tolist() == [[1.0, 2.0**-7, (2**53 + 2) * 2.0**-60]]
 
 
+@pytest.mark.parametrize(
+    "atom", [Fraction(1, 2), Fraction(3, 1), 0.5, 2.0], ids=["half", "whole-fraction", "float", "whole-float"]
+)
+def test_non_integer_atom_numerator_raises(atom):
+    # An int64 array would truncate 1/2 to 0 and report phase 0.0 instead of 0.5.
+    with pytest.raises(TypeError):
+        frames._exact_phase_matrix(1, [(1,)], [(0,), (atom,)], 1)
+
+
 FOUR = cf.DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = cf.DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = cf.DigitSystem.one_dimensional(16, [0, 4])
