@@ -201,7 +201,7 @@ def _skeleton_sums(m: AtomicMeasure, window, xi_rows, denominator: int) -> list:
             coefficients.append(f * (w / m.mass_denominator))
     phases = _exact_phase_matrix(m.dim, xi_rows, locations, m.denominator)
     terms = np.asarray(coefficients) * np.exp(-2j * np.pi * phases)
-    return [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
 
 
 def windowed_transform(m: AtomicMeasure, window, xi) -> complex:

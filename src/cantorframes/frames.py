@@ -2,27 +2,16 @@
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
 atom-indexed Hermitian square of the synthesis matrix. Every frame entry
-point shares one set of input checks and one dense eigendecomposition per
-reported Gram. Everything is deterministic, with fixed tie-breaks. Greedy
-frame search builds rank by pivoted Gram-Schmidt, then does one
-eigendecomposition per step and scores every candidate by bisection on
-the secular equation of its rank-one update, dropping candidates that
-can no longer win or tie and stopping once one is left. In both phases
-scores within 1e-12 * max||v||^2 of the best tie (v a candidate's
-synthesis row), and the lowest pool index wins.
+point shares one set of input checks, one ``eigvalsh`` per reported Gram
+and the worst vector by shifted inverse iteration (``_frame_report``).
+Greedy frame search (``greedy_frame_search``) is deterministic, with
+fixed tie-breaks.
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
-phases <freq, atom> mod 1 from one kernel: exact integer residues
-(F @ A.T) mod p*q over common denominators p (frequencies) and q (atoms),
-rounded once to float, with float coordinates taken as the exact binary
-rationals they are. The kernel has three paths, all giving the correctly
-rounded phase: one int64 product when dim * max|F| * max|A| < 2^62 and
-p*q <= 2^53; 21-bit int64 limbs when p*q is a larger power of two, as for
-float grids and float shifts against dyadic atoms; and Python-int object
-arrays for every other modulus, such as atoms over 3^n, or rotated rows,
-whose 1/cos denominator is odd.
-The Hadamard check needs no phases: it decides exactly whether sums of
-roots of unity vanish.
+phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
+which rounds each once to float on the int64, limb or Python-int path
+that ``_phase_path`` picks. The Hadamard check needs no phases: it
+decides exactly whether sums of roots of unity vanish.
 """
 from __future__ import annotations
 
@@ -61,6 +50,7 @@ _TIE_RTOL = 1e-12
 # 50 halvings leave a secular bracket of 2^-50 of its width, still at least
 # 4 ulps, so every midpoint stays strictly inside and no d_i - lambda is 0.
 _BISECTIONS = 50
+_INVERSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,9 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    freq_digits = tuple((l,) if isinstance(l, int) else tuple(int(x) for x in l) for l in L)
+    freq_digits = _points_over(L, ds.dim, 1)
+    if None in freq_digits:
+        raise ValueError("frequency digits must be integer vectors")
     if not hadamard_triple_check(ds.matrix, ds.digits, freq_digits):
         raise HadamardCheckFailed("the digit and frequency sets do not form a Hadamard pair")
     rt = tuple(zip(*ds.matrix))
@@ -348,29 +340,37 @@ def _synthesis_rows(dim: int, atoms, weights: np.ndarray, freq_set: FrequencySet
 
 
 def _frame_report(phi: np.ndarray, weights: np.ndarray) -> FrameReport:
-    """Frame bounds from one ``eigh`` of the Gram of the synthesis rows ``phi``."""
+    """Frame bounds from one ``eigvalsh`` of the Gram of the synthesis rows ``phi``.
+
+    ``eigvalsh`` reads one triangle, so the Gram is never symmetrized. The
+    worst vector comes from shifted inverse iteration (Ipsen, SIAM Review
+    39, 1997): the diagonal is shifted in place by lambda_0 - resolution,
+    then _INVERSE_STEPS = 2 solves run from exp(2*pi*i*j*g), g the golden
+    ratio (sqrt(5) - 1) / 2, normalized after each. One step already kept
+    the Bessel quotient within 0.005 * max(resolution, 1e-12 * upper) of
+    lambda_0 on every measured system; the second covers a start nearly
+    orthogonal to the worst vector, as the constant start is on symmetric
+    systems. The largest-modulus entry is then made real and positive.
+    """
     freq_count, m = phi.shape
     if freq_count == 0:
         raise EmptyFrequencySet("frequency set is empty")
     gram = phi.conj().T @ phi
-    gram = (gram + gram.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(gram)
+    values = np.linalg.eigvalsh(gram)
     upper = max(float(values[-1]), 0.0)
     tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
     rank = int(np.count_nonzero(values > tol))
     lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
-    worst = tuple(np.conj(vectors[:, 0]) / np.sqrt(weights))
-    return FrameReport(
-        lower=lower,
-        upper=upper,
-        ratio=ratio,
-        rank=rank,
-        worst_vector=worst,
-        atom_count=m,
-        freq_count=freq_count,
-        resolution=float(tol),
-    )
+    gram.flat[:: m + 1] -= values[0] - tol
+    vec = np.exp(1j * np.pi * (math.sqrt(5) - 1) * np.arange(m))
+    for _ in range(_INVERSE_STEPS):
+        vec = np.linalg.solve(gram, vec)
+        vec /= np.linalg.norm(vec)
+    worst = np.conj(vec) / np.sqrt(weights)
+    top = worst[np.argmax(np.abs(worst))]
+    worst *= abs(top) / top
+    return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, float(tol))
 
 
 def frame_bounds_from_arrays(

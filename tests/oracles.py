@@ -5,6 +5,10 @@ Eigenvalues: power iteration on the Gram matrix and on its spectral shift
 smallest eigenvalue when the shifted ratio is too flat. No call into the
 production eigendecomposition path.
 
+Frame reports: the full ``eigh`` of the symmetrized Gram that
+``frames._frame_report`` ran before it took eigenvalues alone, with the
+worst vector read off the first eigenvector.
+
 Phases: one ``Fraction`` dot product per (frequency, atom) pair, the
 reference for the integer phase kernel.
 
@@ -27,6 +31,12 @@ digit and factor, that the vectorized grid replaced.
 
 Serialization: the ``atomic-measure/1`` object built from the measure's
 ``Fraction`` view, which the integer writer replaced.
+
+Windowed sums: the ``Fraction`` phase of every atom in an exact window,
+one numpy term row per frequency, and ``math.fsum`` over that row's real
+and imaginary numpy scalars, the summation the Python-float lists
+replaced. Each sum is correctly rounded, so the values must agree bit for
+bit.
 
 Factorization windows: E, F and every sum e + f as sets of ``Fraction``
 points, the windows that the integer numerator maps replaced. Their sums
@@ -138,6 +148,25 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
                 acc += complex(math.cos(2 * math.pi * phase), -math.sin(2 * math.pi * phase))
             gram[row, col] = math.sqrt(weights[row] * weights[col]) * acc
     return oracle_extremes(gram)
+
+
+def oracle_eigh_report(phi: np.ndarray, weights: np.ndarray) -> tuple:
+    """(FrameReport, smallest eigenvalue) from one ``eigh`` of the symmetrized Gram of ``phi``."""
+    import math
+
+    from cantorframes import FrameReport
+
+    freq_count, m = phi.shape
+    gram = phi.conj().T @ phi
+    gram = (gram + gram.conj().T) / 2.0
+    values, vectors = np.linalg.eigh(gram)
+    upper = max(float(values[-1]), 0.0)
+    tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
+    rank = int(np.count_nonzero(values > tol))
+    lower = max(float(values[0]), 0.0) if rank == m else 0.0
+    ratio = upper / lower if lower > 0 else math.inf
+    worst = tuple(np.conj(vectors[:, 0]) / np.sqrt(weights))
+    return FrameReport(lower, upper, ratio, rank, worst, m, freq_count, float(tol)), float(values[0])
 
 
 def oracle_greedy_values(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -461,6 +490,19 @@ def oracle_measure_jsonable(measure) -> dict:
         ],
         "total": _oracle_fraction_str(measure.total),
     }
+
+
+def oracle_windowed_sums(measure, window, xis) -> list:
+    """sum over window atoms of w_x exp(-2*pi*i <xi, x>) per xi: ``Fraction`` phases, ``fsum`` per numpy row."""
+    wanted = {tuple(Fraction(x) for x in p) for p in window}
+    atoms = [(p, w) for p, w in oracle_absolute_atoms(measure) if p in wanted]
+    phases = np.empty((len(xis), len(atoms)))
+    for i, xi in enumerate(xis):
+        for j, (p, _) in enumerate(atoms):
+            value = sum((Fraction(float(a)) * b for a, b in zip(np.ravel(xi), p)), Fraction(0))
+            phases[i, j] = float(value - (value.numerator // value.denominator))
+    terms = np.asarray([float(w) for _, w in atoms]) * np.exp(-2j * np.pi * phases)
+    return [complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms]
 
 
 def oracle_factorization(nu, lam, window_e, window_f, xi_grid) -> tuple:

@@ -121,13 +121,14 @@ class TestRotationIdentity:
 
     def test_no_eigensolve_per_angle(self, monkeypatch):
         calls = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
 
-        def counting_eigh(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
+            def counted(*args, _fn=original, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            monkeypatch.setattr(np.linalg, name, counted)
         counts = []
         for thetas in ([0.0], IDENTITY_ANGLES + (90.0,)):
             calls.clear()

@@ -23,8 +23,8 @@ from cantorframes import (
     translate,
     windowed_transform,
 )
-from cantorframes.fourier import _mu_hat_grid
-from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix
+from cantorframes.fourier import _mu_hat_grid, _windowed_sums
+from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix, oracle_windowed_sums
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -200,6 +200,22 @@ class TestWindowedTransform:
 
 
 class TestFactorization:
+    def test_cylinder_window_sums_match_row_fsum_oracle(self):
+        # Criterion 4's four cylinder windows on an offset grid; each sum bit for bit.
+        nu, lam = level_measure(SIXTEEN_01, 4), level_measure(SIXTEEN_04, 4)
+        mu = convolve(nu, lam)
+        xis = [np.array([xi]) for xi in np.linspace(-25.0, 25.0, 100) + 0.1372]
+        windows = [
+            (cylinder_points(SIXTEEN_01, 4, [(0,)]), lam.locations),
+            (nu.locations, cylinder_points(SIXTEEN_04, 4, [(4,)])),
+            (cylinder_points(SIXTEEN_01, 4, [(1,), (0,)]), cylinder_points(SIXTEEN_04, 4, [(0,)])),
+            (nu.locations, lam.locations),
+        ]
+        for window_e, window_f in windows:
+            sums = {tuple(a + b for a, b in zip(p, q)) for p in window_e for q in window_f}
+            for measure, window in ((nu, window_e), (lam, window_f), (mu, sums)):
+                assert _windowed_sums(measure, window, xis) == oracle_windowed_sums(measure, window, xis)
+
     def test_certified_pair_has_tiny_deviation(self):
         nu = level_measure(SIXTEEN_01, 3)
         lam = level_measure(SIXTEEN_04, 3)

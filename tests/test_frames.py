@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from cantorframes import (
     add,
     as_float_arrays,
     bessel_quotient,
+    convolve,
     frame_bounds,
     frame_bounds_from_arrays,
     greedy_frame_search,
@@ -33,8 +35,8 @@ from cantorframes import (
 )
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
-from instances import build_instances
-from oracles import oracle_frame_bounds, oracle_shear_transport
+from instances import SIXTEEN_04, _planar_sum, build_instances
+from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -108,6 +110,11 @@ class TestJpSpectrum:
         with pytest.raises(HadamardCheckFailed):
             jp_spectrum(FOUR, [0, 1], 2)
 
+    def test_rejects_non_integer_digits(self):
+        # Truncating 2.5 to 2 used to return the spectrum of {0, 2}.
+        with pytest.raises(ValueError, match="integer"):
+            jp_spectrum(FOUR, [(0,), (2.5,)], 2)
+
 
 class TestFrameBounds:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -149,7 +156,7 @@ class TestFrameBounds:
         report = frame_bounds(m, freq_set)
         assert abs(bessel_quotient(m, freq_set, report.worst_vector) - report.lower) < 1e-8
 
-    def test_one_eigh_per_gram(self, monkeypatch):
+    def test_one_eigvalsh_per_gram(self, monkeypatch):
         calls = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
@@ -160,7 +167,7 @@ class TestFrameBounds:
 
             monkeypatch.setattr(np.linalg, name, counted)
         frame_bounds(level_measure(FOUR, 3), FrequencySet.from_scalars([0, 1, 3, 4, 9, 11, 12, 15]))
-        assert calls == ["eigh"]
+        assert calls == ["eigvalsh"]
 
     def test_more_than_1024_atoms_agrees_with_eigvalsh(self):
         # 1088 atoms against 1000 frequencies: F < M, so no frame.
@@ -398,3 +405,64 @@ class TestEigenOracle:
         lower, upper = oracle_frame_bounds(measure, freq_set)
         assert abs(report.upper - upper) < 1e-8, name
         assert abs(report.lower - lower) < 1e-8, name
+
+
+def _translate_instance(seed: int):
+    """128 atoms over 256 against 256 float frequencies, translated by a float shift."""
+    rng = random.Random(seed)
+    support = rng.sample(range(512), 128)
+    raw = [rng.randint(1, 8) for _ in support]
+    pairs = [((Fraction(x, 256),), Fraction(w, sum(raw))) for x, w in zip(support, raw)]
+    freqs: set = set()
+    while len(freqs) < 256:
+        freqs.add(round(rng.uniform(-8.0, 8.0), 5))
+    measure = translate(AtomicMeasure.from_atoms(1, pairs), rng.uniform(-1.0, 1.0))
+    return measure, FrequencySet.from_scalars(sorted(freqs))
+
+
+def _collapse_instance(n: int):
+    """The measure and pool of ``collinear_lower_bounds`` at sum level n, t = 0."""
+    nu = level_measure(SIXTEEN_01, n // 2)
+    rho = add(convolve(nu, level_measure(SIXTEEN_04, (n + 1) // 2)), nu)
+    return rho, FrequencySet.from_scalars(range(2 * len(rho)))
+
+
+def _worst_vector_cases():
+    # Every eigenvalue of an orthonormal jp spectrum is 1: a fully clustered spectrum.
+    cases = [(f"jp-level{n}", level_measure(FOUR, n), jp_spectrum(FOUR, [0, 2], n)) for n in range(3, 9)]
+    cases += [(f"collapse-level{n}", *_collapse_instance(n)) for n in range(2, 6)]
+    cases.append(("rank-deficient", level_measure(FOUR, 5), FrequencySet.from_scalars(range(20))))
+    cases.append(("translate-128x256", *_translate_instance(7)))
+    symmetric = AtomicMeasure.from_atoms(1, [((Fraction(k, 7),), Fraction(1, 7)) for k in range(-3, 4)])
+    cases.append(("symmetric-7-symmetric-freqs", symmetric, FrequencySet.from_scalars(range(-3, 4))))
+    cases.append(("symmetric-7-asymmetric-freqs", symmetric, FrequencySet.from_scalars([0, 1, 2, 3, 5, 8, 13])))
+    first, second = jp_spectrum(FOUR, [0, 2], 3).freqs, jp_spectrum(SIXTEEN_01, [0, 8], 3).freqs
+    planar = [(a[0], b[0]) for a in first for b in second]
+    cases.append(("planar-sum-level3", _planar_sum(3), FrequencySet(dim=2, freqs=tuple(planar))))
+    return cases
+
+
+WORST_VECTOR_CASES = _worst_vector_cases()
+
+
+class TestWorstVector:
+    """Eigenvalues alone plus shifted inverse iteration, against the full ``eigh`` report."""
+
+    @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
+    def test_matches_eigh_oracle(self, name, measure, freq_set):
+        atoms, weights = frames._exact_atoms(measure)
+        phi = frames._synthesis_rows(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+        expected, smallest = oracle_eigh_report(phi, weights)
+        report = frame_bounds(measure, freq_set)
+        assert abs(report.lower - expected.lower) <= report.resolution
+        assert abs(report.upper - expected.upper) <= report.resolution
+        assert report.rank == expected.rank
+        quotient = bessel_quotient(measure, freq_set, report.worst_vector)
+        assert abs(quotient - smallest) <= max(report.resolution, 1e-12 * report.upper)
+
+    @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
+    def test_worst_vector_is_reproducible_with_fixed_phase(self, name, measure, freq_set):
+        first = frame_bounds(measure, freq_set).worst_vector
+        assert np.array_equal(first, frame_bounds(measure, freq_set).worst_vector)
+        top = max(first, key=abs)
+        assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
