@@ -6,8 +6,10 @@ directory and compares each CSV and JSON table with its committed twin,
 field by field: integers, rationals ("p/q") and strings must match
 exactly, floats within 1e-8 (the acceptance tolerance), so last-digit
 drift across BLAS builds is reported instead of failing a byte
-comparison. Manifests are not compared. Prints the largest float drift
-and exits 1 on any difference, 0 otherwise.
+comparison. Manifests are not compared. Each regenerated CSV must also
+be its JSON twin's rows: the header is the row key set, and every cell
+is the JSON value as ``serialize.format_cell`` writes it. Prints the
+largest float drift and exits 1 on any difference, 0 otherwise.
 
     PYTHONPATH=src python scripts/check_results.py
 """
@@ -18,6 +20,8 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+
+from cantorframes.serialize import format_cell
 
 SCRIPTS = Path(__file__).resolve().parent
 RESULTS = SCRIPTS.parent / "results"
@@ -72,6 +76,27 @@ def compare(ref, out, where: str):
     return ([] if same else [f"{where}: {out!r} differs from {ref!r}"]), (0.0, where)
 
 
+def twin_problems(csv_path: Path, json_path: Path) -> list:
+    """Differences between a CSV table and the ``rows`` of its JSON twin, cell text against ``format_cell``."""
+    if not json_path.exists():
+        return [f"{csv_path.name}: no JSON twin"]
+    with csv_path.open(newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    records = json.loads(json_path.read_text())["rows"]
+    where = f"{csv_path.name} vs {json_path.name}"
+    if len(rows) != len(records):
+        return [f"{where}: {len(rows)} CSV rows, {len(records)} JSON rows"]
+    problems = []
+    for i, (cells, record) in enumerate(zip(rows, records)):
+        if len(cells) != len(header) or sorted(header) != sorted(record):
+            problems.append(f"{where}: row {i} has columns {header}, JSON keys {sorted(record)}")
+            continue
+        for name, text in zip(header, cells):
+            if text != format_cell(record[name]):
+                problems.append(f"{where}: row {i} {name} reads {text!r}, JSON {record[name]!r}")
+    return problems
+
+
 def main() -> int:
     problems, drift = [], (0.0, "-")
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +104,8 @@ def main() -> int:
         for name in CONFIGURATIONS:
             if _run_configuration(name, fresh_dir) != 0:
                 problems.append(f"{name} exited non-zero")
+        for table in sorted(fresh_dir.glob("*.csv")):
+            problems += twin_problems(table, table.with_suffix(".json"))
         tables = lambda d: {p.name for p in d.iterdir() if p.suffix in (".csv", ".json") and ".manifest" not in p.name}
         for name in sorted(tables(RESULTS) | tables(fresh_dir)):
             committed, fresh = RESULTS / name, fresh_dir / name

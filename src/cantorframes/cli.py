@@ -7,6 +7,7 @@ are deterministic: identical invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -41,9 +42,7 @@ def _parse_float_list(text: str) -> list:
 
 
 def _default_hadamard_digits(ds) -> list:
-    """Canonical frequency digits for a two-digit system {0, b}: {0, N/(2b)}."""
-    from .frames import hadamard_triple_check
-
+    """Canonical frequency digits for a two-digit system {0, b}: {0, N/(2b)}, a Hadamard pair (phase 1/2)."""
     if ds.dim != 1 or ds.branch != 2:
         raise ValueError("automatic frequency digits exist only for 1D two-digit systems")
     base = abs(ds.matrix[0][0])
@@ -53,18 +52,14 @@ def _default_hadamard_digits(ds) -> list:
     b = abs(nonzero[0])
     if base % (2 * b) != 0:
         raise ValueError("no canonical frequency digit: base not divisible by 2*digit")
-    candidate = [0, base // (2 * b)]
-    if not hadamard_triple_check(ds.matrix, ds.digits, candidate):
-        raise ValueError("canonical frequency digits fail the unitarity check")
-    return candidate
+    return [0, base // (2 * b)]
 
 
 def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
     """Write the CSV rows under ``--format csv``, else the JSON payload (a ``str`` is already rendered)."""
     from .serialize import canonical_json, csv_text, write_json
 
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_header is not None:
+    if args.format == "csv" and csv_header is not None:
         text = csv_text(csv_header, csv_rows)
         if args.out:
             Path(args.out).write_text(text)
@@ -75,12 +70,8 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
             write_json(args.out, payload_json)
         else:
             sys.stdout.write(payload_json if isinstance(payload_json, str) else canonical_json(payload_json))
-    if getattr(args, "manifest", False):
-        config = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in {"func", "command_path"} and not k.startswith("_")
-        }
+    if args.manifest:
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in {"func", "command_path"}}
         if args.out:
             # Relative to the working directory, so a manifest reads the same in any checkout.
             config["out"] = os.path.relpath(args.out)
@@ -90,6 +81,21 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
             sys.stdout.write(canonical_json(manifest))
         else:
             write_json(target, manifest)
+
+
+def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
+    """Emit rows as CSV columns or JSON row keys, both the fields of ``row_type``; JSON writes Fractions as "p/q"."""
+    from fractions import Fraction
+
+    from .serialize import fraction_to_str
+
+    header = [f.name for f in dataclasses.fields(row_type)]
+    cells = [[getattr(row, name) for name in header] for row in rows]
+    json_rows = [
+        {name: fraction_to_str(v) if isinstance(v, Fraction) else v for name, v in zip(header, row)}
+        for row in cells
+    ]
+    _emit(args, {"schema": schema, **fields, "rows": json_rows}, header, cells)
 
 
 def _cmd_measure_build(args) -> int:
@@ -217,7 +223,7 @@ def _cmd_frame_bounds(args) -> int:
 
 
 def _cmd_exp_degeneracy(args) -> int:
-    from .experiments import degeneracy_experiment
+    from .experiments import DegeneracyRow, degeneracy_experiment
     from .frames import jp_spectrum
 
     nu = parse_digit_system(args.nu)
@@ -237,31 +243,21 @@ def _cmd_exp_degeneracy(args) -> int:
         collapse_levels=_parse_int_list(args.collapse_levels) if args.collapse_levels else (),
         budget=args.atom_budget,
     )
-    header = ["k", "ball_mass", "quotient", "quotient_over_mass", "inverse_mass"]
-    rows = [[r.k, r.ball_mass, r.quotient, r.quotient_over_mass, r.inverse_mass] for r in result.rows]
-    payload = {
-        "schema": "degeneracy-table/1",
-        "upper_estimate": result.upper_estimate,
-        "nu_upper_estimate": result.nu_upper_estimate,
-        "certificate_status": result.certificate_status,
-        "rows": [
-            {
-                "k": r.k,
-                "ball_mass": str(r.ball_mass),
-                "quotient": r.quotient,
-                "quotient_over_mass": r.quotient_over_mass,
-                "inverse_mass": None if r.inverse_mass is None else str(r.inverse_mass),
-            }
-            for r in result.rows
-        ],
-        "collapse": [{"level": n, "lower": a} for n, a in result.collapse],
-    }
-    _emit(args, payload, header, rows)
+    _emit_table(
+        args,
+        "degeneracy-table/1",
+        DegeneracyRow,
+        result.rows,
+        upper_estimate=result.upper_estimate,
+        nu_upper_estimate=result.nu_upper_estimate,
+        certificate_status=result.certificate_status,
+        collapse=[{"level": n, "lower": a} for n, a in result.collapse],
+    )
     return EXIT_OK
 
 
 def _cmd_exp_rotation(args) -> int:
-    from .experiments import rotation_experiment
+    from .experiments import RotationRow, rotation_experiment
 
     result = rotation_experiment(
         args.level,
@@ -269,33 +265,19 @@ def _cmd_exp_rotation(args) -> int:
         collapse_levels=_parse_int_list(args.collapse_levels) if args.collapse_levels else (),
         budget=args.atom_budget,
     )
-    header = ["theta_degrees", "status", "lower", "upper", "lower_deviation", "upper_deviation"]
-    rows = [
-        [r.theta_degrees, r.status, r.lower, r.upper, r.lower_deviation, r.upper_deviation]
-        for r in result.rows
-    ]
-    payload = {
-        "schema": "rotation-table/2",
-        "base": {"lower": result.base_report.lower, "upper": result.base_report.upper},
-        "rows": [
-            {
-                "theta_degrees": r.theta_degrees,
-                "status": r.status,
-                "lower": r.lower,
-                "upper": r.upper,
-                "lower_deviation": r.lower_deviation,
-                "upper_deviation": r.upper_deviation,
-            }
-            for r in result.rows
-        ],
-        "collapse": [{"level": n, "lower": a} for n, a in result.collapse],
-    }
-    _emit(args, payload, header, rows)
+    _emit_table(
+        args,
+        "rotation-table/2",
+        RotationRow,
+        result.rows,
+        base={"lower": result.base_report.lower, "upper": result.base_report.upper},
+        collapse=[{"level": n, "lower": a} for n, a in result.collapse],
+    )
     return EXIT_OK
 
 
 def _cmd_exp_cross_bessel(args) -> int:
-    from .experiments import cross_bessel_experiment
+    from .experiments import CrossBesselRow, cross_bessel_experiment
 
     src = parse_digit_system(args.src)
     dst = parse_digit_system(args.dst)
@@ -307,16 +289,7 @@ def _cmd_exp_cross_bessel(args) -> int:
         depth_ratio=args.depth_ratio,
         budget=args.atom_budget,
     )
-    header = ["level", "freq_count", "atom_count", "upper"]
-    rows = [[r.level, r.freq_count, r.atom_count, r.upper] for r in result.rows]
-    payload = {
-        "schema": "cross-bessel-table/1",
-        "rows": [
-            {"level": r.level, "freq_count": r.freq_count, "atom_count": r.atom_count, "upper": r.upper}
-            for r in result.rows
-        ],
-    }
-    _emit(args, payload, header, rows)
+    _emit_table(args, "cross-bessel-table/1", CrossBesselRow, result.rows)
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotCertifiedPacking, SingularA4
+from .errors import NotCertifiedPacking, SingularA4, ZeroNormInput
 from .frames import (
     BlockedLinearMap,
     FrameReport,
@@ -92,6 +92,8 @@ def degeneracy_experiment(
     for k in sorted(int(k) for k in k_list):
         radius = Fraction(1, k)
         beta = ball_mass(lam_n, 0, radius)
+        if not beta:
+            raise ZeroNormInput(f"no atom of the second factor lies within 1/{k} of 0: the window for k={k} is empty")
         ball_points = [p for p, _ in lam_n.atoms if sum(x * x for x in p) <= radius * radius]
         window = {
             tuple(a + b for a, b in zip(p, q)) for p in nu_n.locations for q in ball_points
@@ -103,8 +105,8 @@ def degeneracy_experiment(
                 k=k,
                 ball_mass=beta,
                 quotient=quotient,
-                quotient_over_mass=quotient / float(beta) if beta else math.inf,
-                inverse_mass=1 / beta if beta else None,
+                quotient_over_mass=quotient / float(beta),
+                inverse_mass=1 / beta,
             )
         )
     collapse = collinear_lower_bounds(nu_ds, lam_ds, t, collapse_levels, budget=budget)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ def _as_vector(xi, dim: int) -> np.ndarray:
 
 def mask_eval(digits, xi) -> complex:
     """(1/#B) sum_b exp(-2*pi*i <xi, b>)."""
-    digits = [(b,) if isinstance(b, int) else tuple(b) for b in digits]
+    digits = [(b,) if isinstance(b, numbers.Number) else tuple(b) for b in digits]
     xi = _as_vector(xi, len(digits[0]))
     total = 0j
     for b in digits:
@@ -68,7 +69,7 @@ class MaskPolynomial:
 
     @classmethod
     def of(cls, digits) -> "MaskPolynomial":
-        digits = tuple((b,) if isinstance(b, int) else tuple(int(x) for x in b) for b in digits)
+        digits = tuple((operator.index(b),) if isinstance(b, numbers.Number) else tuple(map(int, b)) for b in digits)
         return cls(digits=digits, dim=len(digits[0]))
 
     def __call__(self, xi) -> complex:

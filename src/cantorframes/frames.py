@@ -487,7 +487,7 @@ def shear_blocks(t: BlockedLinearMap) -> ShearData:
 def _shear_transport(freq_rows, t: BlockedLinearMap) -> tuple:
     """Rows (l1, l2 - (A4^t)^-1 A2^t l1), exactly, as integer numerators over one positive denominator."""
     a2 = [[Fraction(a) for a in row] for row in t.a2]
-    correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))])
+    correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))[0]])
     nums, p = _common_numerators(freq_rows)
     shifts = [_matvec(correction, f[: t.m]) for f in nums]
     rows = [(*(x * d for x in f[: t.m]), *(y * d - x for y, x in zip(f[t.m :], e))) for f, e in zip(nums, shifts)]

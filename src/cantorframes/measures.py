@@ -13,6 +13,7 @@ operations on the skeleton stay exact.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -51,8 +52,8 @@ def atom_budget(budget: int | None = None) -> int:
 
 
 def as_point(value, dim: int | None = None) -> Point:
-    """Coerce a scalar or sequence into a tuple of exact Fractions."""
-    if isinstance(value, (int, float, Fraction)):
+    """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions."""
+    if isinstance(value, numbers.Number):
         value = (value,)
     pt = tuple(Fraction(v) for v in value)
     if dim is not None and len(pt) != dim:
@@ -65,39 +66,28 @@ def _matvec(matrix, vec):
 
 
 def _fraction_inverse(matrix):
-    """Exact inverse of a rational matrix (ints, Fractions or floats, taken exactly) via Gauss-Jordan elimination."""
+    """Exact inverse and determinant of a rational matrix (ints, Fractions or floats, taken exactly).
+
+    Gauss-Jordan elimination; the determinant is the signed product of the pivots.
+    """
     d = len(matrix)
     aug = [[Fraction(matrix[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    det = Fraction(1)
     for col in range(d):
         pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrix("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         inv_p = 1 / aug[col][col]
         aug[col] = [x * inv_p for x in aug[col]]
         for r in range(d):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug)
-
-
-def _int_determinant(matrix) -> int:
-    d = len(matrix)
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, d):
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return int(det)
+    return tuple(tuple(row[d:]) for row in aug), det
 
 
 def _is_triangular(matrix) -> bool:
@@ -152,7 +142,7 @@ class DigitSystem:
         return len(self.digits)
 
     def inverse_matrix(self):
-        return _fraction_inverse(self.matrix)
+        return _fraction_inverse(self.matrix)[0]
 
     def inverse_norm_bound(self) -> Fraction:
         """Certified upper bound for the operator 2-norm of R^-1.
@@ -192,9 +182,7 @@ def validate_digit_system(ds: DigitSystem) -> ValidationReport:
     1x1 and triangular integer matrices are decided exactly; otherwise the
     eigenvalues are computed in floats and required to clear a margin.
     """
-    det = _int_determinant(ds.matrix)
-    if det == 0:
-        raise SingularMatrix("matrix determinant is zero")
+    _, det = _fraction_inverse(ds.matrix)  # raises SingularMatrix when det R = 0
     if len(set(ds.digits)) != len(ds.digits):
         raise DuplicateDigits("digit set contains duplicates")
     d = ds.dim
@@ -211,7 +199,7 @@ def validate_digit_system(ds: DigitSystem) -> ValidationReport:
         rho_inv = float(1.0 / moduli.min())
     return ValidationReport(
         dim=d,
-        determinant=det,
+        determinant=int(det),
         expanding=True,
         spectral_radius_inverse=rho_inv,
         inverse_norm_bound=ds.inverse_norm_bound(),
@@ -492,7 +480,7 @@ def translate(m: AtomicMeasure, shift) -> AtomicMeasure:
     Rational components (int/Fraction) move the exact skeleton; float
     components accumulate on the shared real offset, which must stay finite.
     """
-    shift = (shift,) if isinstance(shift, (int, float, Fraction)) else tuple(shift)
+    shift = (shift,) if isinstance(shift, numbers.Number) else tuple(shift)
     skeleton = [0 if isinstance(s, float) else s for s in shift]
     extra = [s if isinstance(s, float) else 0.0 for s in shift]
     # The Dirac mass at the skeleton shift: one word per atom of m, whatever the atom budget.

@@ -327,6 +327,33 @@ class TestCliCommands:
         assert rc == 0
         assert len(load_json(out)["rows"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, row_type",
+        [
+            (["exp", "rotation", "--thetas", "10,90", "--level", "2"], "RotationRow"),
+            (["exp", "degeneracy", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "1", "--freq-system",
+              "4:0,1", "--freq-digits", "0,2", "--freq-level", "2", "--k", "2,8"], "DegeneracyRow"),
+            (["exp", "cross-bessel", "--src", "8:0,1", "--src-freqs", "0,4", "--dst", "4:0,1", "--levels", "1,2"],
+             "CrossBesselRow"),
+            (["exp", "cross-bessel", "--src", "8:0,1", "--src-freqs", "0,4", "--dst", "4:0,1", "--levels", ""],
+             "CrossBesselRow"),
+        ],
+        ids=["rotation", "degeneracy", "cross-bessel", "empty-table"],
+    )
+    def test_exp_tables_follow_row_dataclass(self, tmp_path, argv, row_type):
+        import dataclasses
+
+        from cantorframes import experiments
+
+        fields = [f.name for f in dataclasses.fields(getattr(experiments, row_type))]
+        assert main(argv + ["--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        rows = load_json(tmp_path / "t.json")["rows"]
+        assert lines[0].split(",") == fields
+        assert len(lines) - 1 == len(rows) == (0 if argv[-1] == "" else 2)
+        assert all(sorted(row) == sorted(fields) for row in rows)
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,1", "--t", "0", "--level", "2"])
         assert rc == 1

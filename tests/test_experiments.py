@@ -8,6 +8,7 @@ from cantorframes import (
     DigitSystem,
     EigenBudgetExceeded,
     NotCertifiedPacking,
+    ZeroNormInput,
     collinear_lower_bounds,
     cross_bessel_experiment,
     degeneracy_experiment,
@@ -42,6 +43,13 @@ class TestDegeneracy:
         result = degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 1, freq_set, [1])
         assert result.rows[0].ball_mass == 1
         assert result.rows[0].inverse_mass == 1
+
+    def test_empty_ball_names_k(self):
+        # No atom of 16:{1,4} at level 2 lies within 1/64 of 0.
+        freq_set = jp_spectrum(FOUR, [0, 2], 2)
+        lam = DigitSystem.one_dimensional(16, [1, 4])
+        with pytest.raises(ZeroNormInput, match=r"within 1/64 of 0: the window for k=64 is empty"):
+            degeneracy_experiment(SIXTEEN_01, lam, 0, 2, freq_set, [2, 64])
 
     def test_refuses_non_packing_pair(self):
         freq_set = jp_spectrum(FOUR, [0, 2], 2)

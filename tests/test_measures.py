@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +11,18 @@ from cantorframes import (
     AtomicMeasure,
     DigitSystem,
     DuplicateDigits,
+    MaskPolynomial,
     NonExpandingMatrix,
     OffsetMismatch,
     SingularMatrix,
     add,
+    as_point,
     attractor_points,
     ball_mass,
     convolve,
     cylinder_points,
     indicator_coefficients,
+    jp_spectrum,
     level_measure,
     scaled_digit_layer,
     split_by_index_set,
@@ -68,6 +72,27 @@ class TestValidation:
     def test_general_expanding_matrix(self):
         ds = DigitSystem(((0, 2), (3, 0)), ((0, 0), (1, 0)))
         assert validate_digit_system(ds).expanding
+
+    @pytest.mark.parametrize(
+        "matrix", [((4,),), ((-3,),), ((0, 2), (3, 0)), ((1, 2), (-2, 1)), ((2, 1, 0), (0, 3, 1), (1, 0, 2))]
+    )
+    def test_determinant_is_exact(self, matrix):
+        ds = DigitSystem(matrix, (tuple(0 for _ in matrix),))
+        assert validate_digit_system(ds).determinant == round(np.linalg.det(np.array(matrix, dtype=float)))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: as_point(np.int64(3)), (fr(3),)),
+        (lambda: jp_spectrum(FOUR, np.array([0, 2]), 2).freqs, ((0.0,), (2.0,), (8.0,), (10.0,))),
+        (lambda: translate(level_measure(FOUR, 1), np.int64(1)), translate(level_measure(FOUR, 1), 1)),
+        (lambda: MaskPolynomial.of(np.array([0, 1])), MaskPolynomial.of([0, 1])),
+    ],
+    ids=["as_point", "jp_spectrum", "translate", "mask_polynomial"],
+)
+def test_numpy_scalars_are_exact_points(call, expected):
+    assert call() == expected
 
 
 class TestLevelMeasure:

@@ -27,6 +27,27 @@ def test_committed_tables_regenerate():
     assert module.main() == 0
 
 
+@pytest.mark.parametrize(
+    "csv_text, found",
+    [
+        ("k,ball_mass,inverse_mass\n2,1/2,\n", []),
+        ("k,ball_mass,inverse_mass\n2,0.5,\n", ["row 0 ball_mass reads '0.5'"]),
+        ("k,ball_mass\n2,1/2\n", ["row 0 has columns"]),
+        ("k,ball_mass,inverse_mass\n", ["0 CSV rows, 1 JSON rows"]),
+    ],
+    ids=["twins", "changed-cell", "missing-column", "missing-row"],
+)
+def test_csv_twin_check(tmp_path, csv_text, found):
+    spec = importlib.util.spec_from_file_location("check_results", CHECK_RESULTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "t.csv").write_text(csv_text)
+    (tmp_path / "t.json").write_text(json.dumps({"rows": [{"k": 2, "ball_mass": "1/2", "inverse_mass": None}]}))
+    problems = module.twin_problems(tmp_path / "t.csv", tmp_path / "t.json")
+    assert len(problems) == len(found)
+    assert all(text in problem for text, problem in zip(found, problems))
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 
