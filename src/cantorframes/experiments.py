@@ -10,22 +10,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import NotCertifiedPacking, SingularA4, ZeroNormInput
+from .errors import NotCertifiedPacking, ZeroNormInput
 from .frames import (
     BlockedLinearMap,
     FrameReport,
     FrequencySet,
-    _exact_atoms,
-    _exact_phase_matrix,
     _shear_transport,
     bessel_quotient,
     frame_bounds,
     greedy_frame_search,
     indicator_coefficients,
     jp_spectrum,
-    shear_blocks,
 )
 from .measures import (
     DigitSystem,
@@ -175,9 +170,7 @@ def _sheared_atoms(atoms, t_map: BlockedLinearMap) -> tuple:
     """Planar atoms (x, y) mapped to (x + a2 y, a4 y), in their given order, as numerators over one denominator.
 
     ``atoms`` are integer numerators over a positive denominator; the map's
-    floats enter as the binary rationals they are. The map is injective,
-    so atom j of the image keeps weight j; an ``AtomicMeasure`` would sort
-    the atoms and so permute the columns of the synthesis matrix.
+    floats enter as the binary rationals they are.
     """
     numerators, q = atoms
     ((a2,),), ((a4,),) = t_map.a2, t_map.a4
@@ -199,13 +192,17 @@ def rotation_experiment(
     A spectrum is found once for the axis-aligned sum by greedy selection
     over the product of the two orthonormal spectra. A rotation with
     (c, s) the floats ``BlockedLinearMap.rotation_2d`` stores, taken as
-    the binary rationals they are, maps the base atoms through
-    [[1, -s], [0, c]] and the spectrum, scaled by 1/c on its second
-    coordinate, through the shear transport, both exactly. The rotated
-    phase matrix must then equal the base one bit for bit, so the two
-    synthesis matrices are identical and the row carries the base bounds
-    with deviations 0.0, without an eigensolve; a mismatch raises. Right
-    angles report the singular block instead, with None for every bound.
+    the binary rationals they are, maps the atoms through [[1, -s], [0, c]]
+    and the spectrum, scaled by 1/c on its second coordinate, through the
+    shear transport. Both maps are linear over the rationals, so running
+    them on the two basis frequencies and the two basis atoms, and checking
+    in integers that the images pair to the identity, proves that every
+    rotated phase equals the base one exactly; the kernel rounds each
+    exact phase once, so the two synthesis matrices are identical and the
+    row carries the base bounds with deviations 0.0, without an eigensolve.
+    A mismatch raises. An angle that is exactly 90 mod 180 degrees reports
+    the singular block instead, with None for every bound; it is decided
+    on the angle itself, before a cosine is rounded.
     """
     mu_1d = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level, budget)
     nu_1d = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level, budget)
@@ -221,25 +218,20 @@ def rotation_experiment(
     target = min(target_factor * len(base), len(pool))
     selection = greedy_frame_search(base, pool, target)
     base_report = selection.report
-    base_freqs = selection.frequencies
-    base_atoms, _ = _exact_atoms(base)
-    base_phases = _exact_phase_matrix(2, base_freqs.freqs, *base_atoms)
 
     rows = []
     for theta_deg in thetas_degrees:
-        t_map = BlockedLinearMap.rotation_2d(math.radians(float(theta_deg)))
-        try:
-            shear_blocks(t_map)
-        except SingularA4:
-            rows.append(RotationRow(float(theta_deg), "singular-a4", None, None, None, None))
+        theta = float(theta_deg)
+        if Fraction(theta) % 180 == 90:
+            rows.append(RotationRow(theta, "singular-a4", None, None, None, None))
             continue
-        c = Fraction(t_map.a4[0][0])
-        freqs, p = _shear_transport([(f0, Fraction(f1) / c) for f0, f1 in base_freqs.freqs], t_map)
-        atoms, q = _sheared_atoms(base_atoms, t_map)
-        # <F/p, A/q> = <F, A/(pq)>: the frequency denominator moves onto the atoms.
-        if not np.array_equal(_exact_phase_matrix(2, freqs, atoms, p * q), base_phases):
+        t_map = BlockedLinearMap.rotation_2d(math.radians(theta))
+        freqs, p = _shear_transport([(1, 0), (0, 1 / Fraction(t_map.a4[0][0]))], t_map)
+        atoms, q = _sheared_atoms(([(1, 0), (0, 1)], 1), t_map)
+        # (F/p)(A/q)^t = I on the bases, so by linearity <Tf, Sa> = <f, a> for every frequency and atom.
+        if [[sum(x * y for x, y in zip(f, a)) for a in atoms] for f in freqs] != [[p * q, 0], [0, p * q]]:
             raise RuntimeError(f"rotation by {theta_deg} degrees breaks the exact phase identity")
-        rows.append(RotationRow(float(theta_deg), "ok", base_report.lower, base_report.upper, 0.0, 0.0))
+        rows.append(RotationRow(theta, "ok", base_report.lower, base_report.upper, 0.0, 0.0))
     collapse = collinear_lower_bounds(
         DigitSystem.one_dimensional(16, [0, 1]),
         DigitSystem.one_dimensional(16, [0, 4]),
@@ -248,7 +240,7 @@ def rotation_experiment(
         budget=budget,
     )
     return RotationResult(
-        base_report=base_report, base_frequencies=base_freqs, rows=tuple(rows), collapse=collapse
+        base_report=base_report, base_frequencies=selection.frequencies, rows=tuple(rows), collapse=collapse
     )
 
 

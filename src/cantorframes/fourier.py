@@ -69,8 +69,12 @@ class MaskPolynomial:
 
     @classmethod
     def of(cls, digits) -> "MaskPolynomial":
-        digits = tuple((operator.index(b),) if isinstance(b, numbers.Number) else tuple(map(int, b)) for b in digits)
-        return cls(digits=digits, dim=len(digits[0]))
+        digits = list(digits)
+        dim = len(as_point(digits[0]))
+        rows = _points_over(digits, dim, 1)
+        if None in rows:
+            raise ValueError("mask digits must be integer vectors")
+        return cls(digits=tuple(rows), dim=dim)
 
     def __call__(self, xi) -> complex:
         return mask_eval(self.digits, xi)

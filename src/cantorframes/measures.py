@@ -55,7 +55,8 @@ def as_point(value, dim: int | None = None) -> Point:
     """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions."""
     if isinstance(value, numbers.Number):
         value = (value,)
-    pt = tuple(Fraction(v) for v in value)
+    # A numpy integer would stay the Fraction's numerator and wrap on overflow.
+    pt = tuple(Fraction(int(v) if isinstance(v, numbers.Integral) else v) for v in value)
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {len(pt)}")
     return pt

@@ -54,6 +54,11 @@ with A4^t inverted by cofactors, each coordinate rounded once at the end.
 Rotation rows: the float pipeline that the exact phase identity replaced.
 Float cos/sin atoms merged in a dict, the spectrum scaled by 1/cos and
 sheared by a float ``np.linalg.solve``, and one eigensolve per angle.
+
+Rotated phases: the per-angle check that the basis certificate replaced.
+Every base frequency and every base atom is mapped in exact rationals and
+the whole rotated phase matrix is formed by the phase kernel, to be
+compared bit for bit with the base one.
 """
 import cmath
 import math
@@ -579,6 +584,23 @@ def oracle_rotation_bounds(level: int, base_freqs, theta_degrees: float) -> tupl
         freqs.append(tuple(l1) + tuple(l2 - correction @ l1))
     report = frame_bounds_from_arrays(locations, weights, FrequencySet(dim=2, freqs=tuple(freqs)))
     return report.lower, report.upper
+
+
+def oracle_rotated_phases(level: int, base_freqs, theta_degrees: float) -> tuple:
+    """(rotated, base) exact phase matrices of the planar sum at one non-right angle."""
+    from cantorframes import BlockedLinearMap, DigitSystem, add, embed_axis, level_measure
+    from cantorframes.experiments import _sheared_atoms
+    from cantorframes.frames import _exact_atoms, _exact_phase_matrix, _shear_transport
+
+    mu = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level)
+    nu = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level)
+    base_atoms, _ = _exact_atoms(add(embed_axis(mu, 2, 0), embed_axis(nu, 2, 1)))
+    t_map = BlockedLinearMap.rotation_2d(math.radians(theta_degrees))
+    c = Fraction(t_map.a4[0][0])
+    freqs, p = _shear_transport([(f0, Fraction(f1) / c) for f0, f1 in base_freqs.freqs], t_map)
+    atoms, q = _sheared_atoms(base_atoms, t_map)
+    # <F/p, A/q> = <F, A/(pq)>: the frequency denominator moves onto the atoms.
+    return _exact_phase_matrix(2, freqs, atoms, p * q), _exact_phase_matrix(2, base_freqs.freqs, *base_atoms)
 
 
 def _oracle_points(points) -> list:

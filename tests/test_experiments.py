@@ -17,7 +17,7 @@ from cantorframes import (
     jp_spectrum,
     rotation_experiment,
 )
-from oracles import oracle_rotation_bounds
+from oracles import oracle_rotated_phases, oracle_rotation_bounds
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 EIGHT = DigitSystem.one_dimensional(8, [0, 1])
@@ -88,8 +88,16 @@ class TestRotation:
         assert result.base_report.lower > 0
 
     def test_right_angle_reports_singular_block(self):
-        result = rotation_experiment(2, [90, -90])
+        result = rotation_experiment(2, [90, -90, 270, 450])
         assert all(r.status == "singular-a4" for r in result.rows)
+
+    def test_near_right_angles_carry_base_bounds(self):
+        # Both cosines are about 1.7e-16, under the 1e-12 margin of shear_blocks.
+        result = rotation_experiment(2, [89.99999999999999, 90.00000000000001])
+        base = result.base_report
+        for row in result.rows:
+            assert row.status == "ok", row.theta_degrees
+            assert (row.lower, row.upper, row.lower_deviation, row.upper_deviation) == (base.lower, base.upper, 0.0, 0.0)
 
     def test_collapse_branch_attached(self):
         result = rotation_experiment(2, [0], collapse_levels=(2, 3))
@@ -126,6 +134,42 @@ class TestRotationIdentity:
         monkeypatch.setattr(experiments, "_shear_transport", off_by_one)
         with pytest.raises(RuntimeError, match="phase identity"):
             rotation_experiment(3, [30])
+
+    def test_linear_wrong_transport_raises(self, monkeypatch):
+        # A linear map, so only the values on the basis can expose it: it adds l1 to l2.
+        transport = experiments._shear_transport
+
+        def skewed(freq_rows, t_map):
+            rows, d = transport(freq_rows, t_map)
+            return [(f0, f1 + f0) for f0, f1 in rows], d
+
+        monkeypatch.setattr(experiments, "_shear_transport", skewed)
+        with pytest.raises(RuntimeError, match="phase identity"):
+            rotation_experiment(3, [30])
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_rotated_phases_equal_base(self, level):
+        freqs = rotation_experiment(level, []).base_frequencies
+        for theta in IDENTITY_ANGLES:
+            rotated, base = oracle_rotated_phases(level, freqs, theta)
+            assert np.array_equal(rotated, base), theta
+
+    def test_no_phase_matrix_per_angle(self, monkeypatch):
+        calls = []
+        original = frames._exact_phase_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (frames, experiments):
+            monkeypatch.setattr(module, "_exact_phase_matrix", counted, raising=False)
+        counts = []
+        for thetas in ([0.0], IDENTITY_ANGLES + (90.0,)):
+            calls.clear()
+            rotation_experiment(3, thetas)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_no_eigensolve_per_angle(self, monkeypatch):
         calls = []

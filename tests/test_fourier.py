@@ -56,6 +56,11 @@ class TestMask:
         mask = MaskPolynomial.of([0, 1, 5])
         assert mask(0) == 1
 
+    @pytest.mark.parametrize("digits", [[(0,), (2.5,)], [0, 2.5], [(0, 0), (1, 0.5)]])
+    def test_polynomial_refuses_non_integer_digits(self, digits):
+        with pytest.raises(ValueError, match="integer"):
+            MaskPolynomial.of(digits)
+
 
 class TestMuHat:
     def test_at_zero(self):

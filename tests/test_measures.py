@@ -34,6 +34,7 @@ from cantorframes import (
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 TWO = DigitSystem.one_dimensional(2, [0, 1])
+WIDE = DigitSystem.one_dimensional(4**15, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
 
@@ -88,8 +89,10 @@ class TestValidation:
         (lambda: jp_spectrum(FOUR, np.array([0, 2]), 2).freqs, ((0.0,), (2.0,), (8.0,), (10.0,))),
         (lambda: translate(level_measure(FOUR, 1), np.int64(1)), translate(level_measure(FOUR, 1), 1)),
         (lambda: MaskPolynomial.of(np.array([0, 1])), MaskPolynomial.of([0, 1])),
+        # 2^40 over the denominator 4^30 = 2^60 overflows an int64 numerator.
+        (lambda: translate(level_measure(WIDE, 2), np.int64(2**40)), translate(level_measure(WIDE, 2), 2**40)),
     ],
-    ids=["as_point", "jp_spectrum", "translate", "mask_polynomial"],
+    ids=["as_point", "jp_spectrum", "translate", "mask_polynomial", "translate_wide"],
 )
 def test_numpy_scalars_are_exact_points(call, expected):
     assert call() == expected
