@@ -38,7 +38,10 @@ def _parse_int_list(text: str) -> list:
 
 
 def _parse_float_list(text: str) -> list:
-    return [float(x) for x in text.split(",") if x != ""]
+    values = [float(x) for x in text.split(",") if x != ""]
+    if bad := [v for v in values if not math.isfinite(v)]:
+        raise ValueError(f"{bad[0]} is not finite")
+    return values
 
 
 def _default_hadamard_digits(ds) -> list:

@@ -25,10 +25,6 @@ class AtomBudgetExceeded(CantorFramesError):
     pass
 
 
-class OffsetMismatch(CantorFramesError):
-    """Sum of two measures with different irrational offsets is not representable."""
-
-
 class ToleranceUnreachable(CantorFramesError):
     pass
 

@@ -8,7 +8,7 @@ or a whole grid (``ft grid``), runs through one vectorized pass,
 ``_mu_hat_grid``, which multiplies complex values out in real arithmetic
 so that no value depends on whether the CPU fuses multiply-adds.
 
-Windowed transforms of atomic measures are exponential sums over atoms:
+Windowed transforms are exponential sums over a measure's skeleton atoms:
 their phases come from the exact kernel of ``frames``, one call per
 measure for a whole frequency grid; their windows enter the skeleton
 through ``measures._points_over``, the one map of exact points.
@@ -35,7 +35,7 @@ from .measures import (
     validate_digit_system,
 )
 from .frames import _exact_phase_matrix
-from .measures import _absolute, _over, _points_over
+from .measures import _over, _points_over
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
@@ -189,7 +189,6 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
 
 def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
     """``windowed_transform`` at every row of ``xi_rows``, from one kernel call."""
-    m = _absolute(m)
     if window is not None:
         coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
         window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
@@ -197,7 +196,7 @@ def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
 
 
 def _skeleton_sums(m: AtomicMeasure, window, xi_rows, denominator: int) -> list:
-    """``_windowed_sums`` of an offset-free ``m``, ``window`` keyed by numerators over a multiple of its denominator."""
+    """``_windowed_sums`` with ``window`` keyed by numerators over a multiple of ``m``'s denominator."""
     locations, coefficients = [], []
     for p, key, w in zip(m.numerators, _over(m, denominator), m.masses):
         f = 1.0 if window is None else window.get(key, 0.0)
@@ -252,7 +251,7 @@ def factorization_check(
         )
     e_pts = [as_point(p, nu.dim) for p in window_e]
     f_pts = [as_point(q, lam.dim) for q in window_f]
-    nu, lam, mu = _absolute(nu), _absolute(lam), _absolute(convolve(nu, lam))
+    mu = convolve(nu, lam)
     # E, F and E + F over one denominator: a multiple of each measure's and of every window coordinate's.
     window_dens = [x.denominator for p in e_pts + f_pts for x in p]
     den = math.lcm(nu.denominator, lam.denominator, mu.denominator, *window_dens)

@@ -33,7 +33,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem
-from .measures import _absolute, _common_numerators, _fraction_inverse, _matvec, _points_over, _sumset
+from .measures import _common_numerators, _fraction_inverse, _matvec, _points_over, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -70,7 +70,8 @@ class FrequencySet:
         for f in freqs:
             if not all(map(math.isfinite, f)):
                 raise ValueError(f"frequency {f} is not finite")
-            key = tuple(round(x / _DISTINCT_RESOLUTION) for x in f)
+            # A quotient past the float range keys on its frequency, spaced far beyond the resolution.
+            key = tuple(round(q) if math.isfinite(q := x / _DISTINCT_RESOLUTION) else (x,) for x in f)
             if key in seen:
                 raise ValueError(f"frequencies {seen[key]} and {f} coincide within resolution")
             seen[key] = f
@@ -320,8 +321,7 @@ def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarr
 
 
 def _exact_atoms(m: AtomicMeasure) -> tuple:
-    """Atom numerators with the offset folded in exactly and their denominator, and float weights."""
-    m = _absolute(m)
+    """Atom numerators and their denominator, and float weights."""
     return (m.numerators, m.denominator), np.array([w / m.mass_denominator for w in m.masses], dtype=float)
 
 
@@ -411,7 +411,6 @@ def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> f
 
 def indicator_coefficients(m: AtomicMeasure, points) -> np.ndarray:
     """Indicator of an exact point set, aligned with the canonical atom order."""
-    m = _absolute(m)
     wanted = set(_points_over(points, m.dim, m.denominator))
     return np.array([1.0 if p in wanted else 0.0 for p in m.numerators], dtype=complex)
 

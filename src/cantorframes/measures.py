@@ -6,9 +6,9 @@ masses over one mass denominator, both reduced. Enumeration, merging,
 translation, sums, convolution and ball masses all run on these integers;
 ``atoms``, ``locations`` and ``weights`` are the exact
 ``fractions.Fraction`` view, built on first use. Exact points from outside
-enter a skeleton through one map, ``_points_over``. An optional shared
-real-valued offset vector carries irrational translations so that set
-operations on the skeleton stay exact.
+enter a skeleton through one map, ``_points_over``. A float is the binary
+rational it is, so a translation by floats moves the skeleton exactly and
+the skeleton is the only record of where atoms sit.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -28,7 +28,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateDigits,
     NonExpandingMatrix,
-    OffsetMismatch,
     SingularMatrix,
 )
 
@@ -52,9 +51,10 @@ def atom_budget(budget: int | None = None) -> int:
 
 
 def as_point(value, dim: int | None = None) -> Point:
-    """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions."""
-    if isinstance(value, numbers.Number):
-        value = (value,)
+    """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions; NaN and inf are refused."""
+    value = (value,) if isinstance(value, numbers.Number) else tuple(value)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+        raise ValueError(f"point {value} is not finite")
     # A numpy integer would stay the Fraction's numerator and wrap on overflow.
     pt = tuple(Fraction(int(v) if isinstance(v, numbers.Integral) else v) for v in value)
     if dim is not None and len(pt) != dim:
@@ -213,10 +213,9 @@ class AtomicMeasure:
     """A finite weighted point set in canonical integer form.
 
     Atom j sits at ``numerators[j] / denominator`` and carries mass
-    ``masses[j] / mass_denominator``; the shared real ``offset`` shifts
-    every atom. The numerator vectors are distinct and sorted
-    lexicographically, the masses positive, and both fractions are
-    reduced, so equal measures have equal fields. Build one with
+    ``masses[j] / mass_denominator``. The numerator vectors are distinct
+    and sorted lexicographically, the masses positive, and both fractions
+    are reduced, so equal measures have equal fields. Build one with
     ``from_atoms`` or ``dirac``; ``atoms``, ``locations`` and ``weights``
     are the exact ``Fraction`` view, built on first use.
     """
@@ -226,18 +225,9 @@ class AtomicMeasure:
     denominator: int
     masses: tuple  # tuple[int, ...]
     mass_denominator: int
-    offset: tuple = None
-
-    def __post_init__(self):
-        offset = (0.0,) * self.dim if self.offset is None else tuple(float(x) for x in self.offset)
-        if len(offset) != self.dim:
-            raise DimensionMismatch("offset dimension mismatch")
-        if not all(map(math.isfinite, offset)):
-            raise ValueError(f"offset {offset} is not finite")
-        object.__setattr__(self, "offset", offset)
 
     @classmethod
-    def from_atoms(cls, dim: int, pairs, offset=None) -> "AtomicMeasure":
+    def from_atoms(cls, dim: int, pairs) -> "AtomicMeasure":
         pairs = [(as_point(loc, dim), Fraction(weight)) for loc, weight in pairs]
         if any(w < 0 for _, w in pairs):
             raise ValueError("negative atom weight")
@@ -246,17 +236,17 @@ class AtomicMeasure:
         merged: dict = {}
         for p, w in zip(points, weights):
             merged[p] = merged.get(p, 0) + w
-        return cls._from_sums(dim, merged, denominator, mass_denominator, offset)
+        return cls._from_sums(dim, merged, denominator, mass_denominator)
 
     @classmethod
-    def _from_sums(cls, dim: int, sums, denominator: int, mass_denominator: int, offset=None) -> "AtomicMeasure":
+    def _from_sums(cls, dim: int, sums, denominator: int, mass_denominator: int) -> "AtomicMeasure":
         """The canonical measure with mass sums[p]/mass_denominator at each point p/denominator."""
         keys = sorted(p for p, w in sums.items() if w)
         masses = [sums[p] for p in keys]
         # Reduced: the gcd of all numerators and the denominator is 1, and likewise for the masses.
         g, h = math.gcd(denominator, *chain.from_iterable(keys)), math.gcd(mass_denominator, *masses)
         numerators = tuple(keys) if g == 1 else tuple(tuple(x // g for x in p) for p in keys)
-        return cls(dim, numerators, denominator // g, tuple(w // h for w in masses), mass_denominator // h, offset)
+        return cls(dim, numerators, denominator // g, tuple(w // h for w in masses), mass_denominator // h)
 
     @classmethod
     def dirac(cls, location, weight=1) -> "AtomicMeasure":
@@ -294,22 +284,14 @@ def _over(m: AtomicMeasure, denominator: int) -> tuple:
     return m.numerators if scale == 1 else tuple(tuple(x * scale for x in p) for p in m.numerators)
 
 
-def _absolute(m: AtomicMeasure) -> AtomicMeasure:
-    """``m`` with its offset folded exactly into the skeleton (floats are rationals)."""
-    if not any(m.offset):
-        return m
-    return translate(replace(m, offset=None), tuple(Fraction(x) for x in m.offset))
-
-
 def absolute_atoms(m: AtomicMeasure):
-    """Atoms with the offset folded in exactly (floats are rationals)."""
-    return list(_absolute(m).atoms)
+    """The exact (location, weight) atoms as a list."""
+    return list(m.atoms)
 
 
 def as_float_arrays(m: AtomicMeasure):
-    """Locations (with offset applied) and weights as float arrays."""
-    locs = np.array([[x / m.denominator for x in p] for p in m.numerators], dtype=float)
-    locs = locs.reshape(len(m), m.dim) + np.array(m.offset, dtype=float)
+    """Locations and weights as float arrays."""
+    locs = np.array([[x / m.denominator for x in p] for p in m.numerators], dtype=float).reshape(len(m), m.dim)
     weights = np.array([w / m.mass_denominator for w in m.masses], dtype=float)
     return locs, weights
 
@@ -470,30 +452,24 @@ def convolve(a: AtomicMeasure, b: AtomicMeasure, budget: int | None = None) -> A
         raise DimensionMismatch("convolve requires equal dimensions")
     denominator = math.lcm(a.denominator, b.denominator)
     layers = [dict(zip(_over(m, denominator), m.masses)) for m in (a, b)]
-    offset = tuple(x + y for x, y in zip(a.offset, b.offset))
     sums = _sumset(a.dim, layers, budget)
-    return AtomicMeasure._from_sums(a.dim, sums, denominator, a.mass_denominator * b.mass_denominator, offset)
+    return AtomicMeasure._from_sums(a.dim, sums, denominator, a.mass_denominator * b.mass_denominator)
 
 
 def translate(m: AtomicMeasure, shift) -> AtomicMeasure:
-    """Shift every atom by ``shift``.
+    """Shift every atom by ``shift``, an exact point as ``as_point`` reads it.
 
-    Rational components (int/Fraction) move the exact skeleton; float
-    components accumulate on the shared real offset, which must stay finite.
+    A float component moves the skeleton by the binary rational it is, so
+    shifts compose exactly and a NaN or infinite one is refused.
     """
-    shift = (shift,) if isinstance(shift, numbers.Number) else tuple(shift)
-    skeleton = [0 if isinstance(s, float) else s for s in shift]
-    extra = [s if isinstance(s, float) else 0.0 for s in shift]
-    # The Dirac mass at the skeleton shift: one word per atom of m, whatever the atom budget.
-    return convolve(m, AtomicMeasure.from_atoms(m.dim, [(skeleton, 1)], offset=extra), budget=len(m))
+    # The Dirac mass at the shift: one word per atom of m, whatever the atom budget.
+    return convolve(m, AtomicMeasure.from_atoms(m.dim, [(shift, 1)]), budget=len(m))
 
 
 def add(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
     """Sum of measures; shared locations merge, total mass adds."""
     if a.dim != b.dim:
         raise DimensionMismatch("add requires equal dimensions")
-    if a.offset != b.offset:
-        raise OffsetMismatch("cannot add measures with different real offsets")
     denominator = math.lcm(a.denominator, b.denominator)
     mass_denominator = math.lcm(a.mass_denominator, b.mass_denominator)
     sums: dict = {}
@@ -501,7 +477,7 @@ def add(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
         scale = mass_denominator // m.mass_denominator
         for p, w in zip(_over(m, denominator), m.masses):
             sums[p] = sums.get(p, 0) + w * scale
-    return AtomicMeasure._from_sums(a.dim, sums, denominator, mass_denominator, a.offset)
+    return AtomicMeasure._from_sums(a.dim, sums, denominator, mass_denominator)
 
 
 def ball_mass(m: AtomicMeasure, center, radius) -> Fraction:
@@ -510,7 +486,7 @@ def ball_mass(m: AtomicMeasure, center, radius) -> Fraction:
         raise ValueError("radius must be positive")
     r = Fraction(radius)
     # Centred at the origin, |x|^2 <= r^2 reads |p|^2 * r.den^2 <= (r.num * den)^2 on numerators p over den.
-    m = translate(_absolute(m), tuple(-x for x in as_point(center, m.dim)))
+    m = translate(m, tuple(-x for x in as_point(center, m.dim)))
     bound, r_den_sq = (r.numerator * m.denominator) ** 2, r.denominator**2
     inside = (r_den_sq * sum(x * x for x in p) <= bound for p in m.numerators)
     return Fraction(sum(w for w, hit in zip(m.masses, inside) if hit), m.mass_denominator)
@@ -520,8 +496,6 @@ def embed_axis(m: AtomicMeasure, dim: int, axis: int) -> AtomicMeasure:
     """Place a 1D measure on a coordinate axis of R^dim."""
     if m.dim != 1:
         raise DimensionMismatch("embed_axis expects a one-dimensional measure")
-    offset = [0.0] * dim
-    offset[axis] = m.offset[0]
     # Zeros off the axis keep the numerators sorted and reduced.
     numerators = tuple(tuple(x if i == axis % dim else 0 for i in range(dim)) for (x,) in m.numerators)
-    return AtomicMeasure(dim, numerators, m.denominator, m.masses, m.mass_denominator, offset)
+    return AtomicMeasure(dim, numerators, m.denominator, m.masses, m.mass_denominator)

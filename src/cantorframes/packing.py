@@ -34,7 +34,7 @@ from .measures import (
     translate,
     validate_digit_system,
 )
-from .measures import _absolute, _common_numerators, _digit_layers, _over, _points_over
+from .measures import _common_numerators, _digit_layers, _over, _points_over
 from .measures import _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
@@ -310,7 +310,7 @@ def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeas
     Atoms sit at x with x + shift an atom of rho inside E + shift, carrying
     rho's weight there. All membership tests are exact.
     """
-    moved = translate(_absolute(rho), tuple(-x for x in as_point(shift, rho.dim)))
+    moved = translate(rho, tuple(-x for x in as_point(shift, rho.dim)))
     support = set(_points_over(support_points, rho.dim, moved.denominator))
     kept = {p: w for p, w in zip(moved.numerators, moved.masses) if p in support}
     return AtomicMeasure._from_sums(rho.dim, kept, moved.denominator, moved.mass_denominator)
@@ -320,7 +320,6 @@ def radon_nikodym_atoms(omega: AtomicMeasure, mu: AtomicMeasure) -> OverlapRepor
     """Split omega into a part with density against mu and a singular part."""
     if omega.dim != mu.dim:
         raise DimensionMismatch("measures live in different dimensions")
-    omega, mu = _absolute(omega), _absolute(mu)
     common = math.lcm(omega.denominator, mu.denominator)
     mu_masses = dict(zip(_over(mu, common), mu.masses))
     ac, ac_mass = [], 0

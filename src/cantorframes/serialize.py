@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import CantorFramesError
 from .frames import FrameReport
-from .measures import AtomicMeasure, DigitSystem, PointCloud
+from .measures import AtomicMeasure, DigitSystem, PointCloud, translate
 from .packing import (
     METHOD_DIFFERENCE_INTERSECTION,
     METHOD_DIGIT_CRITERION,
@@ -73,11 +73,11 @@ def _atom_strings(m: AtomicMeasure) -> list:
 
 
 def measure_to_jsonable(m: AtomicMeasure) -> dict:
-    """The ``atomic-measure/1`` object, written from the integer skeleton."""
+    """The ``atomic-measure/1`` object, written from the integer skeleton; its ``offset`` is always zero."""
     return {
         "schema": SCHEMA_MEASURE,
         "dim": m.dim,
-        "offset": list(m.offset),
+        "offset": [0.0] * m.dim,
         "atoms": [{"location": location, "weight": weight} for location, weight in _atom_strings(m)],
         "total": _ratio_to_str(sum(m.masses), m.mass_denominator),
     }
@@ -102,7 +102,7 @@ def measure_json(m: AtomicMeasure) -> str:
     atoms = [atom % (*location, weight) for location, weight in _atom_strings(m)]
     return (
         '{\n  "atoms": ' + _json_list(atoms, 2)
-        + f',\n  "dim": {m.dim},\n  "offset": ' + _json_list([repr(x) for x in m.offset], 2)
+        + f',\n  "dim": {m.dim},\n  "offset": ' + _json_list(["0.0"] * m.dim, 2)
         + f',\n  "schema": "{SCHEMA_MEASURE}",\n  "total": "{_ratio_to_str(sum(m.masses), m.mass_denominator)}"\n}}\n'
     )
 
@@ -111,11 +111,13 @@ def measure_from_jsonable(data: dict) -> AtomicMeasure:
     if data.get("schema") != SCHEMA_MEASURE:
         raise CantorFramesError(f"unexpected schema {data.get('schema')!r}")
     atoms = [(a["location"], a["weight"]) for a in data["atoms"]]  # from_atoms parses each string once
-    measure = AtomicMeasure.from_atoms(data["dim"], atoms, offset=data.get("offset"))
+    measure = AtomicMeasure.from_atoms(data["dim"], atoms)
     recorded = Fraction(data["total"])
     if measure.total != recorded:
         raise CantorFramesError("recorded total does not match the atom weights")
-    return measure
+    # Older files may record a float shift of every atom; it moves the skeleton exactly.
+    offset = data.get("offset")
+    return translate(measure, offset) if offset and any(offset) else measure
 
 
 def _evidence_value_to_jsonable(value):

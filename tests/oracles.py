@@ -19,8 +19,8 @@ Measure operations: the ``Fraction`` implementations of atom merging,
 translation, sums, axis embedding, ball masses, translated overlaps,
 Radon-Nikodym splits and the singularity-witness search that the integer
 numerator representation replaced. They read a measure's public
-``Fraction`` view and return atom tuples, offsets and masses, never a
-measure built by the code under test.
+``Fraction`` view and return atom tuples and masses, never a measure
+built by the code under test.
 
 Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
 the secular-equation scoring replaced; and the plain secular bisection,
@@ -206,8 +206,7 @@ def oracle_secular_smallest(d: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
 
 def oracle_phase_matrix(measure, freq_set) -> np.ndarray:
     """Phases <freq, atom> mod 1, each an exact Fraction rounded once to float."""
-    offset = [Fraction(o) for o in measure.offset]
-    columns = [[x + o for x, o in zip(p, offset)] for p, _ in measure.atoms]
+    columns = [p for p, _ in measure.atoms]
     rows = np.empty((len(freq_set), len(columns)), dtype=float)
     for i, f in enumerate(freq_set.freqs):
         exact = [Fraction(v) for v in f]
@@ -292,8 +291,7 @@ def oracle_convolve(a, b):
         for q, wq in b.atoms:
             s = _oracle_add(p, q)
             acc[s] = acc.get(s, Fraction(0)) + wp * wq
-    offset = tuple(x + y for x, y in zip(a.offset, b.offset))
-    return AtomicMeasure.from_atoms(a.dim, acc.items(), offset=offset)
+    return AtomicMeasure.from_atoms(a.dim, acc.items())
 
 
 def oracle_difference_set(ps, qs) -> tuple:
@@ -341,60 +339,50 @@ def oracle_merge(pairs) -> tuple:
     return tuple(sorted((p, w) for p, w in merged.items() if w != 0))
 
 
-def oracle_absolute_atoms(measure) -> tuple:
-    """Atoms with the float offset folded in as the binary rational it is."""
-    offset = tuple(Fraction(x) for x in measure.offset)
-    return tuple((_oracle_add(p, offset), w) for p, w in measure.atoms)
-
-
 def oracle_translate(measure, shift) -> tuple:
-    """(atoms, offset): rational components move the atoms, float components the offset."""
+    """Atoms moved by ``shift``, each component (a float too) taken as the exact rational it is."""
     shift = (shift,) if isinstance(shift, (int, float, Fraction)) else tuple(shift)
-    skeleton = tuple(Fraction(0) if isinstance(s, float) else Fraction(s) for s in shift)
-    offset = tuple(o + (s if isinstance(s, float) else 0.0) for o, s in zip(measure.offset, shift))
-    return oracle_merge((_oracle_add(p, skeleton), w) for p, w in measure.atoms), offset
+    return oracle_merge((_oracle_add(p, tuple(Fraction(s) for s in shift)), w) for p, w in measure.atoms)
 
 
 def oracle_add(a, b) -> tuple:
-    """(atoms, offset) of a + b for measures with one offset."""
-    return oracle_merge(a.atoms + b.atoms), a.offset
+    """Atoms of a + b."""
+    return oracle_merge(a.atoms + b.atoms)
 
 
 def oracle_embed_axis(measure, dim: int, axis: int) -> tuple:
-    """(atoms, offset) of a 1D measure placed on coordinate ``axis`` of R^dim."""
+    """Atoms of a 1D measure placed on coordinate ``axis`` of R^dim."""
     atoms = []
     for p, w in measure.atoms:
         loc = [Fraction(0)] * dim
         loc[axis] = p[0]
         atoms.append((tuple(loc), w))
-    offset = [0.0] * dim
-    offset[axis] = measure.offset[0]
-    return oracle_merge(atoms), tuple(offset)
+    return oracle_merge(atoms)
 
 
 def oracle_ball_mass(measure, center, radius) -> Fraction:
     c = tuple(Fraction(x) for x in center)
     r_sq = Fraction(radius) ** 2
     return sum(
-        (w for p, w in oracle_absolute_atoms(measure) if sum((x - y) ** 2 for x, y in zip(p, c)) <= r_sq),
+        (w for p, w in measure.atoms if sum((x - y) ** 2 for x, y in zip(p, c)) <= r_sq),
         Fraction(0),
     )
 
 
 def oracle_translation_overlap(rho, support_points, shift) -> tuple:
-    """Atoms at x with x + shift an atom of rho (offset folded in) inside support + shift."""
+    """Atoms at x with x + shift an atom of rho inside support + shift."""
     t = tuple(Fraction(x) for x in shift)
     shifted_support = {_oracle_add(tuple(Fraction(x) for x in p), t) for p in support_points}
     return oracle_merge(
-        (_oracle_sub(loc, t), w) for loc, w in oracle_absolute_atoms(rho) if loc in shifted_support
+        (_oracle_sub(loc, t), w) for loc, w in rho.atoms if loc in shifted_support
     )
 
 
 def oracle_radon_nikodym(omega, mu) -> tuple:
-    """(ac_part, ac_mass, singular_mass, sup_ratio) of omega against mu, offsets folded in."""
-    mu_abs = dict(oracle_absolute_atoms(mu))
+    """(ac_part, ac_mass, singular_mass, sup_ratio) of omega against mu."""
+    mu_abs = dict(mu.atoms)
     ac, ac_mass, singular = [], Fraction(0), Fraction(0)
-    for loc, w in oracle_absolute_atoms(omega):
+    for loc, w in omega.atoms:
         if loc in mu_abs:
             ac.append((loc, w / mu_abs[loc]))
             ac_mass += w
@@ -488,7 +476,7 @@ def oracle_measure_jsonable(measure) -> dict:
     return {
         "schema": "atomic-measure/1",
         "dim": measure.dim,
-        "offset": list(measure.offset),
+        "offset": [0.0] * measure.dim,
         "atoms": [
             {"location": [_oracle_fraction_str(x) for x in p], "weight": _oracle_fraction_str(w)}
             for p, w in measure.atoms
@@ -500,7 +488,7 @@ def oracle_measure_jsonable(measure) -> dict:
 def oracle_windowed_sums(measure, window, xis) -> list:
     """sum over window atoms of w_x exp(-2*pi*i <xi, x>) per xi: ``Fraction`` phases, ``fsum`` per numpy row."""
     wanted = {tuple(Fraction(x) for x in p) for p in window}
-    atoms = [(p, w) for p, w in oracle_absolute_atoms(measure) if p in wanted]
+    atoms = [(p, w) for p, w in measure.atoms if p in wanted]
     phases = np.empty((len(xis), len(atoms)))
     for i, xi in enumerate(xis):
         for j, (p, _) in enumerate(atoms):

@@ -69,6 +69,15 @@ class TestSerializeRoundTrips:
         data = measure_to_jsonable(m)
         assert measure_from_jsonable(json.loads(json.dumps(data))) == m
 
+    def test_legacy_offset_folds_into_skeleton(self):
+        m = level_measure(FOUR, 3)
+        data = measure_to_jsonable(m)
+        data["offset"] = [0.1]
+        loaded = measure_from_jsonable(json.loads(json.dumps(data)))
+        assert loaded == translate(m, 0.1)
+        assert measure_to_jsonable(loaded)["offset"] == [0.0]
+        assert '"offset": [\n    0.0\n  ]' in measure_json(loaded)
+
     @pytest.mark.parametrize("field, text", [("location", ["1/x"]), ("weight", "one")])
     def test_malformed_string_is_value_error(self, tmp_path, field, text):
         data = measure_to_jsonable(level_measure(FOUR, 2))
@@ -287,6 +296,13 @@ class TestCliCommands:
         )
         assert rc == EXIT_ERROR
         assert f"{flag} {value} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_exp_rotation_non_finite_theta_is_error(self, tmp_path, capsys, value):
+        out = tmp_path / "rotation.json"
+        assert main(["exp", "rotation", "--level", "2", "--thetas", value, "--out", str(out)]) == EXIT_ERROR
+        assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_certificate_roundtrip(self, tmp_path):

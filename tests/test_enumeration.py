@@ -39,7 +39,6 @@ from cantorframes import (
 )
 from cantorframes.packing import CERTIFIED_OVERLAP, CERTIFIED_SSC
 from oracles import (
-    oracle_absolute_atoms,
     oracle_add,
     oracle_ball_mass,
     oracle_convolve,
@@ -216,15 +215,14 @@ def _shifts(draw, dim: int):
 @given(DIMS.flatmap(lambda d: st.tuples(
     st.just(d),
     st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * d), st.integers(0, 5)), max_size=8),
-    st.none() | st.tuples(*[st.sampled_from([0.0] + FLOAT_SHIFTS)] * d),
 )))
 def test_from_atoms_matches_oracle(case):
-    dim, raw, offset = case
+    dim, raw = case
     # Points on a 1/6 grid coincide often; zero weights drop.
     pairs = [(tuple(Fraction(x, 6) for x in p), Fraction(w, 7)) for p, w in raw]
-    m = AtomicMeasure.from_atoms(dim, pairs, offset=offset)
-    assert (m.atoms, m.offset) == (oracle_merge(pairs), offset or (0.0,) * dim)
-    again = AtomicMeasure.from_atoms(dim, pairs[::-1], offset=offset)
+    m = AtomicMeasure.from_atoms(dim, pairs)
+    assert m.atoms == oracle_merge(pairs)
+    again = AtomicMeasure.from_atoms(dim, pairs[::-1])
     assert again == m and hash(again) == hash(m)
 
 
@@ -233,17 +231,15 @@ def test_from_atoms_matches_oracle(case):
 def test_translate_matches_oracle(case):
     m, shift = case
     moved = translate(m, shift)
-    assert (moved.atoms, moved.offset) == oracle_translate(m, shift)
+    assert moved.atoms == oracle_translate(m, shift)
 
 
 @settings(max_examples=60, deadline=None)
 @given(DIMS.flatmap(lambda d: st.tuples(measures(d), measures(d))))
 def test_add_matches_oracle(pair):
     a, b = pair
-    b = AtomicMeasure.from_atoms(a.dim, b.atoms, offset=a.offset)
     for x, y in ((a, b), (a, a)):
-        total = add(x, y)
-        assert (total.atoms, total.offset) == oracle_add(x, y)
+        assert add(x, y).atoms == oracle_add(x, y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,7 +247,7 @@ def test_add_matches_oracle(pair):
 def test_embed_axis_matches_oracle(m, target):
     dim, axis = target
     embedded = embed_axis(m, dim, axis)
-    assert (embedded.atoms, embedded.offset) == oracle_embed_axis(m, dim, axis)
+    assert embedded.atoms == oracle_embed_axis(m, dim, axis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,7 +257,7 @@ def test_ball_mass_matches_oracle(case, k, on_boundary):
     radius = Fraction(k, 5)
     if on_boundary and len(m):
         # An atom exactly on the sphere: the closed ball must count it.
-        atom = oracle_absolute_atoms(m)[k % len(m)][0]
+        atom = m.locations[k % len(m)]
         center = (atom[0] + radius,) + atom[1:]
     assert ball_mass(m, center, radius) == oracle_ball_mass(m, center, radius)
 
@@ -270,12 +266,12 @@ def test_ball_mass_matches_oracle(case, k, on_boundary):
 @given(DIMS.flatmap(lambda d: st.tuples(measures(d), _shifts(d), st.lists(_rationals(d), max_size=4))), st.data())
 def test_translation_overlap_matches_oracle(case, data):
     rho, shift, extra = case
-    # Support points that hit: absolute atoms moved back by the shift, as exact rationals.
+    # Support points that hit: atoms moved back by the shift, as exact rationals.
     exact = tuple(Fraction(s) for s in shift)
-    hits = [tuple(a - s for a, s in zip(p, exact)) for p, _ in oracle_absolute_atoms(rho)]
+    hits = [tuple(a - s for a, s in zip(p, exact)) for p in rho.locations]
     support = data.draw(st.lists(st.sampled_from(hits), max_size=6)) if hits else []
     omega = translation_overlap(rho, support + extra, shift)
-    assert (omega.atoms, omega.offset) == (oracle_translation_overlap(rho, support + extra, shift), (0.0,) * rho.dim)
+    assert omega.atoms == oracle_translation_overlap(rho, support + extra, shift)
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,7 +281,7 @@ def test_radon_nikodym_matches_oracle(case, data):
     shared = data.draw(st.lists(st.sampled_from(mu.locations), max_size=6)) if len(mu) else []
     weights = st.fractions(min_value=Fraction(1, 9), max_value=3, max_denominator=9)
     pairs = [(p, data.draw(weights)) for p in shared + extra]
-    omega = AtomicMeasure.from_atoms(mu.dim, pairs, offset=mu.offset)
+    omega = AtomicMeasure.from_atoms(mu.dim, pairs)
     report = radon_nikodym_atoms(omega, mu)
     assert (report.ac_part, report.ac_mass, report.singular_mass, report.sup_ratio) == oracle_radon_nikodym(omega, mu)
 

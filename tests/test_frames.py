@@ -215,6 +215,13 @@ def test_frequency_set_rejects_non_finite(bad):
     assert str(planar.value) == f"frequency {(2.0, bad)} is not finite"
 
 
+def test_frequency_set_takes_huge_finite_frequencies():
+    # x / 1e-12 overflows past about 1.8e296; the phase kernel still reads these exactly.
+    freq_set = FrequencySet.from_scalars([1e300, -1e300, 1.5e300])
+    report = frame_bounds(level_measure(FOUR, 2), freq_set)
+    assert report.freq_count == 3 and math.isfinite(report.upper)
+
+
 class TestBesselQuotient:
     def test_dimension_mismatch_rejected(self):
         planar = FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0)))

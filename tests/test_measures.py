@@ -13,7 +13,6 @@ from cantorframes import (
     DuplicateDigits,
     MaskPolynomial,
     NonExpandingMatrix,
-    OffsetMismatch,
     SingularMatrix,
     add,
     as_point,
@@ -198,10 +197,29 @@ class TestTranslateAdd:
         )
         assert s.total == 2
 
-    def test_add_requires_matching_offsets(self):
+    def test_add_of_float_translate(self):
         m = level_measure(FOUR, 1)
-        with pytest.raises(OffsetMismatch):
-            add(m, translate(m, 0.1))
+        s = add(m, translate(m, 0.1))
+        assert len(s) == 4 and s.total == 2
+        assert s.weight_at(Fraction(0.1) + fr(1, 4)) == fr(1, 2)
+
+    def test_float_translates_compose_exactly(self):
+        d = AtomicMeasure.dirac(0)
+        twice = translate(translate(d, 0.1), 0.2)
+        assert twice == translate(d, Fraction(0.1) + Fraction(0.2))
+        assert ball_mass(twice, 0, Fraction(0.1) + Fraction(0.2)) == 1
+        assert translate(d, 0.5) == translate(d, fr(1, 2))
+        assert translate(d, 0.5).weight_at(0.5) == 1
+        assert translate(d, 0.5).weight_at(0) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=2), st.integers(1, 3))
+    def test_float_translate_is_exact_translate(self, shift, level):
+        system = FOUR if len(shift) == 1 else DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+        m = level_measure(system, level)
+        moved = translate(m, shift)
+        exact = translate(m, [Fraction(x) for x in shift])
+        assert moved == exact and hash(moved) == hash(exact)
 
     def test_off_grid_point_matches_no_atom(self):
         # 1/3 is not on the quarter grid; truncating 4 * 1/3 would land on 1/4.
@@ -213,12 +231,15 @@ class TestTranslateAdd:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_offset_rejected(self, bad):
         m = level_measure(FOUR, 2)
-        with pytest.raises(ValueError, match="not finite"):
-            translate(m, bad)
-        with pytest.raises(ValueError, match="not finite"):
-            translate(translate(m, 1e308), 1e308)
-        with pytest.raises(ValueError, match="not finite"):
-            AtomicMeasure.from_atoms(1, m.atoms, offset=[bad])
+        calls = [
+            lambda: translate(m, bad),
+            lambda: ball_mass(m, bad, 1),
+            lambda: AtomicMeasure.from_atoms(1, [((bad,), 1)]),
+            lambda: m.weight_at((bad,)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
 
 
 class TestBallMass:
