@@ -199,6 +199,7 @@ def _cmd_packing_witness(args) -> int:
 
 
 def _build_spectrum(args, ds, level):
+    from .experiments import integer_pool
     from .frames import FrequencySet, jp_spectrum
     from .serialize import load_json
 
@@ -207,7 +208,7 @@ def _build_spectrum(args, ds, level):
         digits = _parse_int_list(args.freq_digits) if args.freq_digits else _default_hadamard_digits(ds)
         return jp_spectrum(ds, digits, level, args.atom_budget)
     if choice.startswith("pool:"):
-        return FrequencySet.from_scalars(range(int(choice.split(":", 1)[1])), provenance="lattice-pool")
+        return integer_pool(int(choice.split(":", 1)[1]))
     data = load_json(choice)
     return FrequencySet(dim=data["dim"], freqs=tuple(tuple(f) for f in data["freqs"]))
 

@@ -2,8 +2,12 @@
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
 atom-indexed Hermitian square of the synthesis matrix. Every frame entry
-point shares one set of input checks, one ``eigvalsh`` per reported Gram
-and the worst vector by shifted inverse iteration (``_frame_report``).
+point shares one set of input checks, one Gram builder (``_gram``), one
+``eigvalsh`` per reported Gram and the worst vector by shifted inverse
+iteration (``_frame_report``). When the frequency set is centrally
+symmetric, decided exactly, the Gram is a real symmetric matrix up to a
+unitary diagonal, built from half the synthesis rows: jp spectra of
+two-digit sets and integer pools all are.
 Greedy frame search (``greedy_frame_search``) is deterministic, with
 fixed tie-breaks.
 
@@ -325,8 +329,8 @@ def _exact_atoms(m: AtomicMeasure) -> tuple:
     return (m.numerators, m.denominator), np.array([w / m.mass_denominator for w in m.masses], dtype=float)
 
 
-def _synthesis_rows(dim: int, atoms, weights: np.ndarray, freq_set: FrequencySet, eigen_budget: int):
-    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator), after the checks every entry point shares."""
+def _checked_sqrt_weights(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -> np.ndarray:
+    """sqrt(w) after the checks every entry point shares, before any phase is computed."""
     count = len(atoms[0])
     if freq_set.dim != dim:
         raise SizeMismatch("frequency dimension does not match the measure")
@@ -334,28 +338,74 @@ def _synthesis_rows(dim: int, atoms, weights: np.ndarray, freq_set: FrequencySet
         raise ZeroNormInput("measure has no atoms")
     if len(weights) != count:
         raise SizeMismatch("weight count does not match the atom count")
+    weights = np.asarray(weights, dtype=float)
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("weights must be positive and finite")
     if count > eigen_budget:
         raise EigenBudgetExceeded(f"{count} atoms exceed the eigen budget {eigen_budget}")
-    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, freq_set.freqs, *atoms)) * np.sqrt(weights)[None, :]
+    return np.sqrt(weights)
 
 
-def _frame_report(phi: np.ndarray, weights: np.ndarray) -> FrameReport:
-    """Frame bounds from one ``eigvalsh`` of the Gram of the synthesis rows ``phi``.
+def _synthesis_rows(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int):
+    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator), after the checks every entry point shares."""
+    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
+    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, freq_set.freqs, *atoms)) * sqrt_w[None, :]
 
-    ``eigvalsh`` reads one triangle, so the Gram is never symmetrized. The
-    worst vector comes from shifted inverse iteration (Ipsen, SIAM Review
-    39, 1997): the diagonal is shifted in place by lambda_0 - resolution,
-    then _INVERSE_STEPS = 2 solves run from exp(2*pi*i*j*g), g the golden
-    ratio (sqrt(5) - 1) / 2, normalized after each. One step already kept
-    the Bessel quotient within 0.005 * max(resolution, 1e-12 * upper) of
-    lambda_0 on every measured system; the second covers a start nearly
-    orthogonal to the worst vector, as the constant start is on symmetric
-    systems. The largest-modulus entry is then made real and positive.
+
+def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -> tuple:
+    """The Gram of the synthesis rows as (G_c, d) with Phi^H Phi = diag(d) G_c diag(d)^*.
+
+    G_c is real, and d = e(<c, x>), whenever the frequency set is centrally
+    symmetric, Lambda = 2c - Lambda. That is decided exactly on the
+    frequency numerators over p: negation reverses lexicographic order, so
+    the set is symmetric iff rows[i] + rows[F-1-i] is one vector s for
+    every i of the sorted rows, and then c = s / (2p). Pairing mu = f - c
+    with -mu turns e(<mu, x - y>) into cosines, so G_c = 2 (C^T C + S^T S),
+    C and S the cosines and sines of 2 pi <mu, x> times sqrt(w) on the
+    floor(F/2) half rows, plus sqrt(w) sqrt(w)^T for mu = 0 when F is odd.
+    One kernel call gives the half-row phases and those of c, each the
+    exact rational (2f - s) . a / (2pq) rounded once. Any other set, and an
+    empty one, keeps the complex Phi^H Phi with d = None.
     """
-    freq_count, m = phi.shape
+    nums, p = _common_numerators(freq_set.freqs)
+    rows = sorted(nums)
+    pair_sums = {tuple(x + y for x, y in zip(f, g)) for f, g in zip(rows, reversed(rows))}
+    if len(pair_sums) != 1:
+        phi = _synthesis_rows(dim, atoms, weights, freq_set, eigen_budget)
+        return phi.conj().T @ phi, None
+    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
+    (s,) = pair_sums
+    half = len(rows) // 2
+    centred = [tuple(2 * x - y for x, y in zip(f, s)) for f in rows[:half]]
+    angles = 2 * np.pi * _exact_phase_matrix(dim, centred + [s], atoms[0], 2 * p * atoms[1])
+    real_rows = np.empty((len(rows), len(sqrt_w)))
+    np.cos(angles[:half], out=real_rows[:half])
+    np.sin(angles[:half], out=real_rows[half : 2 * half])
+    real_rows[: 2 * half] *= math.sqrt(2) * sqrt_w
+    real_rows[2 * half :] = sqrt_w
+    return real_rows.T @ real_rows, np.exp(1j * angles[half])
+
+
+def _frame_report(gram: np.ndarray, d, weights: np.ndarray, freq_count: int) -> FrameReport:
+    """Frame bounds from one ``eigvalsh`` of the Gram diag(d) G diag(d)^* of ``freq_count`` synthesis rows.
+
+    ``gram`` is G, real when ``_gram`` found a symmetric frequency set and
+    complex with d = None otherwise; it is overwritten. Both have the same
+    eigenvalues, and an eigenvector u of G gives d * u of the full Gram.
+    ``eigvalsh`` reads one triangle, so G is never symmetrized. The worst
+    vector comes from shifted inverse iteration (Ipsen, SIAM Review 39,
+    1997): the diagonal is shifted in place by lambda_0 - resolution, then
+    _INVERSE_STEPS = 2 solves run from exp(2*pi*i*j*g), or its real part
+    cos(2*pi*j*g) on a real G, g the golden ratio (sqrt(5) - 1) / 2,
+    normalized after each. One step already kept the Bessel quotient within
+    0.005 * max(resolution, 1e-12 * upper) of lambda_0 on every measured
+    system; the second covers a start nearly orthogonal to the worst
+    vector, as the constant start is on symmetric systems. The
+    largest-modulus entry is then made real and positive.
+    """
     if freq_count == 0:
         raise EmptyFrequencySet("frequency set is empty")
-    gram = phi.conj().T @ phi
+    m = len(gram)
     values = np.linalg.eigvalsh(gram)
     upper = max(float(values[-1]), 0.0)
     tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
@@ -363,11 +413,12 @@ def _frame_report(phi: np.ndarray, weights: np.ndarray) -> FrameReport:
     lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
     gram.flat[:: m + 1] -= values[0] - tol
-    vec = np.exp(1j * np.pi * (math.sqrt(5) - 1) * np.arange(m))
+    turns = np.pi * (math.sqrt(5) - 1) * np.arange(m)
+    vec = np.exp(1j * turns) if d is None else np.cos(turns)
     for _ in range(_INVERSE_STEPS):
         vec = np.linalg.solve(gram, vec)
         vec /= np.linalg.norm(vec)
-    worst = np.conj(vec) / np.sqrt(weights)
+    worst = np.conj(vec if d is None else d * vec) / np.sqrt(weights)
     top = worst[np.argmax(np.abs(worst))]
     worst *= abs(top) / top
     return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, float(tol))
@@ -381,8 +432,8 @@ def frame_bounds_from_arrays(
 ) -> FrameReport:
     """Frame bounds of the exponential system on explicit weighted points, exact phases."""
     atoms = _common_numerators(np.asarray(locations).tolist())
-    phi = _synthesis_rows(np.shape(locations)[-1], atoms, weights, freq_set, eigen_budget)
-    return _frame_report(phi, weights)
+    gram, d = _gram(np.shape(locations)[-1], atoms, weights, freq_set, eigen_budget)
+    return _frame_report(gram, d, weights, len(freq_set))
 
 
 def frame_bounds(
@@ -390,7 +441,7 @@ def frame_bounds(
 ) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
     atoms, weights = _exact_atoms(m)
-    return _frame_report(_synthesis_rows(m.dim, atoms, weights, freq_set, eigen_budget), weights)
+    return _frame_report(*_gram(m.dim, atoms, weights, freq_set, eigen_budget), weights, len(freq_set))
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
@@ -634,7 +685,8 @@ def greedy_frame_search(
     freq_set = FrequencySet(
         dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
     )
-    report = _frame_report(rows[selected], weights)
+    picked = rows[selected]
+    report = _frame_report(picked.conj().T @ picked, None, weights, len(selected))
     if target_count >= atoms and report.rank < atoms:
         raise PoolExhausted("pool cannot span the atom space: rank %d < %d" % (report.rank, atoms))
     return GreedySelection(frequencies=freq_set, report=report, selected_indices=tuple(selected))

@@ -11,10 +11,12 @@ import numpy as np
 from cantorframes import (
     AtomicMeasure,
     DigitSystem,
+    FrequencySet,
     PointCloud,
     add,
     attractor_points,
     convolve,
+    frame_bounds,
     level_measure,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
@@ -29,6 +31,7 @@ from cantorframes.serialize import (
     digit_system_from_jsonable,
     digit_system_to_jsonable,
     fraction_to_str,
+    frame_report_to_jsonable,
     load_json,
     measure_from_jsonable,
     measure_json,
@@ -262,6 +265,13 @@ class TestCliCommands:
         assert main(["frame", "bounds", "--system", "4:0,1", "--level", "4", "--spectrum", "jp", "--out", str(out)]) == 0
         data = load_json(out)
         assert abs(data["lower"] - 1) < 1e-8 and abs(data["upper"] - 1) < 1e-8
+
+    def test_frame_bounds_pool_spectrum(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["frame", "bounds", "--system", "4:0,1", "--level", "3", "--spectrum", "pool:20", "--out", str(out)]) == 0
+        pool = FrequencySet.from_scalars(range(20), provenance="lattice-pool")
+        report = frame_bounds(level_measure(DigitSystem.one_dimensional(4, [0, 1]), 3), pool)
+        assert out.read_text() == canonical_json(frame_report_to_jsonable(report))
 
     def test_ft_grid_csv(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -26,6 +26,7 @@ from cantorframes import (
     greedy_frame_search,
     hadamard_triple_check,
     indicator_coefficients,
+    integer_pool,
     jp_spectrum,
     level_measure,
     shear_blocks,
@@ -203,6 +204,18 @@ def test_entry_points_share_input_checks(entry):
         locations, weights = as_float_arrays(level_measure(FOUR, 2))
         with pytest.raises(SizeMismatch):
             frame_bounds_from_arrays(locations, weights[1:], pair)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.5, -0.5], [1.0, 0.0], [1.0, math.inf], [math.nan, 1.0]],
+    ids=["negative", "zero", "inf", "nan"],
+)
+def test_arrays_refuse_weights_not_positive_and_finite(weights):
+    # Before any phase: a negative weight used to give upper = nan, a zero one an inf worst vector.
+    pair = FrequencySet.from_scalars([0, 1])
+    with pytest.raises(ValueError, match="positive and finite"):
+        frame_bounds_from_arrays(np.array([[0.0], [0.5]]), np.array(weights), pair)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -473,3 +486,72 @@ class TestWorstVector:
         assert np.array_equal(first, frame_bounds(measure, freq_set).worst_vector)
         top = max(first, key=abs)
         assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
+
+
+def _gram_and_rows(measure, freq_set):
+    atoms, weights = frames._exact_atoms(measure)
+    gram, d = frames._gram(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+    return gram, d, frames._synthesis_rows(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+
+
+def _symmetric_gram_cases():
+    measure = level_measure(FOUR, 3)
+    cases = [
+        (f"jp-{base}:0,{digit}-level{n}", measure, jp_spectrum(DigitSystem.one_dimensional(base, [0, 1]), [0, digit], n))
+        for base, digit in ((4, 2), (8, 4), (16, 8))
+        for n in range(1, 9)
+    ]
+    cases += [(f"pool-{size}", measure, integer_pool(size)) for size in (1, 7, 8)]
+    planar = next(case for case in WORST_VECTOR_CASES if case[0] == "planar-sum-level3")
+    cases.append(("planar-jp-product", *planar[1:]))
+    cases.append(("half-integers", measure, FrequencySet.from_scalars([0.5, 1.5, 2.5])))
+    return cases
+
+
+SYMMETRIC_GRAM_CASES = _symmetric_gram_cases()
+ASYMMETRIC_GRAM_CASES = [
+    ("zero-one-three", level_measure(FOUR, 3), FrequencySet.from_scalars([0, 1, 3])),
+    ("translate-128x256", *_translate_instance(7)),
+    # -0.3 + (0.1 + 0.2) is 5.6e-17, so this is symmetric about 0 only after rounding. The pair
+    # {-0.3, 0.1 + 0.2} alone would not do: any two points are symmetric about their midpoint.
+    ("rounded-triple", level_measure(FOUR, 3), FrequencySet.from_scalars([-0.3, 0.0, 0.1 + 0.2])),
+]
+
+
+def _cross_bessel_cases():
+    eight = DigitSystem.one_dimensional(8, [0, 1])
+    return [(f"cross-bessel-level{n}", level_measure(FOUR, n), jp_spectrum(eight, [0, 4], n)) for n in range(2, 9)]
+
+
+ORACLE_CASES = WORST_VECTOR_CASES + _cross_bessel_cases() + [(f"collapse-level{n}", *_collapse_instance(n)) for n in (6, 7)]
+# The only oracle cases whose frequency sets are not centrally symmetric.
+COMPLEX_ORACLE_CASES = {"translate-128x256", "symmetric-7-asymmetric-freqs"}
+
+
+class TestRealGram:
+    """Centrally symmetric frequency sets take the real Gram; every other set keeps the complex one."""
+
+    @pytest.mark.parametrize("name,measure,freq_set", SYMMETRIC_GRAM_CASES, ids=[c[0] for c in SYMMETRIC_GRAM_CASES])
+    def test_symmetric_set_builds_real_gram(self, name, measure, freq_set):
+        gram, d, phi = _gram_and_rows(measure, freq_set)
+        assert gram.dtype == np.float64 and d is not None
+        full = d[:, None] * gram * d.conj()[None, :]
+        assert np.max(np.abs(full - phi.conj().T @ phi)) <= 1e-12 * len(freq_set)
+
+    @pytest.mark.parametrize("name,measure,freq_set", ASYMMETRIC_GRAM_CASES, ids=[c[0] for c in ASYMMETRIC_GRAM_CASES])
+    def test_other_set_keeps_complex_gram_bit_for_bit(self, name, measure, freq_set):
+        gram, d, phi = _gram_and_rows(measure, freq_set)
+        assert d is None and gram.dtype == np.complex128
+        assert np.array_equal(gram, phi.conj().T @ phi)
+
+    @pytest.mark.parametrize("name,measure,freq_set", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_complex_oracle(self, name, measure, freq_set):
+        gram, d, phi = _gram_and_rows(measure, freq_set)
+        assert (d is None) == (name in COMPLEX_ORACLE_CASES)
+        expected, smallest = oracle_eigh_report(phi, frames._exact_atoms(measure)[1])
+        report = frame_bounds(measure, freq_set)
+        assert abs(report.lower - expected.lower) <= report.resolution
+        assert abs(report.upper - expected.upper) <= report.resolution
+        assert report.rank == expected.rank
+        quotient = bessel_quotient(measure, freq_set, report.worst_vector)
+        assert abs(quotient - smallest) <= max(report.resolution, 1e-12 * report.upper)
