@@ -26,12 +26,12 @@ from .measures import (
     DigitSystem,
     add,
     as_point,
-    ball_mass,
     convolve,
     embed_axis,
     level_measure,
     translate,
 )
+from .measures import _common_numerators
 from .packing import CERTIFIED_PACKING, _packing_certificate_for_pair
 
 
@@ -71,6 +71,9 @@ def degeneracy_experiment(
     exhibits quotient <= upper_estimate * mass and hence a lower bound
     1/mass on the condition ratio of any common frame.
     """
+    ks = sorted(int(k) for k in k_list)
+    if ks and ks[0] < 1:
+        raise ValueError(f"k must be >= 1, got {ks[0]}")
     cert = _packing_certificate_for_pair(nu_ds, lam_ds, level, budget)
     if cert.status != CERTIFIED_PACKING:
         raise NotCertifiedPacking("degeneracy experiment requires a certified packing pair")
@@ -83,27 +86,17 @@ def degeneracy_experiment(
     upper = frame_bounds(rho, freq_set).upper
     nu_upper = frame_bounds(nu_n, freq_set).upper
 
-    rows = []
-    for k in sorted(int(k) for k in k_list):
-        radius = Fraction(1, k)
-        beta = ball_mass(lam_n, 0, radius)
-        if not beta:
+    rows, q = [], lam_n.denominator
+    for k in ks:
+        # |p / q| <= 1/k about the origin of R^d, on the numerators p of lambda_n: the ball and its mass.
+        ball = [i for i, p in enumerate(lam_n.numerators) if k * k * sum(x * x for x in p) <= q * q]
+        if not ball:
             raise ZeroNormInput(f"no atom of the second factor lies within 1/{k} of 0: the window for k={k} is empty")
-        ball_points = [p for p, _ in lam_n.atoms if sum(x * x for x in p) <= radius * radius]
-        window = {
-            tuple(a + b for a, b in zip(p, q)) for p in nu_n.locations for q in ball_points
-        }
+        beta = Fraction(sum(lam_n.masses[i] for i in ball), lam_n.mass_denominator)
+        window = {tuple(a + b for a, b in zip(p, lam_n.locations[i])) for p in nu_n.locations for i in ball}
         coeffs = indicator_coefficients(mu_n, window)
         quotient = bessel_quotient(mu_n, freq_set, coeffs)
-        rows.append(
-            DegeneracyRow(
-                k=k,
-                ball_mass=beta,
-                quotient=quotient,
-                quotient_over_mass=quotient / float(beta),
-                inverse_mass=1 / beta,
-            )
-        )
+        rows.append(DegeneracyRow(k, beta, quotient, quotient / float(beta), 1 / beta))
     collapse = collinear_lower_bounds(nu_ds, lam_ds, t, collapse_levels, budget=budget)
     return DegeneracyResult(
         rows=tuple(rows),
@@ -173,10 +166,7 @@ def _sheared_atoms(atoms, t_map: BlockedLinearMap) -> tuple:
     floats enter as the binary rationals they are.
     """
     numerators, q = atoms
-    ((a2,),), ((a4,),) = t_map.a2, t_map.a4
-    (n2, d2), (n4, d4) = a2.as_integer_ratio(), a4.as_integer_ratio()
-    scale = math.lcm(d2, d4)
-    n2, n4 = n2 * (scale // d2), n4 * (scale // d4)
+    ((n2, n4),), scale = _common_numerators([(t_map.a2[0][0], t_map.a4[0][0])])
     return [(x * scale + n2 * y, n4 * y) for x, y in numerators], q * scale
 
 
@@ -226,7 +216,7 @@ def rotation_experiment(
             rows.append(RotationRow(theta, "singular-a4", None, None, None, None))
             continue
         t_map = BlockedLinearMap.rotation_2d(math.radians(theta))
-        freqs, p = _shear_transport([(1, 0), (0, 1 / Fraction(t_map.a4[0][0]))], t_map)
+        freqs, p = _shear_transport(_common_numerators([(1, 0), (0, 1 / Fraction(t_map.a4[0][0]))]), t_map)
         atoms, q = _sheared_atoms(([(1, 0), (0, 1)], 1), t_map)
         # (F/p)(A/q)^t = I on the bases, so by linearity <Tf, Sa> = <f, a> for every frequency and atom.
         if [[sum(x * y for x, y in zip(f, a)) for a in atoms] for f in freqs] != [[p * q, 0], [0, p * q]]:
@@ -270,14 +260,12 @@ def cross_bessel_experiment(
     Exploratory by design: the growth of the constant with the level is
     reported without a pass/fail threshold.
     """
+    if depth_ratio < 1:
+        raise ValueError(f"depth ratio must be >= 1, got {depth_ratio}")
     rows = []
     for n in sorted(int(n) for n in levels):
         freq_set = jp_spectrum(src_ds, src_freq_digits, n, budget)
-        measure = level_measure(dst_ds, max(1, depth_ratio * n), budget)
+        measure = level_measure(dst_ds, depth_ratio * n, budget)
         report = frame_bounds(measure, freq_set)
-        rows.append(
-            CrossBesselRow(
-                level=n, freq_count=len(freq_set), atom_count=len(measure), upper=report.upper
-            )
-        )
+        rows.append(CrossBesselRow(n, len(freq_set), len(measure), report.upper))
     return CrossBesselResult(rows=tuple(rows))

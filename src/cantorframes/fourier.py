@@ -35,15 +35,13 @@ from .measures import (
     validate_digit_system,
 )
 from .frames import _exact_phase_matrix
-from .measures import _over, _points_over
+from .measures import _common_numerators, _over, _points_over
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
 
 
 def _as_vector(xi, dim: int) -> np.ndarray:
-    if isinstance(xi, (int, float)):
-        xi = (float(xi),)
     arr = np.asarray(xi, dtype=float).reshape(-1)
     if arr.shape[0] != dim:
         raise ValueError(f"frequency has dimension {arr.shape[0]}, expected {dim}")
@@ -192,18 +190,18 @@ def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
     if window is not None:
         coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
         window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
-    return _skeleton_sums(m, window, xi_rows, m.denominator)
+    return _skeleton_sums(m, window, _common_numerators(xi_rows), m.denominator)
 
 
-def _skeleton_sums(m: AtomicMeasure, window, xi_rows, denominator: int) -> list:
-    """``_windowed_sums`` with ``window`` keyed by numerators over a multiple of ``m``'s denominator."""
+def _skeleton_sums(m: AtomicMeasure, window, xis, denominator: int) -> list:
+    """``_windowed_sums`` at frequencies (numerators, denominator), windows over a multiple of m.denominator."""
     locations, coefficients = [], []
     for p, key, w in zip(m.numerators, _over(m, denominator), m.masses):
         f = 1.0 if window is None else window.get(key, 0.0)
         if f != 0:
             locations.append(p)
             coefficients.append(f * (w / m.mass_denominator))
-    phases = _exact_phase_matrix(m.dim, xi_rows, locations, m.denominator)
+    phases = _exact_phase_matrix(m.dim, xis, (locations, m.denominator))
     terms = np.asarray(coefficients) * np.exp(-2j * np.pi * phases)
     return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
 
@@ -212,11 +210,11 @@ def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
     """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with exact phases and compensated accumulation.
 
     ``window`` is None for the constant 1, a set of exact points for an
-    indicator, or a dict from exact points to coefficients. The phases
-    <xi, x> mod 1 are exact, with a float xi taken as the binary rational
-    it is, so a large xi loses no digits.
+    indicator, or a dict from exact points to coefficients. ``xi`` is read
+    exactly, as ``as_point`` reads it, and the phases <xi, x> mod 1 are
+    exact, so a large xi loses no digits.
     """
-    return _windowed_sums(m, window, [_as_vector(xi, m.dim)])[0]
+    return _windowed_sums(m, window, [as_point(xi, m.dim)])[0]
 
 
 @dataclass(frozen=True)
@@ -260,9 +258,10 @@ def factorization_check(
     xis = [_as_vector(xi, nu.dim) for xi in xi_grid]
     if not xis:
         raise ValueError("empty frequency grid")
-    lhs = _skeleton_sums(mu, dict.fromkeys(sum_rows, 1.0), xis, den)
-    e_sums = _skeleton_sums(nu, dict.fromkeys(e_rows, 1.0), xis, den)
-    f_sums = _skeleton_sums(lam, dict.fromkeys(f_rows, 1.0), xis, den)
+    exact = _common_numerators(xis)
+    lhs = _skeleton_sums(mu, dict.fromkeys(sum_rows, 1.0), exact, den)
+    e_sums = _skeleton_sums(nu, dict.fromkeys(e_rows, 1.0), exact, den)
+    f_sums = _skeleton_sums(lam, dict.fromkeys(f_rows, 1.0), exact, den)
     rhs = [a * b for a, b in zip(e_sums, f_sums)]
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)

@@ -14,14 +14,17 @@ fixed tie-breaks.
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
 which rounds each once to float on the int64, limb or Python-int path
-that ``_phase_path`` picks. The Hadamard check needs no phases: it
-decides exactly whether sums of roots of unity vanish.
+that ``_phase_path`` picks. It reads integer numerators only: a
+``FrequencySet`` keeps its coordinates exactly and forms its numerators
+once, when it is built, so no caller converts a frequency set. The
+Hadamard check needs no phases: it decides exactly whether sums of roots
+of unity vanish.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,7 +40,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem
-from .measures import _common_numerators, _fraction_inverse, _matvec, _points_over, _sumset
+from .measures import _common_numerators, _exact_number, _fraction_inverse, _matvec, _points_over, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -59,30 +62,47 @@ _INVERSE_STEPS = 2
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """A finite list of real frequency vectors with a provenance tag."""
+    """A finite list of exact real frequency vectors with a provenance tag.
+
+    Coordinates are read as ``measures.as_point`` reads them (NaN and inf
+    raise ValueError) and kept as ints when integral, Fractions otherwise.
+    Every phase is computed from ``numerators`` over ``denominator``;
+    ``as_array`` is the float view. Frequencies whose coordinates all
+    round to the same multiple of _DISTINCT_RESOLUTION coincide and are
+    refused, decided in integers.
+    """
 
     dim: int
     freqs: tuple
     provenance: str = "user"
+    numerators: tuple = field(init=False, repr=False, compare=False)
+    denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        freqs = tuple(tuple(float(x) for x in f) for f in self.freqs)
-        object.__setattr__(self, "freqs", freqs)
-        if any(len(f) != self.dim for f in freqs):
+        rows = [tuple(map(_exact_number, f)) for f in self.freqs]
+        if any(len(f) != self.dim for f in rows):
             raise SizeMismatch("frequency dimension mismatch")
-        seen = {}
-        for f in freqs:
-            if not all(map(math.isfinite, f)):
+        for f in rows:
+            if any(type(x) is float and not math.isfinite(x) for x in f):
                 raise ValueError(f"frequency {f} is not finite")
-            # A quotient past the float range keys on its frequency, spaced far beyond the resolution.
-            key = tuple(round(q) if math.isfinite(q := x / _DISTINCT_RESOLUTION) else (x,) for x in f)
+        nums, p = _common_numerators(rows)
+        freqs = tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", p)
+        # Over p < 1/r distinct rows lie more than r apart, so only equal ones coincide;
+        # otherwise the key is x / r = nb / (pa), rounded half up.
+        a, b = _DISTINCT_RESOLUTION.as_integer_ratio()
+        half, seen = p * a, {}
+        for f, row in zip(freqs, nums):
+            key = row if half < b else tuple((2 * b * x + half) // (2 * half) for x in row)
             if key in seen:
                 raise ValueError(f"frequencies {seen[key]} and {f} coincide within resolution")
             seen[key] = f
 
     @classmethod
     def from_scalars(cls, values, provenance: str = "user") -> "FrequencySet":
-        return cls(dim=1, freqs=tuple((float(v),) for v in values), provenance=provenance)
+        return cls(dim=1, freqs=tuple((v,) for v in values), provenance=provenance)
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -193,10 +213,7 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             yield dict.fromkeys(vecs, 1)
             vecs = [_matvec(rt, v) for v in vecs]
 
-    freqs = sorted(_sumset(ds.dim, layers(), budget))
-    return FrequencySet(
-        dim=ds.dim, freqs=tuple(tuple(float(x) for x in f) for f in freqs), provenance="jp-spectrum"
-    )
+    return FrequencySet(dim=ds.dim, freqs=tuple(sorted(_sumset(ds.dim, layers(), budget))), provenance="jp-spectrum")
 
 
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
@@ -222,24 +239,23 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     return "object"
 
 
-def _exact_phase_matrix(dim: int, freq_rows, atom_nums, q: int) -> np.ndarray:
+def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
     """Phases <freq, atom> reduced mod 1 for every frequency row and atom row.
 
     The only code that computes a phase of an exponential sum over atoms.
-    Atoms come as integer numerators A over a positive denominator q.
-    Frequency coordinates are ints, Fractions or floats; a float enters as
-    the binary rational it is. Large integer frequencies against deep-level
-    atoms would lose several digits in a float dot product. Instead, with
-    F the frequency numerators over p, the phase is (F @ A.T mod p*q) /
-    (p*q). Each of the three paths that ``_phase_path`` chooses from rounds
-    that exact rational once, correctly, as ``float(Fraction)`` does:
-    int64 arrays and one float64 division; 21-bit int64 limbs when p*q is a
-    power of two, as it is for float coordinates against dyadic atoms
-    (``_limb_phases``); Python int object arrays and int true division
-    otherwise. Nothing wraps. The limb and object paths run in blocks of
-    rows, so their memory stays bounded.
+    Frequencies and atoms each come as a pair (integer numerator rows,
+    positive denominator): F over p and A over q; nothing is converted
+    here. Large integer frequencies against deep-level atoms would lose
+    several digits in a float dot product. Instead the phase is (F @ A.T
+    mod p*q) / (p*q). Each of the three paths that ``_phase_path`` chooses
+    from rounds that exact rational once, correctly, as ``float(Fraction)``
+    does: int64 arrays and one float64 division; 21-bit int64 limbs when
+    p*q is a power of two, as it is for float coordinates against dyadic
+    atoms (``_limb_phases``); Python int object arrays and int true
+    division otherwise. Nothing wraps. The limb and object paths run in
+    blocks of rows, so their memory stays bounded.
     """
-    freq_nums, p = _common_numerators(freq_rows)
+    (freq_nums, p), (atom_nums, q) = freqs, atoms
     modulus = p * q
     path = _phase_path(dim, freq_nums, atom_nums, modulus)
     if path == "int64":
@@ -320,7 +336,8 @@ def _limb_phases(freqs: np.ndarray, atoms_cat: np.ndarray, k: int) -> np.ndarray
 def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases."""
     locations, freqs = np.asarray(locations), np.asarray(freqs)
-    phases = _exact_phase_matrix(locations.shape[-1], freqs.tolist(), *_common_numerators(locations.tolist()))
+    exact = _common_numerators(freqs.tolist()), _common_numerators(locations.tolist())
+    phases = _exact_phase_matrix(locations.shape[-1], *exact)
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
 
 
@@ -349,7 +366,8 @@ def _checked_sqrt_weights(dim: int, atoms, weights, freq_set: FrequencySet, eige
 def _synthesis_rows(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int):
     """Synthesis rows of ``freq_set`` on atoms (numerators, denominator), after the checks every entry point shares."""
     sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
-    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, freq_set.freqs, *atoms)) * sqrt_w[None, :]
+    phases = _exact_phase_matrix(dim, (freq_set.numerators, freq_set.denominator), atoms)
+    return np.exp(-2j * np.pi * phases) * sqrt_w[None, :]
 
 
 def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -> tuple:
@@ -367,8 +385,7 @@ def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -
     exact rational (2f - s) . a / (2pq) rounded once. Any other set, and an
     empty one, keeps the complex Phi^H Phi with d = None.
     """
-    nums, p = _common_numerators(freq_set.freqs)
-    rows = sorted(nums)
+    rows, p = sorted(freq_set.numerators), freq_set.denominator
     pair_sums = {tuple(x + y for x, y in zip(f, g)) for f, g in zip(rows, reversed(rows))}
     if len(pair_sums) != 1:
         phi = _synthesis_rows(dim, atoms, weights, freq_set, eigen_budget)
@@ -377,7 +394,7 @@ def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -
     (s,) = pair_sums
     half = len(rows) // 2
     centred = [tuple(2 * x - y for x, y in zip(f, s)) for f in rows[:half]]
-    angles = 2 * np.pi * _exact_phase_matrix(dim, centred + [s], atoms[0], 2 * p * atoms[1])
+    angles = 2 * np.pi * _exact_phase_matrix(dim, (centred + [s], 2 * p), atoms)
     real_rows = np.empty((len(rows), len(sqrt_w)))
     np.cos(angles[:half], out=real_rows[:half])
     np.sin(angles[:half], out=real_rows[half : 2 * half])
@@ -455,7 +472,7 @@ def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> f
     norm_sq = float(np.sum(np.abs(f) ** 2 * weights))
     if norm_sq == 0.0:
         raise ZeroNormInput("coefficients have zero norm in L2(m)")
-    phases = _exact_phase_matrix(m.dim, freq_set.freqs, *atoms)
+    phases = _exact_phase_matrix(m.dim, (freq_set.numerators, freq_set.denominator), atoms)
     analysis = np.exp(2j * np.pi * phases) @ (f * weights)
     return float(np.sum(np.abs(analysis) ** 2) / norm_sq)
 
@@ -486,14 +503,8 @@ class BlockedLinearMap:
             raise SizeMismatch("block split must be strictly inside the dimension")
         if abs(np.linalg.det(t)) <= 1e-12 * max(1.0, float(np.abs(t).max()) ** d):
             raise ValueError("map is not invertible within margin")
-        to_tuple = lambda a: tuple(tuple(float(x) for x in row) for row in a)
-        return cls(
-            m=m,
-            a1=to_tuple(t[:m, :m]),
-            a2=to_tuple(t[:m, m:]),
-            a3=to_tuple(t[m:, :m]),
-            a4=to_tuple(t[m:, m:]),
-        )
+        blocks = (t[:m, :m], t[:m, m:], t[m:, :m], t[m:, m:])
+        return cls(m, *(tuple(tuple(float(x) for x in row) for row in block) for block in blocks))
 
     @classmethod
     def rotation_2d(cls, theta_radians: float) -> "BlockedLinearMap":
@@ -505,9 +516,7 @@ class BlockedLinearMap:
         return self.m + len(self.a4)
 
     def matrix(self) -> np.ndarray:
-        top = np.hstack([np.asarray(self.a1), np.asarray(self.a2)])
-        bottom = np.hstack([np.asarray(self.a3), np.asarray(self.a4)])
-        return np.vstack([top, bottom])
+        return np.block([[np.asarray(self.a1), np.asarray(self.a2)], [np.asarray(self.a3), np.asarray(self.a4)]])
 
 
 @dataclass(frozen=True)
@@ -534,11 +543,11 @@ def shear_blocks(t: BlockedLinearMap) -> ShearData:
     return ShearData(shear=tuple(tuple(float(x) for x in row) for row in shear), a4=t.a4, a4_condition=condition)
 
 
-def _shear_transport(freq_rows, t: BlockedLinearMap) -> tuple:
-    """Rows (l1, l2 - (A4^t)^-1 A2^t l1), exactly, as integer numerators over one positive denominator."""
+def _shear_transport(freqs, t: BlockedLinearMap) -> tuple:
+    """Rows (l1, l2 - (A4^t)^-1 A2^t l1) of frequencies (numerators, denominator), exactly, in the same form."""
     a2 = [[Fraction(a) for a in row] for row in t.a2]
     correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))[0]])
-    nums, p = _common_numerators(freq_rows)
+    nums, p = freqs
     shifts = [_matvec(correction, f[: t.m]) for f in nums]
     rows = [(*(x * d for x in f[: t.m]), *(y * d - x for y, x in zip(f[t.m :], e))) for f, e in zip(nums, shifts)]
     return rows, p * d
@@ -554,7 +563,7 @@ def transform_spectrum(freq_set: FrequencySet, t: BlockedLinearMap) -> Frequency
     shear_blocks(t)  # raises SingularA4 when not applicable
     if freq_set.dim != t.dim:
         raise SizeMismatch("spectrum dimension does not match the map")
-    rows, d = _shear_transport(freq_set.freqs, t)
+    rows, d = _shear_transport((freq_set.numerators, freq_set.denominator), t)
     freqs = tuple(tuple(x / d for x in row) for row in rows)  # int / int rounds correctly
     return FrequencySet(dim=freq_set.dim, freqs=freqs, provenance="sheared")
 
@@ -682,9 +691,7 @@ def greedy_frame_search(
         selected.append(best)
         open_mask[best] = False
         gram += np.outer(rows[best].conj(), rows[best])
-    freq_set = FrequencySet(
-        dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
-    )
+    freq_set = FrequencySet(dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy")
     picked = rows[selected]
     report = _frame_report(picked.conj().T @ picked, None, weights, len(selected))
     if target_count >= atoms and report.rank < atoms:

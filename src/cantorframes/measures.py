@@ -50,13 +50,19 @@ def atom_budget(budget: int | None = None) -> int:
     return int(env) if env else DEFAULT_ATOM_BUDGET
 
 
+def _exact_number(x):
+    """``x`` as the int, float or Fraction of its value; a numpy integer as a numerator would wrap on overflow."""
+    if type(x) in (int, float, Fraction):
+        return x
+    return int(x) if isinstance(x, numbers.Integral) else float(x) if isinstance(x, float) else Fraction(x)
+
+
 def as_point(value, dim: int | None = None) -> Point:
     """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions; NaN and inf are refused."""
     value = (value,) if isinstance(value, numbers.Number) else tuple(value)
     if any(isinstance(v, float) and not math.isfinite(v) for v in value):
         raise ValueError(f"point {value} is not finite")
-    # A numpy integer would stay the Fraction's numerator and wrap on overflow.
-    pt = tuple(Fraction(int(v) if isinstance(v, numbers.Integral) else v) for v in value)
+    pt = tuple(Fraction(_exact_number(v)) for v in value)
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {len(pt)}")
     return pt

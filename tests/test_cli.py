@@ -266,6 +266,27 @@ class TestCliCommands:
         data = load_json(out)
         assert abs(data["lower"] - 1) < 1e-8 and abs(data["upper"] - 1) < 1e-8
 
+    def test_frame_bounds_jp_past_exact_doubles(self, tmp_path):
+        # 64:{0,1} at level 10 has jp frequencies up to 2^59; as floats, distinct ones used to coincide.
+        out = tmp_path / "r.json"
+        argv = ["frame", "bounds", "--system", "64:0,1", "--level", "10", "--spectrum", "jp", "--out", str(out)]
+        assert main(argv) == 0
+        data = load_json(out)
+        assert data["freq_count"] == 1024
+        assert abs(data["lower"] - 1) < 1e-8 and abs(data["upper"] - 1) < 1e-8
+
+    def test_exp_degeneracy_refuses_k_below_one(self, tmp_path, capsys):
+        argv = ["exp", "degeneracy", "--nu", "16:0,1", "--lam", "16:0,4", "--t", "0", "--level", "1",
+                "--freq-system", "4:0,1", "--freq-digits", "0,2", "--freq-level", "2", "--k", "0"]
+        assert main(argv + ["--out", str(tmp_path / "d.json")]) == EXIT_ERROR
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_exp_cross_bessel_refuses_depth_ratio_below_one(self, tmp_path, capsys):
+        argv = ["exp", "cross-bessel", "--src", "8:0,1", "--src-freqs", "0,4", "--dst", "4:0,1",
+                "--levels", "3", "--depth-ratio", "0", "--out", str(tmp_path / "cb.json")]
+        assert main(argv) == EXIT_ERROR
+        assert "depth ratio must be >= 1" in capsys.readouterr().err
+
     def test_frame_bounds_pool_spectrum(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["frame", "bounds", "--system", "4:0,1", "--level", "3", "--spectrum", "pool:20", "--out", str(out)]) == 0

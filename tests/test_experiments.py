@@ -56,6 +56,28 @@ class TestDegeneracy:
         with pytest.raises(NotCertifiedPacking):
             degeneracy_experiment(SIXTEEN_01, SIXTEEN_01, 0, 1, freq_set, [2])
 
+    def test_planar_pair_table(self):
+        # 16 I with {0,1}^2 and {0,4}^2: the level-1 second factor sits at {0, 1/4}^2,
+        # so the balls of radius 1/2, 1/4 and 1/8 about the planar origin hold 4, 3 and 1 atoms.
+        square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        nu, lam = (DigitSystem(((16, 0), (0, 16)), [(k * x, k * y) for x, y in square]) for k in (1, 4))
+        freq_set = jp_spectrum(DigitSystem(((4, 0), (0, 4)), square), [(2 * x, 2 * y) for x, y in square], 2)
+        result = degeneracy_experiment(nu, lam, (0, 0), 1, freq_set, [2, 4, 8], collapse_levels=())
+        assert {r.k: r.ball_mass for r in result.rows} == {2: 1, 4: Fraction(3, 4), 8: Fraction(1, 4)}
+        for row in result.rows:
+            assert row.quotient <= result.upper_estimate * float(row.ball_mass) + 1e-10
+        assert result.collapse == ()
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_refused_first(self, monkeypatch, k):
+        def nothing_built(*args, **kwargs):
+            raise AssertionError("a skeleton or frame bound was built before k was checked")
+
+        for name in ("_packing_certificate_for_pair", "level_measure", "frame_bounds"):
+            monkeypatch.setattr(experiments, name, nothing_built)
+        with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+            degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 2, jp_spectrum(FOUR, [0, 2], 2), [2, k])
+
 
 class TestCollapse:
     def test_strictly_decreasing_lower_bounds(self):
@@ -213,3 +235,9 @@ class TestCrossBessel:
     def test_depth_ratio_scales_measure(self):
         result = cross_bessel_experiment(EIGHT, [0, 4], FOUR, [2], depth_ratio=2)
         assert result.rows[0].atom_count == 16
+
+    @pytest.mark.parametrize("ratio", [0, -1])
+    def test_depth_ratio_below_one_refused(self, ratio):
+        # A ratio of 0 used to be clamped to level 1 without a word.
+        with pytest.raises(ValueError, match="depth ratio must be >= 1"):
+            cross_bessel_experiment(EIGHT, [0, 4], FOUR, [3], depth_ratio=ratio)

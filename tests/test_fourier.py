@@ -203,6 +203,12 @@ class TestWindowedTransform:
         expected = sum(float(w) * cmath.exp(-2j * cmath.pi * p) for w, p in zip(m.weights, phases))
         assert abs(windowed_transform(m, None, xi) - expected) < 1e-12
 
+    def test_integer_frequency_past_exact_doubles(self):
+        # 2^60 + 1 is 1 mod 16, the atoms' denominator; as a float it used to read 2^60, which is 0 mod 16.
+        m = level_measure(FOUR, 2)
+        assert windowed_transform(m, None, 2**60 + 1) == windowed_transform(m, None, 1) != m.total
+        assert windowed_transform(m, None, Fraction(1, 3)) == windowed_transform(m, None, Fraction(1, 3) + 2**60)
+
 
 class TestFactorization:
     def test_cylinder_window_sums_match_row_fsum_oracle(self):

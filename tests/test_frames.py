@@ -228,6 +228,39 @@ def test_frequency_set_rejects_non_finite(bad):
     assert str(planar.value) == f"frequency {(2.0, bad)} is not finite"
 
 
+class TestDistinctFrequencies:
+    @pytest.mark.parametrize(
+        "values", [[3, 1, 3], [0.0, 1e-13], [Fraction(1, 3), 1 / 3]], ids=["duplicate", "within-1e-12", "fraction"]
+    )
+    def test_coinciding_frequencies_refused(self, values):
+        with pytest.raises(ValueError, match="coincide within resolution"):
+            FrequencySet.from_scalars(values)
+
+    def test_integers_past_float_spacing_stay_apart(self):
+        # 2^59 and 2^59 + 32 round to the same float; read exactly, they are 32 apart.
+        freq_set = FrequencySet.from_scalars([2**59, 2**59 + 32])
+        assert freq_set.freqs == ((2**59,), (2**59 + 32,))
+        assert (freq_set.numerators, freq_set.denominator) == (((2**59,), (2**59 + 32,)), 1)
+
+    def test_coordinates_kept_exactly(self):
+        freq_set = FrequencySet(dim=2, freqs=((np.int64(2), Fraction(1, 3)), (0.1, np.float64(2.5))))
+        assert freq_set.freqs == ((2, Fraction(1, 3)), (Fraction(0.1), Fraction(5, 2)))
+        # Equal numbers hash equally, so the exact tuples still match float tuples.
+        floats = FrequencySet.from_scalars([0.5, 2.0, -7.25])
+        assert floats.freqs == ((0.5,), (2.0,), (-7.25,)) and hash(floats.freqs) == hash(((0.5,), (2.0,), (-7.25,)))
+        assert floats.as_array().tolist() == [[0.5], [2.0], [-7.25]]
+
+    def test_deep_jp_spectrum_is_exact_and_orthonormal(self):
+        # 1024:{0,1} at level 7: frequencies reach 512 * 1024^6 = 2^69, far past the exact doubles.
+        ds = DigitSystem.one_dimensional(1024, [0, 1])
+        freq_set = jp_spectrum(ds, [0, 512], 7)
+        assert len(freq_set) == len({f for (f,) in freq_set.freqs}) == 128
+        assert all(type(f) is int for (f,) in freq_set.freqs)
+        assert max(freq_set.freqs) == (sum(512 * 1024**j for j in range(7)),)
+        report = frame_bounds(level_measure(ds, 7), freq_set)
+        assert abs(report.lower - 1) < 1e-8 and abs(report.upper - 1) < 1e-8
+
+
 def test_frequency_set_takes_huge_finite_frequencies():
     # x / 1e-12 overflows past about 1.8e296; the phase kernel still reads these exactly.
     freq_set = FrequencySet.from_scalars([1e300, -1e300, 1.5e300])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import cantorframes as cf
 from cantorframes import AtomicMeasure, FrequencySet, fourier, frames, translate
-from cantorframes.measures import _common_numerators
 from instances import build_instances
 from oracles import oracle_phase_matrix
 
@@ -29,8 +28,8 @@ DENOMINATOR_GUARD = 2**53
 def _path(measure, freq_set) -> tuple:
     """The path the kernel takes on these operands, and their modulus p*q."""
     (atom_nums, q), _ = frames._exact_atoms(measure)
-    freq_nums, p = _common_numerators(freq_set.freqs)
-    return frames._phase_path(measure.dim, freq_nums, atom_nums, p * q), p * q
+    p = freq_set.denominator
+    return frames._phase_path(measure.dim, freq_set.numerators, atom_nums, p * q), p * q
 
 
 def _wide_path(modulus: int) -> str:
@@ -39,7 +38,8 @@ def _wide_path(modulus: int) -> str:
 
 
 def _assert_matches_oracle(measure, freq_set):
-    phases = frames._exact_phase_matrix(measure.dim, freq_set.freqs, *frames._exact_atoms(measure)[0])
+    exact_freqs = (freq_set.numerators, freq_set.denominator)
+    phases = frames._exact_phase_matrix(measure.dim, exact_freqs, frames._exact_atoms(measure)[0])
     assert phases.dtype == np.float64
     assert np.array_equal(phases, oracle_phase_matrix(measure, freq_set))
 
@@ -160,7 +160,7 @@ def test_limb_rounding_edges():
     measure = AtomicMeasure.from_atoms(
         1, [((Fraction(a, 2**84),), Fraction(1, 3)) for a in (-1, (2**54 + 1) << 23, (2**54 + 3) << 23)]
     )
-    phases = frames._exact_phase_matrix(1, [(1,)], *frames._exact_atoms(measure)[0])
+    phases = frames._exact_phase_matrix(1, ([(1,)], 1), frames._exact_atoms(measure)[0])
     assert _path(measure, FrequencySet.from_scalars([1]))[0] == "limbs"
     assert phases.tolist() == [[1.0, 2.0**-7, (2**53 + 2) * 2.0**-60]]
 
@@ -171,7 +171,7 @@ def test_limb_rounding_edges():
 def test_non_integer_atom_numerator_raises(atom):
     # An int64 array would truncate 1/2 to 0 and report phase 0.0 instead of 0.5.
     with pytest.raises(TypeError):
-        frames._exact_phase_matrix(1, [(1,)], [(0,), (atom,)], 1)
+        frames._exact_phase_matrix(1, ([(1,)], 1), ([(0,), (atom,)], 1))
 
 
 FOUR = cf.DigitSystem.one_dimensional(4, [0, 1])
