@@ -96,7 +96,15 @@ def degeneracy_experiment(
         window = {tuple(a + b for a, b in zip(p, lam_n.locations[i])) for p in nu_n.locations for i in ball}
         coeffs = indicator_coefficients(mu_n, window)
         quotient = bessel_quotient(mu_n, freq_set, coeffs)
-        rows.append(DegeneracyRow(k, beta, quotient, quotient / float(beta), 1 / beta))
+        rows.append(
+            DegeneracyRow(
+                k=k,
+                ball_mass=beta,
+                quotient=quotient,
+                quotient_over_mass=quotient / float(beta),
+                inverse_mass=1 / beta,
+            )
+        )
     collapse = collinear_lower_bounds(nu_ds, lam_ds, t, collapse_levels, budget=budget)
     return DegeneracyResult(
         rows=tuple(rows),
@@ -267,5 +275,9 @@ def cross_bessel_experiment(
         freq_set = jp_spectrum(src_ds, src_freq_digits, n, budget)
         measure = level_measure(dst_ds, depth_ratio * n, budget)
         report = frame_bounds(measure, freq_set)
-        rows.append(CrossBesselRow(n, len(freq_set), len(measure), report.upper))
+        rows.append(
+            CrossBesselRow(
+                level=n, freq_count=len(freq_set), atom_count=len(measure), upper=report.upper
+            )
+        )
     return CrossBesselResult(rows=tuple(rows))

@@ -64,12 +64,11 @@ _INVERSE_STEPS = 2
 class FrequencySet:
     """A finite list of exact real frequency vectors with a provenance tag.
 
-    Coordinates are read as ``measures.as_point`` reads them (NaN and inf
-    raise ValueError) and kept as ints when integral, Fractions otherwise.
-    Every phase is computed from ``numerators`` over ``denominator``;
-    ``as_array`` is the float view. Frequencies whose coordinates all
-    round to the same multiple of _DISTINCT_RESOLUTION coincide and are
-    refused, decided in integers.
+    Coordinates are read as ``measures.as_point`` reads them and kept as
+    ints when integral, Fractions otherwise. Every phase is computed from
+    ``numerators`` over ``denominator``; ``as_array`` is the float view.
+    Frequencies that round to one multiple of _DISTINCT_RESOLUTION in
+    every coordinate coincide and are refused.
     """
 
     dim: int
@@ -90,12 +89,11 @@ class FrequencySet:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", p)
-        # Over p < 1/r distinct rows lie more than r apart, so only equal ones coincide;
-        # otherwise the key is x / r = nb / (pa), rounded half up.
+        # The key of numerators n over p is n / (p r) = nb / (pa), rounded half up, with r = a / b.
         a, b = _DISTINCT_RESOLUTION.as_integer_ratio()
         half, seen = p * a, {}
         for f, row in zip(freqs, nums):
-            key = row if half < b else tuple((2 * b * x + half) // (2 * half) for x in row)
+            key = tuple((2 * b * x + half) // (2 * half) for x in row)
             if key in seen:
                 raise ValueError(f"frequencies {seen[key]} and {f} coincide within resolution")
             seen[key] = f
@@ -213,7 +211,8 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             yield dict.fromkeys(vecs, 1)
             vecs = [_matvec(rt, v) for v in vecs]
 
-    return FrequencySet(dim=ds.dim, freqs=tuple(sorted(_sumset(ds.dim, layers(), budget))), provenance="jp-spectrum")
+    freqs = sorted(_sumset(ds.dim, layers(), budget))
+    return FrequencySet(dim=ds.dim, freqs=tuple(freqs), provenance="jp-spectrum")
 
 
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
@@ -503,8 +502,14 @@ class BlockedLinearMap:
             raise SizeMismatch("block split must be strictly inside the dimension")
         if abs(np.linalg.det(t)) <= 1e-12 * max(1.0, float(np.abs(t).max()) ** d):
             raise ValueError("map is not invertible within margin")
-        blocks = (t[:m, :m], t[:m, m:], t[m:, :m], t[m:, m:])
-        return cls(m, *(tuple(tuple(float(x) for x in row) for row in block) for block in blocks))
+        to_tuple = lambda a: tuple(tuple(float(x) for x in row) for row in a)
+        return cls(
+            m=m,
+            a1=to_tuple(t[:m, :m]),
+            a2=to_tuple(t[:m, m:]),
+            a3=to_tuple(t[m:, :m]),
+            a4=to_tuple(t[m:, m:]),
+        )
 
     @classmethod
     def rotation_2d(cls, theta_radians: float) -> "BlockedLinearMap":
@@ -516,7 +521,9 @@ class BlockedLinearMap:
         return self.m + len(self.a4)
 
     def matrix(self) -> np.ndarray:
-        return np.block([[np.asarray(self.a1), np.asarray(self.a2)], [np.asarray(self.a3), np.asarray(self.a4)]])
+        top = np.hstack([np.asarray(self.a1), np.asarray(self.a2)])
+        bottom = np.hstack([np.asarray(self.a3), np.asarray(self.a4)])
+        return np.vstack([top, bottom])
 
 
 @dataclass(frozen=True)
@@ -691,7 +698,9 @@ def greedy_frame_search(
         selected.append(best)
         open_mask[best] = False
         gram += np.outer(rows[best].conj(), rows[best])
-    freq_set = FrequencySet(dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy")
+    freq_set = FrequencySet(
+        dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
+    )
     picked = rows[selected]
     report = _frame_report(picked.conj().T @ picked, None, weights, len(selected))
     if target_count >= atoms and report.rank < atoms:

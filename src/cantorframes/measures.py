@@ -51,18 +51,26 @@ def atom_budget(budget: int | None = None) -> int:
 
 
 def _exact_number(x):
-    """``x`` as the int, float or Fraction of its value; a numpy integer as a numerator would wrap on overflow."""
+    """``x`` as the int, float or Fraction of its value.
+
+    A numpy integer becomes an int, as a numerator would wrap on overflow;
+    a real that is not rational, numpy's float32 and float16 among them,
+    goes through ``float``, which is exact for those two.
+    """
     if type(x) in (int, float, Fraction):
         return x
-    return int(x) if isinstance(x, numbers.Integral) else float(x) if isinstance(x, float) else Fraction(x)
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    return float(x) if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational) else Fraction(x)
 
 
 def as_point(value, dim: int | None = None) -> Point:
     """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions; NaN and inf are refused."""
     value = (value,) if isinstance(value, numbers.Number) else tuple(value)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+    exact = tuple(map(_exact_number, value))
+    if any(type(v) is float and not math.isfinite(v) for v in exact):
         raise ValueError(f"point {value} is not finite")
-    pt = tuple(Fraction(_exact_number(v)) for v in value)
+    pt = tuple(map(Fraction, exact))
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {len(pt)}")
     return pt

@@ -226,6 +226,9 @@ def test_frequency_set_rejects_non_finite(bad):
     with pytest.raises(ValueError) as planar:
         FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, bad)))
     assert str(planar.value) == f"frequency {(2.0, bad)} is not finite"
+    with pytest.raises(ValueError) as single:
+        FrequencySet.from_scalars(np.array([0.5, bad], dtype=np.float32))
+    assert str(single.value) == f"frequency {(bad,)} is not finite"
 
 
 class TestDistinctFrequencies:
@@ -245,6 +248,10 @@ class TestDistinctFrequencies:
     def test_coordinates_kept_exactly(self):
         freq_set = FrequencySet(dim=2, freqs=((np.int64(2), Fraction(1, 3)), (0.1, np.float64(2.5))))
         assert freq_set.freqs == ((2, Fraction(1, 3)), (Fraction(0.1), Fraction(5, 2)))
+        # numpy's float32 and float16 are read through float, which is exact for them.
+        narrow = FrequencySet(dim=2, freqs=((np.float32(0.1), np.float16(-0.75)),))
+        assert narrow.freqs == ((Fraction(float(np.float32(0.1))), Fraction(-3, 4)),)
+        assert FrequencySet.from_scalars(np.array([0.5, 1.0], dtype=np.float32)).freqs == ((Fraction(1, 2),), (1,))
         # Equal numbers hash equally, so the exact tuples still match float tuples.
         floats = FrequencySet.from_scalars([0.5, 2.0, -7.25])
         assert floats.freqs == ((0.5,), (2.0,), (-7.25,)) and hash(floats.freqs) == hash(((0.5,), (2.0,), (-7.25,)))

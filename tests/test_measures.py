@@ -233,6 +233,7 @@ class TestTranslateAdd:
         m = level_measure(FOUR, 2)
         calls = [
             lambda: translate(m, bad),
+            lambda: translate(m, np.float32(bad)),
             lambda: ball_mass(m, bad, 1),
             lambda: AtomicMeasure.from_atoms(1, [((bad,), 1)]),
             lambda: m.weight_at((bad,)),
