@@ -35,7 +35,7 @@ from .measures import (
     validate_digit_system,
 )
 from .frames import _exact_phase_matrix
-from .measures import _common_numerators, _over, _points_over
+from .measures import _common_numerators, _exact_point, _over, _points_over
 from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
@@ -237,7 +237,8 @@ def factorization_check(
 
     For exactly packing atom supports the identity holds up to float
     rounding; without a packing check the operation refuses unless forced,
-    and then reports the violation magnitude.
+    and then reports the violation magnitude. Each grid point is read
+    exactly, as ``as_point`` reads it; ``argmax_xi`` keeps its numbers.
     """
     support_nu = PointCloud(nu.dim, nu.locations, Fraction(0))
     support_lam = PointCloud(lam.dim, lam.locations, Fraction(0))
@@ -255,7 +256,7 @@ def factorization_check(
     den = math.lcm(nu.denominator, lam.denominator, mu.denominator, *window_dens)
     e_rows, f_rows = _points_over(e_pts, nu.dim, den), _points_over(f_pts, lam.dim, den)
     sum_rows = {tuple(map(operator.add, p, q)) for p in e_rows for q in f_rows}
-    xis = [_as_vector(xi, nu.dim) for xi in xi_grid]
+    xis = [_exact_point(xi, nu.dim) for xi in xi_grid]
     if not xis:
         raise ValueError("empty frequency grid")
     exact = _common_numerators(xis)
@@ -266,5 +267,5 @@ def factorization_check(
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)
     return FactorizationReport(
-        max_deviation=deviations[worst], argmax_xi=tuple(xis[worst].tolist()), grid_size=len(xis), certified=certified
+        max_deviation=deviations[worst], argmax_xi=xis[worst], grid_size=len(xis), certified=certified
     )

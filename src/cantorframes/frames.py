@@ -7,7 +7,10 @@ point shares one set of input checks, one Gram builder (``_gram``), one
 iteration (``_frame_report``). When the frequency set is centrally
 symmetric, decided exactly, the Gram is a real symmetric matrix up to a
 unitary diagonal, built from half the synthesis rows: jp spectra of
-two-digit sets and integer pools all are.
+two-digit sets and integer pools all are. A jp spectrum of a two-digit
+triple whose Gram is exactly diagonal, decided in integers
+(``_vanishing_off_diagonal``), needs neither: its report is read off the
+diagonal F w (``_diagonal_report``).
 Greedy frame search (``greedy_frame_search``) is deterministic, with
 fixed tie-breaks.
 
@@ -51,6 +54,9 @@ _LIMB_BLOCK = 2**16
 _LIMB_BITS = 21
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _LIMB_MAX_EXPONENT = 1022
+# At most 2^11 limb products below 2^42 per sum keep every float64 partial sum exact.
+_LIMB_TERMS = 2**11
+_PAIR_BLOCK = 2**20
 # Greedy picks within _TIE_RTOL * max||v||^2 of the best tie; the lowest
 # pool index wins, so rounding noise cannot decide a pick.
 _TIE_RTOL = 1e-12
@@ -67,6 +73,7 @@ class FrequencySet:
     Coordinates are read as ``measures.as_point`` reads them and kept as
     ints when integral, Fractions otherwise. Every phase is computed from
     ``numerators`` over ``denominator``; ``as_array`` is the float view.
+    ``triple`` is (R, L, n) when ``jp_spectrum`` built the set, else None.
     Frequencies that round to one multiple of _DISTINCT_RESOLUTION in
     every coordinate coincide and are refused.
     """
@@ -76,6 +83,7 @@ class FrequencySet:
     provenance: str = "user"
     numerators: tuple = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
+    triple: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [tuple(map(_exact_number, f)) for f in self.freqs]
@@ -116,6 +124,9 @@ class FrameReport:
     ``resolution`` is the eigenvalue tolerance of the float eigensolve:
     eigenvalues at or below it count as zero, so ``lower`` reads 0 and
     ``rank`` falls short of ``atom_count`` whenever the smallest does.
+    When the Gram is decided exactly diagonal, no eigensolve runs: lower
+    and upper are exact eigenvalues rounded once, rank is ``atom_count``,
+    and ``resolution`` is the tolerance the eigensolve would have used.
     """
 
     lower: float
@@ -212,7 +223,9 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             vecs = [_matvec(rt, v) for v in vecs]
 
     freqs = sorted(_sumset(ds.dim, layers(), budget))
-    return FrequencySet(dim=ds.dim, freqs=tuple(freqs), provenance="jp-spectrum")
+    freq_set = FrequencySet(dim=ds.dim, freqs=tuple(freqs), provenance="jp-spectrum")
+    object.__setattr__(freq_set, "triple", (ds.matrix, tuple(freq_digits), n))
+    return freq_set
 
 
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
@@ -223,7 +236,8 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     fit int64 too), and p*q <= 2^53, so residues and modulus are exact
     doubles and one IEEE division rounds the quotient correctly. limbs
     needs p*q = 2^k with k <= 1022, so 2^-k is a normal double, and
-    dim * ceil(k/21) < 2^20, so no sum of 21-bit limb products wraps.
+    dim * ceil(k/21) <= 2^11, so every sum of 21-bit limb products, and
+    every partial sum, stays below 2^53 and is exact in float64.
     Every other modulus, such as atoms over 3^n, takes the object path.
     |x| is taken as math.gcd(x), which refuses a non-integer with TypeError.
     """
@@ -233,7 +247,7 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     if dim * bound(freq_nums) * bound(atom_nums) < _INT64_PRODUCT_LIMIT and modulus <= _EXACT_DOUBLE_LIMIT:
         return "int64"
     k = modulus.bit_length() - 1
-    if modulus == 1 << k and k <= _LIMB_MAX_EXPONENT and dim * -(-k // _LIMB_BITS) < 2**20:
+    if modulus == 1 << k and k <= _LIMB_MAX_EXPONENT and dim * -(-k // _LIMB_BITS) <= _LIMB_TERMS:
         return "limbs"
     return "object"
 
@@ -248,11 +262,11 @@ def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
     several digits in a float dot product. Instead the phase is (F @ A.T
     mod p*q) / (p*q). Each of the three paths that ``_phase_path`` chooses
     from rounds that exact rational once, correctly, as ``float(Fraction)``
-    does: int64 arrays and one float64 division; 21-bit int64 limbs when
-    p*q is a power of two, as it is for float coordinates against dyadic
-    atoms (``_limb_phases``); Python int object arrays and int true
-    division otherwise. Nothing wraps. The limb and object paths run in
-    blocks of rows, so their memory stays bounded.
+    does: int64 arrays and one float64 division; 21-bit limbs, multiplied
+    exactly in float64 by BLAS, when p*q is a power of two, as it is for
+    float coordinates against dyadic atoms (``_limb_phases``); Python int
+    object arrays and int true division otherwise. Nothing wraps. The limb
+    and object paths run in blocks of rows, so their memory stays bounded.
     """
     (freq_nums, p), (atom_nums, q) = freqs, atoms
     modulus = p * q
@@ -264,10 +278,12 @@ def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
     if path == "limbs":
         k = modulus.bit_length() - 1
         freqs, atoms = _limbs(freq_nums, dim, k), _limbs(atom_nums, dim, k)
-        # Limb-major columns: column block b of atoms_cat holds limb b of every atom.
-        atoms_cat = atoms.transpose(2, 0, 1).reshape(dim, -1)
+        width = atoms.shape[1] * dim
+        freqs = freqs.reshape(len(freq_nums), width)
+        # Row block b of atoms_rev holds limb count - 1 - b of every atom, as columns.
+        atoms_rev = np.ascontiguousarray(atoms[:, ::-1].reshape(len(atom_nums), width).T)
         step = _LIMB_BLOCK // max(atoms.size, 1)
-        block = lambda rows: _limb_phases(freqs[:, rows], atoms_cat, k)
+        block = lambda rows: _limb_phases(freqs[rows], atoms_rev, dim, k)
     else:
         freqs = np.array(freq_nums, dtype=object).reshape(len(freq_nums), dim)
         atoms = np.array(atom_nums, dtype=object).reshape(len(atom_nums), dim)
@@ -281,33 +297,37 @@ def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
 
 
 def _limbs(rows, dim: int, k: int) -> np.ndarray:
-    """The residues mod 2^k of integer rows as int64 21-bit limbs, shape (limbs, rows, dim), low limb first."""
+    """The residues mod 2^k of integer rows as 21-bit float64 limbs, shape (rows, limbs, dim), low limb first."""
     count = max(1, -(-k // _LIMB_BITS))
-    residues = np.array(rows, dtype=object).reshape(len(rows), dim) & ((1 << k) - 1)
-    shifts = [_LIMB_BITS * i for i in range(count)]
-    return np.array([(residues >> s) & _LIMB_MASK for s in shifts], dtype=np.int64).reshape(count, len(rows), dim)
+    residues = np.array(rows, dtype=object).reshape(len(rows), 1, dim) & ((1 << k) - 1)
+    shifts = np.array([_LIMB_BITS * i for i in range(count)], dtype=object).reshape(1, count, 1)
+    return ((residues >> shifts) & _LIMB_MASK).astype(np.float64)
 
 
-def _limb_phases(freqs: np.ndarray, atoms_cat: np.ndarray, k: int) -> np.ndarray:
+def _limb_phases(freqs: np.ndarray, atoms_rev: np.ndarray, dim: int, k: int) -> np.ndarray:
     """(F @ A.T mod 2^k) / 2^k from limbs, correctly rounded to float64.
 
-    ``freqs`` holds the limbs of F as ``_limbs`` makes them; ``atoms_cat``
-    holds the limbs of A as columns, limb by limb. Only limb products of
-    weight below 2^k count: block s of the sums adds F_a A_b.T over
-    a + b = s, each entry below dim * limbs * 2^42 < 2^62. Carrying leaves
-    the 21-bit digits of R = F @ A.T mod 2^k. The top 63 bits of the k-bit
-    field, R >> max(k - 63, 0), with a sticky bit set for any 1 below them,
-    make an int64 whose one conversion to float64 rounds R to nearest, ties
-    to even, whenever it has at least 55 significant bits (the sticky bit
+    Column block a of ``freqs`` holds limb a of F; row block b of
+    ``atoms_rev`` holds limb count - 1 - b of A as columns. Only limb
+    products of weight below 2^k count: limb s of the sums, F_a A_b.T
+    over a + b = s, is one float64 product of the first s + 1 column
+    blocks of F with the last s + 1 row blocks of atoms_rev. Its
+    (s + 1) * dim <= 2^11 terms are each below 2^42, so every partial sum
+    is an integer below 2^53, exact in any order, with or without fused
+    multiply-adds. Carrying leaves the 21-bit digits of
+    R = F @ A.T mod 2^k. The top 63 bits of the k-bit field,
+    R >> max(k - 63, 0), with a sticky bit set for any 1 below them, make
+    an int64 whose one conversion to float64 rounds R to nearest, ties to
+    even, whenever it has at least 55 significant bits (the sticky bit
     then lies below the rounding position) or nothing was cut off;
     ``ldexp`` scales it by 2^-k exactly. The rest, phases below 2^-9 with
     bits cut off, are divided exactly as Python ints.
     """
-    count, rows, _ = freqs.shape
-    m = atoms_cat.shape[1] // count
-    sums = np.zeros((count, rows, m), dtype=np.int64)
-    for a in range(count):
-        sums[a:] += (freqs[a] @ atoms_cat[:, : (count - a) * m]).reshape(rows, count - a, m).transpose(1, 0, 2)
+    (rows, width), m = freqs.shape, atoms_rev.shape[1]
+    count = width // dim
+    sums = np.empty((count, rows, m), dtype=np.int64)
+    for s in range(count):
+        sums[s] = freqs[:, : (s + 1) * dim] @ atoms_rev[(count - 1 - s) * dim :]
     digits, carry = np.empty_like(sums), np.zeros((rows, m), dtype=np.int64)
     for s in range(count):
         total = sums[s] + carry
@@ -402,6 +422,79 @@ def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -
     return real_rows.T @ real_rows, np.exp(1j * angles[half])
 
 
+def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
+    """True iff every off-diagonal Gram entry of a two-digit jp spectrum is exactly 0, decided in integers.
+
+    With L = {l0, l1} and all 2^n words distinct, the entry of atoms
+    x = a_x / q and y = a_y / q is a unit phase times sqrt(w_x w_y)
+    prod_j (1 + e(<v_j, a_x - a_y> / q)), v_j = (R^t)^j (l1 - l0). It
+    vanishes iff for some j the residues r_j = <v_j, a> mod q differ by
+    exactly q/2: r_j(y) = s_j(x) := (r_j(x) + q/2) mod q. That relation is
+    symmetric and never holds at x = y. Residues are int64 where
+    ``_phase_path`` allows it and Python ints, coded by rank, otherwise.
+    The first atom's row is checked first, so a Gram that is not diagonal
+    is usually refused in O(M n); then blocks of rows against the atoms
+    from the block on. Any other set, and |L| > 2 or merged words, is False.
+    """
+    if freq_set.triple is None:
+        return False
+    matrix, digits, n = freq_set.triple
+    atom_nums, q = atoms
+    m = len(atom_nums)
+    if len(digits) != 2 or len(freq_set) != 2**n or (q % 2 and m > 1):
+        return False
+    rt, v = tuple(zip(*matrix)), [tuple(y - x for x, y in zip(*digits))]
+    for _ in range(n - 1):
+        v.append(_matvec(rt, v[-1]))
+    dtype = np.int64 if _phase_path(dim, v, atom_nums, q) == "int64" else object
+    r = np.array(v, dtype=dtype).reshape(n, dim) @ np.array(atom_nums, dtype=dtype).reshape(m, dim).T % q
+    r = np.stack([r, (r + q // 2) % q])
+    if dtype is object:
+        r = np.unique(r, return_inverse=True)[1].reshape(r.shape)
+    r, s = r
+    if not (r[:, 1:] == s[:, :1]).any(axis=0).all():
+        return False
+    step = max(1, _PAIR_BLOCK // m)
+    for i in range(0, m, step):
+        hits = np.zeros((min(step, m - i), m - i), dtype=bool)
+        for j in range(n):
+            hits |= s[j, i : i + step, None] == r[j, None, i:]
+        if np.count_nonzero(hits) != hits.shape[0] * (m - i - 1):
+            return False
+    return True
+
+
+def _diagonal_report(sqrt_w: np.ndarray, masses, freq_count: int) -> FrameReport:
+    """The report of the exactly diagonal Gram F diag(w): no Gram, no eigensolve.
+
+    ``masses`` are the weights exactly, numerators over a denominator.
+    lower and upper are F w_x at the first smallest and the largest weight,
+    each the exact rational rounded once; rank is M. The worst vector is
+    the unit vector at that first smallest weight, normalized as
+    ``_frame_report`` normalizes, and ``resolution`` is the tolerance an
+    eigensolve would have used.
+    """
+    nums, den = masses
+    m, first = len(nums), nums.index(min(nums))
+    lower, upper = freq_count * nums[first] / den, freq_count * max(nums) / den
+    worst = np.zeros(m, dtype=complex)
+    worst[first] = 1 / sqrt_w[first]
+    tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
+    return FrameReport(lower, upper, upper / lower, m, tuple(worst), m, freq_count, float(tol))
+
+
+def _report(dim: int, atoms, weights, masses, freq_set: FrequencySet, eigen_budget: int) -> FrameReport:
+    """Frame bounds on atoms (numerators, denominator) with weights, also given exactly as ``masses``.
+
+    An exactly diagonal Gram is reported from its diagonal; every other
+    Gram takes ``_gram`` and ``_frame_report``.
+    """
+    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
+    if _vanishing_off_diagonal(dim, atoms, freq_set):
+        return _diagonal_report(sqrt_w, masses, len(freq_set))
+    return _frame_report(*_gram(dim, atoms, weights, freq_set, eigen_budget), weights, len(freq_set))
+
+
 def _frame_report(gram: np.ndarray, d, weights: np.ndarray, freq_count: int) -> FrameReport:
     """Frame bounds from one ``eigvalsh`` of the Gram diag(d) G diag(d)^* of ``freq_count`` synthesis rows.
 
@@ -448,8 +541,9 @@ def frame_bounds_from_arrays(
 ) -> FrameReport:
     """Frame bounds of the exponential system on explicit weighted points, exact phases."""
     atoms = _common_numerators(np.asarray(locations).tolist())
-    gram, d = _gram(np.shape(locations)[-1], atoms, weights, freq_set, eigen_budget)
-    return _frame_report(gram, d, weights, len(freq_set))
+    # Float weights are exact binary rationals: numerators over 1, and F * w rounds once.
+    masses = np.asarray(weights, dtype=float).tolist(), 1
+    return _report(np.shape(locations)[-1], atoms, weights, masses, freq_set, eigen_budget)
 
 
 def frame_bounds(
@@ -457,7 +551,7 @@ def frame_bounds(
 ) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
     atoms, weights = _exact_atoms(m)
-    return _frame_report(*_gram(m.dim, atoms, weights, freq_set, eigen_budget), weights, len(freq_set))
+    return _report(m.dim, atoms, weights, (m.masses, m.mass_denominator), freq_set, eigen_budget)
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:

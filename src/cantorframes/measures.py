@@ -66,14 +66,18 @@ def _exact_number(x):
 
 def as_point(value, dim: int | None = None) -> Point:
     """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions; NaN and inf are refused."""
+    return tuple(map(Fraction, _exact_point(value, dim)))
+
+
+def _exact_point(value, dim: int | None = None) -> tuple:
+    """``as_point`` before the Fractions: each coordinate as ``_exact_number`` reads it."""
     value = (value,) if isinstance(value, numbers.Number) else tuple(value)
     exact = tuple(map(_exact_number, value))
     if any(type(v) is float and not math.isfinite(v) for v in exact):
         raise ValueError(f"point {value} is not finite")
-    pt = tuple(map(Fraction, exact))
-    if dim is not None and len(pt) != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {len(pt)}")
-    return pt
+    if dim is not None and len(exact) != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {len(exact)}")
+    return exact
 
 
 def _matvec(matrix, vec):

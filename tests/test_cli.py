@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -494,3 +497,19 @@ class TestParserReuse:
         assert "--level" in calls[2][2] and "--R/--B/--C" in calls[4][2]
         assert '"command": "packing check"' in calls[5][1]
         assert sorted(files) == ["a.json", "a.json.manifest.json", "b.json", "c.json"]
+
+
+def test_jp_frame_bounds_do_not_depend_on_blas_threads(tmp_path):
+    # The jp Gram is decided exactly diagonal, so no eigensolve runs and the bounds are exactly 1.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.json"
+        args = ["frame", "bounds", "--system", "4:0,1", "--level", "8", "--spectrum", "jp", "--out", str(out)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "cantorframes.cli", *args], env=env, timeout=120, check=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    report = json.loads(texts[0])
+    assert report["lower"] == report["upper"] == 1.0

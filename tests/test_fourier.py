@@ -272,3 +272,16 @@ class TestFactorization:
         report = factorization_check(m, m, window_e, window_f, [0.0], force=True)
         assert not report.certified
         assert report.max_deviation > 0.1
+
+    def test_integer_grid_point_past_exact_doubles(self):
+        # 2^60 + 1 rounds to the float 2^60; read exactly it acts as 1 on atoms over 16^k.
+        nu, lam = level_measure(SIXTEEN_01, 2), level_measure(SIXTEEN_04, 2)
+        report = factorization_check(nu, lam, nu.locations, lam.locations, [2**60 + 1])
+        at_one = factorization_check(nu, lam, nu.locations, lam.locations, [1])
+        assert report.argmax_xi == (2**60 + 1,) and type(report.argmax_xi[0]) is int
+        assert report.max_deviation == at_one.max_deviation
+
+    def test_grid_of_wrong_dimension_raises(self):
+        nu, lam = level_measure(SIXTEEN_01, 1), level_measure(SIXTEEN_04, 1)
+        with pytest.raises(DimensionMismatch):
+            factorization_check(nu, lam, nu.locations, lam.locations, [(0.0, 1.0)])

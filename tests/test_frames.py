@@ -595,3 +595,150 @@ class TestRealGram:
         assert report.rank == expected.rank
         quotient = bessel_quotient(measure, freq_set, report.worst_vector)
         assert abs(quotient - smallest) <= max(report.resolution, 1e-12 * report.upper)
+
+
+def _gram_report(measure, freq_set):
+    """The report of the Gram and its eigensolve, the path every set took before exact diagonals."""
+    atoms, weights = frames._exact_atoms(measure)
+    gram, d = frames._gram(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+    return frames._frame_report(gram, d, weights, len(freq_set))
+
+
+def _same_report(first, second) -> bool:
+    return repr(first) == repr(second) and np.array_equal(first.worst_vector, second.worst_vector)
+
+
+def _vanishes(measure, freq_set) -> bool:
+    return frames._vanishing_off_diagonal(measure.dim, frames._exact_atoms(measure)[0], freq_set)
+
+
+SIX_01 = DigitSystem.one_dimensional(6, [0, 1])
+# R^-1 (1, 0) = (1/2, 0), so L = {0, (1, 0)} is a Hadamard pair for B = {0, (1, 0)}; atoms lie over 6^n.
+PLANAR_TWO_DIGIT = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0)))
+
+
+def _exact_cases():
+    cases = [(f"jp-level{n}", level_measure(FOUR, n), jp_spectrum(FOUR, [0, 2], n)) for n in range(1, 11)]
+    cases.append(("jp-level6-third", translate(level_measure(FOUR, 6), Fraction(1, 3)), jp_spectrum(FOUR, [0, 2], 6)))
+    cases += [(f"six-level{n}", level_measure(SIX_01, n), jp_spectrum(SIX_01, [0, 3], n)) for n in (1, 4, 7)]
+    cases += [
+        (f"planar-level{n}", level_measure(PLANAR_TWO_DIGIT, n), jp_spectrum(PLANAR_TWO_DIGIT, [(0, 0), (1, 0)], n))
+        for n in (1, 3, 6)
+    ]
+    # The atoms of mu16 lie in mu4's level-4 set, with other weights: the Gram is diagonal but not I.
+    cases.append(("sub-level", level_measure(SIXTEEN_01, 2), jp_spectrum(FOUR, [0, 2], 4)))
+    cases.append(("uneven-weights", add(level_measure(FOUR, 2), level_measure(SIXTEEN_01, 1)), jp_spectrum(FOUR, [0, 2], 2)))
+    return cases
+
+
+def _fallback_cases():
+    eight = DigitSystem.one_dimensional(8, [0, 1])
+    three = DigitSystem.one_dimensional(6, [0, 2, 4])
+    cases = [(f"cross-bessel-level{n}", level_measure(FOUR, n), jp_spectrum(eight, [0, 4], n)) for n in range(2, 9)]
+    cases += [(f"f-below-m-level{n}", level_measure(FOUR, n + 1), jp_spectrum(FOUR, [0, 2], n)) for n in (1, 4, 7)]
+    cases.append(("atoms-over-3^5", level_measure(DigitSystem.one_dimensional(3, [0, 1]), 5), jp_spectrum(FOUR, [0, 2], 5)))
+    cases.append(("three-digits", level_measure(three, 3), jp_spectrum(three, [0, 1, 2], 3)))
+    cases.append(("even-integers", level_measure(FOUR, 4), FrequencySet.from_scalars(range(0, 160, 2))))
+    jp = jp_spectrum(FOUR, [0, 2], 5)
+    cases.append(("same-freqs-no-triple", level_measure(FOUR, 5), FrequencySet(dim=1, freqs=jp.freqs)))
+    return cases
+
+
+EXACT_CASES, FALLBACK_CASES = _exact_cases(), _fallback_cases()
+DYADIC_EXACT_CASES = [c for c in EXACT_CASES if c[0].startswith(("jp-level", "sub-level", "uneven")) and "third" not in c[0]]
+
+
+class TestExactDiagonal:
+    """Two-digit jp spectra whose Gram is decided exactly diagonal are reported without an eigensolve."""
+
+    def test_triple_is_kept_and_ignored_by_equality(self):
+        jp = jp_spectrum(FOUR, [0, 2], 3)
+        assert jp.triple == (((4,),), ((0,), (2,)), 3)
+        plain = FrequencySet(dim=1, freqs=jp.freqs, provenance="jp-spectrum")
+        assert plain.triple is None
+        assert plain == jp and hash(plain) == hash(jp) and repr(plain) == repr(jp)
+
+    @pytest.mark.parametrize("name,measure,freq_set", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_diagonal_report_is_exact(self, name, measure, freq_set, monkeypatch):
+        assert _vanishes(measure, freq_set)
+        for solver in ("eigvalsh", "eigh", "solve"):
+            monkeypatch.setattr(np.linalg, solver, None)
+        report = frame_bounds(measure, freq_set)
+        m, f = len(measure), len(freq_set)
+        weights = [Fraction(w, measure.mass_denominator) for w in measure.masses]
+        first = weights.index(min(weights))
+        assert (report.lower, report.upper) == (float(f * min(weights)), float(f * max(weights)))
+        assert report.ratio == report.upper / report.lower
+        assert (report.rank, report.atom_count, report.freq_count) == (m, m, f)
+        assert report.resolution == max(m, f) * np.finfo(float).eps * max(report.upper, 1.0)
+        expected = np.zeros(m, dtype=complex)
+        expected[first] = 1 / math.sqrt(weights[first])
+        assert np.array_equal(report.worst_vector, expected)
+
+    @pytest.mark.parametrize("name,measure,freq_set", DYADIC_EXACT_CASES, ids=[c[0] for c in DYADIC_EXACT_CASES])
+    def test_arrays_take_the_exact_path(self, name, measure, freq_set):
+        # Dyadic atoms are exact as floats, so the arrays give the same atoms and the same report.
+        arrays = frame_bounds_from_arrays(*as_float_arrays(measure), freq_set)
+        assert _same_report(arrays, frame_bounds(measure, freq_set))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_jp_levels_read_exactly_one(self, n):
+        report = frame_bounds(level_measure(FOUR, n), jp_spectrum(FOUR, [0, 2], n))
+        assert report.lower == report.upper == report.ratio == 1.0
+
+    @pytest.mark.parametrize("name,measure,freq_set", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_diagonal_report_matches_eigensolve(self, name, measure, freq_set):
+        report, solved = frame_bounds(measure, freq_set), _gram_report(measure, freq_set)
+        # The float Gram is off by rounding: at level 1 its upper reads 1.0000000000000007.
+        tol = max(report.resolution, 1e-12 * report.upper)
+        assert abs(report.lower - solved.lower) <= tol and abs(report.upper - solved.upper) <= tol
+        assert report.rank == solved.rank
+        assert abs(bessel_quotient(measure, freq_set, report.worst_vector) - report.lower) <= tol
+
+    @pytest.mark.parametrize("name,measure,freq_set", FALLBACK_CASES, ids=[c[0] for c in FALLBACK_CASES])
+    def test_other_sets_keep_the_eigensolve_bit_for_bit(self, name, measure, freq_set):
+        assert not _vanishes(measure, freq_set)
+        report = frame_bounds(measure, freq_set)
+        assert _same_report(report, _gram_report(measure, freq_set))
+        if name.startswith("f-below-m"):
+            assert report.lower == 0 and report.rank <= len(freq_set) < report.atom_count
+
+    def test_single_atom_is_diagonal(self):
+        # One atom over an odd denominator: no pair to decide.
+        measure = AtomicMeasure.from_atoms(1, [((Fraction(1, 3),), Fraction(1))])
+        freq_set = jp_spectrum(FOUR, [0, 2], 2)
+        assert _vanishes(measure, freq_set)
+        assert frame_bounds(measure, freq_set).lower == frame_bounds(measure, freq_set).upper == 4.0
+
+    def test_wide_atoms_decide_on_python_ints(self):
+        # A float shift puts the atoms over 2^56, past the int64 residues of _phase_path.
+        measure, freq_set = translate(level_measure(FOUR, 5), 0.1), jp_spectrum(FOUR, [0, 2], 5)
+        atoms = frames._exact_atoms(measure)[0]
+        assert frames._phase_path(1, [(2 * 4**j,) for j in range(5)], atoms[0], atoms[1]) != "int64"
+        assert _vanishes(measure, freq_set)
+        assert frame_bounds(measure, freq_set).lower == 1.0
+        duplicate = FrequencySet.from_scalars([0, 2, 8, 10, 32, 34, 40, 42, 128])
+        assert not _vanishes(measure, duplicate)
+
+
+def _phase_oracle(freq_nums, p, atom_nums, q) -> np.ndarray:
+    return np.array(
+        [[float(Fraction(sum(x * y for x, y in zip(f, a)) % (p * q), p * q)) for a in atom_nums] for f in freq_nums]
+    )
+
+
+@pytest.mark.parametrize(
+    "dim, k, path",
+    [(64, 672, "limbs"), (2048, 21, "limbs"), (65, 672, "object"), (2049, 21, "object")],
+    ids=["64x32-limbs", "2048x1-limb", "65x32-limbs", "2049x1-limb"],
+)
+def test_limb_products_exact_up_to_their_bound(dim, k, path):
+    # All-ones limbs make every limb sum as large as it gets: dim * limbs * (2^21 - 1)^2.
+    rng = random.Random(dim + k)
+    top = (1 << k) - 1
+    freq_nums = [(top,) * dim, tuple(rng.randrange(-(2**80), 2**80) for _ in range(dim)), (1,) + (0,) * (dim - 1)]
+    atom_nums = [(top,) * dim, tuple(rng.randrange(2**k) for _ in range(dim)), (-1,) * dim]
+    kp = 3
+    assert frames._phase_path(dim, freq_nums, atom_nums, 2**k) == path
+    phases = frames._exact_phase_matrix(dim, (freq_nums, 2**kp), (atom_nums, 2 ** (k - kp)))
+    assert np.array_equal(phases, _phase_oracle(freq_nums, 2**kp, atom_nums, 2 ** (k - kp)))
