@@ -103,13 +103,13 @@ def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
 
 def _cmd_measure_build(args) -> int:
     from .measures import level_measure
-    from .serialize import measure_json, measure_to_jsonable
+    from .serialize import _atom_strings, measure_json
 
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
     if args.format == "csv":
         header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
-        rows = [[*atom["location"], atom["weight"]] for atom in measure_to_jsonable(measure)["atoms"]]
+        rows = [[*location, weight] for location, weight in _atom_strings(measure)]
         _emit(args, None, header, rows)
     else:
         _emit(args, measure_json(measure), None, None)

@@ -15,7 +15,6 @@ through ``measures._points_over``, the one map of exact points.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import operator
@@ -41,21 +40,22 @@ from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 _MAX_FACTORS = 10_000
 
 
-def _as_vector(xi, dim: int) -> np.ndarray:
-    arr = np.asarray(xi, dtype=float).reshape(-1)
-    if arr.shape[0] != dim:
-        raise ValueError(f"frequency has dimension {arr.shape[0]}, expected {dim}")
-    return arr
-
-
 def mask_eval(digits, xi) -> complex:
-    """(1/#B) sum_b exp(-2*pi*i <xi, b>)."""
-    digits = [(b,) if isinstance(b, numbers.Number) else tuple(b) for b in digits]
-    xi = _as_vector(xi, len(digits[0]))
-    total = 0j
+    """(1/#B) sum_b exp(-2*pi*i <xi, b>): the grid's ``_masks`` at one point, <xi, b> summed in coordinate order."""
+    digits = [[float(x) for x in ((b,) if isinstance(b, numbers.Number) else b)] for b in digits]
+    eta = np.asarray(xi, dtype=float).reshape(1, -1)
+    if eta.shape[1] != len(digits[0]):
+        raise ValueError(f"frequency has dimension {eta.shape[1]}, expected {len(digits[0])}")
+    re, im = _masks(digits, eta)
+    return complex(re[0], im[0])
+
+
+def _masks(digits, eta: np.ndarray) -> tuple:
+    """Real and imaginary parts of (1/#B) sum_b exp(-2*pi*i <eta, b>) at each row of ``eta``, b in order."""
+    mask = np.zeros(len(eta), dtype=complex)
     for b in digits:
-        total += cmath.exp(-2j * math.pi * float(np.dot(xi, b)))
-    return total / len(digits)
+        mask += np.exp(-2j * math.pi * _fixed_order_dot(b, eta))
+    return mask.real / len(digits), mask.imag / len(digits)
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,7 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
         k = int(np.count_nonzero(counts > step))
         eta = eta[:k]
         eta = np.stack([_fixed_order_dot(row, eta) for row in rinv_t], axis=1)
-        mask = np.zeros(k, dtype=complex)
-        for b in digits:
-            mask += np.exp(-2j * math.pi * _fixed_order_dot(b, eta))
-        mr, mi = mask.real / len(digits), mask.imag / len(digits)
+        mr, mi = _masks(digits, eta)
         vr, vi = re[:k], im[:k]
         re[:k], im[:k] = vr * mr - vi * mi, vr * mi + vi * mr
 

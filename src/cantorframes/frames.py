@@ -1,18 +1,18 @@
 """Frequency sets, frame/Bessel bounds, and shear transport of spectra.
 
 Frame bounds of a discretized measure are the extremal eigenvalues of the
-atom-indexed Hermitian square of the synthesis matrix. Every frame entry
-point shares one set of input checks, one Gram builder (``_gram``), one
-``eigvalsh`` per reported Gram and the worst vector by shifted inverse
-iteration (``_frame_report``). When the frequency set is centrally
-symmetric, decided exactly, the Gram is a real symmetric matrix up to a
-unitary diagonal, built from half the synthesis rows: jp spectra of
-two-digit sets and integer pools all are. A jp spectrum of a two-digit
-triple whose Gram is exactly diagonal, decided in integers
+atom-indexed Hermitian square of the synthesis matrix. Every report comes
+from ``_report``, on exact atoms and masses: one set of input checks, one
+Gram builder (``_gram``), one ``eigvalsh`` per reported Gram and the worst
+vector by shifted inverse iteration (``_frame_report``). The eigen budget
+bounds eigensolves only. When the frequency set is centrally symmetric,
+decided exactly, the Gram is a real symmetric matrix up to a unitary
+diagonal, built from half the synthesis rows: jp spectra of two-digit
+sets and integer pools all are. A jp spectrum of a two-digit triple
+whose Gram is exactly diagonal, decided in integers
 (``_vanishing_off_diagonal``), needs neither: its report is read off the
-diagonal F w (``_diagonal_report``).
-Greedy frame search (``greedy_frame_search``) is deterministic, with
-fixed tie-breaks.
+diagonal F w (``_diagonal_report``). Greedy frame search
+(``greedy_frame_search``) is deterministic, with fixed tie-breaks.
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
@@ -360,36 +360,31 @@ def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarr
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
 
 
-def _exact_atoms(m: AtomicMeasure) -> tuple:
-    """Atom numerators and their denominator, and float weights."""
-    return (m.numerators, m.denominator), np.array([w / m.mass_denominator for w in m.masses], dtype=float)
-
-
-def _checked_sqrt_weights(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -> np.ndarray:
-    """sqrt(w) after the checks every entry point shares, before any phase is computed."""
-    count = len(atoms[0])
+def _checked_sqrt_weights(dim: int, atoms, masses, freq_set: FrequencySet) -> np.ndarray:
+    """sqrt(w) of masses (numerators, denominator), after the checks every report shares, before any phase."""
+    (nums, den), count = masses, len(atoms[0])
     if freq_set.dim != dim:
         raise SizeMismatch("frequency dimension does not match the measure")
     if count == 0:
         raise ZeroNormInput("measure has no atoms")
-    if len(weights) != count:
+    if len(nums) != count:
         raise SizeMismatch("weight count does not match the atom count")
-    weights = np.asarray(weights, dtype=float)
-    if not np.all((weights > 0) & (weights < np.inf)):
-        raise ValueError("weights must be positive and finite")
+    return np.sqrt(np.array([w / den for w in nums], dtype=float))
+
+
+def _check_eigen_budget(count: int, eigen_budget: int) -> None:
+    """Refuse an eigensolve on more than ``eigen_budget`` atoms."""
     if count > eigen_budget:
         raise EigenBudgetExceeded(f"{count} atoms exceed the eigen budget {eigen_budget}")
-    return np.sqrt(weights)
 
 
-def _synthesis_rows(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int):
-    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator), after the checks every entry point shares."""
-    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
+def _synthesis_rows(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> np.ndarray:
+    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator) of weights sqrt_w**2."""
     phases = _exact_phase_matrix(dim, (freq_set.numerators, freq_set.denominator), atoms)
     return np.exp(-2j * np.pi * phases) * sqrt_w[None, :]
 
 
-def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -> tuple:
+def _gram(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:
     """The Gram of the synthesis rows as (G_c, d) with Phi^H Phi = diag(d) G_c diag(d)^*.
 
     G_c is real, and d = e(<c, x>), whenever the frequency set is centrally
@@ -407,9 +402,8 @@ def _gram(dim: int, atoms, weights, freq_set: FrequencySet, eigen_budget: int) -
     rows, p = sorted(freq_set.numerators), freq_set.denominator
     pair_sums = {tuple(x + y for x, y in zip(f, g)) for f, g in zip(rows, reversed(rows))}
     if len(pair_sums) != 1:
-        phi = _synthesis_rows(dim, atoms, weights, freq_set, eigen_budget)
+        phi = _synthesis_rows(dim, atoms, sqrt_w, freq_set)
         return phi.conj().T @ phi, None
-    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
     (s,) = pair_sums
     half = len(rows) // 2
     centred = [tuple(2 * x - y for x, y in zip(f, s)) for f in rows[:half]]
@@ -483,19 +477,21 @@ def _diagonal_report(sqrt_w: np.ndarray, masses, freq_count: int) -> FrameReport
     return FrameReport(lower, upper, upper / lower, m, tuple(worst), m, freq_count, float(tol))
 
 
-def _report(dim: int, atoms, weights, masses, freq_set: FrequencySet, eigen_budget: int) -> FrameReport:
-    """Frame bounds on atoms (numerators, denominator) with weights, also given exactly as ``masses``.
+def _report(dim: int, atoms, masses, freq_set: FrequencySet, eigen_budget: int) -> FrameReport:
+    """Frame bounds on atoms and masses, each given exactly as (numerators, denominator).
 
-    An exactly diagonal Gram is reported from its diagonal; every other
-    Gram takes ``_gram`` and ``_frame_report``.
+    An exactly diagonal Gram is reported from its diagonal, at any size;
+    every other Gram, within the eigen budget, takes ``_gram`` and
+    ``_frame_report``. No phase is computed before either decision.
     """
-    sqrt_w = _checked_sqrt_weights(dim, atoms, weights, freq_set, eigen_budget)
+    sqrt_w = _checked_sqrt_weights(dim, atoms, masses, freq_set)
     if _vanishing_off_diagonal(dim, atoms, freq_set):
         return _diagonal_report(sqrt_w, masses, len(freq_set))
-    return _frame_report(*_gram(dim, atoms, weights, freq_set, eigen_budget), weights, len(freq_set))
+    _check_eigen_budget(len(sqrt_w), eigen_budget)
+    return _frame_report(*_gram(dim, atoms, sqrt_w, freq_set), sqrt_w, len(freq_set))
 
 
-def _frame_report(gram: np.ndarray, d, weights: np.ndarray, freq_count: int) -> FrameReport:
+def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> FrameReport:
     """Frame bounds from one ``eigvalsh`` of the Gram diag(d) G diag(d)^* of ``freq_count`` synthesis rows.
 
     ``gram`` is G, real when ``_gram`` found a symmetric frequency set and
@@ -527,7 +523,7 @@ def _frame_report(gram: np.ndarray, d, weights: np.ndarray, freq_count: int) -> 
     for _ in range(_INVERSE_STEPS):
         vec = np.linalg.solve(gram, vec)
         vec /= np.linalg.norm(vec)
-    worst = np.conj(vec if d is None else d * vec) / np.sqrt(weights)
+    worst = np.conj(vec if d is None else d * vec) / sqrt_w
     top = worst[np.argmax(np.abs(worst))]
     worst *= abs(top) / top
     return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, float(tol))
@@ -539,33 +535,34 @@ def frame_bounds_from_arrays(
     freq_set: FrequencySet,
     eigen_budget: int = DEFAULT_EIGEN_BUDGET,
 ) -> FrameReport:
-    """Frame bounds of the exponential system on explicit weighted points, exact phases."""
+    """Frame bounds of the exponential system on explicit weighted points, read as the binary rationals they are."""
+    weights = np.asarray(weights, dtype=float)
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("weights must be positive and finite")
+    (masses,), den = _common_numerators([weights.tolist()])
     atoms = _common_numerators(np.asarray(locations).tolist())
-    # Float weights are exact binary rationals: numerators over 1, and F * w rounds once.
-    masses = np.asarray(weights, dtype=float).tolist(), 1
-    return _report(np.shape(locations)[-1], atoms, weights, masses, freq_set, eigen_budget)
+    return _report(np.shape(locations)[-1], atoms, (masses, den), freq_set, eigen_budget)
 
 
 def frame_bounds(
     m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
 ) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
-    atoms, weights = _exact_atoms(m)
-    return _report(m.dim, atoms, weights, (m.masses, m.mass_denominator), freq_set, eigen_budget)
+    return _report(m.dim, (m.numerators, m.denominator), (m.masses, m.mass_denominator), freq_set, eigen_budget)
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
     if freq_set.dim != m.dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    atoms, weights = _exact_atoms(m)
+    weights = np.array([w / m.mass_denominator for w in m.masses], dtype=float)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise SizeMismatch("coefficient vector length does not match the atom count")
     norm_sq = float(np.sum(np.abs(f) ** 2 * weights))
     if norm_sq == 0.0:
         raise ZeroNormInput("coefficients have zero norm in L2(m)")
-    phases = _exact_phase_matrix(m.dim, (freq_set.numerators, freq_set.denominator), atoms)
+    phases = _exact_phase_matrix(m.dim, (freq_set.numerators, freq_set.denominator), (m.numerators, m.denominator))
     analysis = np.exp(2j * np.pi * phases) @ (f * weights)
     return float(np.sum(np.abs(analysis) ** 2) / norm_sq)
 
@@ -769,9 +766,11 @@ def greedy_frame_search(
     Raises PoolExhausted when a full-rank system is requested but the pool
     cannot provide one.
     """
-    exact_atoms, weights = _exact_atoms(m)
-    rows = _synthesis_rows(m.dim, exact_atoms, weights, pool, eigen_budget)
-    atoms = len(weights)
+    exact_atoms = m.numerators, m.denominator
+    sqrt_w = _checked_sqrt_weights(m.dim, exact_atoms, (m.masses, m.mass_denominator), pool)
+    atoms = len(sqrt_w)
+    _check_eigen_budget(atoms, eigen_budget)
+    rows = _synthesis_rows(m.dim, exact_atoms, sqrt_w, pool)
     if target_count > len(pool):
         raise PoolExhausted("target count exceeds the pool size")
     if target_count < atoms:
@@ -796,7 +795,7 @@ def greedy_frame_search(
         dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
     )
     picked = rows[selected]
-    report = _frame_report(picked.conj().T @ picked, None, weights, len(selected))
+    report = _frame_report(picked.conj().T @ picked, None, sqrt_w, len(selected))
     if target_count >= atoms and report.rank < atoms:
         raise PoolExhausted("pool cannot span the atom space: rank %d < %d" % (report.rank, atoms))
     return GreedySelection(frequencies=freq_set, report=report, selected_indices=tuple(selected))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -34,20 +33,12 @@ from .errors import (
 Point = tuple  # tuple[Fraction, ...]
 
 DEFAULT_ATOM_BUDGET = 2**16
-ATOM_BUDGET_ENV = "CANTORFRAMES_ATOM_BUDGET"
 
 # Margin for the float eigenvalue test |lambda_i| >= 1 + margin.
 EXPANDING_MARGIN = 1e-9
 # Relative inflation applied to float singular values so the resulting
 # rational bound stays a true upper bound.
 NORM_INFLATION = 1e-12
-
-
-def atom_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(ATOM_BUDGET_ENV)
-    return int(env) if env else DEFAULT_ATOM_BUDGET
 
 
 def _exact_number(x):
@@ -339,7 +330,7 @@ def _sumset(dim: int, layers, budget: int | None = None) -> dict:
     integer weights; multiplicities add the words' weight products. All
     layers, which may be lazy, are read first; reading stops at the budget.
     """
-    max_atoms = atom_budget(budget)
+    max_atoms = DEFAULT_ATOM_BUDGET if budget is None else budget
     words, read = 1, []
     for layer in layers:
         words *= len(layer)

@@ -72,17 +72,6 @@ def _atom_strings(m: AtomicMeasure) -> list:
     return [([_ratio_to_str(x, q) for x in p], weights[w]) for p, w in zip(m.numerators, m.masses)]
 
 
-def measure_to_jsonable(m: AtomicMeasure) -> dict:
-    """The ``atomic-measure/1`` object, written from the integer skeleton; its ``offset`` is always zero."""
-    return {
-        "schema": SCHEMA_MEASURE,
-        "dim": m.dim,
-        "offset": [0.0] * m.dim,
-        "atoms": [{"location": location, "weight": weight} for location, weight in _atom_strings(m)],
-        "total": _ratio_to_str(sum(m.masses), m.mass_denominator),
-    }
-
-
 def _json_list(items, indent: int) -> str:
     """Rendered JSON values as a list at ``indent``, laid out as ``canonical_json`` does."""
     if not items:
@@ -92,8 +81,9 @@ def _json_list(items, indent: int) -> str:
 
 
 def measure_json(m: AtomicMeasure) -> str:
-    """``canonical_json(measure_to_jsonable(m))``, rendered without building the object.
+    """The ``atomic-measure/1`` file of ``m``, as ``canonical_json`` would render the object.
 
+    Atoms are written from the integer skeleton; ``offset`` is always zero.
     Every value is a ratio string of digits, "-" and "/", a float repr or
     an int, none of which JSON escapes or holds a "%", so each atom fills
     one fixed template.

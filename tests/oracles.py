@@ -578,12 +578,13 @@ def oracle_rotated_phases(level: int, base_freqs, theta_degrees: float) -> tuple
     """(rotated, base) exact phase matrices of the planar sum at one non-right angle."""
     from cantorframes import BlockedLinearMap, DigitSystem, add, embed_axis, level_measure
     from cantorframes.experiments import _sheared_atoms
-    from cantorframes.frames import _exact_atoms, _exact_phase_matrix, _shear_transport
+    from cantorframes.frames import _exact_phase_matrix, _shear_transport
     from cantorframes.measures import _common_numerators
 
     mu = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level)
     nu = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level)
-    base_atoms, _ = _exact_atoms(add(embed_axis(mu, 2, 0), embed_axis(nu, 2, 1)))
+    planar = add(embed_axis(mu, 2, 0), embed_axis(nu, 2, 1))
+    base_atoms = planar.numerators, planar.denominator
     t_map = BlockedLinearMap.rotation_2d(math.radians(theta_degrees))
     c = Fraction(t_map.a4[0][0])
     freqs, p = _shear_transport(_common_numerators([(f0, Fraction(f1) / c) for f0, f1 in base_freqs.freqs]), t_map)

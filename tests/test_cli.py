@@ -38,7 +38,6 @@ from cantorframes.serialize import (
     load_json,
     measure_from_jsonable,
     measure_json,
-    measure_to_jsonable,
     verify_certificate,
     witness_to_jsonable,
 )
@@ -72,21 +71,21 @@ class TestSerializeRoundTrips:
 
     def test_measure(self):
         m = translate(level_measure(FOUR, 3), 0.25)
-        data = measure_to_jsonable(m)
+        data = json.loads(measure_json(m))
         assert measure_from_jsonable(json.loads(json.dumps(data))) == m
 
     def test_legacy_offset_folds_into_skeleton(self):
         m = level_measure(FOUR, 3)
-        data = measure_to_jsonable(m)
+        data = json.loads(measure_json(m))
         data["offset"] = [0.1]
         loaded = measure_from_jsonable(json.loads(json.dumps(data)))
         assert loaded == translate(m, 0.1)
-        assert measure_to_jsonable(loaded)["offset"] == [0.0]
+        assert json.loads(measure_json(loaded))["offset"] == [0.0]
         assert '"offset": [\n    0.0\n  ]' in measure_json(loaded)
 
     @pytest.mark.parametrize("field, text", [("location", ["1/x"]), ("weight", "one")])
     def test_malformed_string_is_value_error(self, tmp_path, field, text):
-        data = measure_to_jsonable(level_measure(FOUR, 2))
+        data = json.loads(measure_json(level_measure(FOUR, 2)))
         data["atoms"][1][field] = text
         with pytest.raises(ValueError):
             measure_from_jsonable(data)
@@ -98,7 +97,7 @@ class TestSerializeRoundTrips:
         assert not out.exists()
 
     def test_measure_total_guard(self):
-        data = measure_to_jsonable(level_measure(FOUR, 2))
+        data = json.loads(measure_json(level_measure(FOUR, 2)))
         data["total"] = "2"
         with pytest.raises(Exception):
             measure_from_jsonable(data)
@@ -120,7 +119,7 @@ class TestSerializeRoundTrips:
              "planar-float-offset", "convolution", "sum", "from-atoms"],
     )
     def test_measure_writer_matches_fraction_view(self, measure):
-        assert measure_to_jsonable(measure) == oracle_measure_jsonable(measure)
+        assert json.loads(measure_json(measure)) == oracle_measure_jsonable(measure)
         assert measure_json(measure) == canonical_json(oracle_measure_jsonable(measure))
 
     @pytest.mark.parametrize(
@@ -417,13 +416,25 @@ class TestCliCommands:
         assert rc in (1, 2)
 
 
-def test_atom_budget_env_var(monkeypatch):
-    from cantorframes import AtomBudgetExceeded, level_measure
+def test_exact_frame_report_past_the_eigen_budget(capsys):
+    # 8192 atoms, twice the eigen budget, but the jp Gram is decided diagonal, so no eigensolve runs.
+    assert main(["frame", "bounds", "--system", "4:0,1", "--level", "13", "--spectrum", "jp"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lower"] == report["upper"] == 1.0 and report["atom_count"] == 8192
 
-    monkeypatch.setenv("CANTORFRAMES_ATOM_BUDGET", "8")
-    with pytest.raises(AtomBudgetExceeded):
-        level_measure(DigitSystem.one_dimensional(2, [0, 1]), 5)
-    assert len(level_measure(DigitSystem.one_dimensional(2, [0, 1]), 3)) == 8
+
+def test_atom_budget_flag_refuses_past_its_value(capsys):
+    assert main(["measure", "build", "--system", "2:0,1", "--level", "5", "--atom-budget", "8"]) == EXIT_ERROR
+    assert "AtomBudgetExceeded" in capsys.readouterr().err
+
+
+def test_atom_budget_flag_is_recorded_in_the_manifest(tmp_path):
+    # The flag is the one input of the budget besides budget=, so the manifest records every budget a run used.
+    out = tmp_path / "m.json"
+    argv = ["measure", "build", "--system", "2:0,1", "--level", "3", "--atom-budget", "8", "--manifest"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(measure_from_jsonable(load_json(out))) == 8
+    assert load_json(tmp_path / "m.json.manifest.json")["config"]["atom_budget"] == 8
 
 
 class TestDeterminism:

@@ -56,6 +56,24 @@ class TestMask:
         mask = MaskPolynomial.of([0, 1, 5])
         assert mask(0) == 1
 
+    @pytest.mark.parametrize("digits", [[(0,), (1,), (5,)], [(0, 0), (2, 1), (1, 3), (-1, 2)]], ids=["1d", "planar"])
+    def test_mask_sums_each_phase_in_coordinate_order(self, digits):
+        # <xi, b> is added left to right and never fused into one multiply-add, as the grid forms it.
+        rng = np.random.default_rng(4)
+        for xi in rng.uniform(-50, 50, (200, len(digits[0]))).tolist():
+            total = 0j
+            for b in digits:
+                dot = xi[0] * b[0]
+                for x, y in zip(xi[1:], b[1:]):
+                    dot = dot + x * y
+                total += cmath.exp(-2j * np.pi * dot)
+            value = mask_eval(digits, xi)
+            assert (value.real, value.imag) == (total.real / len(digits), total.imag / len(digits))
+
+    def test_mask_refuses_wrong_dimension(self):
+        with pytest.raises(ValueError, match="frequency has dimension 1, expected 2"):
+            mask_eval([(0, 0), (1, 0)], 0.5)
+
     @pytest.mark.parametrize("digits", [[(0,), (2.5,)], [0, 2.5], [(0, 0), (1, 0.5)]])
     def test_polynomial_refuses_non_integer_digits(self, digits):
         with pytest.raises(ValueError, match="integer"):

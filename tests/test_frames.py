@@ -10,6 +10,7 @@ from cantorframes import (
     BlockedLinearMap,
     DigitSystem,
     DimensionMismatch,
+    EigenBudgetExceeded,
     EmptyFrequencySet,
     FrequencySet,
     HadamardCheckFailed,
@@ -510,8 +511,8 @@ class TestWorstVector:
 
     @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
     def test_matches_eigh_oracle(self, name, measure, freq_set):
-        atoms, weights = frames._exact_atoms(measure)
-        phi = frames._synthesis_rows(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+        atoms, weights = _atoms_and_weights(measure)
+        phi = frames._synthesis_rows(measure.dim, atoms, np.sqrt(weights), freq_set)
         expected, smallest = oracle_eigh_report(phi, weights)
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
@@ -528,10 +529,15 @@ class TestWorstVector:
         assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
 
+def _atoms_and_weights(measure):
+    """Atom numerators and their denominator, and the float weights the report path forms."""
+    return (measure.numerators, measure.denominator), np.array([w / measure.mass_denominator for w in measure.masses])
+
+
 def _gram_and_rows(measure, freq_set):
-    atoms, weights = frames._exact_atoms(measure)
-    gram, d = frames._gram(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
-    return gram, d, frames._synthesis_rows(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
+    atoms, weights = _atoms_and_weights(measure)
+    gram, d = frames._gram(measure.dim, atoms, np.sqrt(weights), freq_set)
+    return gram, d, frames._synthesis_rows(measure.dim, atoms, np.sqrt(weights), freq_set)
 
 
 def _symmetric_gram_cases():
@@ -588,7 +594,7 @@ class TestRealGram:
     def test_matches_complex_oracle(self, name, measure, freq_set):
         gram, d, phi = _gram_and_rows(measure, freq_set)
         assert (d is None) == (name in COMPLEX_ORACLE_CASES)
-        expected, smallest = oracle_eigh_report(phi, frames._exact_atoms(measure)[1])
+        expected, smallest = oracle_eigh_report(phi, _atoms_and_weights(measure)[1])
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
         assert abs(report.upper - expected.upper) <= report.resolution
@@ -599,9 +605,9 @@ class TestRealGram:
 
 def _gram_report(measure, freq_set):
     """The report of the Gram and its eigensolve, the path every set took before exact diagonals."""
-    atoms, weights = frames._exact_atoms(measure)
-    gram, d = frames._gram(measure.dim, atoms, weights, freq_set, frames.DEFAULT_EIGEN_BUDGET)
-    return frames._frame_report(gram, d, weights, len(freq_set))
+    atoms, weights = _atoms_and_weights(measure)
+    gram, d = frames._gram(measure.dim, atoms, np.sqrt(weights), freq_set)
+    return frames._frame_report(gram, d, np.sqrt(weights), len(freq_set))
 
 
 def _same_report(first, second) -> bool:
@@ -609,7 +615,7 @@ def _same_report(first, second) -> bool:
 
 
 def _vanishes(measure, freq_set) -> bool:
-    return frames._vanishing_off_diagonal(measure.dim, frames._exact_atoms(measure)[0], freq_set)
+    return frames._vanishing_off_diagonal(measure.dim, (measure.numerators, measure.denominator), freq_set)
 
 
 SIX_01 = DigitSystem.one_dimensional(6, [0, 1])
@@ -713,12 +719,46 @@ class TestExactDiagonal:
     def test_wide_atoms_decide_on_python_ints(self):
         # A float shift puts the atoms over 2^56, past the int64 residues of _phase_path.
         measure, freq_set = translate(level_measure(FOUR, 5), 0.1), jp_spectrum(FOUR, [0, 2], 5)
-        atoms = frames._exact_atoms(measure)[0]
+        atoms = measure.numerators, measure.denominator
         assert frames._phase_path(1, [(2 * 4**j,) for j in range(5)], atoms[0], atoms[1]) != "int64"
         assert _vanishes(measure, freq_set)
         assert frame_bounds(measure, freq_set).lower == 1.0
         duplicate = FrequencySet.from_scalars([0, 2, 8, 10, 32, 34, 40, 42, 128])
         assert not _vanishes(measure, duplicate)
+
+
+def _no_phases(*args, **kwargs):
+    raise AssertionError("phases computed")
+
+
+class TestEigenBudget:
+    """The eigen budget bounds eigensolves only: an exactly diagonal Gram is reported at any size."""
+
+    def test_diagonal_report_past_the_budget(self, monkeypatch):
+        measure, freq_set = level_measure(FOUR, 13), jp_spectrum(FOUR, [0, 2], 13)
+        monkeypatch.setattr(frames, "_exact_phase_matrix", _no_phases)
+        report = frame_bounds(measure, freq_set)
+        assert report.lower == report.upper == 1.0
+        assert report.atom_count == report.rank == 8192 > frames.DEFAULT_EIGEN_BUDGET
+        assert _same_report(frame_bounds_from_arrays(*as_float_arrays(measure), freq_set), report)
+
+    def test_small_budget_spares_a_diagonal_report(self):
+        measure, freq_set = level_measure(FOUR, 3), jp_spectrum(FOUR, [0, 2], 3)
+        assert _same_report(frame_bounds(measure, freq_set, eigen_budget=4), frame_bounds(measure, freq_set))
+        with pytest.raises(EigenBudgetExceeded):
+            frame_bounds(measure, FrequencySet.from_scalars(range(8)), eigen_budget=4)
+
+    def test_gram_past_the_budget_is_refused_before_any_phase(self, monkeypatch):
+        measure = level_measure(FOUR, 13)
+        cross = jp_spectrum(DigitSystem.one_dimensional(8, [0, 1]), [0, 4], 13)
+        monkeypatch.setattr(frames, "_exact_phase_matrix", _no_phases)
+        assert not _vanishes(measure, cross)
+        with pytest.raises(EigenBudgetExceeded, match="8192 atoms exceed the eigen budget 4096"):
+            frame_bounds(measure, cross)
+        with pytest.raises(EigenBudgetExceeded):
+            frame_bounds_from_arrays(*as_float_arrays(measure), cross)
+        with pytest.raises(EigenBudgetExceeded):
+            greedy_frame_search(measure, cross, len(cross))
 
 
 def _phase_oracle(freq_nums, p, atom_nums, q) -> np.ndarray:

@@ -27,7 +27,7 @@ DENOMINATOR_GUARD = 2**53
 
 def _path(measure, freq_set) -> tuple:
     """The path the kernel takes on these operands, and their modulus p*q."""
-    (atom_nums, q), _ = frames._exact_atoms(measure)
+    atom_nums, q = measure.numerators, measure.denominator
     p = freq_set.denominator
     return frames._phase_path(measure.dim, freq_set.numerators, atom_nums, p * q), p * q
 
@@ -39,7 +39,7 @@ def _wide_path(modulus: int) -> str:
 
 def _assert_matches_oracle(measure, freq_set):
     exact_freqs = (freq_set.numerators, freq_set.denominator)
-    phases = frames._exact_phase_matrix(measure.dim, exact_freqs, frames._exact_atoms(measure)[0])
+    phases = frames._exact_phase_matrix(measure.dim, exact_freqs, (measure.numerators, measure.denominator))
     assert phases.dtype == np.float64
     assert np.array_equal(phases, oracle_phase_matrix(measure, freq_set))
 
@@ -160,7 +160,7 @@ def test_limb_rounding_edges():
     measure = AtomicMeasure.from_atoms(
         1, [((Fraction(a, 2**84),), Fraction(1, 3)) for a in (-1, (2**54 + 1) << 23, (2**54 + 3) << 23)]
     )
-    phases = frames._exact_phase_matrix(1, ([(1,)], 1), frames._exact_atoms(measure)[0])
+    phases = frames._exact_phase_matrix(1, ([(1,)], 1), (measure.numerators, measure.denominator))
     assert _path(measure, FrequencySet.from_scalars([1]))[0] == "limbs"
     assert phases.tolist() == [[1.0, 2.0**-7, (2**53 + 2) * 2.0**-60]]
 
