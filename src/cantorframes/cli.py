@@ -30,7 +30,7 @@ def parse_digit_system(text: str):
     base, _, digits = text.partition(":")
     if not digits:
         raise ValueError(f"cannot parse digit system {text!r}; expected N:b1,b2,...")
-    return DigitSystem.one_dimensional(int(base), [int(b) for b in digits.split(",")])
+    return DigitSystem.one_dimensional(base, digits.split(","))
 
 
 def _parse_int_list(text: str) -> list:

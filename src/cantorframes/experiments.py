@@ -7,6 +7,7 @@ runs are mechanism demonstrations, not proofs about the limit measures.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ def degeneracy_experiment(
     exhibits quotient <= upper_estimate * mass and hence a lower bound
     1/mass on the condition ratio of any common frame.
     """
-    ks = sorted(int(k) for k in k_list)
+    ks = sorted(map(operator.index, k_list))
     if ks and ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
     cert = _packing_certificate_for_pair(nu_ds, lam_ds, level, budget)
@@ -137,7 +138,7 @@ def collinear_lower_bounds(
     """
     t = as_point(shift, nu_ds.dim)
     out = []
-    for n in sorted(int(n) for n in sum_levels):
+    for n in sorted(map(operator.index, sum_levels)):
         if n < 2:
             raise ValueError("sum levels must be >= 2")
         nu_n = level_measure(nu_ds, n // 2, budget)
@@ -271,7 +272,7 @@ def cross_bessel_experiment(
     if depth_ratio < 1:
         raise ValueError(f"depth ratio must be >= 1, got {depth_ratio}")
     rows = []
-    for n in sorted(int(n) for n in levels):
+    for n in sorted(map(operator.index, levels)):
         freq_set = jp_spectrum(src_ds, src_freq_digits, n, budget)
         measure = level_measure(dst_ds, depth_ratio * n, budget)
         report = frame_bounds(measure, freq_set)

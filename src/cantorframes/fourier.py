@@ -19,23 +19,14 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
 
 from .errors import NotCertifiedPacking, ToleranceUnreachable
-from .measures import (
-    AtomicMeasure,
-    DigitSystem,
-    PointCloud,
-    as_point,
-    convolve,
-    validate_digit_system,
-)
+from .measures import AtomicMeasure, DigitSystem, as_point, convolve, validate_digit_system
 from .frames import _exact_phase_matrix
 from .measures import _common_numerators, _exact_point, _over, _points_over
-from .packing import CERTIFIED_PACKING, packing_certificate_from_clouds
 
 _MAX_FACTORS = 10_000
 
@@ -232,22 +223,22 @@ def factorization_check(
 ) -> FactorizationReport:
     """Deviation of the windowed transform of a convolution from the product.
 
-    For exactly packing atom supports the identity holds up to float
-    rounding; without a packing check the operation refuses unless forced,
-    and then reports the violation magnitude. Each grid point is read
-    exactly, as ``as_point`` reads it; ``argmax_xi`` keeps its numbers.
+    The atom supports pack exactly iff no two atom sums of nu * lam
+    coincide, that is iff the convolution keeps all len(nu) * len(lam)
+    atoms; a single atom on each side packs. For packing supports the
+    identity holds up to float rounding; otherwise the operation refuses
+    unless forced, and then reports the violation magnitude. Each grid
+    point is read exactly, as ``as_point`` reads it; ``argmax_xi`` keeps
+    its numbers.
     """
-    support_nu = PointCloud(nu.dim, nu.locations, Fraction(0))
-    support_lam = PointCloud(lam.dim, lam.locations, Fraction(0))
-    cert = packing_certificate_from_clouds(support_nu, support_lam)
-    certified = cert.status == CERTIFIED_PACKING
+    mu = convolve(nu, lam)
+    certified = len(mu) == len(nu) * len(lam)
     if not certified and not force:
         raise NotCertifiedPacking(
             "atom supports do not form an exact packing pair; pass force=True to measure the violation"
         )
     e_pts = [as_point(p, nu.dim) for p in window_e]
     f_pts = [as_point(q, lam.dim) for q in window_f]
-    mu = convolve(nu, lam)
     # E, F and E + F over one denominator: a multiple of each measure's and of every window coordinate's.
     window_dens = [x.denominator for p in e_pts + f_pts for x in p]
     den = math.lcm(nu.denominator, lam.denominator, mu.denominator, *window_dens)

@@ -146,11 +146,10 @@ class GreedySelection:
     selected_indices: tuple
 
 
-def hadamard_triple_check(R, B, L, tol: float = 1e-12) -> bool:
+def hadamard_triple_check(R, B, L) -> bool:
     """True iff the normalized exponential matrix of (R, B, L) is unitary.
 
-    Decided exactly; ``tol`` is accepted for compatibility and has no
-    effect. The frequency digits L must be integer vectors. With
+    Decided exactly. R, B and the frequency digits L must be integers. With
     R^-1 B = A/N over the least common denominator N (a divisor of
     |det R|), the Gram entry of frequencies l != l' is the mean over b of
     exp(2*pi*i*e_b/N), e_b = <l - l', A_b>. A sum of N-th roots of unity

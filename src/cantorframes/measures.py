@@ -127,21 +127,19 @@ class DigitSystem:
     digits: tuple
 
     def __post_init__(self):
-        matrix = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        digits = tuple(tuple(int(x) for x in b) for b in self.digits)
+        # Rows and digits are exact points over 1: a row or digit of the wrong length raises DimensionMismatch.
+        d = len(self.matrix)
+        matrix, digits = tuple(_points_over(self.matrix, d, 1)), tuple(_points_over(self.digits, d, 1))
+        if None in matrix or None in digits:
+            raise ValueError("digit system entries must be integers")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "digits", digits)
-        d = len(matrix)
-        if any(len(row) != d for row in matrix):
-            raise DimensionMismatch("matrix is not square")
         if not digits:
             raise DuplicateDigits("digit set is empty")
-        if any(len(b) != d for b in digits):
-            raise DimensionMismatch("digit dimension does not match matrix")
 
     @classmethod
-    def one_dimensional(cls, base: int, digits) -> "DigitSystem":
-        return cls(((base,),), tuple((int(b),) for b in digits))
+    def one_dimensional(cls, base, digits) -> "DigitSystem":
+        return cls(((base,),), tuple((b,) for b in digits))
 
     @property
     def dim(self) -> int:
@@ -441,7 +439,7 @@ def split_by_index_set(
     continuation of either index class past n.
     """
     validate_digit_system(ds)
-    mask = set(int(k) for k in indices)
+    mask = set(map(operator.index, indices))
     if any(k < 1 or k > n for k in mask):
         raise ValueError("index set must lie inside 1..n")
     tail = tail_radius(ds, n)

@@ -213,6 +213,13 @@ class TestCliCommands:
         rows = [[*(str(x) for x in p), str(w)] for p, w in level_measure(ds, 3).atoms]
         assert out.read_text() == csv_text(["x1", "weight"], rows)
 
+    def test_measure_build_refuses_non_integer_digit(self, tmp_path, capsys):
+        # int() read the digit 1.9 as 1 and built 4:{0,1}.
+        system = tmp_path / "ds.json"
+        system.write_text(json.dumps({"schema": "digit-system/1", "dim": 1, "matrix": [[4]], "digits": [[0], [1.9]]}))
+        assert main(["measure", "build", "--system", str(system), "--level", "1"]) == EXIT_ERROR
+        assert "ValueError" in capsys.readouterr().err
+
     def test_measure_build_json_forms_no_csv_rows(self, monkeypatch, capsys):
         from cantorframes import cli
 

@@ -68,6 +68,15 @@ class TestDegeneracy:
             assert row.quotient <= result.upper_estimate * float(row.ball_mass) + 1e-10
         assert result.collapse == ()
 
+    def test_k_list_is_read_as_integers(self):
+        # int() read 2.5 as k = 2; a numpy integer is still an integer.
+        freq_set = jp_spectrum(FOUR, [0, 2], 2)
+        with pytest.raises(TypeError):
+            degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 1, freq_set, [2.5])
+        result = degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 1, freq_set, np.array([2]))
+        assert result == degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 1, freq_set, [2])
+        assert type(result.rows[0].k) is int
+
     @pytest.mark.parametrize("k", [0, -2])
     def test_k_below_one_refused_first(self, monkeypatch, k):
         def nothing_built(*args, **kwargs):
@@ -89,6 +98,12 @@ class TestCollapse:
     def test_levels_below_two_rejected(self):
         with pytest.raises(ValueError):
             collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, (1,))
+
+    def test_sum_levels_are_read_as_integers(self):
+        with pytest.raises(TypeError):
+            collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, (2.5,))
+        values = collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, np.array([2]))
+        assert values == collinear_lower_bounds(SIXTEEN_01, SIXTEEN_04, 0, (2,))
 
     def test_eigen_budget_applies(self, monkeypatch):
         # Sum level 13 has 8192 atoms, twice the default eigen budget.
@@ -231,6 +246,12 @@ class TestCrossBessel:
         # both frequencies are integers, so they act identically on the
         # quarter-integer atoms {0, 1/4}: the Gram is rank one with trace 2
         assert abs(result.rows[0].upper - 2) < 1e-12
+
+    def test_levels_are_read_as_integers(self):
+        with pytest.raises(TypeError):
+            cross_bessel_experiment(EIGHT, [0, 4], FOUR, [1.5])
+        result = cross_bessel_experiment(EIGHT, [0, 4], FOUR, np.array([1]))
+        assert result == cross_bessel_experiment(EIGHT, [0, 4], FOUR, [1])
 
     def test_depth_ratio_scales_measure(self):
         result = cross_bessel_experiment(EIGHT, [0, 4], FOUR, [2], depth_ratio=2)

@@ -1,15 +1,19 @@
+import ast
 import cmath
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cantorframes import (
+    AtomicMeasure,
     DigitSystem,
     DimensionMismatch,
     FrequencySet,
     MaskPolynomial,
     NotCertifiedPacking,
+    PointCloud,
     ToleranceUnreachable,
     TransformValue,
     absolute_atoms,
@@ -20,10 +24,13 @@ from cantorframes import (
     level_measure,
     mask_eval,
     mu_hat,
+    packing_certificate_from_clouds,
     translate,
     windowed_transform,
 )
+from cantorframes import fourier
 from cantorframes.fourier import _mu_hat_grid, _windowed_sums
+from cantorframes.packing import CERTIFIED_PACKING
 from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix, oracle_windowed_sums
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
@@ -261,6 +268,36 @@ class TestFactorization:
         report = factorization_check(nu, lam, [], lam.locations, [0.0, 1.0])
         assert report.max_deviation == 0
 
+    def test_dirac_pair_is_certified(self):
+        # One atom a side leaves no gap for a zero-tail certificate to measure, yet the pair packs.
+        nu, lam = AtomicMeasure.dirac(Fraction(1, 3)), AtomicMeasure.dirac(Fraction(1, 4))
+        report = factorization_check(nu, lam, nu.locations, lam.locations, np.linspace(-5.0, 5.0, 21))
+        assert report.certified
+        assert report.max_deviation <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_certified_matches_zero_tail_certificate(self, dim):
+        rng = np.random.default_rng(2017 + dim)
+
+        def support():
+            # Small numerators over 1, 2 or 3, so that atom sums often coincide; repeated points merge.
+            points = [
+                [Fraction(int(x), int(rng.choice([1, 2, 3]))) for x in rng.integers(-3, 4, dim)]
+                for _ in range(rng.integers(2, 7))
+            ]
+            return AtomicMeasure.from_atoms(dim, [(p, 1) for p in points])
+
+        seen = set()
+        for _ in range(150):
+            nu, lam = support(), support()
+            if min(len(nu), len(lam)) < 2:
+                continue
+            report = factorization_check(nu, lam, nu.locations, lam.locations, [(0.5,) * dim], force=True)
+            clouds = (PointCloud(dim, m.locations, Fraction(0)) for m in (nu, lam))
+            assert report.certified == (packing_certificate_from_clouds(*clouds).status == CERTIFIED_PACKING)
+            seen.add(report.certified)
+        assert seen == {True, False}
+
     def test_refuses_without_packing(self):
         m = level_measure(DigitSystem.one_dimensional(2, [0, 1]), 2)
         with pytest.raises(NotCertifiedPacking):
@@ -303,3 +340,14 @@ class TestFactorization:
         nu, lam = level_measure(SIXTEEN_01, 1), level_measure(SIXTEEN_04, 1)
         with pytest.raises(DimensionMismatch):
             factorization_check(nu, lam, nu.locations, lam.locations, [(0.0, 1.0)])
+
+
+def test_fourier_imports_nothing_from_packing():
+    # The factorization check reads packing off its own convolution, so fourier sits below packing.
+    imported = []
+    for node in ast.walk(ast.parse(Path(fourier.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    assert not [name for name in imported if "packing" in name.split(".")]

@@ -10,6 +10,7 @@ from cantorframes import (
     AtomBudgetExceeded,
     AtomicMeasure,
     DigitSystem,
+    DimensionMismatch,
     DuplicateDigits,
     MaskPolynomial,
     NonExpandingMatrix,
@@ -20,9 +21,11 @@ from cantorframes import (
     ball_mass,
     convolve,
     cylinder_points,
+    hadamard_triple_check,
     indicator_coefficients,
     jp_spectrum,
     level_measure,
+    packing_certificate_from_digits,
     scaled_digit_layer,
     split_by_index_set,
     tail_radius,
@@ -79,6 +82,36 @@ class TestValidation:
     def test_determinant_is_exact(self, matrix):
         ds = DigitSystem(matrix, (tuple(0 for _ in matrix),))
         assert validate_digit_system(ds).determinant == round(np.linalg.det(np.array(matrix, dtype=float)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: DigitSystem(((4,),), ((0,), (1.5,))),
+            lambda: DigitSystem(((4.7,),), ((0,), (1,))),
+            lambda: DigitSystem.one_dimensional(4, [0, Fraction(1, 2)]),
+            lambda: hadamard_triple_check(((4,),), [(0,), (1.5,)], [0, 2]),
+            lambda: packing_certificate_from_digits(((16,),), [(0,), (1,)], [(0,), (4.5,)]),
+        ],
+        ids=["digit", "matrix", "one_dimensional", "hadamard_triple_check", "packing_certificate_from_digits"],
+    )
+    def test_non_integer_entries_refused(self, call):
+        # int() read 1.5 as the digit 1 and 4.7 as the base 4.
+        with pytest.raises(ValueError, match="digit system entries must be integers"):
+            call()
+
+    def test_integer_valued_entries_accepted(self):
+        assert DigitSystem(((4.0,),), ((0.0,), (1,))) == FOUR
+        ds = DigitSystem(np.array([[4]]), ((np.int64(0),), (1.0,)))
+        assert ds == FOUR and all(type(x) is int for v in ds.matrix + ds.digits for x in v)
+
+    @pytest.mark.parametrize(
+        "matrix, digits",
+        [(((2, 0), (0,)), ((0, 0),)), (((2, 0), (0, 2)), ((0, 0), (1,))), (((2, 0), (0, 2)), ((0, 0, 1),))],
+        ids=["matrix_not_square", "short_digit", "long_digit"],
+    )
+    def test_wrong_lengths_raise_dimension_mismatch(self, matrix, digits):
+        with pytest.raises(DimensionMismatch):
+            DigitSystem(matrix, digits)
 
 
 @pytest.mark.parametrize(
@@ -266,6 +299,12 @@ class TestSplitAndCylinders:
         full, rest = split_by_index_set(FOUR, {1, 2, 3}, 3)
         assert rest.points == ((fr(0),),)
         assert full.points == attractor_points(FOUR, 3).points
+
+    def test_index_set_is_read_as_integers(self):
+        # int() read 2.5 as the index 2; a numpy integer is still an index.
+        with pytest.raises(TypeError):
+            split_by_index_set(FOUR, [2.5], 4)
+        assert split_by_index_set(FOUR, np.array([2, 4]), 4) == split_by_index_set(FOUR, {2, 4}, 4)
 
     def test_cylinder_prefix(self):
         pts = cylinder_points(FOUR, 2, [1])
