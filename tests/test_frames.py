@@ -61,7 +61,11 @@ class TestHadamard:
         with pytest.raises(SizeMismatch):
             hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1, 2])
 
-    def test_exact_where_float_phases_round(self):
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 10.0])
+    def test_exact_whatever_the_tolerance(self, tol):
+        # The check is exact, so a tolerance is refused rather than silently ignored.
+        with pytest.raises(TypeError):
+            hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2], tol=tol)
         # In floats exp(i*pi) + 1 is about 1.2e-16, so a zero tolerance used to refuse this pair.
         assert hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2])
         assert not hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1])
