@@ -17,6 +17,7 @@ from pathlib import Path
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
+_TABLE_FORMATS = ("json", "csv")  # --format choices of the commands whose output is a table
 
 
 def parse_digit_system(text: str):
@@ -62,7 +63,7 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
     """Write the CSV rows under ``--format csv``, else the JSON payload (a ``str`` is already rendered)."""
     from .serialize import canonical_json, csv_text, write_json
 
-    if args.format == "csv" and csv_header is not None:
+    if args.format == "csv":
         text = csv_text(csv_header, csv_rows)
         if args.out:
             Path(args.out).write_text(text)
@@ -307,9 +308,9 @@ def _cmd_verify_certificate(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _add_common(parser) -> None:
+def _add_common(parser, formats=("json",)) -> None:
     parser.add_argument("--out", help="output file (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--manifest", action="store_true", help="emit the resolved config next to the output")
     parser.add_argument("--atom-budget", type=int, default=None, help="override the atom budget")
 
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = measure.add_parser("build", help="level-n self-affine measure")
     build.add_argument("--system", required=True, help="digit system, e.g. 4:0,1 or a JSON file")
     build.add_argument("--level", type=int, required=True)
-    _add_common(build)
+    _add_common(build, _TABLE_FORMATS)
     build.set_defaults(func=_cmd_measure_build, command_path="measure build")
 
     conv = measure.add_parser("convolve", help="convolve two serialized measures")
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--xi-max", type=float, default=10.0)
     grid.add_argument("--count", type=int, default=201)
     grid.add_argument("--tol", type=float, default=1e-10)
-    _add_common(grid)
+    _add_common(grid, _TABLE_FORMATS)
     grid.set_defaults(func=_cmd_ft_grid, command_path="ft grid")
 
     packing = top.add_parser("packing", help="packing certification and witnesses").add_subparsers(
@@ -390,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--freq-level", type=int, required=True)
     deg.add_argument("--k", default="2,8,32,128,512")
     deg.add_argument("--collapse-levels", default=None)
-    _add_common(deg)
+    _add_common(deg, _TABLE_FORMATS)
     deg.set_defaults(func=_cmd_exp_degeneracy, command_path="exp degeneracy")
 
     rot = exp.add_parser("rotation", help="frame-bound invariance under rotation")
     rot.add_argument("--thetas", default="10,30,45,60,80,90")
     rot.add_argument("--level", type=int, default=4)
     rot.add_argument("--collapse-levels", default=None)
-    _add_common(rot)
+    _add_common(rot, _TABLE_FORMATS)
     rot.set_defaults(func=_cmd_exp_rotation, command_path="exp rotation")
 
     cross = exp.add_parser("cross-bessel", help="Bessel growth across measures")
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--dst", required=True)
     cross.add_argument("--levels", default="2,3,4,5,6")
     cross.add_argument("--depth-ratio", type=int, default=1)
-    _add_common(cross)
+    _add_common(cross, _TABLE_FORMATS)
     cross.set_defaults(func=_cmd_exp_cross_bessel, command_path="exp cross-bessel")
 
     verify = top.add_parser("verify", help="independent re-checks").add_subparsers(

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NotCertifiedPacking, ToleranceUnreachable
-from .measures import AtomicMeasure, DigitSystem, as_point, convolve, validate_digit_system
+from .measures import AtomicMeasure, DigitSystem, as_point, convolve
 from .frames import _exact_phase_matrix
 from .measures import _common_numerators, _exact_point, _over, _points_over
 
@@ -79,13 +79,13 @@ class TransformValue:
 def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     """``mu_hat`` at every point of ``xis``, in one vectorized pass.
 
-    The system is validated, and R^-T and the norm bounds formed, once per
-    grid. Each point gets the float sequence of the per-point definition:
-    its factor count comes from the same ``bound *= inv`` loop, applied
-    only to the points still above ``tol``; then every point runs its own
-    number of factors, all points at once. A step maps eta to R^-T eta by
-    elementwise sums in a fixed order (no BLAS), and the mask is
-    exp(-2*pi*i <eta, b>) summed over the digits in order, over #B.
+    R^-T and the norm bounds are formed once per grid, from the exact R^-1
+    the system keeps. Each point gets the float sequence of the per-point
+    definition: its factor count comes from the same ``bound *= inv``
+    loop, applied only to the points still above ``tol``; then every point
+    runs its own number of factors, all points at once. A step maps eta to
+    R^-T eta by elementwise sums in a fixed order (no BLAS), and the mask
+    is exp(-2*pi*i <eta, b>) summed over the digits in order, over #B.
 
     The running product is multiplied out in real arithmetic. numpy's
     complex ``*`` may fuse a multiply into an add (FMA) and then differs
@@ -100,7 +100,6 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
         return []
     if tol <= 0 or tol < 1e-15:
         raise ToleranceUnreachable("tolerance below float resolution")
-    validate_digit_system(ds)
     inv = float(ds.inverse_norm_bound())
     if inv >= 1.0:
         raise ToleranceUnreachable("inverse norm bound >= 1; geometric tail does not converge")
@@ -133,9 +132,9 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     order = np.argsort(-factors, kind="stable")
     counts = factors[order]
     eta = points[order]
-    re = np.ones(len(points))
-    im = np.zeros(len(points))
-    rinv_t = [[float(x) for x in row] for row in zip(*ds.inverse_matrix())]
+    re, im = np.ones(len(points)), np.zeros(len(points))
+    rows, q = ds.inverse
+    rinv_t = [[x / q for x in column] for column in zip(*rows)]
     digits = [[float(x) for x in b] for b in ds.digits]
     for step in range(int(counts[0])):
         k = int(np.count_nonzero(counts > step))

@@ -163,7 +163,8 @@ def hadamard_triple_check(R, B, L) -> bool:
         raise SizeMismatch("digit and frequency sets must have equal size")
     if None in freq_nums:
         raise ValueError("frequency digits must be integer vectors")
-    atom_nums, n = _common_numerators([_matvec(ds.inverse_matrix(), b) for b in ds.digits])
+    inverse, q = ds.inverse
+    atom_nums, n = _common_numerators([[Fraction(x, q) for x in _matvec(inverse, b)] for b in ds.digits])
     phi = _cyclotomic(n)
     for f, g in combinations(freq_nums, 2):
         poly = [0] * n

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -100,13 +100,6 @@ def _fraction_inverse(matrix):
     return tuple(tuple(row[d:]) for row in aug), det
 
 
-def _is_triangular(matrix) -> bool:
-    d = len(matrix)
-    upper = all(matrix[i][j] == 0 for i in range(d) for j in range(i))
-    lower = all(matrix[i][j] == 0 for i in range(d) for j in range(i + 1, d))
-    return upper or lower
-
-
 def _sqrt_upper_bound(value: Fraction) -> Fraction:
     """A certified rational upper bound for sqrt(value), exact on perfect squares."""
     if value < 0:
@@ -121,10 +114,14 @@ def _sqrt_upper_bound(value: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class DigitSystem:
-    """An expanding integer matrix together with an integer digit set."""
+    """An expanding integer matrix R with distinct integer digits, checked when built.
+
+    ``inverse`` is R^-1 exactly: integer numerator rows over their least common denominator.
+    """
 
     matrix: tuple
     digits: tuple
+    inverse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Rows and digits are exact points over 1: a row or digit of the wrong length raises DimensionMismatch.
@@ -132,10 +129,16 @@ class DigitSystem:
         matrix, digits = tuple(_points_over(self.matrix, d, 1)), tuple(_points_over(self.digits, d, 1))
         if None in matrix or None in digits:
             raise ValueError("digit system entries must be integers")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "digits", digits)
         if not digits:
             raise DuplicateDigits("digit set is empty")
+        inverse, _ = _fraction_inverse(matrix)  # raises SingularMatrix when det R = 0
+        if len(set(digits)) != len(digits):
+            raise DuplicateDigits("digit set contains duplicates")
+        _spectral_radius_inverse(matrix)
+        rows, q = _common_numerators(inverse)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "inverse", (tuple(rows), q))
 
     @classmethod
     def one_dimensional(cls, base, digits) -> "DigitSystem":
@@ -150,7 +153,9 @@ class DigitSystem:
         return len(self.digits)
 
     def inverse_matrix(self):
-        return _fraction_inverse(self.matrix)[0]
+        """R^-1 as Fractions."""
+        rows, q = self.inverse
+        return tuple(tuple(Fraction(x, q) for x in row) for row in rows)
 
     def inverse_norm_bound(self) -> Fraction:
         """Certified upper bound for the operator 2-norm of R^-1.
@@ -161,17 +166,14 @@ class DigitSystem:
         d = self.dim
         if d == 1 or all(self.matrix[i][j] == 0 for i in range(d) for j in range(d) if i != j):
             return max(Fraction(1, abs(self.matrix[i][i])) for i in range(d))
-        inv = np.array([[float(x) for x in row] for row in self.inverse_matrix()])
+        rows, q = self.inverse
+        inv = np.array([[x / q for x in row] for row in rows])
         sv = float(np.linalg.svd(inv, compute_uv=False)[0])
         return Fraction(sv * (1.0 + NORM_INFLATION))
 
     def max_digit_norm_bound(self) -> Fraction:
         """Certified upper bound for max_b |b| (Euclidean), exact in 1D."""
-        best = Fraction(0)
-        for b in self.digits:
-            sq = Fraction(sum(x * x for x in b))
-            best = max(best, _sqrt_upper_bound(sq))
-        return best
+        return max(_sqrt_upper_bound(Fraction(sum(x * x for x in b))) for b in self.digits)
 
 
 @dataclass(frozen=True)
@@ -184,32 +186,34 @@ class ValidationReport:
     digits_distinct: bool
 
 
-def validate_digit_system(ds: DigitSystem) -> ValidationReport:
-    """Check that the matrix is expanding and the digits are distinct.
+def _spectral_radius_inverse(matrix) -> float:
+    """1 / min |eigenvalue| of an integer matrix; NonExpandingMatrix unless every modulus exceeds 1.
 
-    1x1 and triangular integer matrices are decided exactly; otherwise the
+    1x1 and triangular matrices are decided exactly; otherwise the
     eigenvalues are computed in floats and required to clear a margin.
     """
-    _, det = _fraction_inverse(ds.matrix)  # raises SingularMatrix when det R = 0
-    if len(set(ds.digits)) != len(ds.digits):
-        raise DuplicateDigits("digit set contains duplicates")
-    d = ds.dim
-    if _is_triangular(ds.matrix):
-        diag = [abs(ds.matrix[i][i]) for i in range(d)]
-        if min(diag) < 2:
-            raise NonExpandingMatrix(f"eigenvalue of modulus {min(diag)} is not > 1")
-        rho_inv = 1.0 / min(diag)
-    else:
-        eigvals = np.linalg.eigvals(np.array(ds.matrix, dtype=float))
-        moduli = np.abs(eigvals)
-        if float(moduli.min()) < 1.0 + EXPANDING_MARGIN:
-            raise NonExpandingMatrix(f"eigenvalue of modulus {moduli.min():.6g} is not > 1")
-        rho_inv = float(1.0 / moduli.min())
+    d = len(matrix)
+    below = any(matrix[i][j] for i in range(d) for j in range(i))
+    above = any(matrix[j][i] for i in range(d) for j in range(i))
+    if not (below and above):  # triangular
+        smallest = min(abs(matrix[i][i]) for i in range(d))
+        if smallest < 2:
+            raise NonExpandingMatrix(f"eigenvalue of modulus {smallest} is not > 1")
+        return 1.0 / smallest
+    moduli = np.abs(np.linalg.eigvals(np.array(matrix, dtype=float)))
+    if float(moduli.min()) < 1.0 + EXPANDING_MARGIN:
+        raise NonExpandingMatrix(f"eigenvalue of modulus {moduli.min():.6g} is not > 1")
+    return float(1.0 / moduli.min())
+
+
+def validate_digit_system(ds: DigitSystem) -> ValidationReport:
+    """The report on a digit system, which its construction has already checked."""
+    _, det = _fraction_inverse(ds.matrix)
     return ValidationReport(
-        dim=d,
+        dim=ds.dim,
         determinant=int(det),
         expanding=True,
-        spectral_radius_inverse=rho_inv,
+        spectral_radius_inverse=_spectral_radius_inverse(ds.matrix),
         inverse_norm_bound=ds.inverse_norm_bound(),
         digits_distinct=True,
     )
@@ -353,7 +357,7 @@ def _digit_layers(ds: DigitSystem, picks) -> tuple:
     or is None to leave level k out. With R^-1 = M/q for an integer M, the
     numerator of R^-k b over q^n is q^(n-k) M^k b.
     """
-    inverse, q = _common_numerators(ds.inverse_matrix())
+    inverse, q = ds.inverse
 
     def layers():
         vecs = ds.digits
@@ -370,7 +374,6 @@ def scaled_digit_layer(ds: DigitSystem, k: int) -> AtomicMeasure:
     """The equal-weight Dirac comb on R^-k B."""
     if k < 1:
         raise ValueError("layer index must be >= 1")
-    validate_digit_system(ds)
     layers, denominator = _digit_layers(ds, [None] * (k - 1) + [range(ds.branch)])
     return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers), denominator, ds.branch)
 
@@ -383,7 +386,6 @@ def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicM
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    validate_digit_system(ds)
     layers, denominator = _digit_layers(ds, [range(ds.branch)] * n)
     return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, ds.branch**n)
 
@@ -418,7 +420,6 @@ def attractor_points(ds: DigitSystem, n: int, budget: int | None = None) -> Poin
 
 def cylinder_points(ds: DigitSystem, n: int, prefix, budget: int | None = None) -> tuple:
     """Level-n points whose leading digit word equals ``prefix``."""
-    validate_digit_system(ds)
     picks = []
     for b in _points_over(prefix, ds.dim, 1):
         if b not in ds.digits:
@@ -438,7 +439,6 @@ def split_by_index_set(
     Both clouds carry the full level-n tail radius, which bounds any
     continuation of either index class past n.
     """
-    validate_digit_system(ds)
     mask = set(map(operator.index, indices))
     if any(k < 1 or k > n for k in mask):
         raise ValueError("index set must lie inside 1..n")

@@ -32,7 +32,6 @@ from .measures import (
     level_measure,
     tail_radius,
     translate,
-    validate_digit_system,
 )
 from .measures import _common_numerators, _digit_layers, _over, _points_over
 from .measures import _sqrt_upper_bound, _sumset
@@ -166,8 +165,6 @@ def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     """
     ds_b = DigitSystem(R, B)
     ds_c = DigitSystem(R, C)
-    validate_digit_system(ds_b)
-    validate_digit_system(ds_c)
     inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
 
     bb = _differences(ds_b.digits, ds_b.digits)
@@ -261,7 +258,6 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    validate_digit_system(ds)
     if ds.branch == 1:
         evidence = {"reason": "single cylinder"}
         return SscCertificate(status=CERTIFIED_SSC, depth_used=depth, evidence=evidence)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CantorFramesError
+from .errors import CantorFramesError, DimensionMismatch
 from .frames import FrameReport
 from .measures import AtomicMeasure, DigitSystem, PointCloud, translate
 from .packing import (
@@ -62,7 +62,10 @@ def digit_system_to_jsonable(ds: DigitSystem) -> dict:
 def digit_system_from_jsonable(data: dict) -> DigitSystem:
     if data.get("schema") != SCHEMA_DIGIT_SYSTEM:
         raise CantorFramesError(f"unexpected schema {data.get('schema')!r}")
-    return DigitSystem(tuple(tuple(row) for row in data["matrix"]), tuple(tuple(b) for b in data["digits"]))
+    ds = DigitSystem(tuple(tuple(row) for row in data["matrix"]), tuple(tuple(b) for b in data["digits"]))
+    if data.get("dim", ds.dim) != ds.dim:
+        raise DimensionMismatch(f"dim {data['dim']!r} does not match the {ds.dim}x{ds.dim} matrix")
+    return ds
 
 
 def _atom_strings(m: AtomicMeasure) -> list:

@@ -14,8 +14,12 @@ import numpy as np
 from cantorframes import (
     AtomicMeasure,
     DigitSystem,
+    DimensionMismatch,
+    DuplicateDigits,
     FrequencySet,
+    NonExpandingMatrix,
     PointCloud,
+    SingularMatrix,
     add,
     attractor_points,
     convolve,
@@ -26,7 +30,7 @@ from cantorframes import (
     singularity_witness,
     translate,
 )
-from cantorframes.cli import EXIT_ERROR, main
+from cantorframes.cli import EXIT_ERROR, main, parse_digit_system
 from cantorframes.serialize import (
     canonical_json,
     certificate_to_jsonable,
@@ -68,6 +72,13 @@ class TestSerializeRoundTrips:
     def test_digit_system(self):
         data = digit_system_to_jsonable(SIXTEEN_04)
         assert digit_system_from_jsonable(json.loads(json.dumps(data))) == SIXTEEN_04
+
+    def test_digit_system_dim_must_match_the_matrix(self):
+        # The dim field was ignored: this object loaded as the 1-D system 4:{0,1}.
+        data = {"schema": "digit-system/1", "dim": 3, "matrix": [[4]], "digits": [[0], [1]]}
+        with pytest.raises(DimensionMismatch):
+            digit_system_from_jsonable(data)
+        assert digit_system_from_jsonable({**data, "dim": 1}) == FOUR
 
     def test_measure(self):
         m = translate(level_measure(FOUR, 3), 0.25)
@@ -219,6 +230,61 @@ class TestCliCommands:
         system.write_text(json.dumps({"schema": "digit-system/1", "dim": 1, "matrix": [[4]], "digits": [[0], [1.9]]}))
         assert main(["measure", "build", "--system", str(system), "--level", "1"]) == EXIT_ERROR
         assert "ValueError" in capsys.readouterr().err
+
+    def test_measure_build_refuses_dim_mismatch(self, tmp_path, capsys):
+        system = tmp_path / "bad.json"
+        system.write_text(json.dumps({"schema": "digit-system/1", "dim": 3, "matrix": [[4]], "digits": [[0], [1]]}))
+        assert main(["measure", "build", "--system", str(system), "--level", "1"]) == EXIT_ERROR
+        assert "DimensionMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system, error",
+        [
+            ("0:0,1", SingularMatrix),
+            ("4:0,1,0", DuplicateDigits),
+            ("1:0,1", NonExpandingMatrix),
+            ("-1:0,1", NonExpandingMatrix),
+            ({"matrix": [[2, 4], [1, 2]], "digits": [[0, 0]]}, SingularMatrix),
+            ({"matrix": [[4, 0], [0, 4]], "digits": [[0, 0], [1, 0], [0, 0]]}, DuplicateDigits),
+            ({"matrix": [[4, 0], [0, 4]], "digits": []}, DuplicateDigits),
+            ({"matrix": [[1, 1], [1, 0]], "digits": [[0, 0]]}, NonExpandingMatrix),
+        ],
+        ids=[
+            "singular", "duplicate", "identity", "minus_one",
+            "file_singular", "file_duplicate", "file_empty", "file_general",
+        ],
+    )
+    def test_invalid_system_refused_at_parse(self, tmp_path, capsys, system, error):
+        if isinstance(system, dict):
+            path = tmp_path / "ds.json"
+            path.write_text(json.dumps({"schema": "digit-system/1", "dim": 2, **system}))
+            system = str(path)
+        with pytest.raises(error):
+            parse_digit_system(system)
+        out = tmp_path / "m.json"
+        assert main(["measure", "build", f"--system={system}", "--level", "1", "--out", str(out)]) == EXIT_ERROR
+        assert error.__name__ in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frame", "bounds", "--system", "4:0,1", "--level", "2"],
+            ["measure", "convolve", "--a", "a.json", "--b", "b.json"],
+            ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4"],
+            ["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "2"],
+            ["verify", "certificate", "--path", "cert.json"],
+        ],
+        ids=["frame_bounds", "measure_convolve", "packing_check", "packing_witness", "verify_certificate"],
+    )
+    def test_csv_refused_where_no_table_exists(self, tmp_path, capsys, argv):
+        # These commands wrote JSON to the --out path and recorded "format": "csv" in the manifest.
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "csv", "--out", str(out), "--manifest"])
+        assert exc.value.code != 0
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_measure_build_json_forms_no_csv_rows(self, monkeypatch, capsys):
         from cantorframes import cli

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from cantorframes import (
     translation_overlap,
     validate_digit_system,
 )
+from cantorframes import measures
+from cantorframes.measures import _fraction_inverse
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 TWO = DigitSystem.one_dimensional(2, [0, 1])
@@ -60,8 +64,8 @@ class TestValidation:
         assert validate_digit_system(SIXTEEN_04).expanding
 
     def test_triangular_eigenvalue_one_rejected(self):
-        ds = DigitSystem(((1, 1), (0, 2)), (((0, 0)),))
         with pytest.raises(NonExpandingMatrix):
+            ds = DigitSystem(((1, 1), (0, 2)), (((0, 0)),))
             validate_digit_system(ds)
 
     def test_singular_matrix_rejected(self):
@@ -112,6 +116,77 @@ class TestValidation:
     def test_wrong_lengths_raise_dimension_mismatch(self, matrix, digits):
         with pytest.raises(DimensionMismatch):
             DigitSystem(matrix, digits)
+
+    @pytest.mark.parametrize(
+        "matrix, digits, error",
+        [
+            (((0,),), ((0,), (1,)), SingularMatrix),
+            (((2, 4), (1, 2)), ((0, 0),), SingularMatrix),
+            (((4,),), ((0,), (1,), (0,)), DuplicateDigits),
+            (((4,),), (), DuplicateDigits),
+            (((1,),), ((0,), (1,)), NonExpandingMatrix),
+            (((-1,),), ((0,),), NonExpandingMatrix),
+            (((1, 1), (0, 2)), ((0, 0),), NonExpandingMatrix),
+            # Eigenvalues (1 +- sqrt 5)/2: not triangular, one of modulus 0.618.
+            (((1, 1), (1, 0)), ((0, 0),), NonExpandingMatrix),
+        ],
+        ids=["singular", "singular_planar", "duplicate", "empty", "identity", "minus_one", "triangular", "general"],
+    )
+    def test_invalid_system_refused_when_built(self, matrix, digits, error):
+        with pytest.raises(error):
+            DigitSystem(matrix, digits)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            ((4,),),
+            ((-3,),),
+            ((2, 0), (0, 3)),
+            ((2, 1), (0, 3)),
+            ((3, 0), (5, -2)),
+            ((0, 2), (3, 0)),
+            ((1, 2), (-2, 1)),
+            ((4, 2), (2, 4)),
+            ((2, 1, 0), (0, 3, 1), (1, 0, 2)),
+        ],
+        ids=["1d", "1d_negative", "diagonal", "upper", "lower", "antidiagonal", "rotation", "symmetric", "3x3"],
+    )
+    def test_inverse_is_exact_over_the_least_denominator(self, matrix):
+        ds = DigitSystem(matrix, (tuple(0 for _ in matrix),))
+        rows, q = ds.inverse
+        exact, _ = _fraction_inverse(matrix)
+        assert all(type(x) is int for row in rows for x in row) and type(q) is int
+        assert tuple(tuple(Fraction(x, q) for x in row) for row in rows) == exact
+        assert q == math.lcm(*(x.denominator for row in exact for x in row))
+        assert ds.inverse_matrix() == exact
+
+    def test_inverse_is_derived(self):
+        ds = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0)))
+        assert "inverse" not in repr(ds)
+        twin = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0)))
+        assert ds == twin and hash(ds) == hash(twin)
+        with pytest.raises(TypeError):
+            DigitSystem(ds.matrix, ds.digits, inverse=((((1, 0), (0, 1)),), 1))
+        with pytest.raises(AttributeError):
+            ds.inverse = ((((1, 0), (0, 1)),), 1)
+
+    def test_unchecked_callers_see_no_invalid_system(self):
+        # hadamard_triple_check built R = 1 without a check and answered.
+        with pytest.raises(NonExpandingMatrix):
+            hadamard_triple_check(((1,),), [(0,)], [0])
+
+    def test_no_library_module_rechecks_or_reinverts_a_system(self):
+        # A DigitSystem is checked and inverted when built; consumers read ds.inverse.
+        package = Path(measures.__file__).parent
+        offenders = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if name == "validate_digit_system" or (name == "inverse_matrix" and path.name != "measures.py"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+        assert not offenders
 
 
 @pytest.mark.parametrize(
