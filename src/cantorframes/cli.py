@@ -1,8 +1,9 @@
 """Command-line surface: construction, certification, and the experiments.
 
 Exit codes: 0 success, 2 computed-but-negative answers (a refuted packing
-pair, a rejected certificate, a failed witness search), 1 errors. Outputs
-are deterministic: identical invocations write byte-identical files.
+pair, a rejected certificate, a failed witness search), 1 errors, usage
+errors included. Outputs are deterministic: identical invocations write
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -12,7 +13,21 @@ import functools
 import math
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
+
+from .errors import NoWitnessFound
+from .experiments import CrossBesselRow, DegeneracyRow, RotationRow, integer_pool
+from .experiments import cross_bessel_experiment, degeneracy_experiment, rotation_experiment
+from .fourier import _mu_hat_grid
+from .frames import FrequencySet, frame_bounds, jp_spectrum
+from .measures import DigitSystem, convolve, level_measure
+from .packing import CERTIFIED_NOT_PACKING, packing_certificate_from_digits, singularity_witness
+from .serialize import _atom_strings, canonical_json, certificate_to_jsonable, csv_text
+from .serialize import digit_system_from_jsonable, fraction_to_str, frame_report_to_jsonable, load_json
+from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable, write_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -22,9 +37,6 @@ _TABLE_FORMATS = ("json", "csv")  # --format choices of the commands whose outpu
 
 def parse_digit_system(text: str):
     """Parse `N:b1,b2,...` for 1D or a JSON file path for d >= 2."""
-    from .measures import DigitSystem
-    from .serialize import digit_system_from_jsonable, load_json
-
     if text.endswith(".json") or text.startswith("@"):
         path = text[1:] if text.startswith("@") else text
         return digit_system_from_jsonable(load_json(path))
@@ -61,8 +73,6 @@ def _default_hadamard_digits(ds) -> list:
 
 def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
     """Write the CSV rows under ``--format csv``, else the JSON payload (a ``str`` is already rendered)."""
-    from .serialize import canonical_json, csv_text, write_json
-
     if args.format == "csv":
         text = csv_text(csv_header, csv_rows)
         if args.out:
@@ -89,10 +99,6 @@ def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
 
 def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
     """Emit rows as CSV columns or JSON row keys, both the fields of ``row_type``; JSON writes Fractions as "p/q"."""
-    from fractions import Fraction
-
-    from .serialize import fraction_to_str
-
     header = [f.name for f in dataclasses.fields(row_type)]
     cells = [[getattr(row, name) for name in header] for row in rows]
     json_rows = [
@@ -103,9 +109,6 @@ def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
 
 
 def _cmd_measure_build(args) -> int:
-    from .measures import level_measure
-    from .serialize import _atom_strings, measure_json
-
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
     if args.format == "csv":
@@ -118,9 +121,6 @@ def _cmd_measure_build(args) -> int:
 
 
 def _cmd_measure_convolve(args) -> int:
-    from .measures import convolve
-    from .serialize import load_json, measure_from_jsonable, measure_json
-
     a = measure_from_jsonable(load_json(args.a))
     b = measure_from_jsonable(load_json(args.b))
     result = convolve(a, b, args.atom_budget)
@@ -129,10 +129,6 @@ def _cmd_measure_convolve(args) -> int:
 
 
 def _cmd_ft_grid(args) -> int:
-    import numpy as np
-
-    from .fourier import _mu_hat_grid
-
     for flag, value in (("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} {value} is not finite")
@@ -156,9 +152,8 @@ def _cmd_ft_grid(args) -> int:
 
 
 def _cmd_packing_check(args) -> int:
-    from .packing import CERTIFIED_NOT_PACKING, packing_certificate_from_digits
-    from .serialize import certificate_to_jsonable
-
+    if None in (args.R, args.B, args.C) and None in (args.system_a, args.system_b):
+        raise ValueError("packing check needs either --R/--B/--C or --system-a/--system-b")
     if args.R is not None:
         matrix = ((args.R,),)
         digits_b = tuple((b,) for b in _parse_int_list(args.B))
@@ -175,12 +170,6 @@ def _cmd_packing_check(args) -> int:
 
 
 def _cmd_packing_witness(args) -> int:
-    from fractions import Fraction
-
-    from .errors import NoWitnessFound
-    from .packing import singularity_witness
-    from .serialize import witness_to_jsonable
-
     nu = parse_digit_system(args.nu)
     lam = parse_digit_system(args.lam)
     shift = tuple(Fraction(x) for x in args.t.split(","))
@@ -200,10 +189,6 @@ def _cmd_packing_witness(args) -> int:
 
 
 def _build_spectrum(args, ds, level):
-    from .experiments import integer_pool
-    from .frames import FrequencySet, jp_spectrum
-    from .serialize import load_json
-
     choice = args.spectrum
     if choice == "jp":
         digits = _parse_int_list(args.freq_digits) if args.freq_digits else _default_hadamard_digits(ds)
@@ -215,10 +200,6 @@ def _build_spectrum(args, ds, level):
 
 
 def _cmd_frame_bounds(args) -> int:
-    from .frames import frame_bounds
-    from .measures import level_measure
-    from .serialize import frame_report_to_jsonable
-
     ds = parse_digit_system(args.system)
     measure = level_measure(ds, args.level, args.atom_budget)
     freq_set = _build_spectrum(args, ds, args.level)
@@ -228,15 +209,10 @@ def _cmd_frame_bounds(args) -> int:
 
 
 def _cmd_exp_degeneracy(args) -> int:
-    from .experiments import DegeneracyRow, degeneracy_experiment
-    from .frames import jp_spectrum
-
     nu = parse_digit_system(args.nu)
     lam = parse_digit_system(args.lam)
     freq_ds = parse_digit_system(args.freq_system)
     freq_set = jp_spectrum(freq_ds, _parse_int_list(args.freq_digits), args.freq_level, args.atom_budget)
-    from fractions import Fraction
-
     shift = tuple(Fraction(x) for x in args.t.split(","))
     result = degeneracy_experiment(
         nu,
@@ -262,8 +238,6 @@ def _cmd_exp_degeneracy(args) -> int:
 
 
 def _cmd_exp_rotation(args) -> int:
-    from .experiments import RotationRow, rotation_experiment
-
     result = rotation_experiment(
         args.level,
         _parse_float_list(args.thetas),
@@ -282,8 +256,6 @@ def _cmd_exp_rotation(args) -> int:
 
 
 def _cmd_exp_cross_bessel(args) -> int:
-    from .experiments import CrossBesselRow, cross_bessel_experiment
-
     src = parse_digit_system(args.src)
     dst = parse_digit_system(args.dst)
     result = cross_bessel_experiment(
@@ -299,8 +271,6 @@ def _cmd_exp_cross_bessel(args) -> int:
 
 
 def _cmd_verify_certificate(args) -> int:
-    from .serialize import load_json, verify_certificate
-
     data = load_json(args.path)
     ok, reason = verify_certificate(data)
     payload = {"schema": "verification/1", "valid": ok, "reason": reason}
@@ -428,15 +398,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command_path == "packing check":
-        has_compact = args.R is not None and args.B is not None and args.C is not None
-        has_systems = args.system_a is not None and args.system_b is not None
-        if not (has_compact or has_systems):
-            parser.error("packing check needs either --R/--B/--C or --system-a/--system-b")
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR

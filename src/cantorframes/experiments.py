@@ -117,7 +117,7 @@ def degeneracy_experiment(
 
 
 def integer_pool(size: int) -> FrequencySet:
-    return FrequencySet.from_scalars(range(size), provenance="lattice-pool")
+    return FrequencySet.from_scalars(range(size))
 
 
 def collinear_lower_bounds(
@@ -209,11 +209,7 @@ def rotation_experiment(
 
     jp_mu = jp_spectrum(DigitSystem.one_dimensional(4, [0, 1]), [0, 2], level, budget)
     jp_nu = jp_spectrum(DigitSystem.one_dimensional(16, [0, 1]), [0, 8], level, budget)
-    pool = FrequencySet(
-        dim=2,
-        freqs=tuple((a[0], b[0]) for a in jp_mu.freqs for b in jp_nu.freqs),
-        provenance="lattice-pool",
-    )
+    pool = FrequencySet(dim=2, freqs=tuple((a[0], b[0]) for a in jp_mu.freqs for b in jp_nu.freqs))
     target = min(target_factor * len(base), len(pool))
     selection = greedy_frame_search(base, pool, target)
     base_report = selection.report

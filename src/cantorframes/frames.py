@@ -43,7 +43,8 @@ from .errors import (
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem
-from .measures import _common_numerators, _exact_number, _fraction_inverse, _matvec, _points_over, _sumset
+from .measures import _common_numerators, _exact_number, _exact_point, _fraction_inverse, _matvec, _points_over
+from .measures import _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
@@ -68,7 +69,7 @@ _INVERSE_STEPS = 2
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """A finite list of exact real frequency vectors with a provenance tag.
+    """A finite list of exact real frequency vectors.
 
     Coordinates are read as ``measures.as_point`` reads them and kept as
     ints when integral, Fractions otherwise. Every phase is computed from
@@ -80,7 +81,6 @@ class FrequencySet:
 
     dim: int
     freqs: tuple
-    provenance: str = "user"
     numerators: tuple = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
     triple: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -107,8 +107,8 @@ class FrequencySet:
             seen[key] = f
 
     @classmethod
-    def from_scalars(cls, values, provenance: str = "user") -> "FrequencySet":
-        return cls(dim=1, freqs=tuple((v,) for v in values), provenance=provenance)
+    def from_scalars(cls, values) -> "FrequencySet":
+        return cls(dim=1, freqs=tuple((v,) for v in values))
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -223,7 +223,7 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             vecs = [_matvec(rt, v) for v in vecs]
 
     freqs = sorted(_sumset(ds.dim, layers(), budget))
-    freq_set = FrequencySet(dim=ds.dim, freqs=tuple(freqs), provenance="jp-spectrum")
+    freq_set = FrequencySet(dim=ds.dim, freqs=tuple(freqs))
     object.__setattr__(freq_set, "triple", (ds.matrix, tuple(freq_digits), n))
     return freq_set
 
@@ -352,11 +352,14 @@ def _limb_phases(freqs: np.ndarray, atoms_rev: np.ndarray, dim: int, k: int) -> 
     return phases
 
 
+def _finite_numerators(rows) -> tuple:
+    """``_common_numerators`` of array rows, each read as ``_exact_point`` reads it: NaN and inf raise ValueError."""
+    return _common_numerators([_exact_point(row) for row in np.asarray(rows).tolist()])
+
+
 def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases."""
-    locations, freqs = np.asarray(locations), np.asarray(freqs)
-    exact = _common_numerators(freqs.tolist()), _common_numerators(locations.tolist())
-    phases = _exact_phase_matrix(locations.shape[-1], *exact)
+    phases = _exact_phase_matrix(np.shape(locations)[-1], _finite_numerators(freqs), _finite_numerators(locations))
     return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
 
 
@@ -540,7 +543,7 @@ def frame_bounds_from_arrays(
     if not np.all((weights > 0) & (weights < np.inf)):
         raise ValueError("weights must be positive and finite")
     (masses,), den = _common_numerators([weights.tolist()])
-    atoms = _common_numerators(np.asarray(locations).tolist())
+    atoms = _finite_numerators(locations)
     return _report(np.shape(locations)[-1], atoms, (masses, den), freq_set, eigen_budget)
 
 
@@ -663,7 +666,7 @@ def transform_spectrum(freq_set: FrequencySet, t: BlockedLinearMap) -> Frequency
         raise SizeMismatch("spectrum dimension does not match the map")
     rows, d = _shear_transport((freq_set.numerators, freq_set.denominator), t)
     freqs = tuple(tuple(x / d for x in row) for row in rows)  # int / int rounds correctly
-    return FrequencySet(dim=freq_set.dim, freqs=freqs, provenance="sheared")
+    return FrequencySet(dim=freq_set.dim, freqs=freqs)
 
 
 def _first_best(values: np.ndarray, scale: float) -> int:
@@ -791,11 +794,8 @@ def greedy_frame_search(
         selected.append(best)
         open_mask[best] = False
         gram += np.outer(rows[best].conj(), rows[best])
-    freq_set = FrequencySet(
-        dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected), provenance="greedy"
-    )
-    picked = rows[selected]
-    report = _frame_report(picked.conj().T @ picked, None, sqrt_w, len(selected))
+    freq_set = FrequencySet(dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected))
+    report = frame_bounds(m, freq_set, eigen_budget)
     if target_count >= atoms and report.rank < atoms:
         raise PoolExhausted("pool cannot span the atom space: rank %d < %d" % (report.rank, atoms))
     return GreedySelection(frequencies=freq_set, report=report, selected_indices=tuple(selected))

@@ -295,11 +295,6 @@ def _over(m: AtomicMeasure, denominator: int) -> tuple:
     return m.numerators if scale == 1 else tuple(tuple(x * scale for x in p) for p in m.numerators)
 
 
-def absolute_atoms(m: AtomicMeasure):
-    """The exact (location, weight) atoms as a list."""
-    return list(m.atoms)
-
-
 def as_float_arrays(m: AtomicMeasure):
     """Locations and weights as float arrays."""
     locs = np.array([[x / m.denominator for x in p] for p in m.numerators], dtype=float).reshape(len(m), m.dim)
@@ -405,7 +400,8 @@ class PointCloud:
 
 
 def tail_radius(ds: DigitSystem, n: int) -> Fraction | None:
-    """Certified bound for sup |sum_{k>n} R^-k b_k| via the geometric series."""
+    """Certified bound for sup |sum_{k>n} R^-k b_k| via the geometric series; the level is an integer."""
+    n = operator.index(n)
     inv = ds.inverse_norm_bound()
     if inv >= 1:
         return None

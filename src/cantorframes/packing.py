@@ -154,6 +154,20 @@ def _norm_sq(v):
     return sum(x * x for x in v)
 
 
+def _self_differences(first, second, denominator: int, inputs) -> tuple:
+    """Both self-difference sets of integer points over ``denominator``, and the refutation by a common nonzero one.
+
+    The refutation is None when the sets meet only in zero; else its
+    witness is their least common nonzero difference.
+    """
+    d1, d2 = _differences(first, first), _differences(second, second)
+    common = [v for v in d1.keys() & d2.keys() if any(v)]
+    if not common:
+        return d1, d2, None
+    evidence = {"witness": tuple(Fraction(x, denominator) for x in min(common))}
+    return d1, d2, PackingCertificate(CERTIFIED_NOT_PACKING, METHOD_DIFFERENCE_INTERSECTION, evidence, inputs)
+
+
 def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     """Certify a packing pair for two digit sets under a common matrix.
 
@@ -167,17 +181,9 @@ def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     ds_c = DigitSystem(R, C)
     inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
 
-    bb = _differences(ds_b.digits, ds_b.digits)
-    cc = _differences(ds_c.digits, ds_c.digits)
-    common = [v for v in bb.keys() & cc.keys() if any(v)]
-    if common:
-        return PackingCertificate(
-            status=CERTIFIED_NOT_PACKING,
-            method=METHOD_DIFFERENCE_INTERSECTION,
-            evidence={"witness": tuple(map(Fraction, min(common)))},
-            inputs=inputs,
-        )
-
+    bb, cc, refutation = _self_differences(ds_b.digits, ds_c.digits, 1, inputs)
+    if refutation is not None:
+        return refutation
     d_sq = Fraction(max(_norm_sq(v) for v in _differences(list(bb), list(cc))))
     d_ub = _sqrt_upper_bound(d_sq)
     inv = ds_b.inverse_norm_bound()
@@ -215,15 +221,9 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
     }
     numerators, denominator = _common_numerators([*cloud1.points, *cloud2.points])
     c1, c2 = numerators[: len(cloud1.points)], numerators[len(cloud1.points) :]
-    d1, d2 = _differences(c1, c1), _differences(c2, c2)
-    common = [v for v in d1.keys() & d2.keys() if any(v)]
-    if common:
-        return PackingCertificate(
-            status=CERTIFIED_NOT_PACKING,
-            method=METHOD_DIFFERENCE_INTERSECTION,
-            evidence={"witness": tuple(Fraction(x, denominator) for x in min(common))},
-            inputs=inputs,
-        )
+    d1, d2, refutation = _self_differences(c1, c2, denominator, inputs)
+    if refutation is not None:
+        return refutation
     if cloud1.tail_radius is None or cloud2.tail_radius is None:
         return PackingCertificate(
             status=INCONCLUSIVE,

@@ -63,7 +63,6 @@ def rotation_greedy_instance(level: int) -> tuple:
             for a in jp_spectrum(FOUR, JP4, level).freqs
             for b in jp_spectrum(SIXTEEN_01, JP16, level).freqs
         ),
-        provenance="lattice-pool",
     )
     return base, pool, min(2 * len(base), len(pool))
 
@@ -77,14 +76,14 @@ def build_instances():
         (
             "lattice-pool-level2",
             level_measure(SIXTEEN_01, 2),
-            FrequencySet.from_scalars(range(16), provenance="lattice-pool"),
+            FrequencySet.from_scalars(range(16)),
         ),
         ("degeneracy-sum-level2", _degeneracy_sum(2), jp_spectrum(FOUR, JP4, 4)),
         ("cross-bessel-level4", level_measure(FOUR, 4), jp_spectrum(EIGHT, JP8, 4)),
         (
             "uneven-weights",
             add(level_measure(FOUR, 3), translate(level_measure(FOUR, 2), Fraction(1, 3))),
-            FrequencySet.from_scalars(range(24), provenance="lattice-pool"),
+            FrequencySet.from_scalars(range(24)),
         ),
         (
             "planar-sum-level2",

@@ -138,9 +138,7 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
     """Frame bounds recomputed from scratch: explicit sums, power iteration."""
     import math
 
-    from cantorframes import absolute_atoms
-
-    atoms = absolute_atoms(measure)
+    atoms = list(measure.atoms)
     locations = [tuple(float(x) for x in p) for p, _ in atoms]
     weights = [float(w) for _, w in atoms]
     size = len(atoms)

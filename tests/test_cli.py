@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -30,7 +31,8 @@ from cantorframes import (
     singularity_witness,
     translate,
 )
-from cantorframes.cli import EXIT_ERROR, main, parse_digit_system
+from cantorframes import cli
+from cantorframes.cli import EXIT_ERROR, EXIT_OK, main, parse_digit_system
 from cantorframes.serialize import (
     canonical_json,
     certificate_to_jsonable,
@@ -280,9 +282,7 @@ class TestCliCommands:
     def test_csv_refused_where_no_table_exists(self, tmp_path, capsys, argv):
         # These commands wrote JSON to the --out path and recorded "format": "csv" in the manifest.
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--format", "csv", "--out", str(out), "--manifest"])
-        assert exc.value.code != 0
+        assert main(argv + ["--format", "csv", "--out", str(out), "--manifest"]) == EXIT_ERROR
         assert "invalid choice: 'csv'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -365,7 +365,7 @@ class TestCliCommands:
     def test_frame_bounds_pool_spectrum(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["frame", "bounds", "--system", "4:0,1", "--level", "3", "--spectrum", "pool:20", "--out", str(out)]) == 0
-        pool = FrequencySet.from_scalars(range(20), provenance="lattice-pool")
+        pool = FrequencySet.from_scalars(range(20))
         report = frame_bounds(level_measure(DigitSystem.one_dimensional(4, [0, 1]), 3), pool)
         assert out.read_text() == canonical_json(frame_report_to_jsonable(report))
 
@@ -481,12 +481,31 @@ class TestCliCommands:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_help_exits_zero_and_usage_errors_exit_one(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage: cantorframes" in capsys.readouterr().out
+        assert main(["frame", "bounds", "--system", "4:0,1"]) == EXIT_ERROR
+        assert "--level" in capsys.readouterr().err
+
     def test_witness_not_found_is_negative_exit(self, tmp_path):
         out = tmp_path / "w.json"
         rc = main(
             ["packing", "witness", "--nu", "4:0,1", "--lam", "4:0,2", "--t", "0", "--level", "1", "--out", str(out)]
         )
         assert rc in (1, 2)
+
+
+def test_no_cli_function_imports():
+    # The CLI imports everything once, at the top of the module.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    offenders = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not offenders
 
 
 def test_exact_frame_report_past_the_eigen_budget(capsys):
@@ -558,11 +577,7 @@ class TestParserReuse:
         monkeypatch.chdir(directory)
         calls = []
         for argv in self.SEQUENCE:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = ("SystemExit", exc.code)
-            calls.append((code, *capsys.readouterr()))
+            calls.append((main(argv), *capsys.readouterr()))
         return calls, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
     def test_reused_parser_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
@@ -577,7 +592,7 @@ class TestParserReuse:
         fresh = self._run(tmp_path / "fresh", monkeypatch, capsys)
         assert reused == fresh
         calls, files = reused
-        assert [c[0] for c in calls] == [0, 0, ("SystemExit", 2), 0, ("SystemExit", 2), 2]
+        assert [c[0] for c in calls] == [0, 0, 1, 0, 1, 2]
         assert "--level" in calls[2][2] and "--R/--B/--C" in calls[4][2]
         assert '"command": "packing check"' in calls[5][1]
         assert sorted(files) == ["a.json", "a.json.manifest.json", "b.json", "c.json"]

@@ -16,7 +16,6 @@ from cantorframes import (
     PointCloud,
     ToleranceUnreachable,
     TransformValue,
-    absolute_atoms,
     convolve,
     cylinder_points,
     factorization_check,
@@ -312,8 +311,8 @@ class TestFactorization:
         # Float offsets, window points off every atom grid, float and repeated points.
         nu = translate(level_measure(SIXTEEN_01, 2), shift_nu)
         lam = translate(level_measure(SIXTEEN_04, 3), shift_lam)
-        window_e = [p for p, _ in absolute_atoms(nu)][::2] + [(Fraction(1, 3),), (0.25,), (0.1,)]
-        window_f = [p for p, _ in absolute_atoms(lam)][1::3] + [(Fraction(-1, 7),), (0.0625,)]
+        window_e = list(nu.locations)[::2] + [(Fraction(1, 3),), (0.25,), (0.1,)]
+        window_f = list(lam.locations)[1::3] + [(Fraction(-1, 7),), (0.0625,)]
         window_f += window_f[:2]
         grid = np.linspace(-30.0, 30.0, 77)
         report = factorization_check(nu, lam, window_e, window_f, grid, force=True)

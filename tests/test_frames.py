@@ -235,6 +235,26 @@ def test_frequency_set_rejects_non_finite(bad):
     assert str(single.value) == f"frequency {(bad,)} is not finite"
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_arrays_refuse_non_finite_coordinates(bad):
+    # An infinite coordinate used to raise OverflowError from its integer ratio, a NaN an incidental ValueError.
+    points, weights, freqs = np.array([[0.0], [0.5]]), np.array([0.5, 0.5]), np.array([[0.0], [1.0]])
+    calls = [
+        lambda: frame_bounds_from_arrays(np.array([[bad], [0.5]]), weights, FrequencySet.from_scalars([0, 1])),
+        lambda: synthesis_matrix(np.array([[0.5], [bad]]), weights, freqs),
+        lambda: synthesis_matrix(points, weights, np.array([[bad], [1.0]])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"point {(bad,)} is not finite"
+
+
+def test_frequency_sets_with_the_same_frequencies_are_equal():
+    assert integer_pool(4) == FrequencySet.from_scalars(range(4))
+    assert hash(integer_pool(4)) == hash(FrequencySet.from_scalars(range(4)))
+
+
 class TestDistinctFrequencies:
     @pytest.mark.parametrize(
         "values", [[3, 1, 3], [0.0, 1e-13], [Fraction(1, 3), 1 / 3]], ids=["duplicate", "within-1e-12", "fraction"]
@@ -424,7 +444,7 @@ class TestShear:
 class TestGreedy:
     def test_four_atoms_integer_pool(self):
         m = level_measure(FOUR, 2)
-        pool = FrequencySet.from_scalars(range(16), provenance="lattice-pool")
+        pool = FrequencySet.from_scalars(range(16))
         selection = greedy_frame_search(m, pool, 4)
         assert selection.report.lower > 0
         assert selection.report.rank == 4
@@ -663,7 +683,7 @@ class TestExactDiagonal:
     def test_triple_is_kept_and_ignored_by_equality(self):
         jp = jp_spectrum(FOUR, [0, 2], 3)
         assert jp.triple == (((4,),), ((0,), (2,)), 3)
-        plain = FrequencySet(dim=1, freqs=jp.freqs, provenance="jp-spectrum")
+        plain = FrequencySet(dim=1, freqs=jp.freqs)
         assert plain.triple is None
         assert plain == jp and hash(plain) == hash(jp) and repr(plain) == repr(jp)
 

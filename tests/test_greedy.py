@@ -218,8 +218,19 @@ class TestRankDeficientPools:
         assert greedy_frame_search(m, pool, 8).selected_indices[0] == 0
 
 
-def test_report_is_frame_bounds_of_the_selection():
-    base, pool, target = rotation_greedy_instance(4)
+@pytest.mark.parametrize(
+    "instance",
+    [
+        lambda: rotation_greedy_instance(3),
+        lambda: rotation_greedy_instance(4),
+        lambda: rotation_greedy_instance(5),
+        # A centrally symmetric selection, whose report takes the real Gram.
+        lambda: (level_measure(FOUR, 3), FrequencySet.from_scalars(range(64)), 8),
+    ],
+    ids=["rotation-level3", "rotation-level4", "rotation-level5", "symmetric-pool"],
+)
+def test_report_is_frame_bounds_of_the_selection(instance):
+    base, pool, target = instance()
     selection = greedy_frame_search(base, pool, target)
     assert selection.report == frame_bounds(base, selection.frequencies)
 

@@ -440,3 +440,11 @@ def test_translate_preserves_structure(m, num):
 def test_tail_radius_formula_quarter_system():
     assert tail_radius(FOUR, 1) == fr(1, 4) ** 2 / (1 - fr(1, 4))
     assert tail_radius(FOUR, 2) == fr(1, 48)
+
+
+def test_tail_radius_reads_an_integer_level():
+    # A float level used to return a float where a certified Fraction is documented.
+    assert tail_radius(FOUR, np.int64(2)) == fr(1, 48)
+    for level in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            tail_radius(FOUR, level)
