@@ -24,7 +24,7 @@ from .experiments import cross_bessel_experiment, degeneracy_experiment, rotatio
 from .fourier import _mu_hat_grid
 from .frames import FrequencySet, frame_bounds, jp_spectrum
 from .measures import DigitSystem, convolve, level_measure
-from .packing import CERTIFIED_NOT_PACKING, packing_certificate_from_digits, singularity_witness
+from .packing import CERTIFIED_NOT_PACKING, _digit_certificate, singularity_witness
 from .serialize import _atom_strings, canonical_json, certificate_to_jsonable, csv_text
 from .serialize import digit_system_from_jsonable, fraction_to_str, frame_report_to_jsonable, load_json
 from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable, write_json
@@ -152,19 +152,7 @@ def _cmd_ft_grid(args) -> int:
 
 
 def _cmd_packing_check(args) -> int:
-    if None in (args.R, args.B, args.C) and None in (args.system_a, args.system_b):
-        raise ValueError("packing check needs either --R/--B/--C or --system-a/--system-b")
-    if args.R is not None:
-        matrix = ((args.R,),)
-        digits_b = tuple((b,) for b in _parse_int_list(args.B))
-        digits_c = tuple((c,) for c in _parse_int_list(args.C))
-    else:
-        ds_a = parse_digit_system(args.system_a)
-        ds_b = parse_digit_system(args.system_b)
-        if ds_a.matrix != ds_b.matrix:
-            raise ValueError("the digit criterion needs a common matrix")
-        matrix, digits_b, digits_c = ds_a.matrix, ds_a.digits, ds_b.digits
-    cert = packing_certificate_from_digits(matrix, digits_b, digits_c)
+    cert = _digit_certificate(parse_digit_system(args.system_a), parse_digit_system(args.system_b))
     _emit(args, certificate_to_jsonable(cert))
     return EXIT_NEGATIVE if cert.status == CERTIFIED_NOT_PACKING else EXIT_OK
 
@@ -282,7 +270,6 @@ def _add_common(parser, formats=("json",)) -> None:
     parser.add_argument("--out", help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--manifest", action="store_true", help="emit the resolved config next to the output")
-    parser.add_argument("--atom-budget", type=int, default=None, help="override the atom budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,11 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     check = packing.add_parser("check", help="digit-criterion packing certificate")
-    check.add_argument("--R", type=int, default=None, help="1D base (with --B and --C)")
-    check.add_argument("--B", default=None, help="first digit set, e.g. 0,1")
-    check.add_argument("--C", default=None, help="second digit set, e.g. 0,4")
-    check.add_argument("--system-a", default=None)
-    check.add_argument("--system-b", default=None)
+    check.add_argument("--system-a", required=True, help="first digit system, e.g. 16:0,1 or a JSON file")
+    check.add_argument("--system-b", required=True, help="second digit system, same matrix")
     _add_common(check)
     check.set_defaults(func=_cmd_packing_check, command_path="packing check")
 
@@ -388,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(vcert)
     vcert.set_defaults(func=_cmd_verify_certificate, command_path="verify certificate")
 
+    for enumerating in (build, conv, witness, bounds, deg, rot, cross):
+        enumerating.add_argument("--atom-budget", type=int, default=None, help="override the atom budget")
     return parser
 
 

@@ -125,7 +125,6 @@ def collinear_lower_bounds(
     lam_ds: DigitSystem,
     shift,
     sum_levels,
-    pool_factor: int = 2,
     budget: int | None = None,
 ) -> tuple:
     """Lower frame bound of the collinear sum under a fixed pool-growth rule.
@@ -133,7 +132,7 @@ def collinear_lower_bounds(
     ``sum_levels`` count digit layers of the convolution measure: level n
     uses the first factor at depth floor(n/2) and the second at
     ceil(n/2). Each sum measure gets the integer frequency pool
-    {0, ..., pool_factor * atoms - 1}; the lower bound collapsing with n
+    {0, ..., 2 * atoms - 1}; the lower bound collapsing with n
     is the finite-level shadow of frame degeneracy.
     """
     t = as_point(shift, nu_ds.dim)
@@ -144,7 +143,7 @@ def collinear_lower_bounds(
         nu_n = level_measure(nu_ds, n // 2, budget)
         lam_n = level_measure(lam_ds, (n + 1) // 2, budget)
         rho = add(convolve(nu_n, lam_n, budget), translate(nu_n, t))
-        pool = integer_pool(pool_factor * len(rho))
+        pool = integer_pool(2 * len(rho))
         report = frame_bounds(rho, pool)
         out.append((n, report.lower))
     return tuple(out)
@@ -182,14 +181,14 @@ def _sheared_atoms(atoms, t_map: BlockedLinearMap) -> tuple:
 def rotation_experiment(
     level: int,
     thetas_degrees,
-    target_factor: int = 2,
     collapse_levels=(),
     budget: int | None = None,
 ) -> RotationResult:
     """Frame-bound invariance of the planar two-Cantor sum under rotation.
 
-    A spectrum is found once for the axis-aligned sum by greedy selection
-    over the product of the two orthonormal spectra. A rotation with
+    A spectrum of min(2 * atoms, pool size) frequencies is found once for
+    the axis-aligned sum by greedy selection over the product of the two
+    orthonormal spectra. A rotation with
     (c, s) the floats ``BlockedLinearMap.rotation_2d`` stores, taken as
     the binary rationals they are, maps the atoms through [[1, -s], [0, c]]
     and the spectrum, scaled by 1/c on its second coordinate, through the
@@ -203,14 +202,13 @@ def rotation_experiment(
     the singular block instead, with None for every bound; it is decided
     on the angle itself, before a cosine is rounded.
     """
-    mu_1d = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level, budget)
-    nu_1d = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level, budget)
+    four, sixteen = DigitSystem.one_dimensional(4, [0, 1]), DigitSystem.one_dimensional(16, [0, 1])
+    mu_1d, nu_1d = level_measure(four, level, budget), level_measure(sixteen, level, budget)
     base = add(embed_axis(mu_1d, 2, 0), embed_axis(nu_1d, 2, 1))
 
-    jp_mu = jp_spectrum(DigitSystem.one_dimensional(4, [0, 1]), [0, 2], level, budget)
-    jp_nu = jp_spectrum(DigitSystem.one_dimensional(16, [0, 1]), [0, 8], level, budget)
+    jp_mu, jp_nu = jp_spectrum(four, [0, 2], level, budget), jp_spectrum(sixteen, [0, 8], level, budget)
     pool = FrequencySet(dim=2, freqs=tuple((a[0], b[0]) for a in jp_mu.freqs for b in jp_nu.freqs))
-    target = min(target_factor * len(base), len(pool))
+    target = min(2 * len(base), len(pool))
     selection = greedy_frame_search(base, pool, target)
     base_report = selection.report
 
@@ -227,13 +225,7 @@ def rotation_experiment(
         if [[sum(x * y for x, y in zip(f, a)) for a in atoms] for f in freqs] != [[p * q, 0], [0, p * q]]:
             raise RuntimeError(f"rotation by {theta_deg} degrees breaks the exact phase identity")
         rows.append(RotationRow(theta, "ok", base_report.lower, base_report.upper, 0.0, 0.0))
-    collapse = collinear_lower_bounds(
-        DigitSystem.one_dimensional(16, [0, 1]),
-        DigitSystem.one_dimensional(16, [0, 4]),
-        0,
-        collapse_levels,
-        budget=budget,
-    )
+    collapse = collinear_lower_bounds(sixteen, DigitSystem.one_dimensional(16, [0, 4]), 0, collapse_levels, budget)
     return RotationResult(
         base_report=base_report, base_frequencies=selection.frequencies, rows=tuple(rows), collapse=collapse
     )

@@ -26,6 +26,7 @@ of unity vanish.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -157,7 +158,11 @@ def hadamard_triple_check(R, B, L) -> bool:
     the cyclotomic polynomial Phi_N, the minimal polynomial of
     exp(2*pi*i/N).
     """
-    ds = DigitSystem(R, B)
+    return _hadamard_digits(DigitSystem(R, B), L) is not None
+
+
+def _hadamard_digits(ds: DigitSystem, L) -> list | None:
+    """The frequency digits L as integer vectors if (R, B, L) is a Hadamard triple, else None."""
     freq_nums = _points_over(L, ds.dim, 1)
     if len(freq_nums) != ds.branch:
         raise SizeMismatch("digit and frequency sets must have equal size")
@@ -171,8 +176,8 @@ def hadamard_triple_check(R, B, L) -> bool:
         for a in atom_nums:
             poly[sum((x - y) * z for x, y, z in zip(f, g, a)) % n] += 1
         if any(_divide_monic(poly, phi)[1]):
-            return False
-    return True
+            return None
+    return freq_nums
 
 
 def _cyclotomic(n: int) -> list:
@@ -209,10 +214,8 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
     """
     if n < 1:
         raise ValueError("level must be >= 1")
-    freq_digits = _points_over(L, ds.dim, 1)
-    if None in freq_digits:
-        raise ValueError("frequency digits must be integer vectors")
-    if not hadamard_triple_check(ds.matrix, ds.digits, freq_digits):
+    freq_digits = _hadamard_digits(ds, L)
+    if freq_digits is None:
         raise HadamardCheckFailed("the digit and frequency sets do not form a Hadamard pair")
     rt = tuple(zip(*ds.matrix))
 
@@ -357,22 +360,38 @@ def _finite_numerators(rows) -> tuple:
     return _common_numerators([_exact_point(row) for row in np.asarray(rows).tolist()])
 
 
+def _array_atoms(locations, weights) -> tuple:
+    """dim, atoms and masses of (M, d) locations and M positive, finite weights, as the binary rationals they are.
+
+    Atoms and masses are (numerators, denominator); other arrays raise SizeMismatch or ValueError.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if np.ndim(locations) != 2 or weights.shape != np.shape(locations)[:1]:
+        raise SizeMismatch("locations must be (M, d), with one weight per atom")
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ValueError("weights must be positive and finite")
+    (masses,), den = _common_numerators([weights.tolist()])
+    return np.shape(locations)[1], _finite_numerators(locations), (masses, den)
+
+
 def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Rows indexed by frequency, columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases."""
-    phases = _exact_phase_matrix(np.shape(locations)[-1], _finite_numerators(freqs), _finite_numerators(locations))
-    return np.exp(-2j * np.pi * phases) * np.sqrt(weights)[None, :]
+    """Rows by frequency (freqs is (F, d)), columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases.
+
+    Locations and weights are read and checked as ``frame_bounds_from_arrays`` reads them.
+    """
+    dim, atoms, masses = _array_atoms(locations, weights)
+    sqrt_w = np.sqrt(_checked_weights(dim, masses, np.shape(freqs)[-1]))
+    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, _finite_numerators(freqs), atoms)) * sqrt_w[None, :]
 
 
-def _checked_sqrt_weights(dim: int, atoms, masses, freq_set: FrequencySet) -> np.ndarray:
-    """sqrt(w) of masses (numerators, denominator), after the checks every report shares, before any phase."""
-    (nums, den), count = masses, len(atoms[0])
-    if freq_set.dim != dim:
+def _checked_weights(dim: int, masses, freq_dim: int) -> np.ndarray:
+    """The float weights of masses (numerators, denominator), after the checks every report shares, before any phase."""
+    nums, den = masses
+    if freq_dim != dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    if count == 0:
+    if not nums:
         raise ZeroNormInput("measure has no atoms")
-    if len(nums) != count:
-        raise SizeMismatch("weight count does not match the atom count")
-    return np.sqrt(np.array([w / den for w in nums], dtype=float))
+    return np.array([w / den for w in nums], dtype=float)
 
 
 def _check_eigen_budget(count: int, eigen_budget: int) -> None:
@@ -487,7 +506,7 @@ def _report(dim: int, atoms, masses, freq_set: FrequencySet, eigen_budget: int) 
     every other Gram, within the eigen budget, takes ``_gram`` and
     ``_frame_report``. No phase is computed before either decision.
     """
-    sqrt_w = _checked_sqrt_weights(dim, atoms, masses, freq_set)
+    sqrt_w = np.sqrt(_checked_weights(dim, masses, freq_set.dim))
     if _vanishing_off_diagonal(dim, atoms, freq_set):
         return _diagonal_report(sqrt_w, masses, len(freq_set))
     _check_eigen_budget(len(sqrt_w), eigen_budget)
@@ -538,13 +557,8 @@ def frame_bounds_from_arrays(
     freq_set: FrequencySet,
     eigen_budget: int = DEFAULT_EIGEN_BUDGET,
 ) -> FrameReport:
-    """Frame bounds of the exponential system on explicit weighted points, read as the binary rationals they are."""
-    weights = np.asarray(weights, dtype=float)
-    if not np.all((weights > 0) & (weights < np.inf)):
-        raise ValueError("weights must be positive and finite")
-    (masses,), den = _common_numerators([weights.tolist()])
-    atoms = _finite_numerators(locations)
-    return _report(np.shape(locations)[-1], atoms, (masses, den), freq_set, eigen_budget)
+    """Frame bounds of the exponential system on (M, d) locations with M positive, finite weights, read exactly."""
+    return _report(*_array_atoms(locations, weights), freq_set, eigen_budget)
 
 
 def frame_bounds(
@@ -556,9 +570,7 @@ def frame_bounds(
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
-    if freq_set.dim != m.dim:
-        raise SizeMismatch("frequency dimension does not match the measure")
-    weights = np.array([w / m.mass_denominator for w in m.masses], dtype=float)
+    weights = _checked_weights(m.dim, (m.masses, m.mass_denominator), freq_set.dim)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise SizeMismatch("coefficient vector length does not match the atom count")
@@ -766,16 +778,19 @@ def greedy_frame_search(
 
     Deterministic: in both phases values within 1e-12 * max||v||^2 of the
     best tie, and the lowest pool index wins; zero-gain steps are allowed.
-    Raises PoolExhausted when a full-rank system is requested but the pool
-    cannot provide one.
+    A negative target raises ValueError and one past the pool
+    PoolExhausted, both before any phase. After the search, PoolExhausted
+    also reports a full-rank request that the pool cannot provide.
     """
-    exact_atoms = m.numerators, m.denominator
-    sqrt_w = _checked_sqrt_weights(m.dim, exact_atoms, (m.masses, m.mass_denominator), pool)
-    atoms = len(sqrt_w)
-    _check_eigen_budget(atoms, eigen_budget)
-    rows = _synthesis_rows(m.dim, exact_atoms, sqrt_w, pool)
+    target_count = operator.index(target_count)
+    if target_count < 0:
+        raise ValueError(f"target count must be >= 0, got {target_count}")
     if target_count > len(pool):
         raise PoolExhausted("target count exceeds the pool size")
+    sqrt_w = np.sqrt(_checked_weights(m.dim, (m.masses, m.mass_denominator), pool.dim))
+    atoms = len(sqrt_w)
+    _check_eigen_budget(atoms, eigen_budget)
+    rows = _synthesis_rows(m.dim, (m.numerators, m.denominator), sqrt_w, pool)
     if target_count < atoms:
         warnings.warn("target count below atom count: the selection cannot be a frame", stacklevel=2)
     norms_sq = np.sum(np.abs(rows) ** 2, axis=1)

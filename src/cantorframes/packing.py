@@ -177,8 +177,13 @@ def packing_certificate_from_digits(R, B, C) -> PackingCertificate:
     (B-B)-(C-C). The bound is sufficient, not necessary, so a failed
     inequality yields an inconclusive certificate.
     """
-    ds_b = DigitSystem(R, B)
-    ds_c = DigitSystem(R, C)
+    return _digit_certificate(DigitSystem(R, B), DigitSystem(R, C))
+
+
+def _digit_certificate(ds_b: DigitSystem, ds_c: DigitSystem) -> PackingCertificate:
+    """``packing_certificate_from_digits`` on two built systems; ValueError unless they share their matrix."""
+    if ds_b.matrix != ds_c.matrix:
+        raise ValueError("the digit criterion needs a common matrix")
     inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
 
     bb, cc, refutation = _self_differences(ds_b.digits, ds_c.digits, 1, inputs)
@@ -334,7 +339,7 @@ def _packing_certificate_for_pair(
     nu_ds: DigitSystem, lam_ds: DigitSystem, level: int, budget: int | None
 ) -> PackingCertificate:
     if nu_ds.matrix == lam_ds.matrix:
-        cert = packing_certificate_from_digits(nu_ds.matrix, nu_ds.digits, lam_ds.digits)
+        cert = _digit_certificate(nu_ds, lam_ds)
         if cert.status != INCONCLUSIVE:
             return cert
     return packing_certificate_from_clouds(

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -24,14 +25,17 @@ from cantorframes import (
     add,
     attractor_points,
     convolve,
+    degeneracy_experiment,
     frame_bounds,
+    jp_spectrum,
     level_measure,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
+    rotation_experiment,
     singularity_witness,
     translate,
 )
-from cantorframes import cli
+from cantorframes import cli, measures
 from cantorframes.cli import EXIT_ERROR, EXIT_OK, main, parse_digit_system
 from cantorframes.serialize import (
     canonical_json,
@@ -273,7 +277,7 @@ class TestCliCommands:
         [
             ["frame", "bounds", "--system", "4:0,1", "--level", "2"],
             ["measure", "convolve", "--a", "a.json", "--b", "b.json"],
-            ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4"],
+            ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4"],
             ["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "2"],
             ["verify", "certificate", "--path", "cert.json"],
         ],
@@ -317,13 +321,25 @@ class TestCliCommands:
 
     def test_packing_check_exit_codes(self, tmp_path):
         cert = tmp_path / "cert.json"
-        assert main(["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", str(cert)]) == 0
+        assert main(["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4", "--out", str(cert)]) == 0
         data = load_json(cert)
         assert data["status"] == "certified-packing"
         assert data["evidence"]["D"] == "5"
-        assert main(["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,1", "--out", str(cert)]) == 2
-        assert main(["packing", "check", "--R", "10", "--B", "0,1", "--C", "0,4", "--out", str(cert)]) == 0
+        assert main(["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,1", "--out", str(cert)]) == 2
+        assert main(["packing", "check", "--system-a", "10:0,1", "--system-b", "10:0,4", "--out", str(cert)]) == 0
         assert load_json(cert)["status"] == "inconclusive"
+
+    def test_packing_check_reads_planar_system_files(self, tmp_path, capsys):
+        paths = [tmp_path / f"ds{k}.json" for k in (1, 4)]
+        for path, ds in zip(paths, PLANAR_16):
+            path.write_text(canonical_json(digit_system_to_jsonable(ds)))
+        cert = tmp_path / "cert.json"
+        argv = ["packing", "check", "--system-a", str(paths[0]), "--system-b", str(paths[1])]
+        assert main(argv + ["--out", str(cert)]) == 0
+        expected = packing_certificate_from_digits(PLANAR_16[0].matrix, PLANAR_16[0].digits, PLANAR_16[1].digits)
+        assert cert.read_text() == canonical_json(certificate_to_jsonable(expected))
+        assert main(["packing", "check", "--system-a", str(paths[0]), "--system-b", "16:0,4"]) == EXIT_ERROR
+        assert "the digit criterion needs a common matrix" in capsys.readouterr().err
 
     def test_packing_witness(self, tmp_path):
         out = tmp_path / "w.json"
@@ -413,7 +429,7 @@ class TestCliCommands:
 
     def test_verify_certificate_roundtrip(self, tmp_path):
         cert_path = tmp_path / "cert.json"
-        main(["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", str(cert_path)])
+        main(["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4", "--out", str(cert_path)])
         assert main(["verify", "certificate", "--path", str(cert_path)]) == 0
         data = load_json(cert_path)
         data["evidence"]["D"] = "6"
@@ -529,6 +545,85 @@ def test_atom_budget_flag_is_recorded_in_the_manifest(tmp_path):
     assert load_json(tmp_path / "m.json.manifest.json")["config"]["atom_budget"] == 8
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ft", "grid", "--system", "4:0,1", "--count", "3"],
+        ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4"],
+        ["verify", "certificate", "--path", "cert.json"],
+    ],
+    ids=["ft_grid", "packing_check", "verify_certificate"],
+)
+def test_atom_budget_refused_where_nothing_is_enumerated(tmp_path, monkeypatch, capsys, argv):
+    # These commands took --atom-budget and ignored it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4", "--out", "cert.json"]) == 0
+    assert main(argv + ["--atom-budget", "1", "--out", "out.json", "--manifest"]) == EXIT_ERROR
+    assert "unrecognized arguments: --atom-budget 1" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
+def _leaf_parsers(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _leaf_parsers(sub)
+    if parser.get_default("func"):
+        yield parser
+
+
+def test_every_cli_flag_is_read():
+    # Each flag besides --out, --format and --manifest must be read as args.<dest> by its
+    # command's function or by a CLI function that the command hands args to.
+    functions = {f.name: f for f in ast.parse(Path(cli.__file__).read_text()).body if isinstance(f, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        found = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                found.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in functions.keys() - seen
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)
+            ):
+                found |= reads(node.func.id, seen)
+        return found
+
+    unread, commands = [], 0
+    for parser in _leaf_parsers(cli.build_parser()):
+        commands += 1
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out", "format", "manifest"}
+        command = parser.get_default("command_path")
+        unread += [f"{command} --{d}" for d in sorted(flags - reads(parser.get_default("func").__name__, set()))]
+    assert commands == 10 and not unread
+
+
+FOUR_LEVEL2_SPECTRUM = jp_spectrum(FOUR, [0, 2], 2)
+
+
+@pytest.mark.parametrize(
+    "call, builds",
+    [
+        (lambda: jp_spectrum(FOUR, [0, 2], 3), 0),
+        (lambda: singularity_witness(SIXTEEN_01, SIXTEEN_04, 0, 2), 0),
+        (lambda: degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 2, FOUR_LEVEL2_SPECTRUM, [2, 8], (2, 3)), 0),
+        # One build for each --system-* argument it parses.
+        (lambda: main(["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4"]), 2),
+        # 4:{0,1}, 16:{0,1} and 16:{0,4}, once each.
+        (lambda: rotation_experiment(2, [0], collapse_levels=(2,)), 3),
+    ],
+    ids=["jp_spectrum", "singularity_witness", "degeneracy_experiment", "packing_check", "rotation_experiment"],
+)
+def test_built_digit_systems_are_not_rebuilt(monkeypatch, capsys, call, builds):
+    # Each DigitSystem build inverts its matrix once; these calls used to rebuild systems they were handed.
+    inversions, original = [], measures._fraction_inverse
+    monkeypatch.setattr(measures, "_fraction_inverse", lambda matrix: inversions.append(matrix) or original(matrix))
+    call()
+    assert len(inversions) == builds
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
@@ -541,20 +636,20 @@ class TestDeterminism:
 
     def test_manifest_round_trips(self, tmp_path):
         out = tmp_path / "cert.json"
-        argv = ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4",
+        argv = ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4",
                 "--out", str(out), "--manifest"]
         assert main(argv) == 0
         manifest_path = Path(str(out) + ".manifest.json")
         manifest = load_json(manifest_path)
         assert manifest["command"] == "packing check"
-        assert manifest["config"]["R"] == 16
+        assert manifest["config"]["system_a"] == "16:0,1"
         assert json.loads(canonical_json(manifest)) == manifest
 
     def test_manifest_records_out_relative_to_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "tables" / "cert.json"
         out.parent.mkdir()
-        argv = ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4",
+        argv = ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4",
                 "--out", str(out), "--manifest"]
         assert out.is_absolute() and main(argv) == 0
         manifest = load_json(Path(str(out) + ".manifest.json"))
@@ -565,12 +660,12 @@ class TestParserReuse:
     """``main`` builds its parser once; a run of calls must give what a fresh parser per call gives."""
 
     SEQUENCE = [
-        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", "a.json", "--manifest"],
-        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,4", "--out", "b.json"],
+        ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4", "--out", "a.json", "--manifest"],
+        ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,4", "--out", "b.json"],
         ["measure", "build", "--system", "4:0,1", "--out", "c.json"],
         ["measure", "build", "--system", "4:0,1", "--level", "3", "--out", "c.json"],
-        ["packing", "check", "--R", "16"],
-        ["packing", "check", "--R", "16", "--B", "0,1", "--C", "0,1", "--manifest"],
+        ["packing", "check", "--system-a", "16:0,1"],
+        ["packing", "check", "--system-a", "16:0,1", "--system-b", "16:0,1", "--manifest"],
     ]
 
     def _run(self, directory, monkeypatch, capsys):
@@ -593,7 +688,7 @@ class TestParserReuse:
         assert reused == fresh
         calls, files = reused
         assert [c[0] for c in calls] == [0, 0, 1, 0, 1, 2]
-        assert "--level" in calls[2][2] and "--R/--B/--C" in calls[4][2]
+        assert "--level" in calls[2][2] and "--system-b" in calls[4][2]
         assert '"command": "packing check"' in calls[5][1]
         assert sorted(files) == ["a.json", "a.json.manifest.json", "b.json", "c.json"]
 

@@ -250,6 +250,20 @@ def test_arrays_refuse_non_finite_coordinates(bad):
         assert str(exc.value) == f"point {(bad,)} is not finite"
 
 
+@pytest.mark.parametrize(
+    "weights, error",
+    [([0.5], SizeMismatch), ([0.5, -0.5], ValueError), ([math.nan, 0.5], ValueError)],
+    ids=["short", "negative", "nan"],
+)
+def test_synthesis_matrix_checks_weights_as_frame_bounds_do(weights, error):
+    # One weight for two atoms was broadcast; a negative one gave a NaN column and a RuntimeWarning.
+    points, weights = np.array([[0.0], [0.5]]), np.array(weights)
+    with pytest.raises(error):
+        synthesis_matrix(points, weights, np.array([[0.0], [1.0]]))
+    with pytest.raises(error):
+        frame_bounds_from_arrays(points, weights, FrequencySet.from_scalars([0, 1]))
+
+
 def test_frequency_sets_with_the_same_frequencies_are_equal():
     assert integer_pool(4) == FrequencySet.from_scalars(range(4))
     assert hash(integer_pool(4)) == hash(FrequencySet.from_scalars(range(4)))

@@ -218,6 +218,17 @@ class TestRankDeficientPools:
         assert greedy_frame_search(m, pool, 8).selected_indices[0] == 0
 
 
+@pytest.mark.parametrize("target, error", [(-1, ValueError), (6, PoolExhausted)], ids=["negative", "past-pool"])
+def test_target_refused_before_any_phase(monkeypatch, target, error):
+    # Both used to form every pool row first; a negative target then failed with EmptyFrequencySet.
+    def no_phases(*args, **kwargs):
+        raise AssertionError("phases computed before the target check")
+
+    monkeypatch.setattr(frames, "_exact_phase_matrix", no_phases)
+    with pytest.raises(error):
+        greedy_frame_search(level_measure(FOUR, 2), FrequencySet.from_scalars(range(5)), target)
+
+
 @pytest.mark.parametrize(
     "instance",
     [
