@@ -35,14 +35,10 @@ from .frames import (
     ShearData,
     bessel_quotient,
     frame_bounds,
-    frame_bounds_from_arrays,
     greedy_frame_search,
-    hadamard_triple_check,
     indicator_coefficients,
     jp_spectrum,
     shear_blocks,
-    synthesis_matrix,
-    transform_spectrum,
 )
 from .experiments import (
     CrossBesselResult,
@@ -58,9 +54,7 @@ from .measures import (
     AtomicMeasure,
     DigitSystem,
     PointCloud,
-    ValidationReport,
     add,
-    as_float_arrays,
     as_point,
     attractor_points,
     ball_mass,
@@ -68,11 +62,8 @@ from .measures import (
     cylinder_points,
     embed_axis,
     level_measure,
-    scaled_digit_layer,
-    split_by_index_set,
     tail_radius,
     translate,
-    validate_digit_system,
 )
 from .packing import (
     OverlapReport,

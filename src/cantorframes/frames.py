@@ -44,7 +44,7 @@ from .errors import (
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem
-from .measures import _common_numerators, _exact_number, _exact_point, _fraction_inverse, _matvec, _points_over
+from .measures import _common_numerators, _exact_number, _fraction_inverse, _matvec, _points_over
 from .measures import _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
@@ -74,7 +74,7 @@ class FrequencySet:
 
     Coordinates are read as ``measures.as_point`` reads them and kept as
     ints when integral, Fractions otherwise. Every phase is computed from
-    ``numerators`` over ``denominator``; ``as_array`` is the float view.
+    ``numerators`` over ``denominator``.
     ``triple`` is (R, L, n) when ``jp_spectrum`` built the set, else None.
     Frequencies that round to one multiple of _DISTINCT_RESOLUTION in
     every coordinate coincide and are refused.
@@ -114,9 +114,6 @@ class FrequencySet:
     def __len__(self) -> int:
         return len(self.freqs)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.freqs, dtype=float).reshape(len(self.freqs), self.dim)
-
 
 @dataclass(frozen=True)
 class FrameReport:
@@ -147,22 +144,17 @@ class GreedySelection:
     selected_indices: tuple
 
 
-def hadamard_triple_check(R, B, L) -> bool:
-    """True iff the normalized exponential matrix of (R, B, L) is unitary.
-
-    Decided exactly. R, B and the frequency digits L must be integers. With
-    R^-1 B = A/N over the least common denominator N (a divisor of
-    |det R|), the Gram entry of frequencies l != l' is the mean over b of
-    exp(2*pi*i*e_b/N), e_b = <l - l', A_b>. A sum of N-th roots of unity
-    vanishes iff the integer polynomial sum_b x^(e_b mod N) is divisible by
-    the cyclotomic polynomial Phi_N, the minimal polynomial of
-    exp(2*pi*i/N).
-    """
-    return _hadamard_digits(DigitSystem(R, B), L) is not None
-
-
 def _hadamard_digits(ds: DigitSystem, L) -> list | None:
-    """The frequency digits L as integer vectors if (R, B, L) is a Hadamard triple, else None."""
+    """The frequency digits L as integer vectors if (R, B, L) is a Hadamard triple, else None.
+
+    Decided exactly: (R, B, L) is one iff the normalized exponential
+    matrix is unitary. With R^-1 B = A/N over the least common denominator
+    N (a divisor of |det R|), the Gram entry of frequencies l != l' is the
+    mean over b of exp(2*pi*i*e_b/N), e_b = <l - l', A_b>. A sum of N-th
+    roots of unity vanishes iff the integer polynomial sum_b x^(e_b mod N)
+    is divisible by the cyclotomic polynomial Phi_N, the minimal
+    polynomial of exp(2*pi*i/N).
+    """
     freq_nums = _points_over(L, ds.dim, 1)
     if len(freq_nums) != ds.branch:
         raise SizeMismatch("digit and frequency sets must have equal size")
@@ -355,35 +347,6 @@ def _limb_phases(freqs: np.ndarray, atoms_rev: np.ndarray, dim: int, k: int) -> 
     return phases
 
 
-def _finite_numerators(rows) -> tuple:
-    """``_common_numerators`` of array rows, each read as ``_exact_point`` reads it: NaN and inf raise ValueError."""
-    return _common_numerators([_exact_point(row) for row in np.asarray(rows).tolist()])
-
-
-def _array_atoms(locations, weights) -> tuple:
-    """dim, atoms and masses of (M, d) locations and M positive, finite weights, as the binary rationals they are.
-
-    Atoms and masses are (numerators, denominator); other arrays raise SizeMismatch or ValueError.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.ndim(locations) != 2 or weights.shape != np.shape(locations)[:1]:
-        raise SizeMismatch("locations must be (M, d), with one weight per atom")
-    if not np.all((weights > 0) & (weights < np.inf)):
-        raise ValueError("weights must be positive and finite")
-    (masses,), den = _common_numerators([weights.tolist()])
-    return np.shape(locations)[1], _finite_numerators(locations), (masses, den)
-
-
-def synthesis_matrix(locations: np.ndarray, weights: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Rows by frequency (freqs is (F, d)), columns by atom: sqrt(w) exp(-2*pi*i <l, x>), exact phases.
-
-    Locations and weights are read and checked as ``frame_bounds_from_arrays`` reads them.
-    """
-    dim, atoms, masses = _array_atoms(locations, weights)
-    sqrt_w = np.sqrt(_checked_weights(dim, masses, np.shape(freqs)[-1]))
-    return np.exp(-2j * np.pi * _exact_phase_matrix(dim, _finite_numerators(freqs), atoms)) * sqrt_w[None, :]
-
-
 def _checked_weights(dim: int, masses, freq_dim: int) -> np.ndarray:
     """The float weights of masses (numerators, denominator), after the checks every report shares, before any phase."""
     nums, den = masses
@@ -551,16 +514,6 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
     return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, float(tol))
 
 
-def frame_bounds_from_arrays(
-    locations: np.ndarray,
-    weights: np.ndarray,
-    freq_set: FrequencySet,
-    eigen_budget: int = DEFAULT_EIGEN_BUDGET,
-) -> FrameReport:
-    """Frame bounds of the exponential system on (M, d) locations with M positive, finite weights, read exactly."""
-    return _report(*_array_atoms(locations, weights), freq_set, eigen_budget)
-
-
 def frame_bounds(
     m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
 ) -> FrameReport:
@@ -666,21 +619,6 @@ def _shear_transport(freqs, t: BlockedLinearMap) -> tuple:
     return rows, p * d
 
 
-def transform_spectrum(freq_set: FrequencySet, t: BlockedLinearMap) -> FrequencySet:
-    """Transport a spectrum for the axis-aligned sum to the sheared sum.
-
-    Maps (l1, l2) to (l1, l2 - (A4^t)^-1 A2^t l1) exactly, which makes the
-    synthesis matrix on the transformed measure equal entry by entry to
-    the one of the original pair; each coordinate is then rounded once.
-    """
-    shear_blocks(t)  # raises SingularA4 when not applicable
-    if freq_set.dim != t.dim:
-        raise SizeMismatch("spectrum dimension does not match the map")
-    rows, d = _shear_transport((freq_set.numerators, freq_set.denominator), t)
-    freqs = tuple(tuple(x / d for x in row) for row in rows)  # int / int rounds correctly
-    return FrequencySet(dim=freq_set.dim, freqs=freqs)
-
-
 def _first_best(values: np.ndarray, scale: float) -> int:
     """Lowest index whose value is within _TIE_RTOL * scale of the largest."""
     return int(np.flatnonzero(values >= values.max() - _TIE_RTOL * scale)[0])
@@ -778,13 +716,13 @@ def greedy_frame_search(
 
     Deterministic: in both phases values within 1e-12 * max||v||^2 of the
     best tie, and the lowest pool index wins; zero-gain steps are allowed.
-    A negative target raises ValueError and one past the pool
+    A target below 1 raises ValueError and one past the pool
     PoolExhausted, both before any phase. After the search, PoolExhausted
     also reports a full-rank request that the pool cannot provide.
     """
     target_count = operator.index(target_count)
-    if target_count < 0:
-        raise ValueError(f"target count must be >= 0, got {target_count}")
+    if target_count < 1:
+        raise ValueError(f"target count must be >= 1, got {target_count}")
     if target_count > len(pool):
         raise PoolExhausted("target count exceeds the pool size")
     sqrt_w = np.sqrt(_checked_weights(m.dim, (m.masses, m.mass_denominator), pool.dim))

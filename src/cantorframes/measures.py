@@ -134,7 +134,7 @@ class DigitSystem:
         inverse, _ = _fraction_inverse(matrix)  # raises SingularMatrix when det R = 0
         if len(set(digits)) != len(digits):
             raise DuplicateDigits("digit set contains duplicates")
-        _spectral_radius_inverse(matrix)
+        _check_expanding(matrix)
         rows, q = _common_numerators(inverse)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "digits", digits)
@@ -176,18 +176,8 @@ class DigitSystem:
         return max(_sqrt_upper_bound(Fraction(sum(x * x for x in b))) for b in self.digits)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    dim: int
-    determinant: int
-    expanding: bool
-    spectral_radius_inverse: float
-    inverse_norm_bound: Fraction
-    digits_distinct: bool
-
-
-def _spectral_radius_inverse(matrix) -> float:
-    """1 / min |eigenvalue| of an integer matrix; NonExpandingMatrix unless every modulus exceeds 1.
+def _check_expanding(matrix) -> None:
+    """NonExpandingMatrix unless every eigenvalue of an integer matrix has modulus above 1.
 
     1x1 and triangular matrices are decided exactly; otherwise the
     eigenvalues are computed in floats and required to clear a margin.
@@ -199,24 +189,10 @@ def _spectral_radius_inverse(matrix) -> float:
         smallest = min(abs(matrix[i][i]) for i in range(d))
         if smallest < 2:
             raise NonExpandingMatrix(f"eigenvalue of modulus {smallest} is not > 1")
-        return 1.0 / smallest
+        return
     moduli = np.abs(np.linalg.eigvals(np.array(matrix, dtype=float)))
     if float(moduli.min()) < 1.0 + EXPANDING_MARGIN:
         raise NonExpandingMatrix(f"eigenvalue of modulus {moduli.min():.6g} is not > 1")
-    return float(1.0 / moduli.min())
-
-
-def validate_digit_system(ds: DigitSystem) -> ValidationReport:
-    """The report on a digit system, which its construction has already checked."""
-    _, det = _fraction_inverse(ds.matrix)
-    return ValidationReport(
-        dim=ds.dim,
-        determinant=int(det),
-        expanding=True,
-        spectral_radius_inverse=_spectral_radius_inverse(ds.matrix),
-        inverse_norm_bound=ds.inverse_norm_bound(),
-        digits_distinct=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -295,13 +271,6 @@ def _over(m: AtomicMeasure, denominator: int) -> tuple:
     return m.numerators if scale == 1 else tuple(tuple(x * scale for x in p) for p in m.numerators)
 
 
-def as_float_arrays(m: AtomicMeasure):
-    """Locations and weights as float arrays."""
-    locs = np.array([[x / m.denominator for x in p] for p in m.numerators], dtype=float).reshape(len(m), m.dim)
-    weights = np.array([w / m.mass_denominator for w in m.masses], dtype=float)
-    return locs, weights
-
-
 def _common_numerators(rows) -> tuple:
     """Integer numerators of exact rows over the lcm of their denominators.
 
@@ -348,9 +317,9 @@ def _sumset(dim: int, layers, budget: int | None = None) -> dict:
 def _digit_layers(ds: DigitSystem, picks) -> tuple:
     """Lazy numerator layers of R^-k B over one denominator q^n, and q^n.
 
-    ``picks[k-1]`` lists the digit indices kept at level k <= n = len(picks),
-    or is None to leave level k out. With R^-1 = M/q for an integer M, the
-    numerator of R^-k b over q^n is q^(n-k) M^k b.
+    ``picks[k-1]`` lists the digit indices kept at level k <= n = len(picks).
+    With R^-1 = M/q for an integer M, the numerator of R^-k b over q^n is
+    q^(n-k) M^k b.
     """
     inverse, q = ds.inverse
 
@@ -358,19 +327,10 @@ def _digit_layers(ds: DigitSystem, picks) -> tuple:
         vecs = ds.digits
         for k, pick in enumerate(picks, start=1):
             vecs = [_matvec(inverse, v) for v in vecs]
-            if pick is not None:
-                scale = q ** (len(picks) - k)
-                yield {tuple(scale * x for x in vecs[i]): 1 for i in pick}
+            scale = q ** (len(picks) - k)
+            yield {tuple(scale * x for x in vecs[i]): 1 for i in pick}
 
     return layers(), q ** len(picks)
-
-
-def scaled_digit_layer(ds: DigitSystem, k: int) -> AtomicMeasure:
-    """The equal-weight Dirac comb on R^-k B."""
-    if k < 1:
-        raise ValueError("layer index must be >= 1")
-    layers, denominator = _digit_layers(ds, [None] * (k - 1) + [range(ds.branch)])
-    return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers), denominator, ds.branch)
 
 
 def level_measure(ds: DigitSystem, n: int, budget: int | None = None) -> AtomicMeasure:
@@ -425,28 +385,6 @@ def cylinder_points(ds: DigitSystem, n: int, prefix, budget: int | None = None) 
         raise ValueError("prefix longer than the level")
     layers, denominator = _digit_layers(ds, picks + [range(ds.branch)] * (n - len(picks)))
     return AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, 1).locations
-
-
-def split_by_index_set(
-    ds: DigitSystem, indices, n: int, budget: int | None = None
-) -> tuple[PointCloud, PointCloud]:
-    """Level-n truncations of the sums over ``indices`` and its complement.
-
-    Both clouds carry the full level-n tail radius, which bounds any
-    continuation of either index class past n.
-    """
-    mask = set(map(operator.index, indices))
-    if any(k < 1 or k > n for k in mask):
-        raise ValueError("index set must lie inside 1..n")
-    tail = tail_radius(ds, n)
-
-    def cloud(active: bool) -> PointCloud:
-        picks = [range(ds.branch) if (k in mask) == active else None for k in range(1, n + 1)]
-        layers, denominator = _digit_layers(ds, picks)
-        points = AtomicMeasure._from_sums(ds.dim, _sumset(ds.dim, layers, budget), denominator, 1).locations
-        return PointCloud(ds.dim, points, tail)
-
-    return cloud(True), cloud(False)
 
 
 def convolve(a: AtomicMeasure, b: AtomicMeasure, budget: int | None = None) -> AtomicMeasure:

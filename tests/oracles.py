@@ -51,9 +51,13 @@ taken over all pairs.
 Shear transport: (l1, l2 - (A4^t)^-1 A2^t l1) in ``Fraction`` arithmetic,
 with A4^t inverted by cofactors, each coordinate rounded once at the end.
 
+Synthesis rows: sqrt(w) exp(-2 pi i <l, x>) formed in numpy floats from
+float locations, weights and frequencies, without the exact phase kernel.
+
 Rotation rows: the float pipeline that the exact phase identity replaced.
 Float cos/sin atoms merged in a dict, the spectrum scaled by 1/cos and
-sheared by a float ``np.linalg.solve``, and one eigensolve per angle.
+sheared by a float ``np.linalg.solve``, and one ``eigvalsh`` per angle
+of the Gram of those synthesis rows.
 
 Rotated phases: the per-angle check that the basis certificate replaced.
 Every base frequency and every base atom is mapped in exact rationals and
@@ -69,7 +73,6 @@ import numpy as np
 
 from cantorframes.errors import ToleranceUnreachable
 from cantorframes.frames import _BISECTIONS
-from cantorframes.measures import validate_digit_system
 
 _RESIDUAL_TOL = 1e-11
 _POWER_MAXIT = 20_000
@@ -256,19 +259,6 @@ def oracle_cylinder_points(ds, n: int, word) -> tuple:
     return tuple(sorted(pts))
 
 
-def oracle_split_by_index_set(ds, indices, n: int) -> tuple:
-    layers = _oracle_digit_layers(ds, n)
-
-    def enumerate_sums(active) -> tuple:
-        pts = {(Fraction(0),) * ds.dim}
-        for k in sorted(active):
-            pts = {_oracle_add(p, s) for p in pts for s in layers[k - 1]}
-        return tuple(sorted(pts))
-
-    mask = set(indices)
-    return enumerate_sums(mask), enumerate_sums(set(range(1, n + 1)) - mask)
-
-
 def oracle_jp_spectrum(ds, L, n: int) -> tuple:
     """Sorted sums l_0 + R^t l_1 + ... + (R^t)^(n-1) l_(n-1), as float tuples."""
     d = ds.dim
@@ -434,7 +424,6 @@ def oracle_mu_hat(ds, xi, tol: float) -> tuple:
     """(value, tail_bound, factors) of the truncated mask product at one point."""
     if tol <= 0 or tol < 1e-15:
         raise ToleranceUnreachable("tolerance below float resolution")
-    validate_digit_system(ds)
     inv = float(ds.inverse_norm_bound())
     if inv >= 1.0:
         raise ToleranceUnreachable("inverse norm bound >= 1; geometric tail does not converge")
@@ -538,38 +527,42 @@ def oracle_shear_transport(freq_set, t) -> tuple:
     return tuple(out)
 
 
+def oracle_synthesis(locations, weights, freqs) -> np.ndarray:
+    """sqrt(w) exp(-2 pi i <l, x>) in floats: one row per frequency l, one column per atom x."""
+    locations, freqs = np.asarray(locations, dtype=float), np.asarray(freqs, dtype=float)
+    return np.sqrt(np.asarray(weights, dtype=float)) * np.exp(-2j * np.pi * (freqs @ locations.T))
+
+
 def oracle_rotation_bounds(level: int, base_freqs, theta_degrees: float) -> tuple:
-    """(lower, upper) of the rotated planar sum, all in floats, with a fresh eigensolve."""
-    from cantorframes import (
-        BlockedLinearMap,
-        DigitSystem,
-        FrequencySet,
-        as_float_arrays,
-        frame_bounds_from_arrays,
-        level_measure,
-    )
+    """(lower, upper) of the rotated planar sum, all in floats, with a fresh eigensolve.
+
+    lower reads 0 when the smallest eigenvalue is within the resolution
+    max(M, F) * eps * max(upper, 1), as in a frame report.
+    """
+    from cantorframes import BlockedLinearMap, DigitSystem, level_measure
 
     theta = math.radians(theta_degrees)
     c, s = math.cos(theta), math.sin(theta)
-    mu_locs, mu_w = as_float_arrays(level_measure(DigitSystem.one_dimensional(4, [0, 1]), level))
-    nu_locs, nu_w = as_float_arrays(level_measure(DigitSystem.one_dimensional(16, [0, 1]), level))
+    mu = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level)
+    nu = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level)
     points: dict = {}
-    for x, w in zip(mu_locs[:, 0], mu_w):
+    for (x,), w in mu.atoms:
         points[(float(x), 0.0)] = points.get((float(x), 0.0), 0.0) + float(w)
-    for y, w in zip(nu_locs[:, 0], nu_w):
+    for (y,), w in nu.atoms:
         key = (-s * float(y), c * float(y))
         points[key] = points.get(key, 0.0) + float(w)
     items = sorted(points.items())
-    locations = np.array([k for k, _ in items], dtype=float)
-    weights = np.array([v for _, v in items], dtype=float)
     t_map = BlockedLinearMap.rotation_2d(theta)
     correction = np.linalg.solve(np.asarray(t_map.a4).T, np.asarray(t_map.a2).T)
     freqs = []
     for f in base_freqs.freqs:
-        l1, l2 = np.asarray(f[:1]), np.asarray([f[1] / c])
+        l1, l2 = np.asarray(f[:1], dtype=float), np.asarray([f[1] / c])
         freqs.append(tuple(l1) + tuple(l2 - correction @ l1))
-    report = frame_bounds_from_arrays(locations, weights, FrequencySet(dim=2, freqs=tuple(freqs)))
-    return report.lower, report.upper
+    phi = oracle_synthesis([k for k, _ in items], [v for _, v in items], freqs)
+    values = np.linalg.eigvalsh(phi.conj().T @ phi)
+    upper = max(float(values[-1]), 0.0)
+    tol = max(phi.shape) * np.finfo(float).eps * max(upper, 1.0)
+    return (float(values[0]) if values[0] > tol else 0.0), upper
 
 
 def oracle_rotated_phases(level: int, base_freqs, theta_degrees: float) -> tuple:
@@ -601,8 +594,6 @@ def oracle_packing_certificate_from_digits(R, B, C):
     from cantorframes.packing import PackingCertificate
 
     ds_b, ds_c = DigitSystem(R, B), DigitSystem(R, C)
-    validate_digit_system(ds_b)
-    validate_digit_system(ds_c)
     inputs = {"matrix": ds_b.matrix, "digits_b": ds_b.digits, "digits_c": ds_c.digits}
     bb = oracle_difference_set(*[_oracle_points(ds_b.digits)] * 2)
     cc = oracle_difference_set(*[_oracle_points(ds_c.digits)] * 2)

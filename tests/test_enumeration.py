@@ -32,7 +32,6 @@ from cantorframes import (
     level_measure,
     radon_nikodym_atoms,
     singularity_witness,
-    split_by_index_set,
     ssc_certificate,
     translate,
     translation_overlap,
@@ -50,7 +49,6 @@ from oracles import (
     oracle_merge,
     oracle_radon_nikodym,
     oracle_singularity_witness,
-    oracle_split_by_index_set,
     oracle_ssc_gap,
     oracle_translate,
     oracle_translation_overlap,
@@ -130,15 +128,6 @@ def test_cylinder_points_matches_oracle(case, data):
     word = data.draw(st.lists(st.integers(0, ds.branch - 1), max_size=n))
     prefix = [ds.digits[i] for i in word]
     assert cylinder_points(ds, n, prefix) == oracle_cylinder_points(ds, n, word)
-
-
-@settings(max_examples=80, deadline=None)
-@given(systems_with_level(), st.data())
-def test_split_by_index_set_matches_oracle(case, data):
-    ds, n = case
-    indices = data.draw(st.sets(st.integers(1, n)))
-    inside, outside = split_by_index_set(ds, indices, n)
-    assert (inside.points, outside.points) == oracle_split_by_index_set(ds, indices, n)
 
 
 @st.composite
@@ -352,14 +341,6 @@ class TestBudgetBoundary:
         with pytest.raises(AtomBudgetExceeded):
             cylinder_points(FOUR, 6, [1], budget=31)
 
-    def test_split_by_index_set(self):
-        inside, outside = split_by_index_set(FOUR, {1}, 5, budget=16)
-        assert (len(inside.points), len(outside.points)) == (2, 16)
-        with pytest.raises(AtomBudgetExceeded):
-            split_by_index_set(FOUR, {1}, 5, budget=15)
-        with pytest.raises(AtomBudgetExceeded):
-            split_by_index_set(FOUR, {1, 2, 3, 4}, 5, budget=15)
-
     def test_jp_spectrum(self):
         assert len(jp_spectrum(FOUR, [0, 2], 6, budget=64)) == 64
         with pytest.raises(AtomBudgetExceeded):
@@ -376,10 +357,9 @@ class TestBudgetBoundary:
         [
             lambda: level_measure(FOUR, 10**5),
             lambda: cylinder_points(FOUR, 10**5, [1]),
-            lambda: split_by_index_set(FOUR, {1}, 10**5),
             lambda: jp_spectrum(FOUR, [0, 2], 10**5),
         ],
-        ids=["level_measure", "cylinder_points", "split_by_index_set", "jp_spectrum"],
+        ids=["level_measure", "cylinder_points", "jp_spectrum"],
     )
     def test_deep_level_fails_fast(self, call):
         # Layers are built lazily and counted before any sum is formed: the

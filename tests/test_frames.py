@@ -19,56 +19,60 @@ from cantorframes import (
     SizeMismatch,
     ZeroNormInput,
     add,
-    as_float_arrays,
     bessel_quotient,
     convolve,
     frame_bounds,
-    frame_bounds_from_arrays,
     greedy_frame_search,
-    hadamard_triple_check,
     indicator_coefficients,
     integer_pool,
     jp_spectrum,
     level_measure,
     shear_blocks,
-    synthesis_matrix,
-    transform_spectrum,
     translate,
 )
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
 from instances import SIXTEEN_04, _planar_sum, build_instances
-from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport
+from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport, oracle_synthesis
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 
 
+def _is_hadamard(R, B, L) -> bool:
+    """Whether jp_spectrum accepts the triple (R, B, L); it raises HadamardCheckFailed on any other."""
+    try:
+        jp_spectrum(DigitSystem(R, B), L, 1)
+    except HadamardCheckFailed:
+        return False
+    return True
+
+
 class TestHadamard:
     def test_quarter_system_pair(self):
-        assert hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2])
+        assert _is_hadamard(((4,),), [(0,), (1,)], [0, 2])
 
     def test_quarter_system_consecutive_fails(self):
-        assert not hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1])
+        assert not _is_hadamard(((4,),), [(0,), (1,)], [0, 1])
 
     def test_sixteenth_system_pair(self):
-        assert hadamard_triple_check(((16,),), [(0,), (1,)], [0, 8])
+        assert _is_hadamard(((16,),), [(0,), (1,)], [0, 8])
 
     def test_odd_base_fails(self):
-        assert not hadamard_triple_check(((3,),), [(0,), (1,)], [0, 1])
+        assert not _is_hadamard(((3,),), [(0,), (1,)], [0, 1])
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1, 2])
+            jp_spectrum(FOUR, [0, 1, 2], 1)
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 10.0])
     def test_exact_whatever_the_tolerance(self, tol):
         # The check is exact, so a tolerance is refused rather than silently ignored.
         with pytest.raises(TypeError):
-            hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2], tol=tol)
+            jp_spectrum(FOUR, [0, 2], 1, tol=tol)
         # In floats exp(i*pi) + 1 is about 1.2e-16, so a zero tolerance used to refuse this pair.
-        assert hadamard_triple_check(((4,),), [(0,), (1,)], [0, 2])
-        assert not hadamard_triple_check(((4,),), [(0,), (1,)], [0, 1])
+        assert _is_hadamard(((4,),), [(0,), (1,)], [0, 2])
+        assert not _is_hadamard(((4,),), [(0,), (1,)], [0, 1])
 
     @pytest.mark.parametrize(
         "R, B, L, expected",
@@ -82,16 +86,16 @@ class TestHadamard:
         ],
     )
     def test_cyclotomic_decision(self, R, B, L, expected):
-        assert hadamard_triple_check(R, B, L) is expected
+        assert _is_hadamard(R, B, L) is expected
 
     def test_fractional_frequency_digits_are_refused(self):
         with pytest.raises(ValueError, match="integer"):
-            hadamard_triple_check(((4,),), [(0,), (1,)], [(0,), (Fraction(1, 2),)])
+            jp_spectrum(FOUR, [(0,), (Fraction(1, 2),)], 1)
 
     def test_frequency_digit_of_wrong_dimension_is_refused(self):
         # A 1-D frequency against planar digits used to be truncated by zip and decide the wrong sums.
         with pytest.raises(DimensionMismatch):
-            hadamard_triple_check(((2, 0), (0, 2)), [(0, 0), (1, 0)], [0, 1])
+            jp_spectrum(DigitSystem(((2, 0), (0, 2)), [(0, 0), (1, 0)]), [0, 1], 1)
 
     def test_cyclotomic_polynomials(self):
         assert frames._cyclotomic(1) == [-1, 1]
@@ -149,8 +153,7 @@ class TestFrameBounds:
     def test_unitary_iff_tight_at_one(self):
         m = level_measure(FOUR, 3)
         freq_set = jp_spectrum(FOUR, [0, 2], 3)
-        locations, weights = as_float_arrays(m)
-        phi = synthesis_matrix(locations, weights, freq_set.as_array())
+        phi = oracle_synthesis(m.locations, m.weights, freq_set.freqs)
         assert np.max(np.abs(phi.conj().T @ phi - np.eye(len(m)))) < 1e-12
         report = frame_bounds(m, freq_set)
         assert abs(report.lower - 1) < 1e-10 and abs(report.upper - 1) < 1e-10
@@ -177,13 +180,12 @@ class TestFrameBounds:
     def test_more_than_1024_atoms_agrees_with_eigvalsh(self):
         # 1088 atoms against 1000 frequencies: F < M, so no frame.
         measure = add(level_measure(FOUR, 10), translate(level_measure(FOUR, 6), Fraction(1, 3)))
-        locations, weights = as_float_arrays(measure)
         freq_set = FrequencySet.from_scalars(range(1000))
-        report = frame_bounds_from_arrays(locations, weights, freq_set)
+        report = frame_bounds(measure, freq_set)
         assert report.atom_count == 1088
         assert report.lower == 0
         assert report.rank <= len(freq_set)
-        phi = synthesis_matrix(locations, weights, freq_set.as_array())
+        phi = oracle_synthesis(measure.locations, measure.weights, freq_set.freqs)
         eigvals = np.linalg.eigvalsh(phi.conj().T @ phi)
         tol = 1088 * np.finfo(float).eps * max(report.upper, 1.0)
         assert report.rank == int(np.count_nonzero(eigvals > tol))
@@ -192,7 +194,6 @@ class TestFrameBounds:
 
 ENTRY_POINTS = {
     "frame_bounds": frame_bounds,
-    "frame_bounds_from_arrays": lambda m, fs: frame_bounds_from_arrays(*as_float_arrays(m), fs),
     "greedy_frame_search": lambda m, fs: greedy_frame_search(m, fs, len(fs)),
 }
 
@@ -204,22 +205,6 @@ def test_entry_points_share_input_checks(entry):
         call(AtomicMeasure.from_atoms(1, []), pair)
     with pytest.raises(SizeMismatch):
         call(level_measure(FOUR, 2), FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, 3.0))))
-    if entry == "frame_bounds_from_arrays":
-        locations, weights = as_float_arrays(level_measure(FOUR, 2))
-        with pytest.raises(SizeMismatch):
-            frame_bounds_from_arrays(locations, weights[1:], pair)
-
-
-@pytest.mark.parametrize(
-    "weights",
-    [[0.5, -0.5], [1.0, 0.0], [1.0, math.inf], [math.nan, 1.0]],
-    ids=["negative", "zero", "inf", "nan"],
-)
-def test_arrays_refuse_weights_not_positive_and_finite(weights):
-    # Before any phase: a negative weight used to give upper = nan, a zero one an inf worst vector.
-    pair = FrequencySet.from_scalars([0, 1])
-    with pytest.raises(ValueError, match="positive and finite"):
-        frame_bounds_from_arrays(np.array([[0.0], [0.5]]), np.array(weights), pair)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -237,31 +222,12 @@ def test_frequency_set_rejects_non_finite(bad):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_arrays_refuse_non_finite_coordinates(bad):
-    # An infinite coordinate used to raise OverflowError from its integer ratio, a NaN an incidental ValueError.
-    points, weights, freqs = np.array([[0.0], [0.5]]), np.array([0.5, 0.5]), np.array([[0.0], [1.0]])
-    calls = [
-        lambda: frame_bounds_from_arrays(np.array([[bad], [0.5]]), weights, FrequencySet.from_scalars([0, 1])),
-        lambda: synthesis_matrix(np.array([[0.5], [bad]]), weights, freqs),
-        lambda: synthesis_matrix(points, weights, np.array([[bad], [1.0]])),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) == f"point {(bad,)} is not finite"
-
-
-@pytest.mark.parametrize(
-    "weights, error",
-    [([0.5], SizeMismatch), ([0.5, -0.5], ValueError), ([math.nan, 0.5], ValueError)],
-    ids=["short", "negative", "nan"],
-)
-def test_synthesis_matrix_checks_weights_as_frame_bounds_do(weights, error):
-    # One weight for two atoms was broadcast; a negative one gave a NaN column and a RuntimeWarning.
-    points, weights = np.array([[0.0], [0.5]]), np.array(weights)
-    with pytest.raises(error):
-        synthesis_matrix(points, weights, np.array([[0.0], [1.0]]))
-    with pytest.raises(error):
-        frame_bounds_from_arrays(points, weights, FrequencySet.from_scalars([0, 1]))
+    # Float arrays enter as a measure and a frequency set, which read each numpy row exactly.
+    with pytest.raises(ValueError, match="point .* is not finite"):
+        AtomicMeasure.from_atoms(1, zip(np.array([[0.5], [bad]]), [0.5, 0.5]))
+    with pytest.raises(ValueError) as freqs:
+        FrequencySet(dim=1, freqs=np.array([[bad], [1.0]]))
+    assert str(freqs.value) == f"frequency {(bad,)} is not finite"
 
 
 def test_frequency_sets_with_the_same_frequencies_are_equal():
@@ -293,7 +259,6 @@ class TestDistinctFrequencies:
         # Equal numbers hash equally, so the exact tuples still match float tuples.
         floats = FrequencySet.from_scalars([0.5, 2.0, -7.25])
         assert floats.freqs == ((0.5,), (2.0,), (-7.25,)) and hash(floats.freqs) == hash(((0.5,), (2.0,), (-7.25,)))
-        assert floats.as_array().tolist() == [[0.5], [2.0], [-7.25]]
 
     def test_deep_jp_spectrum_is_exact_and_orthonormal(self):
         # 1024:{0,1} at level 7: frequencies reach 512 * 1024^6 = 2^69, far past the exact doubles.
@@ -392,6 +357,12 @@ class TestRestrictionMonotonicity:
             assert bound_m.upper >= max(bound_a.upper, bound_b.upper) - 1e-9
 
 
+def _transported(freq_set, t_map) -> tuple:
+    """The frequencies that ``frames._shear_transport`` maps ``freq_set`` to, each exact rational rounded once."""
+    rows, d = frames._shear_transport((freq_set.numerators, freq_set.denominator), t_map)
+    return tuple(tuple(x / d for x in row) for row in rows)  # int / int rounds correctly
+
+
 class TestShear:
     def test_rotation_blocks(self):
         theta = math.radians(30)
@@ -408,14 +379,13 @@ class TestShear:
 
     def test_transform_spectrum_identity(self):
         freq_set = FrequencySet(dim=2, freqs=((1.0, 2.0), (3.0, 5.0)))
-        out = transform_spectrum(freq_set, BlockedLinearMap.from_matrix(np.eye(2), 1))
-        assert out.freqs == freq_set.freqs
+        assert _transported(freq_set, BlockedLinearMap.from_matrix(np.eye(2), 1)) == freq_set.freqs
 
     def test_transform_spectrum_rotation(self):
         theta = math.radians(30)
         freq_set = FrequencySet(dim=2, freqs=((1.0, 2.0),))
-        out = transform_spectrum(freq_set, BlockedLinearMap.rotation_2d(theta))
-        assert abs(out.freqs[0][1] - (2.0 + math.tan(theta) * 1.0)) < 1e-12
+        out = _transported(freq_set, BlockedLinearMap.rotation_2d(theta))
+        assert abs(out[0][1] - (2.0 + math.tan(theta) * 1.0)) < 1e-12
 
     @pytest.mark.parametrize(
         "t_map",
@@ -426,30 +396,22 @@ class TestShear:
     def test_transform_spectrum_is_correctly_rounded(self, t_map):
         rng = np.random.default_rng(33)
         freq_set = FrequencySet(dim=t_map.dim, freqs=tuple(map(tuple, rng.uniform(-40, 40, (33, t_map.dim)))))
-        assert transform_spectrum(freq_set, t_map).freqs == oracle_shear_transport(freq_set, t_map)
+        assert _transported(freq_set, t_map) == oracle_shear_transport(freq_set, t_map)
 
     def test_gram_matrices_agree_after_transport(self):
         theta = math.radians(40)
         mu = level_measure(FOUR, 2)
         nu = level_measure(SIXTEEN_01, 2)
-        mu_locs, mu_w = as_float_arrays(mu)
-        nu_locs, nu_w = as_float_arrays(nu)
-        base_locs = np.array(
-            [(float(x), 0.0) for x in mu_locs[:, 0]] + [(0.0, float(y)) for y in nu_locs[:, 0]]
-        )
-        base_w = np.concatenate([mu_w, nu_w])
+        base_w = mu.weights + nu.weights
+        base_locs = [(x, 0) for (x,) in mu.locations] + [(0, y) for (y,) in nu.locations]
         cos_t, sin_t = math.cos(theta), math.sin(theta)
-        rot_locs = np.array(
-            [(float(x), 0.0) for x in mu_locs[:, 0]]
-            + [(-sin_t * float(y), cos_t * float(y)) for y in nu_locs[:, 0]]
-        )
-        freq_set = FrequencySet(
-            dim=2, freqs=tuple((float(a), float(b)) for a in (0, 2, 8, 10) for b in (0, 8, 128, 136))
-        )
+        rot_locs = [(x, 0) for (x,) in mu.locations] + [(-sin_t * y, cos_t * y) for (y,) in nu.locations]
+        # Not the product of the two jp spectra, whose orthogonality would hide a wrong shear.
+        freq_set = FrequencySet(dim=2, freqs=tuple((a, b) for a in (0, 1, 3, 10) for b in (0, 1, 5, 136)))
         scaled = FrequencySet(dim=2, freqs=tuple((f[0], f[1] / cos_t) for f in freq_set.freqs))
-        transported = transform_spectrum(scaled, BlockedLinearMap.rotation_2d(theta))
-        phi_base = synthesis_matrix(base_locs, base_w, freq_set.as_array())
-        phi_rot = synthesis_matrix(rot_locs, base_w, transported.as_array())
+        transported = _transported(scaled, BlockedLinearMap.rotation_2d(theta))
+        phi_base = oracle_synthesis(base_locs, base_w, freq_set.freqs)
+        phi_rot = oracle_synthesis(rot_locs, base_w, transported)
         gram_base = phi_base.conj().T @ phi_base
         gram_rot = phi_rot.conj().T @ phi_rot
         assert np.max(np.abs(gram_base - gram_rot)) < 1e-10
@@ -720,9 +682,9 @@ class TestExactDiagonal:
 
     @pytest.mark.parametrize("name,measure,freq_set", DYADIC_EXACT_CASES, ids=[c[0] for c in DYADIC_EXACT_CASES])
     def test_arrays_take_the_exact_path(self, name, measure, freq_set):
-        # Dyadic atoms are exact as floats, so the arrays give the same atoms and the same report.
-        arrays = frame_bounds_from_arrays(*as_float_arrays(measure), freq_set)
-        assert _same_report(arrays, frame_bounds(measure, freq_set))
+        # Dyadic atoms and masses are exact as floats: float arrays read as a measure give it back, so its report.
+        locations, weights = np.array(measure.locations, dtype=float), np.array(measure.weights, dtype=float)
+        assert AtomicMeasure.from_atoms(measure.dim, zip(locations, weights)) == measure
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_jp_levels_read_exactly_one(self, n):
@@ -777,7 +739,6 @@ class TestEigenBudget:
         report = frame_bounds(measure, freq_set)
         assert report.lower == report.upper == 1.0
         assert report.atom_count == report.rank == 8192 > frames.DEFAULT_EIGEN_BUDGET
-        assert _same_report(frame_bounds_from_arrays(*as_float_arrays(measure), freq_set), report)
 
     def test_small_budget_spares_a_diagonal_report(self):
         measure, freq_set = level_measure(FOUR, 3), jp_spectrum(FOUR, [0, 2], 3)
@@ -792,8 +753,6 @@ class TestEigenBudget:
         assert not _vanishes(measure, cross)
         with pytest.raises(EigenBudgetExceeded, match="8192 atoms exceed the eigen budget 4096"):
             frame_bounds(measure, cross)
-        with pytest.raises(EigenBudgetExceeded):
-            frame_bounds_from_arrays(*as_float_arrays(measure), cross)
         with pytest.raises(EigenBudgetExceeded):
             greedy_frame_search(measure, cross, len(cross))
 

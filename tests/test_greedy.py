@@ -20,16 +20,14 @@ from cantorframes import (
     DigitSystem,
     FrequencySet,
     PoolExhausted,
-    as_float_arrays,
     frame_bounds,
     greedy_frame_search,
     level_measure,
-    synthesis_matrix,
 )
 from cantorframes import frames
 from cantorframes.frames import _TIE_RTOL, _first_best, _rank_building_picks, _secular_pick
 from instances import rotation_greedy_instance
-from oracles import oracle_greedy_values, oracle_secular_smallest
+from oracles import oracle_greedy_values, oracle_secular_smallest, oracle_synthesis
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,8 +52,7 @@ def _assert_matches_oracle(gram: np.ndarray, rows: np.ndarray) -> None:
 
 def _rotation_rows(level: int) -> tuple:
     base, pool, target = rotation_greedy_instance(level)
-    locations, weights = as_float_arrays(base)
-    rows = synthesis_matrix(locations, weights, pool.as_array())
+    rows = oracle_synthesis(base.locations, base.weights, pool.freqs)
     return base, pool, target, rows
 
 
@@ -218,9 +215,11 @@ class TestRankDeficientPools:
         assert greedy_frame_search(m, pool, 8).selected_indices[0] == 0
 
 
-@pytest.mark.parametrize("target, error", [(-1, ValueError), (6, PoolExhausted)], ids=["negative", "past-pool"])
+@pytest.mark.parametrize(
+    "target, error", [(-1, ValueError), (0, ValueError), (6, PoolExhausted)], ids=["negative", "zero", "past-pool"]
+)
 def test_target_refused_before_any_phase(monkeypatch, target, error):
-    # Both used to form every pool row first; a negative target then failed with EmptyFrequencySet.
+    # All used to form every pool row first; a negative or zero target then failed with EmptyFrequencySet.
     def no_phases(*args, **kwargs):
         raise AssertionError("phases computed before the target check")
 

@@ -23,17 +23,13 @@ from cantorframes import (
     ball_mass,
     convolve,
     cylinder_points,
-    hadamard_triple_check,
     indicator_coefficients,
     jp_spectrum,
     level_measure,
     packing_certificate_from_digits,
-    scaled_digit_layer,
-    split_by_index_set,
     tail_radius,
     translate,
     translation_overlap,
-    validate_digit_system,
 )
 from cantorframes import measures
 from cantorframes.measures import _fraction_inverse
@@ -55,37 +51,35 @@ def locs(m):
 
 class TestValidation:
     def test_quarter_system_valid(self):
-        report = validate_digit_system(FOUR)
-        assert report.expanding
-        assert report.spectral_radius_inverse == 0.25
-        assert report.inverse_norm_bound == fr(1, 4)
+        assert FOUR.inverse == (((1,),), 4)
+        assert FOUR.inverse_norm_bound() == fr(1, 4)
 
     def test_sixteen_system_valid(self):
-        assert validate_digit_system(SIXTEEN_04).expanding
+        assert SIXTEEN_04.inverse == (((1,),), 16)
 
     def test_triangular_eigenvalue_one_rejected(self):
         with pytest.raises(NonExpandingMatrix):
-            ds = DigitSystem(((1, 1), (0, 2)), (((0, 0)),))
-            validate_digit_system(ds)
+            DigitSystem(((1, 1), (0, 2)), (((0, 0)),))
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrix):
-            validate_digit_system(DigitSystem(((0,),), ((0,),)))
+            DigitSystem(((0,),), ((0,),))
 
     def test_duplicate_digits_rejected(self):
         with pytest.raises(DuplicateDigits):
-            validate_digit_system(DigitSystem(((4,),), ((0,), (0,))))
+            DigitSystem(((4,),), ((0,), (0,)))
 
     def test_general_expanding_matrix(self):
+        # Not triangular: eigenvalues +-sqrt 6, decided in floats.
         ds = DigitSystem(((0, 2), (3, 0)), ((0, 0), (1, 0)))
-        assert validate_digit_system(ds).expanding
+        assert ds.inverse == (((0, 2), (3, 0)), 6)
 
     @pytest.mark.parametrize(
         "matrix", [((4,),), ((-3,),), ((0, 2), (3, 0)), ((1, 2), (-2, 1)), ((2, 1, 0), (0, 3, 1), (1, 0, 2))]
     )
     def test_determinant_is_exact(self, matrix):
-        ds = DigitSystem(matrix, (tuple(0 for _ in matrix),))
-        assert validate_digit_system(ds).determinant == round(np.linalg.det(np.array(matrix, dtype=float)))
+        # The one elimination a build runs returns det R with R^-1.
+        assert _fraction_inverse(matrix)[1] == round(np.linalg.det(np.array(matrix, dtype=float)))
 
     @pytest.mark.parametrize(
         "call",
@@ -93,10 +87,10 @@ class TestValidation:
             lambda: DigitSystem(((4,),), ((0,), (1.5,))),
             lambda: DigitSystem(((4.7,),), ((0,), (1,))),
             lambda: DigitSystem.one_dimensional(4, [0, Fraction(1, 2)]),
-            lambda: hadamard_triple_check(((4,),), [(0,), (1.5,)], [0, 2]),
+            lambda: jp_spectrum(DigitSystem(((4,),), [(0,), (1.5,)]), [0, 2], 1),
             lambda: packing_certificate_from_digits(((16,),), [(0,), (1,)], [(0,), (4.5,)]),
         ],
-        ids=["digit", "matrix", "one_dimensional", "hadamard_triple_check", "packing_certificate_from_digits"],
+        ids=["digit", "matrix", "one_dimensional", "jp_spectrum", "packing_certificate_from_digits"],
     )
     def test_non_integer_entries_refused(self, call):
         # int() read 1.5 as the digit 1 and 4.7 as the base 4.
@@ -171,20 +165,28 @@ class TestValidation:
             ds.inverse = ((((1, 0), (0, 1)),), 1)
 
     def test_unchecked_callers_see_no_invalid_system(self):
-        # hadamard_triple_check built R = 1 without a check and answered.
+        # A Hadamard check on raw (R, B, L) once built R = 1 unchecked and answered.
         with pytest.raises(NonExpandingMatrix):
-            hadamard_triple_check(((1,),), [(0,)], [0])
+            jp_spectrum(DigitSystem(((1,),), [(0,)]), [0], 1)
 
     def test_no_library_module_rechecks_or_reinverts_a_system(self):
-        # A DigitSystem is checked and inverted when built; consumers read ds.inverse.
+        # A DigitSystem is checked and inverted when built; consumers read ds.inverse. Only the build and
+        # the shear transport, whose A4 is no digit matrix, run the elimination.
         package = Path(measures.__file__).parent
+        eliminations = {("measures.py", "__post_init__"), ("frames.py", "_shear_transport")}
         offenders = []
         for path in sorted(package.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree, owner = ast.parse(path.read_text()), {}
+            # ast.walk is breadth first, so a nested function overwrites its enclosing one.
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    owner.update(dict.fromkeys(ast.walk(function), function.name))
+            for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                if name == "validate_digit_system" or (name == "inverse_matrix" and path.name != "measures.py"):
+                inverts = name == "_fraction_inverse" and (path.name, owner.get(node)) not in eliminations
+                if inverts or (name == "inverse_matrix" and path.name != "measures.py"):
                     offenders.append(f"{path.name}:{node.lineno} {name}")
         assert not offenders
 
@@ -227,15 +229,11 @@ class TestLevelMeasure:
         with pytest.raises(AtomBudgetExceeded):
             level_measure(TWO, 10, budget=512)
 
-    def test_layer_index_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_digit_layer(FOUR, 0)
-
     def test_layer_recursion(self):
+        # Level n + 1 is level n convolved with the equal-weight comb on R^-(n+1) B.
         for n in (1, 2, 3):
-            lhs = level_measure(FOUR, n + 1)
-            rhs = convolve(level_measure(FOUR, n), scaled_digit_layer(FOUR, n + 1))
-            assert lhs == rhs
+            layer = AtomicMeasure.from_atoms(1, [(fr(b, 4 ** (n + 1)), fr(1, 2)) for (b,) in FOUR.digits])
+            assert level_measure(FOUR, n + 1) == convolve(level_measure(FOUR, n), layer)
 
 
 class TestAttractor:
@@ -366,20 +364,8 @@ class TestBallMass:
 
 class TestSplitAndCylinders:
     def test_even_indices_give_sixteen_system(self):
-        even, odd = split_by_index_set(FOUR, {2, 4}, 4)
-        assert even.points == attractor_points(SIXTEEN_01, 2).points
-        assert odd.points == attractor_points(SIXTEEN_04, 2).points
-
-    def test_full_mask_leaves_origin(self):
-        full, rest = split_by_index_set(FOUR, {1, 2, 3}, 3)
-        assert rest.points == ((fr(0),),)
-        assert full.points == attractor_points(FOUR, 3).points
-
-    def test_index_set_is_read_as_integers(self):
-        # int() read 2.5 as the index 2; a numpy integer is still an index.
-        with pytest.raises(TypeError):
-            split_by_index_set(FOUR, [2.5], 4)
-        assert split_by_index_set(FOUR, np.array([2, 4]), 4) == split_by_index_set(FOUR, {2, 4}, 4)
+        # The even-indexed digits of 4:{0,1} sum to 16:{0,1}, the odd ones to 16:{0,4}: mu_4 = nu * lambda.
+        assert convolve(level_measure(SIXTEEN_01, 2), level_measure(SIXTEEN_04, 2)) == level_measure(FOUR, 4)
 
     def test_cylinder_prefix(self):
         pts = cylinder_points(FOUR, 2, [1])

@@ -32,8 +32,8 @@ from cantorframes import (
     packing_certificate_from_digits,
     radon_nikodym_atoms,
     singularity_witness,
-    split_by_index_set,
     ssc_certificate,
+    tail_radius,
     translate,
     translation_overlap,
 )
@@ -127,7 +127,10 @@ class TestFiniteLevelCertificate:
         assert cert.status == CERTIFIED_NOT_PACKING
 
     def test_dyadic_split_inconclusive_at_shallow_depth(self):
-        even, odd = split_by_index_set(TWO, {2, 4}, 4)
+        # Digits 2 and 4 of 2:{0,1} sum to 4:{0,1} at level 2, digits 1 and 3 to 4:{0,2}; both keep the level-4 tail.
+        tail = tail_radius(TWO, 4)
+        even = PointCloud(1, attractor_points(DigitSystem.one_dimensional(4, [0, 1]), 2).points, tail)
+        odd = PointCloud(1, attractor_points(DigitSystem.one_dimensional(4, [0, 2]), 2).points, tail)
         cert = packing_certificate_from_clouds(even, odd)
         assert cert.status == INCONCLUSIVE
 

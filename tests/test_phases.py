@@ -188,8 +188,6 @@ MEASURE = cf.level_measure(FOUR, 2)
 FREQS = FrequencySet.from_scalars([0, 1, 2, 3])
 KERNEL_CALLERS = {
     "frame_bounds": lambda: cf.frame_bounds(MEASURE, FREQS),
-    "synthesis_matrix": lambda: cf.synthesis_matrix(*cf.as_float_arrays(MEASURE), FREQS.as_array()),
-    "frame_bounds_from_arrays": lambda: cf.frame_bounds_from_arrays(*cf.as_float_arrays(MEASURE), FREQS),
     "bessel_quotient": lambda: cf.bessel_quotient(MEASURE, FREQS, [1, 0, 0, 0]),
     "greedy_frame_search": lambda: cf.greedy_frame_search(MEASURE, FREQS, 4),
     "windowed_transform": lambda: cf.windowed_transform(MEASURE, None, 2.5),

@@ -15,7 +15,6 @@ from cantorframes import (
     mu_hat,
     packing_certificate_from_digits,
     tail_radius,
-    validate_digit_system,
     windowed_transform,
 )
 from cantorframes.packing import CERTIFIED_PACKING
@@ -29,8 +28,7 @@ def fr(*args):
 
 
 def test_validation_and_tail():
-    report = validate_digit_system(SCALED)
-    assert report.expanding and report.inverse_norm_bound == fr(1, 4)
+    assert SCALED.inverse_norm_bound() == fr(1, 4)
     # max digit norm is sqrt(2); the certified bound inflates it slightly
     bound = SCALED.max_digit_norm_bound()
     assert bound**2 >= 2 and float(bound) < 1.4142136

@@ -5,14 +5,19 @@ floats within its 1e-8 tolerance, so any skeleton or frame-bound change
 that moves a committed number fails here. Its tolerance cannot see a
 byte change in the writer, so every committed JSON file, manifests
 included, must also be exactly its own canonical form, and strict JSON:
-no NaN or Infinity token.
+no NaN or Infinity token. README's layout table must name every public
+export of ``cantorframes``, and nothing else, each with its reason.
 """
 import importlib.util
+import inspect
 import json
+import re
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
+import cantorframes
 from cantorframes.serialize import canonical_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,3 +66,14 @@ def test_committed_json_is_strict(path):
 def test_committed_json_is_canonical(path):
     text = path.read_text()
     assert text == canonical_json(json.loads(text))
+
+
+def test_readme_layout_names_every_export():
+    section = (ROOT / "README.md").read_text().split("## Library layout", 1)[1]
+    lines = takewhile(lambda line: line.startswith("|"), section.strip().splitlines())
+    rows = [line.split("|")[1:-1] for line in lines][2:]
+    named = [re.findall(r"`(\w+)`", row[1]) for row in rows]
+    exports = {name for name, value in vars(cantorframes).items() if not (name.startswith("_") or inspect.ismodule(value))}
+    assert sorted(exports - {name for names in named for name in names}) == []
+    assert sorted({name for names in named for name in names} - exports) == []
+    assert all(row[2].strip() for row in rows)
