@@ -65,6 +65,11 @@ _TIE_RTOL = 1e-12
 # 50 halvings leave a secular bracket of 2^-50 of its width, still at least
 # 4 ulps, so every midpoint stays strictly inside and no d_i - lambda is 0.
 _BISECTIONS = 50
+# Thresholds per pass of the greedy pick's shared bracket, which each pass
+# cuts to 1/(_GRID + 1); the passes cut it to 2^-_BISECTIONS at most.
+_GRID = 15
+_GRID_PASSES = math.ceil(_BISECTIONS / math.log2(_GRID + 1))
+_GRID_STEPS = np.arange(1, _GRID + 1) / (_GRID + 1)
 _INVERSE_STEPS = 2
 
 
@@ -90,14 +95,20 @@ class FrequencySet:
         rows = [tuple(map(_exact_number, f)) for f in self.freqs]
         if any(len(f) != self.dim for f in rows):
             raise SizeMismatch("frequency dimension mismatch")
-        for f in rows:
-            if any(type(x) is float and not math.isfinite(x) for x in f):
-                raise ValueError(f"frequency {f} is not finite")
-        nums, p = _common_numerators(rows)
-        freqs = tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
+        if all(type(x) is int for f in rows for x in f):
+            freqs, nums, p = tuple(rows), rows, 1
+        else:
+            for f in rows:
+                if any(type(x) is float and not math.isfinite(x) for x in f):
+                    raise ValueError(f"frequency {f} is not finite")
+            nums, p = _common_numerators(rows)
+            freqs = tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", p)
+        # Distinct integer rows lie at least 1 apart, far above _DISTINCT_RESOLUTION.
+        if p == 1 and len(set(nums)) == len(nums):
+            return
         # The key of numerators n over p is n / (p r) = nb / (pa), rounded half up, with r = a / b.
         a, b = _DISTINCT_RESOLUTION.as_integer_ratio()
         half, seen = p * a, {}
@@ -612,7 +623,7 @@ def shear_blocks(t: BlockedLinearMap) -> ShearData:
 def _shear_transport(freqs, t: BlockedLinearMap) -> tuple:
     """Rows (l1, l2 - (A4^t)^-1 A2^t l1) of frequencies (numerators, denominator), exactly, in the same form."""
     a2 = [[Fraction(a) for a in row] for row in t.a2]
-    correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))[0]])
+    correction, d = _common_numerators([_matvec(a2, row) for row in _fraction_inverse(tuple(zip(*t.a4)))])
     nums, p = freqs
     shifts = [_matvec(correction, f[: t.m]) for f in nums]
     rows = [(*(x * d for x in f[: t.m]), *(y * d - x for y, x in zip(f[t.m :], e))) for f, e in zip(nums, shifts)]
@@ -655,34 +666,63 @@ def _rank_building_picks(rows: np.ndarray, norms_sq: np.ndarray, count: int, sca
 def _secular_pick(d: np.ndarray, z_sq: np.ndarray, scale: float) -> int:
     """First best row of z_sq = |z|^2 by lambda_min(diag(d) + z z^H); d ascending.
 
-    The root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 in (d_0, min(d_1,
-    d_0 + ||z||^2)), where the left side rises from -inf, is bisected in
-    t = lambda - d_0; a row scores d_0 + its last midpoint. A dead row
-    (z_0 = 0, or d_1 = d_0) scores d_0, the least score: it ties only if
-    every row ties, and then row 0 wins. Rows with hi < max(lo) - margin
-    are dropped: margin = _TIE_RTOL * scale + 8 eps (|d_0| + H), H the
-    widest bracket, exceeds the tie tolerance by more than the roundings
-    in between (d_0 + t twice, the margin, the tie and drop thresholds),
-    at most 6 eps (|d_0| + H) in all, as a drop needs H > margin.
+    Row r scores d_0 + t_r, with t_r the root of f_r(t) = 1 + sum_i
+    z_sq[r, i] / (delta_i - t), delta = d - d_0, bisected _BISECTIONS
+    times in (0, min(delta_1, ||z_r||^2)), where f_r rises from -inf; the
+    pick is ``_first_best`` of the scores. A dead row (z_0 = 0, or
+    delta_1 = 0) scores d_0, the least score: it ties only if every row
+    ties, and then row 0 wins.
+
+    Live rows share one bracket (lower, upper) of the largest root. Each
+    pass evaluates f at _GRID thresholds inside it, and at each less the
+    margin, for all rows in one product. Lower moves to the largest
+    threshold where some row has f < 0, upper to the next one, and rows
+    with f >= 0 at lower - margin are dropped. Those signs are exact: the
+    weight -1/t of |z_0|^2 is tilted by 1 -+ 2 (M + 4) eps, more than the
+    product's rounding, (M + 2) u sum|terms| <= 3 (M + 2) u |z_0|^2 / t
+    where a sign is in doubt. Upper only places thresholds and needs no
+    such guard. A bisected score lies within (M + 8) eps H of its root, H
+    the widest bracket, so margin = _TIE_RTOL * scale + 4 (M + 10) eps
+    (|d_0| + H) keeps a dropped row below the tie tolerance of the best,
+    after the roundings of d_0 + t. One row left, once lower exceeds the
+    margin if any row is dead, is the pick. Rows left after _GRID_PASSES
+    passes are bisected, and ``_first_best`` of their scores decides.
     """
     delta = d - d[0]
-    hi = np.minimum(z_sq.sum(axis=1), delta[1] if len(d) > 1 else np.inf)
-    live = (hi > 0) & (z_sq[:, 0] > 0)
-    if not live.any():
+    gap = delta[1] if len(d) > 1 else np.inf
+    live = z_sq[:, 0] > 0
+    if not (gap > 0 and live.any()):
         return 0
-    rows, z_sq, hi = np.flatnonzero(live), z_sq[live], hi[live]
-    lo, dead = np.zeros_like(hi), not live.all()
-    margin = _TIE_RTOL * scale + 8 * np.finfo(float).eps * (abs(d[0]) + hi.max())
+    rows, dead = np.flatnonzero(live), not live.all()
+    if dead:
+        z_sq = z_sq[rows]
+    eps = np.finfo(float).eps
+    lower, upper = 0.0, min(gap, float(np.max(z_sq @ np.ones(len(d)))))
+    margin = _TIE_RTOL * scale + 4 * (len(d) + 10) * eps * (abs(d[0]) + upper)
+    tilt = np.repeat([1 - 2 * (len(d) + 4) * eps, 1 + 2 * (len(d) + 4) * eps], _GRID)
+    for _ in range(_GRID_PASSES):
+        if len(rows) == 1 and not (dead and lower <= margin):
+            return int(rows[0])
+        t = np.minimum(lower + (upper - lower) * _GRID_STEPS, np.nextafter(gap, 0))
+        shifted = t - margin
+        weights = 1 / (delta[:, None] - np.concatenate([t, np.where(shifted > 0, shifted, t)]))
+        weights[0] *= tilt
+        sums = weights.T @ z_sq.T  # f - 1, one row per point
+        below = np.flatnonzero(sums[:_GRID].min(axis=1) < -1)
+        k = below[-1] if len(below) else -1
+        if k >= 0:
+            lower = float(t[k])
+            if shifted[k] > 0:
+                keep = sums[_GRID + k] <= -1
+                rows, z_sq = rows[keep], z_sq[keep]
+        if k + 1 < _GRID:
+            upper = min(upper, float(t[k + 1]))
+    hi = np.minimum(z_sq.sum(axis=1), gap)
+    lo = np.zeros_like(hi)
     for _ in range(_BISECTIONS):
         t = (lo + hi) / 2
         below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        floor = lo.max() - margin
-        dead = dead and floor <= 0
-        keep = hi >= floor
-        rows, lo, hi, z_sq = rows[keep], lo[keep], hi[keep], z_sq[keep]
-        if len(rows) == 1 and not dead:
-            return int(rows[0])
     values = d[0] + (lo + hi) / 2
     if dead and d[0] >= values.max() - _TIE_RTOL * scale:
         return 0
@@ -706,13 +746,14 @@ def greedy_frame_search(
       (pivoted Gram-Schmidt, orthogonalized twice). Once no residual
       exceeds M * eps * max||v||^2, the lowest unchosen indices follow.
     - After full rank, one ``eigh`` of G per step, and lambda_min(G + v v^H)
-      by bisection on the secular equation of the rank-one update (Golub
-      1973; Bunch, Nielsen and Sorensen 1978), all candidates at once.
-      Each pass drops every candidate whose bracket top lies below the
-      best bracket bottom by more than the tie tolerance plus rounding;
-      one left is the pick. A dropped candidate ends at most at its top,
-      the best at least at the best bottom, so it can neither win nor tie;
-      survivors run the passes of the full bisection bit for bit.
+      from the secular equation of the rank-one update (Golub 1973; Bunch,
+      Nielsen and Sorensen 1978), all candidates at once. They share one
+      bracket of the best root: each pass scores every candidate at
+      _GRID thresholds in one product, with signs certified against its
+      rounding, and drops those that end below the best by more than the
+      tie tolerance plus rounding; one left is the pick. The pick is the
+      first best of per-candidate bisection, whatever the BLAS: candidates
+      still tied after the passes are bisected and compared as such.
 
     Deterministic: in both phases values within 1e-12 * max||v||^2 of the
     best tie, and the lowest pool index wins; zero-gain steps are allowed.

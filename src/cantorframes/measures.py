@@ -65,7 +65,7 @@ def _exact_point(value, dim: int | None = None) -> tuple:
     value = (value,) if isinstance(value, numbers.Number) else tuple(value)
     exact = tuple(map(_exact_number, value))
     if any(type(v) is float and not math.isfinite(v) for v in exact):
-        raise ValueError(f"point {value} is not finite")
+        raise ValueError(f"point {exact} is not finite")
     if dim is not None and len(exact) != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {len(exact)}")
     return exact
@@ -76,28 +76,21 @@ def _matvec(matrix, vec):
 
 
 def _fraction_inverse(matrix):
-    """Exact inverse and determinant of a rational matrix (ints, Fractions or floats, taken exactly).
-
-    Gauss-Jordan elimination; the determinant is the signed product of the pivots.
-    """
+    """Exact inverse of a rational matrix (ints, Fractions or floats, taken exactly), by Gauss-Jordan elimination."""
     d = len(matrix)
     aug = [[Fraction(matrix[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    det = Fraction(1)
     for col in range(d):
         pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularMatrix("matrix is singular")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = 1 / aug[col][col]
         aug[col] = [x * inv_p for x in aug[col]]
         for r in range(d):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[d:]) for row in aug), det
+    return tuple(tuple(row[d:]) for row in aug)
 
 
 def _sqrt_upper_bound(value: Fraction) -> Fraction:
@@ -131,7 +124,7 @@ class DigitSystem:
             raise ValueError("digit system entries must be integers")
         if not digits:
             raise DuplicateDigits("digit set is empty")
-        inverse, _ = _fraction_inverse(matrix)  # raises SingularMatrix when det R = 0
+        inverse = _fraction_inverse(matrix)  # raises SingularMatrix when det R = 0
         if len(set(digits)) != len(digits):
             raise DuplicateDigits("digit set contains duplicates")
         _check_expanding(matrix)
@@ -215,7 +208,10 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, dim: int, pairs) -> "AtomicMeasure":
-        pairs = [(as_point(loc, dim), Fraction(weight)) for loc, weight in pairs]
+        pairs = [(as_point(loc, dim), _exact_number(weight)) for loc, weight in pairs]
+        for _, w in pairs:
+            if type(w) is float and not math.isfinite(w):
+                raise ValueError(f"weight {w} is not finite")
         if any(w < 0 for _, w in pairs):
             raise ValueError("negative atom weight")
         points, denominator = _common_numerators([p for p, _ in pairs])
@@ -238,7 +234,7 @@ class AtomicMeasure:
     @classmethod
     def dirac(cls, location, weight=1) -> "AtomicMeasure":
         pt = as_point(location)
-        return cls.from_atoms(len(pt), [(pt, Fraction(weight))])
+        return cls.from_atoms(len(pt), [(pt, weight)])
 
     @property
     def total(self) -> Fraction:

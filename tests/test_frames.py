@@ -223,8 +223,12 @@ def test_frequency_set_rejects_non_finite(bad):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_arrays_refuse_non_finite_coordinates(bad):
     # Float arrays enter as a measure and a frequency set, which read each numpy row exactly.
-    with pytest.raises(ValueError, match="point .* is not finite"):
+    with pytest.raises(ValueError) as point:
         AtomicMeasure.from_atoms(1, zip(np.array([[0.5], [bad]]), [0.5, 0.5]))
+    assert str(point.value) == f"point {(bad,)} is not finite"
+    with pytest.raises(ValueError) as weight:
+        AtomicMeasure.from_atoms(1, zip(np.array([[0.5], [1.0]]), np.array([0.5, bad])))
+    assert str(weight.value) == f"weight {bad} is not finite"
     with pytest.raises(ValueError) as freqs:
         FrequencySet(dim=1, freqs=np.array([[bad], [1.0]]))
     assert str(freqs.value) == f"frequency {(bad,)} is not finite"
@@ -242,6 +246,26 @@ class TestDistinctFrequencies:
     def test_coinciding_frequencies_refused(self, values):
         with pytest.raises(ValueError, match="coincide within resolution"):
             FrequencySet.from_scalars(values)
+
+    @pytest.mark.parametrize(
+        "freqs, pair",
+        [
+            (((3,), (1,), (3,), (1,)), "(3,) and (3,)"),
+            (np.array([[0, 2], [1, 1], [0, 2]]), "(0, 2) and (0, 2)"),
+            (((5,), (2.0,), (2,)), "(2,) and (2,)"),
+        ],
+        ids=["ints", "numpy-planar", "float-integral"],
+    )
+    def test_integer_duplicates_name_the_first_pair(self, freqs, pair):
+        with pytest.raises(ValueError) as refused:
+            FrequencySet(dim=len(freqs[0]), freqs=freqs)
+        assert str(refused.value) == f"frequencies {pair} coincide within resolution"
+
+    def test_integer_rows_are_their_own_numerators(self):
+        freq_set = FrequencySet(dim=2, freqs=np.array([[0, 2], [-3, 1]]))
+        assert freq_set.freqs == freq_set.numerators == ((0, 2), (-3, 1)) and freq_set.denominator == 1
+        assert all(type(x) is int for f in freq_set.freqs for x in f)
+        assert freq_set == FrequencySet(dim=2, freqs=((0.0, 2), (Fraction(-3), 1.0)))
 
     def test_integers_past_float_spacing_stay_apart(self):
         # 2^59 and 2^59 + 32 round to the same float; read exactly, they are 32 apart.

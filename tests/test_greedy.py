@@ -102,6 +102,20 @@ def _oracle_pick(d: np.ndarray, z_sq: np.ndarray, scale: float) -> int:
     return _first_best(oracle_secular_smallest(d, z_sq), scale)
 
 
+def _row_with_root(d: np.ndarray, tail: np.ndarray, root: float) -> np.ndarray:
+    """|z|^2 with |z_i|^2 = tail[i - 1] for i >= 1 whose secular root is lambda = d_0 + root."""
+    delta = d - d[0]
+    return np.concatenate([[root * (1 + np.sum(tail / (delta[1:] - root)))], tail])
+
+
+def _tie_and_margin(d: np.ndarray, z_sq: np.ndarray) -> tuple:
+    """The tie tolerance and the drop margin of ``_secular_pick`` (tolerance plus rounding allowance)."""
+    scale = float(z_sq.sum(axis=1).max())
+    widest = min(d[1] - d[0], scale)
+    tie = _TIE_RTOL * scale
+    return tie, tie + 4 * (len(d) + 10) * np.finfo(float).eps * (abs(d[0]) + widest)
+
+
 class TestSecularPick:
     SPECTRUM = np.linspace(0.25, 4.0, 8)
 
@@ -154,6 +168,8 @@ class TestSecularPick:
         best = self._pick(self.SPECTRUM, z_sq)
         assert self._pick(self.SPECTRUM, np.vstack([z_sq, z_sq])) == best
         assert self._pick(self.SPECTRUM, np.vstack([z_sq[best], z_sq, z_sq[best]])) == 0
+        others = np.delete(z_sq, best, axis=0)
+        assert self._pick(self.SPECTRUM, np.vstack([others[:5], z_sq[best], others[5:], z_sq[best]])) == 5
 
     def test_perturbed_tie_lowest_index_wins(self):
         # Row 0 scores just below row 1, inside the tie tolerance but far outside the final bracket.
@@ -170,6 +186,72 @@ class TestSecularPick:
 
     def test_two_candidates_later_one_wins(self):
         assert self._pick(self.SPECTRUM, self._z_sq(29, 2)[::-1]) == 1
+
+    def test_one_atom(self):
+        # M = 1: no delta_1 caps the brackets, and each root is |z_0|^2.
+        z_sq = self._z_sq(61, 9)[:, :1]
+        assert self._pick(np.array([0.7]), z_sq) == int(np.argmax(z_sq[:, 0]))
+
+    @pytest.mark.parametrize("allowance, winner", [(1.5, 1), (0.5, 1), (-0.5, 0)], ids=["over", "under", "tie"])
+    def test_roots_just_over_and_under_the_margin(self, allowance, winner):
+        # Row 1's root lies above row 0's by the tie tolerance plus ``allowance`` times the margin's
+        # rounding allowance: past the margin, inside it but past the tie tolerance, or a tie.
+        # A large d_0 widens that allowance far past the error of the bisected roots.
+        d = self.SPECTRUM + 100
+        tails = self._z_sq(31, 6)[:, 1:]
+        top = _row_with_root(d, tails[0], 0.3)
+        fillers = [_row_with_root(d, tail, root) for tail, root in zip(tails[1:], [0.05, 0.1, 0.15, 0.2, 0.25])]
+        # Row 0 shares row 1's tail and has the smaller root, so the smaller norm: the scale is known before it.
+        tie, margin = _tie_and_margin(d, np.vstack([top, *fillers]))
+        gap = tie + allowance * (margin - tie)
+        z_sq = np.vstack([_row_with_root(d, tails[0], 0.3 - gap), top, *fillers])
+        values = oracle_secular_smallest(d, z_sq)
+        assert abs(values[1] - values[0] - gap) < 0.1 * (margin - tie)
+        assert self._pick(d, z_sq) == winner
+
+    def test_dead_rows_among_live_rows_tied_at_d0(self):
+        z_sq = self._z_sq(37, 8)
+        z_sq[[2, 5], 0] = 0
+        z_sq[[0, 1, 3, 4, 6, 7], 0] = 1e-30
+        assert self._pick(self.SPECTRUM, z_sq) == 0
+        # Lifted clear of d_0, row 6 wins alone.
+        z_sq[6, 0] = 1.0
+        assert self._pick(self.SPECTRUM, z_sq) == 6
+
+    def test_every_row_orthogonal_to_the_bottom_eigenvector(self):
+        z_sq = self._z_sq(41, 5)
+        z_sq[:, 0] = 0
+        assert self._pick(self.SPECTRUM, z_sq) == 0
+
+    @pytest.mark.parametrize("z0, winner", [(1.0, 3), (1e-30, 0)], ids=["clear", "tied-at-d0"])
+    def test_single_live_row_among_dead_rows(self, z0, winner):
+        z_sq = self._z_sq(43, 5)
+        z_sq[:, 0] = 0
+        z_sq[3, 0] = z0
+        assert self._pick(self.SPECTRUM, z_sq) == winner
+
+    def test_best_roots_at_the_first_gap(self):
+        # With z_1 = 0 and a heavy z_0, f stays negative up to delta_1: lambda_min(G + v v^H) = d_1.
+        z_sq = self._z_sq(47, 8)
+        z_sq[[3, 6], 1] = 0
+        z_sq[[3, 6], 0] = 10.0
+        values = oracle_secular_smallest(self.SPECTRUM, z_sq)
+        assert values[3] == values[6] == pytest.approx(self.SPECTRUM[1], abs=1e-14)
+        assert values[[0, 1, 2, 4, 5, 7]].max() < values[3] - 1e-3
+        assert self._pick(self.SPECTRUM, z_sq) == 3
+
+    def test_best_root_on_a_threshold(self):
+        # Every norm exceeds delta_1, so the shared bracket starts as (0, delta_1), and the first pass's
+        # middle threshold is delta_1 / 2. Rows 1 and 3 have their roots there, where f is 0 up to rounding.
+        delta = self.SPECTRUM - self.SPECTRUM[0]
+        t = delta[1] / 2
+        tails = self._z_sq(53, 6)[:, 1:] + 1
+        roots = [0.1, t, 0.2, t * (1 - 1e-13), 0.05, 0.15]
+        z_sq = np.array([_row_with_root(self.SPECTRUM, tail, root) for tail, root in zip(tails, roots)])
+        assert z_sq.sum(axis=1).min() > delta[1]
+        terms = z_sq[1] / (delta - t)
+        assert abs(1 + np.sum(terms)) <= (len(delta) + 4) * np.finfo(float).eps * np.sum(np.abs(terms))
+        assert self._pick(self.SPECTRUM, z_sq) == 1
 
 
 class TestEigenCalls:

@@ -1,6 +1,7 @@
 import ast
 import math
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,15 @@ def locs(m):
     return [p[0] for p in m.locations]
 
 
+def _leibniz_determinant(matrix) -> Fraction:
+    """Exact determinant as the signed sum over permutations."""
+    total = Fraction(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(len(perm)))
+    return total
+
+
 class TestValidation:
     def test_quarter_system_valid(self):
         assert FOUR.inverse == (((1,),), 4)
@@ -78,8 +88,13 @@ class TestValidation:
         "matrix", [((4,),), ((-3,),), ((0, 2), (3, 0)), ((1, 2), (-2, 1)), ((2, 1, 0), (0, 3, 1), (1, 0, 2))]
     )
     def test_determinant_is_exact(self, matrix):
-        # The one elimination a build runs returns det R with R^-1.
-        assert _fraction_inverse(matrix)[1] == round(np.linalg.det(np.array(matrix, dtype=float)))
+        # The one elimination a build runs returns R^-1 exactly: R^-1 R = I, so det R^-1 = 1 / det R.
+        inverse = _fraction_inverse(matrix)
+        d = len(matrix)
+        product = [[sum(inverse[i][k] * matrix[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
+        assert product == [[int(i == j) for j in range(d)] for i in range(d)]
+        det = round(np.linalg.det(np.array(matrix, dtype=float)))
+        assert _leibniz_determinant(inverse) == Fraction(1, det)
 
     @pytest.mark.parametrize(
         "call",
@@ -148,7 +163,7 @@ class TestValidation:
     def test_inverse_is_exact_over_the_least_denominator(self, matrix):
         ds = DigitSystem(matrix, (tuple(0 for _ in matrix),))
         rows, q = ds.inverse
-        exact, _ = _fraction_inverse(matrix)
+        exact = _fraction_inverse(matrix)
         assert all(type(x) is int for row in rows for x in row) and type(q) is int
         assert tuple(tuple(Fraction(x, q) for x in row) for row in rows) == exact
         assert q == math.lcm(*(x.denominator for row in exact for x in row))
@@ -347,6 +362,19 @@ class TestTranslateAdd:
         for call in calls:
             with pytest.raises(ValueError, match="not finite"):
                 call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # Fraction(weight) used to raise OverflowError for an infinite weight.
+        calls = [
+            lambda: AtomicMeasure.from_atoms(1, [((0,), bad)]),
+            lambda: AtomicMeasure.from_atoms(1, [((0,), 1), ((1,), np.float32(bad))]),
+            lambda: AtomicMeasure.dirac(0, np.float64(bad)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == f"weight {bad} is not finite"
 
 
 class TestBallMass:
