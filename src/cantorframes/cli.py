@@ -113,7 +113,9 @@ def _cmd_measure_build(args) -> int:
     measure = level_measure(ds, args.level, args.atom_budget)
     if args.format == "csv":
         header = [f"x{i+1}" for i in range(measure.dim)] + ["weight"]
-        rows = [[*location, weight] for location, weight in _atom_strings(measure)]
+        coordinates, weights = _atom_strings(measure)
+        locations = zip(*[iter(coordinates)] * measure.dim)
+        rows = [[*location, weight] for location, weight in zip(locations, weights)]
         _emit(args, None, header, rows)
     else:
         _emit(args, measure_json(measure), None, None)

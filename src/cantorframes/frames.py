@@ -228,7 +228,7 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             yield dict.fromkeys(vecs, 1)
             vecs = [_matvec(rt, v) for v in vecs]
 
-    freqs = sorted(_sumset(ds.dim, layers(), budget))
+    freqs, _ = _sumset(ds.dim, layers(), budget)
     freq_set = FrequencySet(dim=ds.dim, freqs=tuple(freqs))
     object.__setattr__(freq_set, "triple", (ds.matrix, tuple(freq_digits), n))
     return freq_set
@@ -280,7 +280,8 @@ def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
     if path == "int64":
         freqs = np.array(freq_nums, dtype=np.int64).reshape(len(freq_nums), dim)
         atoms = np.array(atom_nums, dtype=np.int64).reshape(len(atom_nums), dim)
-        return (freqs @ atoms.T) % modulus / modulus
+        products = freqs @ atoms.T
+        return np.remainder(products, modulus, out=products) / modulus
     if path == "limbs":
         k = modulus.bit_length() - 1
         freqs, atoms = _limbs(freq_nums, dim, k), _limbs(atom_nums, dim, k)
@@ -377,7 +378,9 @@ def _check_eigen_budget(count: int, eigen_budget: int) -> None:
 def _synthesis_rows(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> np.ndarray:
     """Synthesis rows of ``freq_set`` on atoms (numerators, denominator) of weights sqrt_w**2."""
     phases = _exact_phase_matrix(dim, (freq_set.numerators, freq_set.denominator), atoms)
-    return np.exp(-2j * np.pi * phases) * sqrt_w[None, :]
+    # In place: the complex rows are the one array formed after the phases.
+    rows = np.multiply(phases, -2j * np.pi)
+    return np.multiply(np.exp(rows, out=rows), sqrt_w, out=rows)
 
 
 def _gram(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:

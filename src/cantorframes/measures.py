@@ -9,6 +9,15 @@ translation, sums, convolution and ball masses all run on these integers;
 enter a skeleton through one map, ``_points_over``. A float is the binary
 rational it is, so a translation by floats moves the skeleton exactly and
 the skeleton is the only record of where atoms sit.
+
+Every digit-word enumeration (level measures, cylinders, convolutions, jp
+spectra, difference sets, the SSC scan) goes through ``_sumset``, which
+has two arithmetic paths. int64 arrays, one broadcast per layer and one
+sort-merge, run when the word count reaches ``_ARRAY_WORDS`` and no sum
+or multiplicity can wrap, both decided exactly on Python ints. Otherwise
+a dict of Python int tuples merges word by word: below the constant,
+where it is faster, and for big-integer numerators, such as those of a
+measure translated by a float.
 """
 from __future__ import annotations
 
@@ -33,6 +42,12 @@ from .errors import (
 Point = tuple  # tuple[Fraction, ...]
 
 DEFAULT_ATOM_BUDGET = 2**16
+
+# Word count from which ``_sumset`` runs on int64 arrays when nothing can
+# wrap; below it the dict merge is faster (the paths cross at 64 words).
+_ARRAY_WORDS = 64
+# Bound on every |coordinate| and multiplicity sum on the int64 path.
+_INT64_GUARD = 2**62
 
 # Margin for the float eigenvalue test |lambda_i| >= 1 + margin.
 EXPANDING_MARGIN = 1e-9
@@ -219,17 +234,24 @@ class AtomicMeasure:
         merged: dict = {}
         for p, w in zip(points, weights):
             merged[p] = merged.get(p, 0) + w
-        return cls._from_sums(dim, merged, denominator, mass_denominator)
+        return cls._from_sums(dim, _sorted_items(merged), denominator, mass_denominator)
 
     @classmethod
     def _from_sums(cls, dim: int, sums, denominator: int, mass_denominator: int) -> "AtomicMeasure":
-        """The canonical measure with mass sums[p]/mass_denominator at each point p/denominator."""
-        keys = sorted(p for p, w in sums.items() if w)
-        masses = [sums[p] for p in keys]
+        """The canonical measure with mass w/mass_denominator at each point p/denominator.
+
+        ``sums`` is (rows, masses) as ``_sumset`` and ``_sorted_items``
+        return it: distinct integer rows in lexicographic order, which are
+        not sorted again, and their integer masses. Zero masses are dropped.
+        """
+        rows, masses = sums
+        if 0 in masses:
+            rows, masses = [p for p, w in zip(rows, masses) if w], [w for w in masses if w]
         # Reduced: the gcd of all numerators and the denominator is 1, and likewise for the masses.
-        g, h = math.gcd(denominator, *chain.from_iterable(keys)), math.gcd(mass_denominator, *masses)
-        numerators = tuple(keys) if g == 1 else tuple(tuple(x // g for x in p) for p in keys)
-        return cls(dim, numerators, denominator // g, tuple(w // h for w in masses), mass_denominator // h)
+        g, h = math.gcd(denominator, *chain.from_iterable(rows)), math.gcd(mass_denominator, *masses)
+        numerators = tuple(rows) if g == 1 else tuple(tuple(x // g for x in p) for p in rows)
+        masses = tuple(masses) if h == 1 else tuple(w // h for w in masses)
+        return cls(dim, numerators, denominator // g, masses, mass_denominator // h)
 
     @classmethod
     def dirac(cls, location, weight=1) -> "AtomicMeasure":
@@ -285,12 +307,30 @@ def _points_over(points, dim: int, denominator: int) -> list:
     return [None if any(x % step for x in row) else tuple(x // step * scale for x in row) for row in rows]
 
 
-def _sumset(dim: int, layers, budget: int | None = None) -> dict:
+def _sorted_items(sums: dict) -> tuple:
+    """(rows, values) of an integer-keyed dict, the keys in lexicographic order."""
+    rows = sorted(sums)
+    return rows, [sums[p] for p in rows]
+
+
+def _sumset(dim: int, layers, budget: int | None = None) -> tuple:
     """Every sum of one vector from each layer, with its multiplicity.
 
     Layers map integer numerator vectors over one common denominator to
     integer weights; multiplicities add the words' weight products. All
-    layers, which may be lazy, are read first; reading stops at the budget.
+    layers, which may be lazy, are read first; reading stops at the budget,
+    so no sum is formed past it. Returns (rows, multiplicities): the
+    distinct sums as tuples of ints in lexicographic order, and their
+    multiplicities as ints.
+
+    Two paths give the same result. The int64 path runs when there are at
+    least ``_ARRAY_WORDS`` words and, on Python ints, the sum over layers
+    of max |coordinate| and the product over layers of sum |weight| both
+    stay below 2^62, so no partial sum or multiplicity wraps: each layer is
+    added to all partial sums in one broadcast, and the words merge once by
+    a stable lexicographic sort, a comparison of neighbours and
+    ``np.add.reduceat``. Otherwise a dict merges layer by layer on Python
+    ints, which is exact at any size.
     """
     max_atoms = DEFAULT_ATOM_BUDGET if budget is None else budget
     words, read = 1, []
@@ -299,6 +339,8 @@ def _sumset(dim: int, layers, budget: int | None = None) -> dict:
         if words > max_atoms:
             raise AtomBudgetExceeded(f"enumeration exceeds the atom budget {max_atoms}")
         read.append(layer)
+    if words >= _ARRAY_WORDS and _fits_int64(read):
+        return _sumset_int64(dim, read)
     sums = {(0,) * dim: 1}
     for layer in read:
         merged: dict = {}
@@ -307,7 +349,34 @@ def _sumset(dim: int, layers, budget: int | None = None) -> dict:
                 q = tuple(map(operator.add, p, s))
                 merged[q] = merged.get(q, 0) + w * v
         sums = merged
-    return sums
+    return _sorted_items(sums)
+
+
+def _fits_int64(layers) -> bool:
+    """Whether no partial sum or multiplicity of these nonempty layers can reach 2^62 in magnitude."""
+    reach, mass = 0, 1
+    for layer in layers:
+        reach += max(map(abs, chain.from_iterable(layer)))
+        mass *= sum(map(abs, layer.values()))
+    return reach < _INT64_GUARD and mass < _INT64_GUARD
+
+
+def _sumset_int64(dim: int, layers) -> tuple:
+    """``_sumset`` on int64 arrays for layers that ``_fits_int64`` accepts, with dim >= 1."""
+    sums, mults = np.zeros((1, dim), dtype=np.int64), np.ones(1, dtype=np.int64)
+    for layer in layers:
+        vectors = np.array(list(layer), dtype=np.int64).reshape(len(layer), dim)
+        weights = np.fromiter(layer.values(), dtype=np.int64, count=len(layer))
+        sums = (sums[:, None, :] + vectors[None, :, :]).reshape(-1, dim)
+        mults = np.multiply.outer(mults, weights).reshape(-1)
+    # lexsort's last key is its primary one; signed int64 order is Python's order.
+    order = np.lexsort(sums.T[::-1])
+    sums = sums[order]
+    first = np.empty(len(sums), dtype=bool)
+    first[0] = True
+    np.any(sums[1:] != sums[:-1], axis=1, out=first[1:])
+    starts = np.flatnonzero(first)
+    return list(zip(*sums[starts].T.tolist())), np.add.reduceat(mults[order], starts).tolist()
 
 
 def _digit_layers(ds: DigitSystem, picks) -> tuple:
@@ -414,14 +483,17 @@ def add(a: AtomicMeasure, b: AtomicMeasure) -> AtomicMeasure:
         scale = mass_denominator // m.mass_denominator
         for p, w in zip(_over(m, denominator), m.masses):
             sums[p] = sums.get(p, 0) + w * scale
-    return AtomicMeasure._from_sums(a.dim, sums, denominator, mass_denominator)
+    return AtomicMeasure._from_sums(a.dim, _sorted_items(sums), denominator, mass_denominator)
 
 
 def ball_mass(m: AtomicMeasure, center, radius) -> Fraction:
-    """Mass inside the closed Euclidean ball, decided exactly."""
-    if radius < 0:
-        raise ValueError("radius must be positive")
-    r = Fraction(radius)
+    """Mass inside the closed Euclidean ball, decided exactly; a radius of 0 reads the atom at the center."""
+    r = _exact_number(radius)
+    if type(r) is float and not math.isfinite(r):
+        raise ValueError(f"radius {r} is not finite")
+    if r < 0:
+        raise ValueError(f"radius {r} must be non-negative")
+    r = Fraction(r)
     # Centred at the origin, |x|^2 <= r^2 reads |p|^2 * r.den^2 <= (r.num * den)^2 on numerators p over den.
     m = translate(m, tuple(-x for x in as_point(center, m.dim)))
     bound, r_den_sq = (r.numerator * m.denominator) ** 2, r.denominator**2

@@ -114,14 +114,14 @@ def difference_set(p_points, q_points) -> tuple:
     if ps and qs and len(ps[0]) != len(qs[0]):
         raise DimensionMismatch("difference_set requires equal dimensions")
     numerators, denominator = _common_numerators(ps + qs)
-    sums = _differences(numerators[: len(ps)], numerators[len(ps) :])
-    return AtomicMeasure._from_sums(len(ps[0]) if ps else 0, sums, denominator, 1).locations
+    rows = _differences(numerators[: len(ps)], numerators[len(ps) :])
+    return tuple(tuple(Fraction(x, denominator) for x in p) for p in rows)
 
 
-def _differences(xs, ys) -> dict:
-    """The integer points x - y with multiplicities; at most _PAIR_BUDGET words, checked before any sum."""
+def _differences(xs, ys) -> list:
+    """The distinct integer points x - y, sorted; at most _PAIR_BUDGET words, checked before any sum."""
     layers = [dict.fromkeys(xs, 1), {tuple(-v for v in y): 1 for y in ys}]
-    return _sumset(len(xs[0]) if xs else 0, layers, budget=_PAIR_BUDGET)
+    return _sumset(len(xs[0]) if xs else 0, layers, budget=_PAIR_BUDGET)[0]
 
 
 def _min_gap_sq(dim: int, clouds, denominator: int):
@@ -161,7 +161,7 @@ def _self_differences(first, second, denominator: int, inputs) -> tuple:
     witness is their least common nonzero difference.
     """
     d1, d2 = _differences(first, first), _differences(second, second)
-    common = [v for v in d1.keys() & d2.keys() if any(v)]
+    common = [v for v in set(d1).intersection(d2) if any(v)]
     if not common:
         return d1, d2, None
     evidence = {"witness": tuple(Fraction(x, denominator) for x in min(common))}
@@ -189,7 +189,7 @@ def _digit_certificate(ds_b: DigitSystem, ds_c: DigitSystem) -> PackingCertifica
     bb, cc, refutation = _self_differences(ds_b.digits, ds_c.digits, 1, inputs)
     if refutation is not None:
         return refutation
-    d_sq = Fraction(max(_norm_sq(v) for v in _differences(list(bb), list(cc))))
+    d_sq = Fraction(max(_norm_sq(v) for v in _differences(bb, cc)))
     d_ub = _sqrt_upper_bound(d_sq)
     inv = ds_b.inverse_norm_bound()
     contraction = d_ub * inv
@@ -239,7 +239,7 @@ def packing_certificate_from_clouds(cloud1: PointCloud, cloud2: PointCloud) -> P
     threshold = 2 * (cloud1.tail_radius + cloud2.tail_radius)
     threshold_sq = threshold * threshold
     # No common nonzero difference is left, so u - v vanishes only for u = v = 0.
-    gap_sq = _min_gap_sq(cloud1.dim, [list(d1), list(d2)], denominator)
+    gap_sq = _min_gap_sq(cloud1.dim, [d1, d2], denominator)
     evidence = {
         "gap_squared": gap_sq,
         "threshold": threshold,
@@ -274,11 +274,10 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
         first = {s + (i,): 1 for i, s in enumerate(next(layers))}
         tagged = chain([first], ({s + (0,): 1 for s in layer} for layer in layers))
         try:
-            sums = _sumset(ds.dim + 1, tagged, budget)
+            keys, _ = _sumset(ds.dim + 1, tagged, budget)
         except AtomBudgetExceeded:
             evidence = {"reason": "atom budget reached", **last_evidence}
             return SscCertificate(status=INCONCLUSIVE, depth_used=depth_used, evidence=evidence)
-        keys = sorted(sums)
         for a, b in zip(keys, keys[1:]):
             if a[:-1] == b[:-1]:
                 collision = tuple(Fraction(x, denominator) for x in a[:-1])
@@ -294,7 +293,7 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
                 status=INCONCLUSIVE, depth_used=d, evidence={"reason": "no certified tail radius"}
             )
         threshold_sq = (2 * radius) ** 2
-        if ds.dim > 1 and len(sums) ** 2 > _PAIR_BUDGET:
+        if ds.dim > 1 and len(keys) ** 2 > _PAIR_BUDGET:
             evidence = {"reason": "pair scan budget reached", "depth": d}
             return SscCertificate(status=INCONCLUSIVE, depth_used=d, evidence=evidence)
         min_gap_sq = _min_gap_sq(ds.dim, clouds, denominator)
@@ -313,8 +312,9 @@ def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeas
     """
     moved = translate(rho, tuple(-x for x in as_point(shift, rho.dim)))
     support = set(_points_over(support_points, rho.dim, moved.denominator))
-    kept = {p: w for p, w in zip(moved.numerators, moved.masses) if p in support}
-    return AtomicMeasure._from_sums(rho.dim, kept, moved.denominator, moved.mass_denominator)
+    # moved's atoms in their sorted order; those off the support get mass 0, which _from_sums drops.
+    masses = [w if p in support else 0 for p, w in zip(moved.numerators, moved.masses)]
+    return AtomicMeasure._from_sums(rho.dim, (moved.numerators, masses), moved.denominator, moved.mass_denominator)
 
 
 def radon_nikodym_atoms(omega: AtomicMeasure, mu: AtomicMeasure) -> OverlapReport:
@@ -400,7 +400,8 @@ def singularity_witness(
         overlap_total = sum(rho_masses.get(shifted_points[j], 0) for j in hits)
         return SingularityWitness(
             shift_point=lam_n.locations[i],
-            witness_points=AtomicMeasure._from_sums(nu_n.dim, translated, denominator, 1).locations,
+            # nu's sorted atoms moved by one x stay sorted.
+            witness_points=tuple(tuple(Fraction(v, denominator) for v in p) for p in translated),
             rho_mass=Fraction(sum(rho_masses.get(y, 0) for y in translated), rho.mass_denominator),
             overlap_mass=Fraction(sum(nu_n.masses[j] for j in hits), nu_n.mass_denominator),
             overlap_mass_total=Fraction(overlap_total, rho.mass_denominator),

@@ -9,7 +9,9 @@ import csv
 import io
 import json
 import math
+import operator
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import CantorFramesError, DimensionMismatch
@@ -33,13 +35,17 @@ SCHEMA_WITNESS = "singularity-witness/1"
 
 
 def fraction_to_str(value: Fraction | int) -> str:
-    return _ratio_to_str(value.numerator, value.denominator)
+    return _ratio_strs([value.numerator], value.denominator)[0]
 
 
-def _ratio_to_str(numerator: int, denominator: int) -> str:
-    """numerator/denominator (denominator > 0) in lowest terms, "p/q" or "p"."""
-    g = math.gcd(numerator, denominator)
-    return str(numerator // g) if g == denominator else f"{numerator // g}/{denominator // g}"
+def _ratio_strs(numerators, denominator: int) -> list:
+    """Each numerator/denominator (denominator > 0) in lowest terms, "p/q" or "p".
+
+    The one ratio formatter: one gcd per numerator, one suffix per reduced denominator.
+    """
+    gcds = list(map(math.gcd, numerators, repeat(denominator)))
+    suffixes = {g: "" if g == denominator else f"/{denominator // g}" for g in set(gcds)}
+    return [f"{x // g}{suffixes[g]}" for x, g in zip(numerators, gcds)]
 
 
 def point_to_strs(point) -> list:
@@ -68,11 +74,11 @@ def digit_system_from_jsonable(data: dict) -> DigitSystem:
     return ds
 
 
-def _atom_strings(m: AtomicMeasure) -> list:
-    """(location strings, weight string) per atom, formatted from the integer skeleton."""
-    q, mq = m.denominator, m.mass_denominator
-    weights = {w: _ratio_to_str(w, mq) for w in set(m.masses)}
-    return [([_ratio_to_str(x, q) for x in p], weights[w]) for p, w in zip(m.numerators, m.masses)]
+def _atom_strings(m: AtomicMeasure) -> tuple:
+    """The location strings of every atom, flat in atom order, and each atom's weight string."""
+    distinct = list(set(m.masses))
+    weights = dict(zip(distinct, _ratio_strs(distinct, m.mass_denominator)))
+    return _ratio_strs(list(chain.from_iterable(m.numerators)), m.denominator), list(map(weights.get, m.masses))
 
 
 def _json_list(items, indent: int) -> str:
@@ -88,15 +94,18 @@ def measure_json(m: AtomicMeasure) -> str:
 
     Atoms are written from the integer skeleton; ``offset`` is always zero.
     Every value is a ratio string of digits, "-" and "/", a float repr or
-    an int, none of which JSON escapes or holds a "%", so each atom fills
-    one fixed template.
+    an int, none of which JSON escapes, so the atoms are one join of their
+    strings with the fixed text that ``canonical_json`` puts between them.
     """
-    atom = '{\n      "location": ' + _json_list(['"%s"'] * m.dim, 6) + ',\n      "weight": "%s"\n    }'
-    atoms = [atom % (*location, weight) for location, weight in _atom_strings(m)]
+    coordinates, weights = _atom_strings(m)
+    locations = map('",\n        "'.join, zip(*[iter(coordinates)] * m.dim))
+    entries = map(operator.add, locations, map('"\n      ],\n      "weight": "'.__add__, weights))
+    body = '"\n    },\n    {\n      "location": [\n        "'.join(entries)
+    atoms = '[\n    {\n      "location": [\n        "' + body + '"\n    }\n  ]' if m.numerators else "[]"
     return (
-        '{\n  "atoms": ' + _json_list(atoms, 2)
+        '{\n  "atoms": ' + atoms
         + f',\n  "dim": {m.dim},\n  "offset": ' + _json_list(["0.0"] * m.dim, 2)
-        + f',\n  "schema": "{SCHEMA_MEASURE}",\n  "total": "{_ratio_to_str(sum(m.masses), m.mass_denominator)}"\n}}\n'
+        + f',\n  "schema": "{SCHEMA_MEASURE}",\n  "total": "{fraction_to_str(m.total)}"\n}}\n'
     )
 
 

@@ -57,6 +57,7 @@ FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
 PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
+NON_TRIANGULAR = DigitSystem(((1, 2), (-2, 1)), ((0, 0), (1, -1), (-2, 1)))
 PLANAR_16 = [DigitSystem(((16, 0), (0, 16)), ((0, 0), (k, 0), (0, k))) for k in (1, 4)]
 
 
@@ -131,9 +132,17 @@ class TestSerializeRoundTrips:
             convolve(level_measure(FOUR, 3), level_measure(FOUR, 2)),
             add(level_measure(FOUR, 2), AtomicMeasure.dirac((Fraction(1, 64),), Fraction(2, 3))),
             AtomicMeasure.from_atoms(2, [((Fraction(-1, 6), 2), 3), ((0, Fraction(5, 4)), Fraction(1, 9))]),
+            level_measure(FOUR, 12),
+            level_measure(NON_TRIANGULAR, 4),
+            translate(level_measure(FOUR, 6), -1e-20),
+            translate(level_measure(PLANAR, 3), (-(2.0**-70), 3 * 2.0**-64)),
+            AtomicMeasure.from_atoms(1, [(k, 1) for k in range(-3, 4)]),
+            AtomicMeasure.from_atoms(2, [((1, -2), 1), ((Fraction(1, 2), 3), 2), ((Fraction(-5, 6), 0), 3)]),
+            AtomicMeasure.from_atoms(1, []),
         ],
         ids=["4:0,1-level5", "16:0,4-level3", "float-offset", "negative-shift", "planar",
-             "planar-float-offset", "convolution", "sum", "from-atoms"],
+             "planar-float-offset", "convolution", "sum", "from-atoms", "mu4-level12", "non-triangular",
+             "big-integer-negative", "planar-big-integer", "integer-atoms", "mixed-denominators", "empty"],
     )
     def test_measure_writer_matches_fraction_view(self, measure):
         assert json.loads(measure_json(measure)) == oracle_measure_jsonable(measure)
@@ -311,6 +320,19 @@ class TestCliCommands:
         assert conv.read_text() == canonical_json(oracle_measure_jsonable(product))
         rows = [[*(str(x) for x in p), str(w)] for p, w in measure.atoms]
         assert table.read_text() == csv_text(["x1", "weight"], rows)
+
+    @pytest.mark.parametrize("system", [FOUR, NON_TRIANGULAR], ids=["4:0,1", "non-triangular"])
+    def test_measure_csv_matches_fraction_view(self, tmp_path, system):
+        # The CSV rows and the JSON atoms come from one formatter; both match the Fraction view.
+        (tmp_path / "system.json").write_text(canonical_json(digit_system_to_jsonable(system)))
+        table = tmp_path / "m.csv"
+        argv = ["measure", "build", "--system", str(tmp_path / "system.json"), "--level", "5", "--format", "csv"]
+        assert main(argv + ["--out", str(table)]) == 0
+        measure = level_measure(system, 5)
+        jsonable = oracle_measure_jsonable(measure)
+        rows = [[*atom["location"], atom["weight"]] for atom in jsonable["atoms"]]
+        header = [f"x{i + 1}" for i in range(system.dim)] + ["weight"]
+        assert table.read_text() == csv_text(header, rows)
 
     def test_measure_convolve_matches_library(self, tmp_path):
         a_path, b_path, out = (tmp_path / n for n in ("a.json", "b.json", "c.json"))

@@ -7,7 +7,9 @@ Radon-Nikodym splits, the singularity witness) must equal its reference in
 digit sets whose expansions coincide, so atoms merge; non-triangular
 planar matrices, one with a negative determinant; measures translated by
 rationals and floats. The atom budget is checked at exactly the budget and
-one word past it.
+one word past it. Each regime of ``_sumset`` (the dict merge below the
+word-count constant and for big integers, the int64 path from it, both
+sides of its 2^62 guard) also equals the dict path.
 """
 import math
 import time
@@ -36,6 +38,7 @@ from cantorframes import (
     translate,
     translation_overlap,
 )
+import cantorframes.measures as skeletons
 from cantorframes.packing import CERTIFIED_OVERLAP, CERTIFIED_SSC
 from oracles import (
     oracle_add,
@@ -327,6 +330,113 @@ def test_two_constructions_of_one_measure_are_equal():
     assert sixteen == four and hash(sixteen) == hash(four)
 
 
+@pytest.fixture
+def int64_calls(monkeypatch):
+    """The dims of the ``_sumset`` calls that take the int64 path, recorded as they run."""
+    calls, int64_path = [], skeletons._sumset_int64
+    monkeypatch.setattr(skeletons, "_sumset_int64", lambda dim, layers: calls.append(dim) or int64_path(dim, layers))
+    return calls
+
+
+def _on_dict_path(monkeypatch, call):
+    """``call()`` with the int64 path switched off, so every enumeration merges in the dict."""
+    with monkeypatch.context() as patch:
+        patch.setattr(skeletons, "_ARRAY_WORDS", math.inf)
+        return call()
+
+
+def _line_measure(positions, masses) -> AtomicMeasure:
+    """A 1-D measure with the given masses at the given positions."""
+    return AtomicMeasure.from_atoms(1, [((x,), w) for x, w in zip(positions, masses)])
+
+
+GUARD = 2**62
+ARRAY_WORDS = skeletons._ARRAY_WORDS
+
+
+class TestSumsetPaths:
+    """Every regime of ``_sumset`` equals the dict path and the oracles, and runs the path its guard names."""
+
+    def _check(self, monkeypatch, int64_calls, call, expected_atoms, int64: bool):
+        int64_calls.clear()
+        result = call()
+        assert bool(int64_calls) == int64
+        assert result.atoms == expected_atoms
+        assert _on_dict_path(monkeypatch, call) == result
+
+    @pytest.mark.parametrize("words", [ARRAY_WORDS - 1, ARRAY_WORDS])
+    def test_word_count_constant(self, monkeypatch, int64_calls, words):
+        m = _line_measure([Fraction(k * k, 7) for k in range(words)], range(1, words + 1))
+        shift = AtomicMeasure.dirac(Fraction(-5, 3))
+        self._check(
+            monkeypatch, int64_calls, lambda: convolve(m, shift), oracle_convolve(m, shift).atoms, words >= ARRAY_WORDS
+        )
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_level_measure_at_the_constant(self, monkeypatch, int64_calls, level):
+        expected = oracle_level_measure(FOUR, level).atoms
+        self._check(monkeypatch, int64_calls, lambda: level_measure(FOUR, level), expected, 2**level >= ARRAY_WORDS)
+
+    def test_negative_planar_coordinates(self, monkeypatch, int64_calls):
+        ds = DigitSystem(((1, 2), (-2, 1)), ((0, 0), (1, -1), (-2, 1), (3, -2)))
+        self._check(monkeypatch, int64_calls, lambda: level_measure(ds, 3), oracle_level_measure(ds, 3).atoms, True)
+        m = level_measure(ds, 3)
+        assert min(x for p in m.numerators for x in p) < 0
+        assert list(m.numerators) == sorted(m.numerators)
+        # The SSC scan reads cylinder tags off neighbours in the sorted order.
+        scan = lambda: ssc_certificate(ds, 2, budget=64)
+        assert scan() == _on_dict_path(monkeypatch, scan)
+        ps = m.locations[:8]
+        assert difference_set(ps, ps) == oracle_difference_set(ps, ps)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("reach, int64", [(GUARD - 1, True), (GUARD, False)])
+    def test_coordinate_guard(self, monkeypatch, int64_calls, sign, reach, int64):
+        # Sum over the layers of max |coordinate| = 7 + (reach - 7).
+        a = _line_measure(range(8), [1] * 8)
+        b = _line_measure([*range(7), sign * (reach - 7)], [1] * 8)
+        self._check(monkeypatch, int64_calls, lambda: convolve(a, b), oracle_convolve(a, b).atoms, int64)
+
+    @pytest.mark.parametrize("mass_b, int64", [(2**31 - 1, True), (2**31, False)])
+    def test_multiplicity_guard(self, monkeypatch, int64_calls, mass_b, int64):
+        # Product over the layers of the weight sums: (2^31 + 1) * mass_b, which is
+        # 2^62 - 1 or just over 2^62; the atoms merge, so multiplicities add up to it.
+        mass_a = 2**31 + 1
+        a = _line_measure(range(8), [1] * 7 + [mass_a - 7])
+        b = _line_measure(range(8), [mass_b - 7] + [1] * 7)
+        assert (mass_a * mass_b < GUARD) == int64
+        self._check(monkeypatch, int64_calls, lambda: convolve(a, b), oracle_convolve(a, b).atoms, int64)
+
+    @pytest.mark.parametrize("shift", [-1e-20, 3 * 2.0**-64, (2.0**-70 + 2.0**-100,)])
+    def test_float_translated_big_integers(self, monkeypatch, int64_calls, shift):
+        m = translate(level_measure(FOUR, 7), shift)
+        assert max(abs(x) for p in m.numerators for x in p) >= GUARD
+        other = level_measure(FOUR, 1)
+        self._check(monkeypatch, int64_calls, lambda: convolve(m, other), oracle_convolve(m, other).atoms, False)
+        base = level_measure(FOUR, 7)
+        self._check(monkeypatch, int64_calls, lambda: translate(base, shift), oracle_translate(base, shift), False)
+
+    def test_small_float_translate_takes_the_int64_path(self, monkeypatch, int64_calls):
+        m = level_measure(FOUR, 7)
+        self._check(monkeypatch, int64_calls, lambda: translate(m, -0.25), oracle_translate(m, -0.25), True)
+
+    def test_merged_words(self, monkeypatch, int64_calls):
+        ds = DigitSystem.one_dimensional(2, [0, 1, 2, 3])
+        self._check(monkeypatch, int64_calls, lambda: level_measure(ds, 3), oracle_level_measure(ds, 3).atoms, True)
+        assert len(level_measure(ds, 3)) < 4**3
+
+    @pytest.mark.parametrize("int64", [False, True])
+    def test_zero_mass_keys_dropped(self, monkeypatch, int64_calls, int64):
+        layers = [{(k,): k % 3 for k in range(8)}, {(5 * k,): 1 for k in range(8)}]
+        enumerate_words = lambda: skeletons._sumset(1, layers)
+        rows, mults = enumerate_words() if int64 else _on_dict_path(monkeypatch, enumerate_words)
+        assert bool(int64_calls) == int64 and 0 in mults
+        assert all(type(x) is int for row in rows for x in row) and all(type(w) is int for w in mults)
+        measure = AtomicMeasure._from_sums(1, (rows, mults), 1, 1)
+        pairs = [((x + y,), w) for (x,), w in layers[0].items() for (y,) in layers[1]]
+        assert measure.atoms == oracle_merge(pairs)
+
+
 class TestBudgetBoundary:
     """Each enumeration runs at exactly its budget and raises one word below it."""
 
@@ -351,6 +461,28 @@ class TestBudgetBoundary:
         assert convolve(a, b, budget=32) == oracle_convolve(a, b)
         with pytest.raises(AtomBudgetExceeded):
             convolve(a, b, budget=31)
+
+    @pytest.mark.parametrize("int64", [False, True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda words, budget: level_measure(FOUR, words.bit_length() - 1, budget=budget),
+            lambda words, budget: cylinder_points(FOUR, words.bit_length(), [1], budget=budget),
+            lambda words, budget: jp_spectrum(FOUR, [0, 2], words.bit_length() - 1, budget=budget),
+            lambda words, budget: convolve(
+                level_measure(FOUR, 1), _line_measure(range(0, 5 * words, 10), [1] * (words // 2)), budget
+            ),
+        ],
+        ids=["level_measure", "cylinder_points", "jp_spectrum", "convolve"],
+    )
+    def test_limit_on_both_paths(self, int64_calls, call, int64):
+        # 2^k words, below the word-count constant for the dict path and past it for int64.
+        words = 2 * ARRAY_WORDS if int64 else ARRAY_WORDS // 2
+        assert len(call(words, words)) == words and bool(int64_calls) == int64
+        int64_calls.clear()
+        with pytest.raises(AtomBudgetExceeded):
+            call(words, words - 1)
+        assert not int64_calls
 
     @pytest.mark.parametrize(
         "call",

@@ -389,6 +389,30 @@ class TestBallMass:
     def test_point_missed(self):
         assert ball_mass(AtomicMeasure.dirac(0), 1, fr(1, 2)) == 0
 
+    def test_radius_zero_reads_the_atom_at_the_center(self):
+        m = level_measure(FOUR, 2)
+        assert ball_mass(m, fr(1, 4), 0) == fr(1, 4)
+        assert ball_mass(m, fr(1, 8), 0.0) == 0
+
+    @pytest.mark.parametrize(
+        "radius, message",
+        [
+            (-1, "radius -1 must be non-negative"),
+            (fr(-1, 3), "radius -1/3 must be non-negative"),
+            (-0.5, "radius -0.5 must be non-negative"),
+            (math.inf, "radius inf is not finite"),
+            (-math.inf, "radius -inf is not finite"),
+            (math.nan, "radius nan is not finite"),
+            (np.float64(math.inf), "radius inf is not finite"),
+        ],
+    )
+    def test_bad_radius_message(self, radius, message):
+        # inf raised OverflowError from Fraction, NaN Fraction's own message, and a
+        # negative radius said "must be positive" although 0 is accepted.
+        with pytest.raises(ValueError) as refused:
+            ball_mass(level_measure(FOUR, 2), 0, radius)
+        assert str(refused.value) == message
+
 
 class TestSplitAndCylinders:
     def test_even_indices_give_sixteen_system(self):
