@@ -37,9 +37,8 @@ _TABLE_FORMATS = ("json", "csv")  # --format choices of the commands whose outpu
 
 def parse_digit_system(text: str):
     """Parse `N:b1,b2,...` for 1D or a JSON file path for d >= 2."""
-    if text.endswith(".json") or text.startswith("@"):
-        path = text[1:] if text.startswith("@") else text
-        return digit_system_from_jsonable(load_json(path))
+    if text.endswith(".json"):
+        return digit_system_from_jsonable(load_json(text))
     base, _, digits = text.partition(":")
     if not digits:
         raise ValueError(f"cannot parse digit system {text!r}; expected N:b1,b2,...")

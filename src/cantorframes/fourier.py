@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import NotCertifiedPacking, ToleranceUnreachable
-from .measures import AtomicMeasure, DigitSystem, as_point, convolve
+from .measures import AtomicMeasure, DigitSystem, convolve
 from .frames import _exact_phase_matrix
 from .measures import _common_numerators, _exact_point, _over, _points_over
 
@@ -34,6 +34,8 @@ _MAX_FACTORS = 10_000
 def mask_eval(digits, xi) -> complex:
     """(1/#B) sum_b exp(-2*pi*i <xi, b>): the grid's ``_masks`` at one point, <xi, b> summed in coordinate order."""
     digits = [[float(x) for x in ((b,) if isinstance(b, numbers.Number) else b)] for b in digits]
+    if not digits:
+        raise ValueError("digit set is empty")
     eta = np.asarray(xi, dtype=float).reshape(1, -1)
     if eta.shape[1] != len(digits[0]):
         raise ValueError(f"frequency has dimension {eta.shape[1]}, expected {len(digits[0])}")
@@ -59,7 +61,9 @@ class MaskPolynomial:
     @classmethod
     def of(cls, digits) -> "MaskPolynomial":
         digits = list(digits)
-        dim = len(as_point(digits[0]))
+        if not digits:
+            raise ValueError("digit set is empty")
+        dim = len(_exact_point(digits[0]))
         rows = _points_over(digits, dim, 1)
         if None in rows:
             raise ValueError("mask digits must be integer vectors")
@@ -82,10 +86,12 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     R^-T and the norm bounds are formed once per grid, from the exact R^-1
     the system keeps. Each point gets the float sequence of the per-point
     definition: its factor count comes from the same ``bound *= inv``
-    loop, applied only to the points still above ``tol``; then every point
-    runs its own number of factors, all points at once. A step maps eta to
-    R^-T eta by elementwise sums in a fixed order (no BLAS), and the mask
-    is exp(-2*pi*i <eta, b>) summed over the digits in order, over #B.
+    loop, applied only to the points still above ``tol``; then all points
+    take as many steps as the largest count, and a point's product takes a
+    step's mask only while the step is below its own count: no point's eta
+    depends on another's. A step maps eta to R^-T eta by elementwise sums
+    in a fixed order (no BLAS), and the mask is exp(-2*pi*i <eta, b>)
+    summed over the digits in order, over #B.
 
     The running product is multiplied out in real arithmetic. numpy's
     complex ``*`` may fuse a multiply into an add (FMA) and then differs
@@ -93,12 +99,13 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     would depend on the CPU; the explicit real form rounds every product
     and sum on its own, as CPython does. In one dimension each value, tail
     bound and factor count is therefore bit-identical to a per-point loop
-    of ``cmath.exp`` over the digits. An empty grid returns [] unchecked.
+    of ``cmath.exp`` over the digits. An empty grid returns [] unchecked;
+    a NaN ``tol`` is refused with the tolerances below float resolution.
     """
     points = np.asarray(xis, dtype=float)
     if len(points) == 0:
         return []
-    if tol <= 0 or tol < 1e-15:
+    if not tol >= 1e-15:  # NaN included
         raise ToleranceUnreachable("tolerance below float resolution")
     inv = float(ds.inverse_norm_bound())
     if inv >= 1.0:
@@ -117,37 +124,25 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     prefactor = 2.0 * math.pi * max_b * norm / (1.0 - inv)
     bound = prefactor * inv
     factors = np.zeros(len(points), dtype=np.int64)
-    live = bound >= tol
-    steps = 0
-    while live.any():
-        steps += 1
-        if steps > _MAX_FACTORS:
+    while (live := bound >= tol).any():
+        factors += live  # a live point has been live at every step, so its count is the step number
+        if factors.max() > _MAX_FACTORS:
             raise ToleranceUnreachable("tolerance requires too many factors")
-        factors += live
         bound = np.where(live, bound * inv, bound)
-        live = bound >= tol
 
-    # Points in descending factor count, so the points still running at any
-    # step are a prefix of this order.
-    order = np.argsort(-factors, kind="stable")
-    counts = factors[order]
-    eta = points[order]
     re, im = np.ones(len(points)), np.zeros(len(points))
     rows, q = ds.inverse
     rinv_t = [[x / q for x in column] for column in zip(*rows)]
     digits = [[float(x) for x in b] for b in ds.digits]
-    for step in range(int(counts[0])):
-        k = int(np.count_nonzero(counts > step))
-        eta = eta[:k]
+    eta = points
+    for step in range(int(factors.max())):
+        running = factors > step
         eta = np.stack([_fixed_order_dot(row, eta) for row in rinv_t], axis=1)
         mr, mi = _masks(digits, eta)
-        vr, vi = re[:k], im[:k]
-        re[:k], im[:k] = vr * mr - vi * mi, vr * mi + vi * mr
-
-    back = np.argsort(order)
+        re, im = np.where(running, re * mr - im * mi, re), np.where(running, re * mi + im * mr, im)
     return [
         TransformValue(value=complex(r, i), tail_bound=t, factors=n)
-        for r, i, t, n in zip(re[back].tolist(), im[back].tolist(), bound.tolist(), factors.tolist())
+        for r, i, t, n in zip(re.tolist(), im.tolist(), bound.tolist(), factors.tolist())
     ]
 
 
@@ -165,23 +160,13 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
     The number of factors is chosen so the certified tail bound drops
     below ``tol``; the achieved bound is returned alongside the value.
     A non-finite coordinate of ``xi`` raises ValueError. This is the
-    one-point grid of ``_mu_hat_grid``, the only mask-product path; it
-    forms the product without numpy's complex ``*``, whose fused
-    multiply-adds would round differently from CPython's complex product.
+    one-point grid of ``_mu_hat_grid``, the only mask-product path.
     """
     return _mu_hat_grid(ds, [xi], tol)[0]
 
 
-def _windowed_sums(m: AtomicMeasure, window, xi_rows) -> list:
-    """``windowed_transform`` at every row of ``xi_rows``, from one kernel call."""
-    if window is not None:
-        coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
-        window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
-    return _skeleton_sums(m, window, _common_numerators(xi_rows), m.denominator)
-
-
 def _skeleton_sums(m: AtomicMeasure, window, xis, denominator: int) -> list:
-    """``_windowed_sums`` at frequencies (numerators, denominator), windows over a multiple of m.denominator."""
+    """Windowed sums at frequencies (numerators, denominator), one per row; windows over a multiple of m.denominator."""
     locations, coefficients = [], []
     for p, key, w in zip(m.numerators, _over(m, denominator), m.masses):
         f = 1.0 if window is None else window.get(key, 0.0)
@@ -201,7 +186,10 @@ def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
     exactly, as ``as_point`` reads it, and the phases <xi, x> mod 1 are
     exact, so a large xi loses no digits.
     """
-    return _windowed_sums(m, window, [as_point(xi, m.dim)])[0]
+    if window is not None:
+        coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
+        window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
+    return _skeleton_sums(m, window, _common_numerators([_exact_point(xi, m.dim)]), m.denominator)[0]
 
 
 @dataclass(frozen=True)
@@ -236,12 +224,12 @@ def factorization_check(
         raise NotCertifiedPacking(
             "atom supports do not form an exact packing pair; pass force=True to measure the violation"
         )
-    e_pts = [as_point(p, nu.dim) for p in window_e]
-    f_pts = [as_point(q, lam.dim) for q in window_f]
+    e_pts = [_exact_point(p, nu.dim) for p in window_e]
+    rows, common = _common_numerators(e_pts + [_exact_point(q, lam.dim) for q in window_f])
     # E, F and E + F over one denominator: a multiple of each measure's and of every window coordinate's.
-    window_dens = [x.denominator for p in e_pts + f_pts for x in p]
-    den = math.lcm(nu.denominator, lam.denominator, mu.denominator, *window_dens)
-    e_rows, f_rows = _points_over(e_pts, nu.dim, den), _points_over(f_pts, lam.dim, den)
+    den = math.lcm(nu.denominator, lam.denominator, mu.denominator, common)
+    rows = [tuple(x * (den // common) for x in p) for p in rows]
+    e_rows, f_rows = rows[: len(e_pts)], rows[len(e_pts) :]
     sum_rows = {tuple(map(operator.add, p, q)) for p in e_rows for q in f_rows}
     xis = [_exact_point(xi, nu.dim) for xi in xi_grid]
     if not xis:

@@ -45,11 +45,10 @@ from .errors import (
 )
 from .measures import AtomicMeasure, DigitSystem
 from .measures import _common_numerators, _exact_number, _fraction_inverse, _matvec, _points_over
-from .measures import _sumset
+from .measures import _INT64_GUARD, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
 _DISTINCT_RESOLUTION = 1e-12
-_INT64_PRODUCT_LIMIT = 2**62
 _EXACT_DOUBLE_LIMIT = 2**53
 _OBJECT_BLOCK = 2**12
 _LIMB_BLOCK = 2**16
@@ -250,7 +249,7 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     def bound(rows):
         return max((math.gcd(x) for row in rows for x in row), default=0) or 1
 
-    if dim * bound(freq_nums) * bound(atom_nums) < _INT64_PRODUCT_LIMIT and modulus <= _EXACT_DOUBLE_LIMIT:
+    if dim * bound(freq_nums) * bound(atom_nums) < _INT64_GUARD and modulus <= _EXACT_DOUBLE_LIMIT:
         return "int64"
     k = modulus.bit_length() - 1
     if modulus == 1 << k and k <= _LIMB_MAX_EXPONENT and dim * -(-k // _LIMB_BITS) <= _LIMB_TERMS:
@@ -457,6 +456,11 @@ def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
     return True
 
 
+def _resolution(atom_count: int, freq_count: int, upper: float) -> float:
+    """``FrameReport.resolution`` of an M x M Gram of F rows: max(M, F) * eps * max(upper, 1)."""
+    return float(max(atom_count, freq_count) * np.finfo(float).eps * max(upper, 1.0))
+
+
 def _diagonal_report(sqrt_w: np.ndarray, masses, freq_count: int) -> FrameReport:
     """The report of the exactly diagonal Gram F diag(w): no Gram, no eigensolve.
 
@@ -472,8 +476,7 @@ def _diagonal_report(sqrt_w: np.ndarray, masses, freq_count: int) -> FrameReport
     lower, upper = freq_count * nums[first] / den, freq_count * max(nums) / den
     worst = np.zeros(m, dtype=complex)
     worst[first] = 1 / sqrt_w[first]
-    tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
-    return FrameReport(lower, upper, upper / lower, m, tuple(worst), m, freq_count, float(tol))
+    return FrameReport(lower, upper, upper / lower, m, tuple(worst), m, freq_count, _resolution(m, freq_count, upper))
 
 
 def _report(dim: int, atoms, masses, freq_set: FrequencySet, eigen_budget: int) -> FrameReport:
@@ -512,7 +515,7 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
     m = len(gram)
     values = np.linalg.eigvalsh(gram)
     upper = max(float(values[-1]), 0.0)
-    tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
+    tol = _resolution(m, freq_count, upper)
     rank = int(np.count_nonzero(values > tol))
     lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
@@ -525,7 +528,7 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
     worst = np.conj(vec if d is None else d * vec) / sqrt_w
     top = worst[np.argmax(np.abs(worst))]
     worst *= abs(top) / top
-    return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, float(tol))
+    return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, tol)
 
 
 def frame_bounds(
@@ -575,14 +578,8 @@ class BlockedLinearMap:
             raise SizeMismatch("block split must be strictly inside the dimension")
         if abs(np.linalg.det(t)) <= 1e-12 * max(1.0, float(np.abs(t).max()) ** d):
             raise ValueError("map is not invertible within margin")
-        to_tuple = lambda a: tuple(tuple(float(x) for x in row) for row in a)
-        return cls(
-            m=m,
-            a1=to_tuple(t[:m, :m]),
-            a2=to_tuple(t[:m, m:]),
-            a3=to_tuple(t[m:, :m]),
-            a4=to_tuple(t[m:, m:]),
-        )
+        blocks = (t[:m, :m], t[:m, m:], t[m:, :m], t[m:, m:])  # A1, A2, A3, A4
+        return cls(m, *(tuple(tuple(float(x) for x in row) for row in b) for b in blocks))
 
     @classmethod
     def rotation_2d(cls, theta_radians: float) -> "BlockedLinearMap":

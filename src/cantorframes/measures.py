@@ -39,8 +39,6 @@ from .errors import (
     SingularMatrix,
 )
 
-Point = tuple  # tuple[Fraction, ...]
-
 DEFAULT_ATOM_BUDGET = 2**16
 
 # Word count from which ``_sumset`` runs on int64 arrays when nothing can
@@ -70,13 +68,13 @@ def _exact_number(x):
     return float(x) if isinstance(x, numbers.Real) and not isinstance(x, numbers.Rational) else Fraction(x)
 
 
-def as_point(value, dim: int | None = None) -> Point:
+def as_point(value, dim: int | None = None) -> tuple:
     """Coerce a scalar (numpy's included) or sequence into a tuple of exact Fractions; NaN and inf are refused."""
     return tuple(map(Fraction, _exact_point(value, dim)))
 
 
 def _exact_point(value, dim: int | None = None) -> tuple:
-    """``as_point`` before the Fractions: each coordinate as ``_exact_number`` reads it."""
+    """Every exact point's reader: ``as_point`` before the Fractions, each coordinate as ``_exact_number`` reads it."""
     value = (value,) if isinstance(value, numbers.Number) else tuple(value)
     exact = tuple(map(_exact_number, value))
     if any(type(v) is float and not math.isfinite(v) for v in exact):
@@ -223,7 +221,7 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, dim: int, pairs) -> "AtomicMeasure":
-        pairs = [(as_point(loc, dim), _exact_number(weight)) for loc, weight in pairs]
+        pairs = [(_exact_point(loc, dim), _exact_number(weight)) for loc, weight in pairs]
         for _, w in pairs:
             if type(w) is float and not math.isfinite(w):
                 raise ValueError(f"weight {w} is not finite")
@@ -255,7 +253,7 @@ class AtomicMeasure:
 
     @classmethod
     def dirac(cls, location, weight=1) -> "AtomicMeasure":
-        pt = as_point(location)
+        pt = _exact_point(location)
         return cls.from_atoms(len(pt), [(pt, weight)])
 
     @property
@@ -272,7 +270,7 @@ class AtomicMeasure:
 
     @cached_property
     def atoms(self) -> tuple:
-        """(location, weight) pairs: tuple[(Point, Fraction), ...]."""
+        """(location, weight) pairs: tuple[(tuple[Fraction, ...], Fraction), ...]."""
         return tuple(zip(self.locations, self.weights))
 
     def __len__(self) -> int:
@@ -301,7 +299,7 @@ def _common_numerators(rows) -> tuple:
 
 def _points_over(points, dim: int, denominator: int) -> list:
     """Numerators over ``denominator`` of exact points (as ``as_point`` reads them), in order; None off that grid."""
-    rows, common = _common_numerators([as_point(p, dim) for p in points])
+    rows, common = _common_numerators([_exact_point(p, dim) for p in points])
     g = math.gcd(common, denominator)
     step, scale = common // g, denominator // g
     return [None if any(x % step for x in row) else tuple(x // step * scale for x in row) for row in rows]
@@ -425,8 +423,9 @@ class PointCloud:
 
 
 def tail_radius(ds: DigitSystem, n: int) -> Fraction | None:
-    """Certified bound for sup |sum_{k>n} R^-k b_k| via the geometric series; the level is an integer."""
-    n = operator.index(n)
+    """Certified bound for sup |sum_{k>n} R^-k b_k| via the geometric series; the level is an integer >= 0."""
+    if (n := operator.index(n)) < 0:  # an int, so inv ** (n + 1) cannot wrap as a numpy integer would
+        raise ValueError(f"level {n} must be >= 0")
     inv = ds.inverse_norm_bound()
     if inv >= 1:
         return None

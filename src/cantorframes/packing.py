@@ -33,7 +33,7 @@ from .measures import (
     tail_radius,
     translate,
 )
-from .measures import _common_numerators, _digit_layers, _over, _points_over
+from .measures import _common_numerators, _digit_layers, _exact_point, _over, _points_over
 from .measures import _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
@@ -109,8 +109,8 @@ class SingularityWitness:
 
 def difference_set(p_points, q_points) -> tuple:
     """All pairwise differences p - q, deduplicated and sorted."""
-    ps = [as_point(p) for p in p_points]
-    qs = [as_point(q) for q in q_points]
+    ps = [_exact_point(p) for p in p_points]
+    qs = [_exact_point(q) for q in q_points]
     if ps and qs and len(ps[0]) != len(qs[0]):
         raise DimensionMismatch("difference_set requires equal dimensions")
     numerators, denominator = _common_numerators(ps + qs)

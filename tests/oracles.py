@@ -40,8 +40,8 @@ bit.
 
 Factorization windows: E, F and every sum e + f as sets of ``Fraction``
 points, the windows that the integer numerator maps replaced. Their sums
-run through ``fourier._windowed_sums``, the path of ``windowed_transform``,
-so the report must match ``factorization_check`` bit for bit.
+are the windowed-sum oracle's, ``Fraction`` phases and one ``fsum`` per
+row, so the report must match ``factorization_check`` bit for bit.
 
 Packing certificates: the digit and cloud certificates on ``Fraction``
 difference sets, the path that integer difference sets replaced, with
@@ -488,14 +488,13 @@ def oracle_windowed_sums(measure, window, xis) -> list:
 def oracle_factorization(nu, lam, window_e, window_f, xi_grid) -> tuple:
     """(max_deviation, argmax_xi, grid_size) of the factorization check, windows as ``Fraction`` sets."""
     from cantorframes import convolve
-    from cantorframes.fourier import _windowed_sums
 
     e_pts = {tuple(Fraction(x) for x in p) for p in window_e}
     f_pts = {tuple(Fraction(x) for x in p) for p in window_f}
     sum_pts = {tuple(a + b for a, b in zip(p, q)) for p in e_pts for q in f_pts}
     xis = [np.asarray(xi, dtype=float).reshape(-1) for xi in xi_grid]
-    lhs = _windowed_sums(convolve(nu, lam), sum_pts, xis)
-    rhs = [a * b for a, b in zip(_windowed_sums(nu, e_pts, xis), _windowed_sums(lam, f_pts, xis))]
+    lhs = oracle_windowed_sums(convolve(nu, lam), sum_pts, xis)
+    rhs = [a * b for a, b in zip(oracle_windowed_sums(nu, e_pts, xis), oracle_windowed_sums(lam, f_pts, xis))]
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)
     return deviations[worst], tuple(xis[worst].tolist()), len(xis)

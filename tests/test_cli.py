@@ -281,6 +281,14 @@ class TestCliCommands:
         assert error.__name__ in capsys.readouterr().err
         assert not out.exists()
 
+    def test_digit_system_file_is_named_by_its_json_path(self, tmp_path):
+        path = tmp_path / "ds"
+        path.write_text(json.dumps({"schema": "digit-system/1", "dim": 1, "matrix": [[4]], "digits": [[0], [1]]}))
+        (tmp_path / "ds.json").write_text(path.read_text())
+        assert parse_digit_system(str(tmp_path / "ds.json")) == DigitSystem.one_dimensional(4, [0, 1])
+        with pytest.raises(ValueError, match="cannot parse digit system"):
+            parse_digit_system(f"@{path}")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -417,6 +425,16 @@ class TestCliCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "xi1,re,im,certified_tail_bound"
         assert len(lines) == 6
+
+    def test_ft_grid_nan_tolerance_is_error(self, tmp_path, capsys):
+        # A NaN tolerance used to print value 1 beside a "certified" tail bound far above it.
+        out = tmp_path / "grid.csv"
+        rc = main(
+            ["ft", "grid", "--system", "4:0,1", "--count", "3", "--tol", "nan", "--format", "csv", "--out", str(out)]
+        )
+        assert rc == EXIT_ERROR
+        assert "ToleranceUnreachable" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ft_grid_matches_per_point_oracle(self, tmp_path, fmt):

@@ -28,7 +28,7 @@ from cantorframes import (
     windowed_transform,
 )
 from cantorframes import fourier
-from cantorframes.fourier import _mu_hat_grid, _windowed_sums
+from cantorframes.fourier import _mu_hat_grid
 from cantorframes.packing import CERTIFIED_PACKING
 from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix, oracle_windowed_sums
 
@@ -57,6 +57,12 @@ class TestMask:
 
     def test_four_digit_zero_at_eighth(self):
         assert abs(mask_eval([(0,), (4,)], 0.125)) < 1e-15
+
+    @pytest.mark.parametrize("call", [lambda: mask_eval([], 0.5), lambda: MaskPolynomial.of([])], ids=["eval", "of"])
+    def test_empty_digit_set_refused(self, call):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == "digit set is empty"
 
     def test_polynomial_wrapper_normalized(self):
         mask = MaskPolynomial.of([0, 1, 5])
@@ -176,7 +182,7 @@ class TestMuHatGrid:
         with pytest.raises(ValueError, match="dimension 1, expected 2"):
             _mu_hat_grid(PLANAR, [0.5, 1.0], 1e-10)
 
-    @pytest.mark.parametrize("tol", [1e-18, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [1e-18, 0.0, -1.0, float("nan")])
     def test_tolerance_floor(self, tol):
         with pytest.raises(ToleranceUnreachable, match="below float resolution"):
             _mu_hat_grid(FOUR, [0.0, 1.0], tol)
@@ -249,7 +255,8 @@ class TestFactorization:
         for window_e, window_f in windows:
             sums = {tuple(a + b for a, b in zip(p, q)) for p in window_e for q in window_f}
             for measure, window in ((nu, window_e), (lam, window_f), (mu, sums)):
-                assert _windowed_sums(measure, window, xis) == oracle_windowed_sums(measure, window, xis)
+                values = [windowed_transform(measure, window, xi) for xi in xis]
+                assert values == oracle_windowed_sums(measure, window, xis)
 
     def test_certified_pair_has_tiny_deviation(self):
         nu = level_measure(SIXTEEN_01, 3)

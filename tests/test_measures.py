@@ -486,3 +486,10 @@ def test_tail_radius_reads_an_integer_level():
     for level in (2.5, 2.0):
         with pytest.raises(TypeError):
             tail_radius(FOUR, level)
+
+
+def test_tail_radius_refuses_a_negative_level():
+    # Level 0 bounds the attractor about 0; a negative level used to return 64/3.
+    assert tail_radius(FOUR, 0) == fr(1, 4) / (1 - fr(1, 4))
+    with pytest.raises(ValueError, match="level -3 must be >= 0"):
+        tail_radius(FOUR, -3)
