@@ -8,10 +8,10 @@ vector by shifted inverse iteration (``_frame_report``). The eigen budget
 bounds eigensolves only. When the frequency set is centrally symmetric,
 decided exactly, the Gram is a real symmetric matrix up to a unitary
 diagonal, built from half the synthesis rows: jp spectra of two-digit
-sets and integer pools all are. A jp spectrum of a two-digit triple
-whose Gram is exactly diagonal, decided in integers
-(``_vanishing_off_diagonal``), needs neither: its report is read off the
-diagonal F w (``_diagonal_report``). Greedy frame search
+sets and integer pools all are. A cube of frequencies (``_cube_steps``),
+as a two-digit jp spectrum is, whose Gram is exactly diagonal, decided
+in integers (``_vanishing_off_diagonal``), needs neither: its report is
+read off the diagonal F w (``_diagonal_report``). Greedy frame search
 (``greedy_frame_search``) is deterministic, with fixed tie-breaks.
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
@@ -79,7 +79,6 @@ class FrequencySet:
     Coordinates are read as ``measures.as_point`` reads them and kept as
     ints when integral, Fractions otherwise. Every phase is computed from
     ``numerators`` over ``denominator``.
-    ``triple`` is (R, L, n) when ``jp_spectrum`` built the set, else None.
     Frequencies that round to one multiple of _DISTINCT_RESOLUTION in
     every coordinate coincide and are refused.
     """
@@ -88,7 +87,6 @@ class FrequencySet:
     freqs: tuple
     numerators: tuple = field(init=False, repr=False, compare=False)
     denominator: int = field(init=False, repr=False, compare=False)
-    triple: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [tuple(map(_exact_number, f)) for f in self.freqs]
@@ -228,9 +226,7 @@ def jp_spectrum(ds: DigitSystem, L, n: int, budget: int | None = None) -> Freque
             vecs = [_matvec(rt, v) for v in vecs]
 
     freqs, _ = _sumset(ds.dim, layers(), budget)
-    freq_set = FrequencySet(dim=ds.dim, freqs=tuple(freqs))
-    object.__setattr__(freq_set, "triple", (ds.matrix, tuple(freq_digits), n))
-    return freq_set
+    return FrequencySet(dim=ds.dim, freqs=tuple(freqs))
 
 
 def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
@@ -414,33 +410,45 @@ def _gram(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:
     return real_rows.T @ real_rows, np.exp(1j * angles[half])
 
 
-def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
-    """True iff every off-diagonal Gram entry of a two-digit jp spectrum is exactly 0, decided in integers.
+def _cube_steps(rows) -> list | None:
+    """Steps v_j with sorted integer rows c + {sum_j e_j v_j : e in {0,1}^n}, the 2^n sums distinct; else None.
 
-    With L = {l0, l1} and all 2^n words distinct, the entry of atoms
-    x = a_x / q and y = a_y / q is a unit phase times sqrt(w_x w_y)
-    prod_j (1 + e(<v_j, a_x - a_y> / q)), v_j = (R^t)^j (l1 - l0). It
-    vanishes iff for some j the residues r_j = <v_j, a> mod q differ by
-    exactly q/2: r_j(y) = s_j(x) := (r_j(x) + q/2) mod q. That relation is
-    symmetric and never holds at x = y. Residues are int64 where
-    ``_phase_path`` allows it and Python ints, coded by rank, otherwise.
-    The first atom's row is checked first, so a Gram that is not diagonal
-    is usually refused in O(M n); then blocks of rows against the atoms
-    from the block on. Any other set, and |L| > 2 or merged words, is False.
+    Lexicographic order is compatible with addition, so with every step made
+    positive, the least row not yet a subset sum is c plus the next step.
     """
-    if freq_set.triple is None:
+    if not rows or len(rows) & (len(rows) - 1):
+        return None
+    members, sums, steps = set(rows), {rows[0]}, []
+    for row in rows:
+        if row not in sums:
+            steps.append(tuple(map(operator.sub, row, rows[0])))
+            for total in [tuple(map(operator.add, s, steps[-1])) for s in sums]:
+                if total not in members or total in sums:
+                    return None
+                sums.add(total)
+    return steps
+
+
+def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
+    """True iff the frequency set is a cube and every off-diagonal Gram entry is exactly 0, decided in integers.
+
+    With numerators over p a cube c + {sum_j e_j v_j} (``_cube_steps``),
+    the entry of atoms x = a_x / q and y = a_y / q is a unit phase times
+    sqrt(w_x w_y) prod_j (1 + e(<v_j, a_x - a_y> / pq)). It vanishes iff
+    for some j the residues r_j = <v_j, a> mod pq differ by exactly pq/2:
+    r_j(y) = s_j(x) := (r_j(x) + pq/2) mod pq, a symmetric relation never
+    true at x = y. Residues are int64 where ``_phase_path`` allows it and
+    Python ints, coded by rank, otherwise. The first atom's row is checked
+    first, so a Gram that is not diagonal is usually refused in O(M n);
+    then blocks of rows against the atoms from the block on.
+    """
+    v, (atom_nums, q) = _cube_steps(sorted(freq_set.numerators)), atoms
+    modulus, m = freq_set.denominator * q, len(atom_nums)
+    if v is None or (modulus % 2 and m > 1):
         return False
-    matrix, digits, n = freq_set.triple
-    atom_nums, q = atoms
-    m = len(atom_nums)
-    if len(digits) != 2 or len(freq_set) != 2**n or (q % 2 and m > 1):
-        return False
-    rt, v = tuple(zip(*matrix)), [tuple(y - x for x, y in zip(*digits))]
-    for _ in range(n - 1):
-        v.append(_matvec(rt, v[-1]))
-    dtype = np.int64 if _phase_path(dim, v, atom_nums, q) == "int64" else object
-    r = np.array(v, dtype=dtype).reshape(n, dim) @ np.array(atom_nums, dtype=dtype).reshape(m, dim).T % q
-    r = np.stack([r, (r + q // 2) % q])
+    dtype = np.int64 if _phase_path(dim, v, atom_nums, modulus) == "int64" else object
+    r = np.array(v, dtype=dtype).reshape(-1, dim) @ np.array(atom_nums, dtype=dtype).reshape(m, dim).T % modulus
+    r = np.stack([r, (r + modulus // 2) % modulus])
     if dtype is object:
         r = np.unique(r, return_inverse=True)[1].reshape(r.shape)
     r, s = r
@@ -449,7 +457,7 @@ def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
     step = max(1, _PAIR_BLOCK // m)
     for i in range(0, m, step):
         hits = np.zeros((min(step, m - i), m - i), dtype=bool)
-        for j in range(n):
+        for j in range(len(v)):
             hits |= s[j, i : i + step, None] == r[j, None, i:]
         if np.count_nonzero(hits) != hits.shape[0] * (m - i - 1):
             return False
@@ -487,6 +495,8 @@ def _report(dim: int, atoms, masses, freq_set: FrequencySet, eigen_budget: int) 
     ``_frame_report``. No phase is computed before either decision.
     """
     sqrt_w = np.sqrt(_checked_weights(dim, masses, freq_set.dim))
+    if not len(freq_set):
+        raise EmptyFrequencySet("frequency set is empty")
     if _vanishing_off_diagonal(dim, atoms, freq_set):
         return _diagonal_report(sqrt_w, masses, len(freq_set))
     _check_eigen_budget(len(sqrt_w), eigen_budget)
@@ -510,8 +520,6 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
     vector, as the constant start is on symmetric systems. The
     largest-modulus entry is then made real and positive.
     """
-    if freq_count == 0:
-        raise EmptyFrequencySet("frequency set is empty")
     m = len(gram)
     values = np.linalg.eigvalsh(gram)
     upper = max(float(values[-1]), 0.0)

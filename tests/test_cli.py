@@ -571,6 +571,33 @@ def test_exact_frame_report_past_the_eigen_budget(capsys):
     assert report["lower"] == report["upper"] == 1.0 and report["atom_count"] == 8192
 
 
+def _spectrum_file(path, dim: int, freqs) -> str:
+    path.write_text(json.dumps({"dim": dim, "freqs": [list(f) for f in freqs]}))
+    return str(path)
+
+
+def test_spectrum_file_reports_as_the_jp_set(tmp_path):
+    argv = ["frame", "bounds", "--system", "4:0,1", "--level", "8", "--out"]
+    spectrum = _spectrum_file(tmp_path / "jp8.json", 1, jp_spectrum(FOUR, [0, 2], 8).freqs)
+    assert main(argv + [str(tmp_path / "jp.json"), "--spectrum", "jp"]) == 0
+    assert main(argv + [str(tmp_path / "file.json"), "--spectrum", spectrum]) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "jp.json").read_bytes()
+
+
+def test_spectrum_file_past_the_eigen_budget(tmp_path, capsys):
+    # The file's set is read as a cube, as the built jp set is, so its Gram is decided diagonal too.
+    spectrum = _spectrum_file(tmp_path / "jp13.json", 1, jp_spectrum(FOUR, [0, 2], 13).freqs)
+    assert main(["frame", "bounds", "--system", "4:0,1", "--level", "13", "--spectrum", spectrum]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["lower"] == report["upper"] == 1.0 and report["atom_count"] == 8192
+
+
+def test_spectrum_file_of_another_dimension_exits_one(tmp_path, capsys):
+    spectrum = _spectrum_file(tmp_path / "planar.json", 2, [(0, 0), (2, 0)])
+    assert main(["frame", "bounds", "--system", "4:0,1", "--level", "3", "--spectrum", spectrum]) == EXIT_ERROR
+    assert "SizeMismatch" in capsys.readouterr().err
+
+
 def test_atom_budget_flag_refuses_past_its_value(capsys):
     assert main(["measure", "build", "--system", "2:0,1", "--level", "5", "--atom-budget", "8"]) == EXIT_ERROR
     assert "AtomBudgetExceeded" in capsys.readouterr().err

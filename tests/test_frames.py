@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,7 +33,7 @@ from cantorframes import (
 )
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
-from instances import SIXTEEN_04, _planar_sum, build_instances
+from instances import SIXTEEN_04, _planar_sum, build_instances, rotation_greedy_instance
 from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport, oracle_synthesis
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
@@ -644,6 +645,8 @@ def _vanishes(measure, freq_set) -> bool:
 SIX_01 = DigitSystem.one_dimensional(6, [0, 1])
 # R^-1 (1, 0) = (1/2, 0), so L = {0, (1, 0)} is a Hadamard pair for B = {0, (1, 0)}; atoms lie over 6^n.
 PLANAR_TWO_DIGIT = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0)))
+# With the digits 0, 2, 8, 10 its jp spectrum at level n is that of FOUR at level 2n.
+SIXTEEN_0145 = DigitSystem.one_dimensional(16, [0, 1, 4, 5])
 
 
 def _exact_cases():
@@ -657,6 +660,15 @@ def _exact_cases():
     # The atoms of mu16 lie in mu4's level-4 set, with other weights: the Gram is diagonal but not I.
     cases.append(("sub-level", level_measure(SIXTEEN_01, 2), jp_spectrum(FOUR, [0, 2], 4)))
     cases.append(("uneven-weights", add(level_measure(FOUR, 2), level_measure(SIXTEEN_01, 1)), jp_spectrum(FOUR, [0, 2], 2)))
+    # Equal sets take one path, however they were built.
+    cases.append(("jp-level5-copy", level_measure(FOUR, 5), FrequencySet(dim=1, freqs=jp_spectrum(FOUR, [0, 2], 5).freqs)))
+    cases += [(f"four-digits-level{n}", level_measure(FOUR, 2 * n), jp_spectrum(SIXTEEN_0145, [0, 2, 8, 10], n)) for n in (1, 2, 4)]
+    cases.append(("planar-jp-product-level3", *rotation_greedy_instance(3)[:2]))
+    # Frequencies over p = 2: the residues are taken mod 2q, and q = 1 alone is odd.
+    two_atoms = AtomicMeasure.from_atoms(1, [((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))])
+    cases.append(("half-integer-step", two_atoms, FrequencySet.from_scalars([0, Fraction(1, 2)])))
+    half_shift = FrequencySet.from_scalars([f + Fraction(1, 2) for (f,) in jp_spectrum(FOUR, [0, 2], 4).freqs])
+    cases.append(("jp-level4-half-shift", level_measure(FOUR, 4), half_shift))
     return cases
 
 
@@ -668,8 +680,6 @@ def _fallback_cases():
     cases.append(("atoms-over-3^5", level_measure(DigitSystem.one_dimensional(3, [0, 1]), 5), jp_spectrum(FOUR, [0, 2], 5)))
     cases.append(("three-digits", level_measure(three, 3), jp_spectrum(three, [0, 1, 2], 3)))
     cases.append(("even-integers", level_measure(FOUR, 4), FrequencySet.from_scalars(range(0, 160, 2))))
-    jp = jp_spectrum(FOUR, [0, 2], 5)
-    cases.append(("same-freqs-no-triple", level_measure(FOUR, 5), FrequencySet(dim=1, freqs=jp.freqs)))
     return cases
 
 
@@ -677,15 +687,52 @@ EXACT_CASES, FALLBACK_CASES = _exact_cases(), _fallback_cases()
 DYADIC_EXACT_CASES = [c for c in EXACT_CASES if c[0].startswith(("jp-level", "sub-level", "uneven")) and "third" not in c[0]]
 
 
-class TestExactDiagonal:
-    """Two-digit jp spectra whose Gram is decided exactly diagonal are reported without an eigensolve."""
+def _subset_sums(least, steps) -> set:
+    sums = {least}
+    for step in steps:
+        sums |= {tuple(x + y for x, y in zip(s, step)) for s in sums}
+    return sums
 
-    def test_triple_is_kept_and_ignored_by_equality(self):
-        jp = jp_spectrum(FOUR, [0, 2], 3)
-        assert jp.triple == (((4,),), ((0,), (2,)), 3)
-        plain = FrequencySet(dim=1, freqs=jp.freqs)
-        assert plain.triple is None
-        assert plain == jp and hash(plain) == hash(jp) and repr(plain) == repr(jp)
+
+class TestCubeSteps:
+    """A frequency set is a cube c + {sum_j e_j v_j} of 2^n distinct sums, read off its numerators, or is refused."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0, 1, 2], [0, 1, 2, 3, 4, 5], [0, 1, 2, 4], [0, 1, 3, 4, 5, 6, 7, 8]],
+        ids=["empty", "three", "six", "second-step-leaves", "third-step-leaves"],
+    )
+    def test_refuses_other_sets(self, values):
+        assert frames._cube_steps(sorted((v,) for v in values)) is None
+
+    @pytest.mark.parametrize(
+        "values, steps",
+        [([5], []), ([0, 1, 2, 3], [1, 2]), ([-2, 0, 1, 3], [2, 3]), ([0, 3, 5, 8], [3, 5])],
+        ids=["one-row", "binary", "negative-corner", "uneven-steps"],
+    )
+    def test_steps_of_small_cubes(self, values, steps):
+        assert frames._cube_steps(sorted((v,) for v in values)) == [(v,) for v in steps]
+
+    @pytest.mark.parametrize("name,measure,freq_set", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_every_exact_case_is_a_cube(self, name, measure, freq_set):
+        rows = sorted(freq_set.numerators)
+        steps = frames._cube_steps(rows)
+        assert 2 ** len(steps) == len(rows) and _subset_sums(rows[0], steps) == set(rows)
+
+
+class TestExactDiagonal:
+    """Cube frequency sets whose Gram is decided exactly diagonal are reported without an eigensolve."""
+
+    def test_equal_sets_give_one_report(self):
+        for n in range(1, 11):
+            measure, jp = level_measure(FOUR, n), jp_spectrum(FOUR, [0, 2], n)
+            copy = FrequencySet(dim=1, freqs=jp.freqs)
+            data = json.loads(json.dumps({"dim": 1, "freqs": [list(f) for f in jp.freqs]}))
+            loaded = FrequencySet(dim=data["dim"], freqs=tuple(tuple(f) for f in data["freqs"]))
+            report = frame_bounds(measure, jp)
+            assert copy == loaded == jp and report.lower == report.upper == 1.0
+            assert _same_report(frame_bounds(measure, copy), report)
+            assert _same_report(frame_bounds(measure, loaded), report)
 
     @pytest.mark.parametrize("name,measure,freq_set", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
     def test_diagonal_report_is_exact(self, name, measure, freq_set, monkeypatch):
@@ -732,6 +779,22 @@ class TestExactDiagonal:
         if name.startswith("f-below-m"):
             assert report.lower == 0 and report.rank <= len(freq_set) < report.atom_count
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_period_pool_reads_the_optimal_ratio(self, n, monkeypatch):
+        # On nu * lam + nu, the pool {0..Q-1} over the skeleton's denominator Q has the Gram Q diag(w),
+        # so B/A is w_max / w_min = 1 + 2^ceil(n/2), the least ratio any frequency set attains.
+        nu, lam = level_measure(SIXTEEN_01, n // 2), level_measure(SIXTEEN_04, -(-n // 2))
+        measure = add(convolve(nu, lam), translate(nu, 0))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert frame_bounds(measure, integer_pool(measure.denominator)).ratio == 1 + 2 ** -(-n // 2)
+
+    @pytest.mark.parametrize("level", range(1, 6))
+    def test_full_rotation_pool_reads_ratio_two(self, level, monkeypatch):
+        base, pool, _ = rotation_greedy_instance(level)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        report = frame_bounds(base, pool)
+        assert (report.lower, report.upper, report.ratio) == (2.0**level, 2.0 ** (level + 1), 2.0)
+
     def test_single_atom_is_diagonal(self):
         # One atom over an odd denominator: no pair to decide.
         measure = AtomicMeasure.from_atoms(1, [((Fraction(1, 3),), Fraction(1))])
@@ -763,6 +826,11 @@ class TestEigenBudget:
         report = frame_bounds(measure, freq_set)
         assert report.lower == report.upper == 1.0
         assert report.atom_count == report.rank == 8192 > frames.DEFAULT_EIGEN_BUDGET
+
+    def test_empty_set_is_refused_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(frames, "_exact_phase_matrix", _no_phases)
+        with pytest.raises(EmptyFrequencySet):
+            frame_bounds(level_measure(FOUR, 13), FrequencySet.from_scalars([]))
 
     def test_small_budget_spares_a_diagonal_report(self):
         measure, freq_set = level_measure(FOUR, 3), jp_spectrum(FOUR, [0, 2], 3)

@@ -22,6 +22,7 @@ from cantorframes import (
     PoolExhausted,
     frame_bounds,
     greedy_frame_search,
+    jp_spectrum,
     level_measure,
 )
 from cantorframes import frames
@@ -269,8 +270,11 @@ class TestEigenCalls:
         m = level_measure(FOUR, 3)
         selection = greedy_frame_search(m, FrequencySet.from_scalars(range(64)), target)
         assert selection.report.rank == len(m) == 8
-        # One eigh per step past rank 8, then one eigvalsh for the report.
-        assert calls == ["eigh"] * (target - 8) + ["eigvalsh"]
+        # One eigh per step past rank 8, then one eigvalsh for the report. The 8 picks
+        # {0, 2, 8, 10, 32, 34, 40, 42} are the level-3 jp set, whose report is read off its exact diagonal.
+        exact = selection.frequencies == jp_spectrum(FOUR, [0, 2], 3)
+        assert exact == (target == 8)
+        assert calls == ["eigh"] * (target - 8) + ([] if exact else ["eigvalsh"])
 
 
 class TestRankDeficientPools:
