@@ -11,7 +11,6 @@ from .errors import (
     NoWitnessFound,
     NonExpandingMatrix,
     NotCertifiedPacking,
-    PoolExhausted,
     SingularA4,
     SingularMatrix,
     SizeMismatch,
@@ -31,11 +30,9 @@ from .frames import (
     BlockedLinearMap,
     FrameReport,
     FrequencySet,
-    GreedySelection,
     ShearData,
     bessel_quotient,
     frame_bounds,
-    greedy_frame_search,
     indicator_coefficients,
     jp_spectrum,
     shear_blocks,

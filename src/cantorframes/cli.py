@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoWitnessFound
-from .experiments import CrossBesselRow, DegeneracyRow, RotationRow, integer_pool
+from .experiments import _ROTATION_FRAME, CrossBesselRow, DegeneracyRow, RotationRow, integer_pool
 from .experiments import cross_bessel_experiment, degeneracy_experiment, rotation_experiment
 from .fourier import _mu_hat_grid
 from .frames import FrequencySet, frame_bounds, jp_spectrum
@@ -235,10 +235,10 @@ def _cmd_exp_rotation(args) -> int:
     )
     _emit_table(
         args,
-        "rotation-table/2",
+        "rotation-table/3",
         RotationRow,
         result.rows,
-        base={"lower": result.base_report.lower, "upper": result.base_report.upper},
+        base={"lower": result.base_report.lower, "upper": result.base_report.upper, "frame": _ROTATION_FRAME},
         collapse=[{"level": n, "lower": a} for n, a in result.collapse],
     )
     return EXIT_OK

@@ -60,9 +60,5 @@ class ZeroNormInput(CantorFramesError):
     pass
 
 
-class PoolExhausted(CantorFramesError):
-    pass
-
-
 class SingularA4(CantorFramesError):
     """The lower-right block of the linear map is not invertible."""

@@ -19,7 +19,6 @@ from .frames import (
     _shear_transport,
     bessel_quotient,
     frame_bounds,
-    greedy_frame_search,
     indicator_coefficients,
     jp_spectrum,
 )
@@ -178,6 +177,52 @@ def _sheared_atoms(atoms, t_map: BlockedLinearMap) -> tuple:
     return [(x * scale + n2 * y, n4 * y) for x, y in numerators], q * scale
 
 
+# The rotation frame's graph is drawn from this splitmix64 seed; the JSON table names it.
+_GRAPH_SEED = 0
+_ROTATION_FRAME = f"4-regular bipartite graph on J4 x J16, splitmix64 seed {_GRAPH_SEED}"
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(seed: int):
+    """The splitmix64 stream (Steele, Lea and Flood, OOPSLA 2014) on Python ints: one stream on every platform."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def _regular_bipartite_edges(n: int) -> list:
+    """Sorted edges (i, j) of a connected simple min(4, n)-regular bipartite graph on two copies of range(n).
+
+    The union of min(4, n) perfect matchings, each a Fisher-Yates shuffle
+    drawn from ``_splitmix64(_GRAPH_SEED)``. A matching that repeats an
+    edge is drawn again; a graph that union-find finds disconnected is
+    drawn again whole, from the continuing stream.
+    """
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    stream = _splitmix64(_GRAPH_SEED)
+    while True:
+        edges: set = set()
+        while len(edges) < min(4, n) * n:
+            perm = list(range(n))
+            for i in range(n - 1, 0, -1):
+                k = next(stream) % (i + 1)
+                perm[i], perm[k] = perm[k], perm[i]
+            if edges.isdisjoint(matching := set(enumerate(perm))):
+                edges |= matching
+        parent = list(range(2 * n))
+        for i, j in edges:
+            parent[root(i)] = root(n + j)
+        if len({root(x) for x in range(2 * n)}) == 1:
+            return sorted(edges)
+
+
 def rotation_experiment(
     level: int,
     thetas_degrees,
@@ -186,9 +231,14 @@ def rotation_experiment(
 ) -> RotationResult:
     """Frame-bound invariance of the planar two-Cantor sum under rotation.
 
-    A spectrum of min(2 * atoms, pool size) frequencies is found once for
-    the axis-aligned sum by greedy selection over the product of the two
-    orthonormal spectra. A rotation with
+    The axis-aligned sum is (mu4 x delta0) + (delta0 x mu16) at ``level``,
+    and its frequencies are the edges (J4[i], J16[j]) of the fixed
+    min(4, N)-regular bipartite graph ``_regular_bipartite_edges(N)`` on
+    the two level-n orthonormal spectra J4 and J16, N = 2^level of each:
+    for such a set the frame bounds are the second-smallest and the largest
+    Laplacian eigenvalues of the graph, 8 the largest once it is
+    4-regular. Levels 1 and 2 give the complete graph, the whole product.
+    A rotation with
     (c, s) the floats ``BlockedLinearMap.rotation_2d`` stores, taken as
     the binary rationals they are, maps the atoms through [[1, -s], [0, c]]
     and the spectrum, scaled by 1/c on its second coordinate, through the
@@ -207,10 +257,9 @@ def rotation_experiment(
     base = add(embed_axis(mu_1d, 2, 0), embed_axis(nu_1d, 2, 1))
 
     jp_mu, jp_nu = jp_spectrum(four, [0, 2], level, budget), jp_spectrum(sixteen, [0, 8], level, budget)
-    pool = FrequencySet(dim=2, freqs=tuple((a[0], b[0]) for a in jp_mu.freqs for b in jp_nu.freqs))
-    target = min(2 * len(base), len(pool))
-    selection = greedy_frame_search(base, pool, target)
-    base_report = selection.report
+    edges = _regular_bipartite_edges(len(jp_mu))
+    frame = FrequencySet(dim=2, freqs=tuple((jp_mu.freqs[i][0], jp_nu.freqs[j][0]) for i, j in edges))
+    base_report = frame_bounds(base, frame)
 
     rows = []
     for theta_deg in thetas_degrees:
@@ -227,7 +276,7 @@ def rotation_experiment(
         rows.append(RotationRow(theta, "ok", base_report.lower, base_report.upper, 0.0, 0.0))
     collapse = collinear_lower_bounds(sixteen, DigitSystem.one_dimensional(16, [0, 4]), 0, collapse_levels, budget)
     return RotationResult(
-        base_report=base_report, base_frequencies=selection.frequencies, rows=tuple(rows), collapse=collapse
+        base_report=base_report, base_frequencies=frame, rows=tuple(rows), collapse=collapse
     )
 
 

@@ -11,8 +11,7 @@ diagonal, built from half the synthesis rows: jp spectra of two-digit
 sets and integer pools all are. A cube of frequencies (``_cube_steps``),
 as a two-digit jp spectrum is, whose Gram is exactly diagonal, decided
 in integers (``_vanishing_off_diagonal``), needs neither: its report is
-read off the diagonal F w (``_diagonal_report``). Greedy frame search
-(``greedy_frame_search``) is deterministic, with fixed tie-breaks.
+read off the diagonal F w (``_diagonal_report``).
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -38,13 +36,12 @@ from .errors import (
     EigenBudgetExceeded,
     EmptyFrequencySet,
     HadamardCheckFailed,
-    PoolExhausted,
     SingularA4,
     SizeMismatch,
     ZeroNormInput,
 )
 from .measures import AtomicMeasure, DigitSystem
-from .measures import _common_numerators, _exact_number, _fraction_inverse, _matvec, _points_over
+from .measures import _common_numerators, _exact_point, _fraction_inverse, _matvec, _points_over
 from .measures import _INT64_GUARD, _sumset
 
 DEFAULT_EIGEN_BUDGET = 4096
@@ -58,17 +55,6 @@ _LIMB_MAX_EXPONENT = 1022
 # At most 2^11 limb products below 2^42 per sum keep every float64 partial sum exact.
 _LIMB_TERMS = 2**11
 _PAIR_BLOCK = 2**20
-# Greedy picks within _TIE_RTOL * max||v||^2 of the best tie; the lowest
-# pool index wins, so rounding noise cannot decide a pick.
-_TIE_RTOL = 1e-12
-# 50 halvings leave a secular bracket of 2^-50 of its width, still at least
-# 4 ulps, so every midpoint stays strictly inside and no d_i - lambda is 0.
-_BISECTIONS = 50
-# Thresholds per pass of the greedy pick's shared bracket, which each pass
-# cuts to 1/(_GRID + 1); the passes cut it to 2^-_BISECTIONS at most.
-_GRID = 15
-_GRID_PASSES = math.ceil(_BISECTIONS / math.log2(_GRID + 1))
-_GRID_STEPS = np.arange(1, _GRID + 1) / (_GRID + 1)
 _INVERSE_STEPS = 2
 
 
@@ -89,15 +75,10 @@ class FrequencySet:
     denominator: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [tuple(map(_exact_number, f)) for f in self.freqs]
-        if any(len(f) != self.dim for f in rows):
-            raise SizeMismatch("frequency dimension mismatch")
+        rows = [_exact_point(f, self.dim) for f in self.freqs]
         if all(type(x) is int for f in rows for x in f):
             freqs, nums, p = tuple(rows), rows, 1
         else:
-            for f in rows:
-                if any(type(x) is float and not math.isfinite(x) for x in f):
-                    raise ValueError(f"frequency {f} is not finite")
             nums, p = _common_numerators(rows)
             freqs = tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
         object.__setattr__(self, "freqs", freqs)
@@ -143,13 +124,6 @@ class FrameReport:
     atom_count: int
     freq_count: int
     resolution: float
-
-
-@dataclass(frozen=True)
-class GreedySelection:
-    frequencies: FrequencySet
-    report: FrameReport
-    selected_indices: tuple
 
 
 def _hadamard_digits(ds: DigitSystem, L) -> list | None:
@@ -442,8 +416,10 @@ def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
     first, so a Gram that is not diagonal is usually refused in O(M n);
     then blocks of rows against the atoms from the block on.
     """
-    v, (atom_nums, q) = _cube_steps(sorted(freq_set.numerators)), atoms
+    atom_nums, q = atoms
     modulus, m = freq_set.denominator * q, len(atom_nums)
+    # F < M frequencies give a Gram of rank at most F, never the full-rank F diag(w).
+    v = _cube_steps(sorted(freq_set.numerators)) if len(freq_set) >= m else None
     if v is None or (modulus % 2 and m > 1):
         return False
     dtype = np.int64 if _phase_path(dim, v, atom_nums, modulus) == "int64" else object
@@ -636,168 +612,3 @@ def _shear_transport(freqs, t: BlockedLinearMap) -> tuple:
     shifts = [_matvec(correction, f[: t.m]) for f in nums]
     rows = [(*(x * d for x in f[: t.m]), *(y * d - x for y, x in zip(f[t.m :], e))) for f, e in zip(nums, shifts)]
     return rows, p * d
-
-
-def _first_best(values: np.ndarray, scale: float) -> int:
-    """Lowest index whose value is within _TIE_RTOL * scale of the largest."""
-    return int(np.flatnonzero(values >= values.max() - _TIE_RTOL * scale)[0])
-
-
-def _rank_building_picks(rows: np.ndarray, norms_sq: np.ndarray, count: int, scale: float) -> list:
-    """Pivoted Gram-Schmidt picks on v = conj(row), at most ``count``.
-
-    Stops once the picks span C^M. The residuals ||v||^2 - ||Q^H v||^2
-    take one pool-by-atom product per pick: with v = conj(r), |q^H v| is
-    |r . q|. A stalled pool (no residual above M * eps * scale) fills the
-    remaining picks with the lowest unchosen indices.
-    """
-    atoms = rows.shape[1]
-    basis = np.zeros((atoms, atoms), dtype=complex)
-    residual = norms_sq.copy()
-    selected: list[int] = []
-    for rank in range(min(count, atoms)):
-        if residual.max() <= atoms * np.finfo(float).eps * scale:
-            unchosen = np.flatnonzero(residual != -np.inf)
-            return selected + [int(i) for i in unchosen[: count - rank]]
-        idx = _first_best(residual, scale)
-        v = rows[idx].conj()
-        q = basis[:, :rank]
-        for _ in range(2):
-            v = v - q @ (q.conj().T @ v)
-        basis[:, rank] = v / np.linalg.norm(v)
-        residual -= np.abs(rows @ basis[:, rank]) ** 2
-        residual[idx] = -np.inf
-        selected.append(idx)
-    return selected
-
-
-def _secular_pick(d: np.ndarray, z_sq: np.ndarray, scale: float) -> int:
-    """First best row of z_sq = |z|^2 by lambda_min(diag(d) + z z^H); d ascending.
-
-    Row r scores d_0 + t_r, with t_r the root of f_r(t) = 1 + sum_i
-    z_sq[r, i] / (delta_i - t), delta = d - d_0, bisected _BISECTIONS
-    times in (0, min(delta_1, ||z_r||^2)), where f_r rises from -inf; the
-    pick is ``_first_best`` of the scores. A dead row (z_0 = 0, or
-    delta_1 = 0) scores d_0, the least score: it ties only if every row
-    ties, and then row 0 wins.
-
-    Live rows share one bracket (lower, upper) of the largest root. Each
-    pass evaluates f at _GRID thresholds inside it, and at each less the
-    margin, for all rows in one product. Lower moves to the largest
-    threshold where some row has f < 0, upper to the next one, and rows
-    with f >= 0 at lower - margin are dropped. Those signs are exact: the
-    weight -1/t of |z_0|^2 is tilted by 1 -+ 2 (M + 4) eps, more than the
-    product's rounding, (M + 2) u sum|terms| <= 3 (M + 2) u |z_0|^2 / t
-    where a sign is in doubt. Upper only places thresholds and needs no
-    such guard. A bisected score lies within (M + 8) eps H of its root, H
-    the widest bracket, so margin = _TIE_RTOL * scale + 4 (M + 10) eps
-    (|d_0| + H) keeps a dropped row below the tie tolerance of the best,
-    after the roundings of d_0 + t. One row left, once lower exceeds the
-    margin if any row is dead, is the pick. Rows left after _GRID_PASSES
-    passes are bisected, and ``_first_best`` of their scores decides.
-    """
-    delta = d - d[0]
-    gap = delta[1] if len(d) > 1 else np.inf
-    live = z_sq[:, 0] > 0
-    if not (gap > 0 and live.any()):
-        return 0
-    rows, dead = np.flatnonzero(live), not live.all()
-    if dead:
-        z_sq = z_sq[rows]
-    eps = np.finfo(float).eps
-    lower, upper = 0.0, min(gap, float(np.max(z_sq @ np.ones(len(d)))))
-    margin = _TIE_RTOL * scale + 4 * (len(d) + 10) * eps * (abs(d[0]) + upper)
-    tilt = np.repeat([1 - 2 * (len(d) + 4) * eps, 1 + 2 * (len(d) + 4) * eps], _GRID)
-    for _ in range(_GRID_PASSES):
-        if len(rows) == 1 and not (dead and lower <= margin):
-            return int(rows[0])
-        t = np.minimum(lower + (upper - lower) * _GRID_STEPS, np.nextafter(gap, 0))
-        shifted = t - margin
-        weights = 1 / (delta[:, None] - np.concatenate([t, np.where(shifted > 0, shifted, t)]))
-        weights[0] *= tilt
-        sums = weights.T @ z_sq.T  # f - 1, one row per point
-        below = np.flatnonzero(sums[:_GRID].min(axis=1) < -1)
-        k = below[-1] if len(below) else -1
-        if k >= 0:
-            lower = float(t[k])
-            if shifted[k] > 0:
-                keep = sums[_GRID + k] <= -1
-                rows, z_sq = rows[keep], z_sq[keep]
-        if k + 1 < _GRID:
-            upper = min(upper, float(t[k + 1]))
-    hi = np.minimum(z_sq.sum(axis=1), gap)
-    lo = np.zeros_like(hi)
-    for _ in range(_BISECTIONS):
-        t = (lo + hi) / 2
-        below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-    values = d[0] + (lo + hi) / 2
-    if dead and d[0] >= values.max() - _TIE_RTOL * scale:
-        return 0
-    return int(rows[_first_best(values, scale)])
-
-
-def greedy_frame_search(
-    m: AtomicMeasure,
-    pool: FrequencySet,
-    target_count: int,
-    eigen_budget: int = DEFAULT_EIGEN_BUDGET,
-) -> GreedySelection:
-    """Select frequencies greedily to maximize the smallest Gram eigenvalue.
-
-    Picking pool row r adds v v^H to the Gram G, with v = conj(r). The
-    search runs in two phases:
-
-    - Rank building, while the picks span less than C^M (M atoms). Every
-      lambda_min is 0 here, so the pick has the largest residual
-      ||v||^2 - ||Q^H v||^2 against an orthonormal basis Q of the picks
-      (pivoted Gram-Schmidt, orthogonalized twice). Once no residual
-      exceeds M * eps * max||v||^2, the lowest unchosen indices follow.
-    - After full rank, one ``eigh`` of G per step, and lambda_min(G + v v^H)
-      from the secular equation of the rank-one update (Golub 1973; Bunch,
-      Nielsen and Sorensen 1978), all candidates at once. They share one
-      bracket of the best root: each pass scores every candidate at
-      _GRID thresholds in one product, with signs certified against its
-      rounding, and drops those that end below the best by more than the
-      tie tolerance plus rounding; one left is the pick. The pick is the
-      first best of per-candidate bisection, whatever the BLAS: candidates
-      still tied after the passes are bisected and compared as such.
-
-    Deterministic: in both phases values within 1e-12 * max||v||^2 of the
-    best tie, and the lowest pool index wins; zero-gain steps are allowed.
-    A target below 1 raises ValueError and one past the pool
-    PoolExhausted, both before any phase. After the search, PoolExhausted
-    also reports a full-rank request that the pool cannot provide.
-    """
-    target_count = operator.index(target_count)
-    if target_count < 1:
-        raise ValueError(f"target count must be >= 1, got {target_count}")
-    if target_count > len(pool):
-        raise PoolExhausted("target count exceeds the pool size")
-    sqrt_w = np.sqrt(_checked_weights(m.dim, (m.masses, m.mass_denominator), pool.dim))
-    atoms = len(sqrt_w)
-    _check_eigen_budget(atoms, eigen_budget)
-    rows = _synthesis_rows(m.dim, (m.numerators, m.denominator), sqrt_w, pool)
-    if target_count < atoms:
-        warnings.warn("target count below atom count: the selection cannot be a frame", stacklevel=2)
-    norms_sq = np.sum(np.abs(rows) ** 2, axis=1)
-    scale = float(np.max(norms_sq, initial=0.0))
-    selected = _rank_building_picks(rows, norms_sq, target_count, scale)
-    gram = np.zeros((atoms, atoms), dtype=complex)
-    for idx in selected:
-        gram += np.outer(rows[idx].conj(), rows[idx])
-    open_mask = np.ones(len(pool), dtype=bool)
-    open_mask[selected] = False
-    for _ in range(target_count - len(selected)):
-        values, vectors = np.linalg.eigh(gram)
-        open_idx = np.flatnonzero(open_mask)
-        z_sq = np.abs(rows[open_idx] @ vectors) ** 2
-        best = int(open_idx[_secular_pick(values, z_sq, scale)])
-        selected.append(best)
-        open_mask[best] = False
-        gram += np.outer(rows[best].conj(), rows[best])
-    freq_set = FrequencySet(dim=pool.dim, freqs=tuple(pool.freqs[i] for i in selected))
-    report = frame_bounds(m, freq_set, eigen_budget)
-    if target_count >= atoms and report.rank < atoms:
-        raise PoolExhausted("pool cannot span the atom space: rank %d < %d" % (report.rank, atoms))
-    return GreedySelection(frequencies=freq_set, report=report, selected_indices=tuple(selected))

@@ -53,8 +53,8 @@ def _planar_sum(level: int) -> AtomicMeasure:
     )
 
 
-def rotation_greedy_instance(level: int) -> tuple:
-    """(base, pool, target) of the greedy search in ``rotation_experiment``."""
+def rotation_pool_instance(level: int) -> tuple:
+    """(base, pool): the planar sum of ``rotation_experiment`` and the whole product J4 x J16 of its jp spectra."""
     base = _planar_sum(level)
     pool = FrequencySet(
         dim=2,
@@ -64,7 +64,7 @@ def rotation_greedy_instance(level: int) -> tuple:
             for b in jp_spectrum(SIXTEEN_01, JP16, level).freqs
         ),
     )
-    return base, pool, min(2 * len(base), len(pool))
+    return base, pool
 
 
 def build_instances():

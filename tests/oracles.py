@@ -22,9 +22,8 @@ numerator representation replaced. They read a measure's public
 ``Fraction`` view and return atom tuples and masses, never a measure
 built by the code under test.
 
-Greedy search: one ``eigvalsh`` of G + v v^H per candidate, the loop that
-the secular-equation scoring replaced; and the plain secular bisection,
-every row through every pass, that the eliminating pick replaced.
+Graph frames: the eigenvalues of a bipartite graph's integer Laplacian,
+which bound the frame of the rotation experiment's frequency set.
 
 Transforms: the per-point truncated mask product, one ``cmath.exp`` per
 digit and factor, that the vectorized grid replaced.
@@ -72,7 +71,6 @@ from itertools import combinations
 import numpy as np
 
 from cantorframes.errors import ToleranceUnreachable
-from cantorframes.frames import _BISECTIONS
 
 _RESIDUAL_TOL = 1e-11
 _POWER_MAXIT = 20_000
@@ -175,34 +173,17 @@ def oracle_eigh_report(phi: np.ndarray, weights: np.ndarray) -> tuple:
     return FrameReport(lower, upper, ratio, rank, worst, m, freq_count, float(tol)), float(values[0])
 
 
-def oracle_greedy_values(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of gram + v v^H, v = conj(row), for each synthesis row."""
-    return np.array([np.linalg.eigvalsh(gram + np.outer(row.conj(), row))[0] for row in rows])
+def oracle_laplacian_bounds(edges, n: int) -> tuple:
+    """(second-smallest, largest) eigenvalue of the integer Laplacian D - A of the bipartite graph on range(n) + range(n).
 
-
-def oracle_secular_smallest(d: np.ndarray, z_sq: np.ndarray) -> np.ndarray:
-    """lambda_min(diag(d) + z z^H) for each row of z_sq = |z|^2; d ascending.
-
-    The smallest root of 1 + sum_i |z_i|^2 / (d_i - lambda) = 0 lies in
-    (d_0, min(d_1, d_0 + ||z||^2)), where the left side increases from
-    -inf; bisection there runs in t = lambda - d_0, on all rows at once.
-    A row with z_0 = 0, or with an empty bracket (d_1 = d_0), keeps d_0.
+    Edge (i, j) joins vertex i of the first copy to vertex n + j of the second.
     """
-    delta = d - d[0]
-    hi = z_sq.sum(axis=1)
-    if len(d) > 1:
-        hi = np.minimum(hi, delta[1])
-    shift = np.zeros_like(hi)
-    live = (hi > 0) & (z_sq[:, 0] > 0)
-    z_sq, hi = z_sq[live], hi[live]
-    lo = np.zeros_like(hi)
-    for _ in range(_BISECTIONS):
-        t = (lo + hi) / 2
-        below = 1 + np.sum(z_sq / (delta - t[:, None]), axis=1) < 0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-    shift[live] = (lo + hi) / 2
-    return d[0] + shift
+    laplacian = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    for i, j in edges:
+        laplacian[[i, n + j], [n + j, i]] -= 1
+        laplacian[[i, n + j], [i, n + j]] += 1
+    values = np.linalg.eigvalsh(laplacian.astype(float))
+    return float(values[1]), float(values[-1])
 
 
 def oracle_phase_matrix(measure, freq_set) -> np.ndarray:

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +22,13 @@ from cantorframes import (
     jp_spectrum,
     rotation_experiment,
 )
-from oracles import oracle_rotated_phases, oracle_rotation_bounds
+from oracles import oracle_laplacian_bounds, oracle_rotated_phases, oracle_rotation_bounds
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 EIGHT = DigitSystem.one_dimensional(8, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
 SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
+ROOT = Path(__file__).resolve().parent.parent
 IDENTITY_ANGLES = (0.0, 30.0, 45.0, 120.0, -45.0) + tuple(np.random.default_rng(2017).uniform(1, 89, 3).tolist())
 
 
@@ -228,6 +234,60 @@ class TestRotationIdentity:
     def test_right_angle_fields_are_none(self):
         (row,) = rotation_experiment(2, [90]).rows
         assert (row.lower, row.upper, row.lower_deviation, row.upper_deviation) == (None,) * 4
+
+
+def _graph_edges(freq_set, level: int) -> list:
+    """The rotation frame as edges (i, j): indices into the level-n jp spectra J4 and J16; KeyError off J4 x J16."""
+    j4 = {f: i for i, (f,) in enumerate(jp_spectrum(FOUR, [0, 2], level).freqs)}
+    j16 = {f: j for j, (f,) in enumerate(jp_spectrum(SIXTEEN_01, [0, 8], level).freqs)}
+    return [(j4[a], j16[b]) for a, b in freq_set.freqs]
+
+
+class TestGraphFrame:
+    """The rotation frame is a fixed min(4, N)-regular bipartite graph on J4 and J16, N = 2^level of each."""
+
+    @pytest.mark.parametrize("level", range(2, 7))
+    def test_bounds_are_the_laplacian_extremes(self, level):
+        result = rotation_experiment(level, [])
+        report = result.base_report
+        lower, upper = oracle_laplacian_bounds(_graph_edges(result.base_frequencies, level), 2**level)
+        assert abs(report.lower - lower) <= report.resolution
+        assert abs(report.upper - upper) <= report.resolution
+        assert report.rank == report.atom_count == 2 ** (level + 1) - 1
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_graph_is_regular_simple_and_connected(self, level):
+        n, edges = 2**level, _graph_edges(rotation_experiment(level, []).base_frequencies, level)
+        degree = min(4, n)
+        assert len(set(edges)) == len(edges) == degree * n
+        for side in (0, 1):
+            assert Counter(e[side] for e in edges) == dict.fromkeys(range(n), degree)
+        neighbours = {v: set() for v in range(2 * n)}
+        for i, j in edges:
+            neighbours[i].add(n + j)
+            neighbours[n + j].add(i)
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [w for v in frontier for w in neighbours[v] - seen]
+            seen.update(frontier)
+        assert len(seen) == 2 * n
+
+    @pytest.mark.parametrize("level", range(3, 9))
+    def test_bounds_stay_away_from_zero(self, level):
+        report = rotation_experiment(level, []).base_report
+        assert report.lower >= 0.5
+        assert abs(report.upper - 8) <= report.resolution
+
+    def test_edges_do_not_depend_on_the_process(self):
+        code = "from cantorframes import rotation_experiment\nprint(rotation_experiment(5, []).base_frequencies.freqs)\n"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        expected = f"{rotation_experiment(5, []).base_frequencies.freqs}\n"
+        for seed, threads in (("1", "1"), ("2", "2")):
+            env = dict(os.environ, PYTHONHASHSEED=seed, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+            )
+            assert done.stdout == expected
 
 
 class TestCrossBessel:

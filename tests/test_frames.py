@@ -15,7 +15,6 @@ from cantorframes import (
     EmptyFrequencySet,
     FrequencySet,
     HadamardCheckFailed,
-    PoolExhausted,
     SingularA4,
     SizeMismatch,
     ZeroNormInput,
@@ -23,7 +22,6 @@ from cantorframes import (
     bessel_quotient,
     convolve,
     frame_bounds,
-    greedy_frame_search,
     indicator_coefficients,
     integer_pool,
     jp_spectrum,
@@ -33,7 +31,7 @@ from cantorframes import (
 )
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
-from instances import SIXTEEN_04, _planar_sum, build_instances, rotation_greedy_instance
+from instances import SIXTEEN_04, _planar_sum, build_instances, rotation_pool_instance
 from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport, oracle_synthesis
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
@@ -195,7 +193,6 @@ class TestFrameBounds:
 
 ENTRY_POINTS = {
     "frame_bounds": frame_bounds,
-    "greedy_frame_search": lambda m, fs: greedy_frame_search(m, fs, len(fs)),
 }
 
 
@@ -212,13 +209,22 @@ def test_entry_points_share_input_checks(entry):
 def test_frequency_set_rejects_non_finite(bad):
     with pytest.raises(ValueError) as one_d:
         FrequencySet.from_scalars([0.0, bad])
-    assert str(one_d.value) == f"frequency {(bad,)} is not finite"
+    assert str(one_d.value) == f"point {(bad,)} is not finite"
     with pytest.raises(ValueError) as planar:
         FrequencySet(dim=2, freqs=((0.0, 1.0), (2.0, bad)))
-    assert str(planar.value) == f"frequency {(2.0, bad)} is not finite"
+    assert str(planar.value) == f"point {(2.0, bad)} is not finite"
     with pytest.raises(ValueError) as single:
         FrequencySet.from_scalars(np.array([0.5, bad], dtype=np.float32))
-    assert str(single.value) == f"frequency {(bad,)} is not finite"
+    assert str(single.value) == f"point {(bad,)} is not finite"
+
+
+def test_frequency_rows_are_read_as_exact_points():
+    # Every exact input has one reader: a scalar row is a 1-point, a short row a DimensionMismatch.
+    assert FrequencySet(dim=1, freqs=(3, np.int64(5), Fraction(1, 2))) == FrequencySet.from_scalars([3, 5, 0.5])
+    with pytest.raises(DimensionMismatch, match="expected dimension 2, got 1"):
+        FrequencySet(dim=2, freqs=((0, 1), (2,)))
+    with pytest.raises(DimensionMismatch):
+        FrequencySet(dim=2, freqs=(3,))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -232,7 +238,7 @@ def test_arrays_refuse_non_finite_coordinates(bad):
     assert str(weight.value) == f"weight {bad} is not finite"
     with pytest.raises(ValueError) as freqs:
         FrequencySet(dim=1, freqs=np.array([[bad], [1.0]]))
-    assert str(freqs.value) == f"frequency {(bad,)} is not finite"
+    assert str(freqs.value) == f"point {(bad,)} is not finite"
 
 
 def test_frequency_sets_with_the_same_frequencies_are_equal():
@@ -442,46 +448,6 @@ class TestShear:
         assert np.max(np.abs(gram_base - gram_rot)) < 1e-10
 
 
-class TestGreedy:
-    def test_four_atoms_integer_pool(self):
-        m = level_measure(FOUR, 2)
-        pool = FrequencySet.from_scalars(range(16))
-        selection = greedy_frame_search(m, pool, 4)
-        assert selection.report.lower > 0
-        assert selection.report.rank == 4
-
-    def test_orthonormal_pool_returns_basis(self):
-        m = level_measure(FOUR, 2)
-        selection = greedy_frame_search(m, jp_spectrum(FOUR, [0, 2], 2), 4)
-        assert abs(selection.report.lower - 1) < 1e-9
-        assert abs(selection.report.upper - 1) < 1e-9
-
-    def test_small_target_warns_and_reports_zero(self):
-        m = level_measure(FOUR, 2)
-        pool = FrequencySet.from_scalars(range(16))
-        with pytest.warns(UserWarning):
-            selection = greedy_frame_search(m, pool, 2)
-        assert selection.report.lower == 0
-
-    def test_pool_smaller_than_target(self):
-        m = level_measure(FOUR, 2)
-        with pytest.raises(PoolExhausted):
-            greedy_frame_search(m, FrequencySet.from_scalars([0, 1]), 4)
-
-    def test_inadequate_pool_detected(self):
-        m = level_measure(FOUR, 2)
-        duplicate_phase = FrequencySet.from_scalars([0, 16, 32, 48, 64])
-        with pytest.raises(PoolExhausted):
-            greedy_frame_search(m, duplicate_phase, 5)
-
-    def test_deterministic_selection(self):
-        m = level_measure(FOUR, 2)
-        pool = FrequencySet.from_scalars(range(16))
-        first = greedy_frame_search(m, pool, 6)
-        second = greedy_frame_search(m, pool, 6)
-        assert first.selected_indices == second.selected_indices
-
-
 class TestEigenOracle:
     @pytest.mark.parametrize("name,measure,freq_set", build_instances())
     def test_production_matches_oracle(self, name, measure, freq_set):
@@ -663,7 +629,7 @@ def _exact_cases():
     # Equal sets take one path, however they were built.
     cases.append(("jp-level5-copy", level_measure(FOUR, 5), FrequencySet(dim=1, freqs=jp_spectrum(FOUR, [0, 2], 5).freqs)))
     cases += [(f"four-digits-level{n}", level_measure(FOUR, 2 * n), jp_spectrum(SIXTEEN_0145, [0, 2, 8, 10], n)) for n in (1, 2, 4)]
-    cases.append(("planar-jp-product-level3", *rotation_greedy_instance(3)[:2]))
+    cases.append(("planar-jp-product-level3", *rotation_pool_instance(3)))
     # Frequencies over p = 2: the residues are taken mod 2q, and q = 1 alone is odd.
     two_atoms = AtomicMeasure.from_atoms(1, [((0,), Fraction(1, 3)), ((1,), Fraction(2, 3))])
     cases.append(("half-integer-step", two_atoms, FrequencySet.from_scalars([0, Fraction(1, 2)])))
@@ -790,7 +756,7 @@ class TestExactDiagonal:
 
     @pytest.mark.parametrize("level", range(1, 6))
     def test_full_rotation_pool_reads_ratio_two(self, level, monkeypatch):
-        base, pool, _ = rotation_greedy_instance(level)
+        base, pool = rotation_pool_instance(level)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         report = frame_bounds(base, pool)
         assert (report.lower, report.upper, report.ratio) == (2.0**level, 2.0 ** (level + 1), 2.0)
@@ -845,8 +811,13 @@ class TestEigenBudget:
         assert not _vanishes(measure, cross)
         with pytest.raises(EigenBudgetExceeded, match="8192 atoms exceed the eigen budget 4096"):
             frame_bounds(measure, cross)
-        with pytest.raises(EigenBudgetExceeded):
-            greedy_frame_search(measure, cross, len(cross))
+
+    def test_fewer_frequencies_than_atoms_skip_the_cube(self, monkeypatch):
+        # F < M: the Gram has rank at most F, so it cannot be diagonal and the cube is never read.
+        monkeypatch.setattr(frames, "_cube_steps", _no_phases)
+        monkeypatch.setattr(frames, "_exact_phase_matrix", _no_phases)
+        with pytest.raises(EigenBudgetExceeded, match="8192 atoms"):
+            frame_bounds(level_measure(FOUR, 13), jp_spectrum(FOUR, [0, 2], 12))
 
 
 def _phase_oracle(freq_nums, p, atom_nums, q) -> np.ndarray:

@@ -189,7 +189,6 @@ FREQS = FrequencySet.from_scalars([0, 1, 2, 3])
 KERNEL_CALLERS = {
     "frame_bounds": lambda: cf.frame_bounds(MEASURE, FREQS),
     "bessel_quotient": lambda: cf.bessel_quotient(MEASURE, FREQS, [1, 0, 0, 0]),
-    "greedy_frame_search": lambda: cf.greedy_frame_search(MEASURE, FREQS, 4),
     "windowed_transform": lambda: cf.windowed_transform(MEASURE, None, 2.5),
     "factorization_check": lambda: _factorization(7),
 }
