@@ -6,7 +6,10 @@ Lipschitz estimate |1 - mask(eta)| <= 2*pi*max|b|*|eta| and the geometric
 decay of the scaled frequencies. Every truncation, one point (``mu_hat``)
 or a whole grid (``ft grid``), runs through one vectorized pass,
 ``_mu_hat_grid``, which multiplies complex values out in real arithmetic
-so that no value depends on whether the CPU fuses multiply-adds.
+so that no value depends on whether the CPU fuses multiply-adds. Each
+mask phase t = <eta, b> is reduced exactly mod 1, as t - rint(t), before
+it meets 2*pi, whose product with a large t would lose the phase digits.
+A ``DigitSystem`` keeps its digits sorted, so the masks sum in one order.
 
 Windowed transforms are exponential sums over a measure's skeleton atoms:
 their phases come from the exact kernel of ``frames``, one call per
@@ -32,7 +35,7 @@ _MAX_FACTORS = 10_000
 
 
 def mask_eval(digits, xi) -> complex:
-    """(1/#B) sum_b exp(-2*pi*i <xi, b>): the grid's ``_masks`` at one point, <xi, b> summed in coordinate order."""
+    """(1/#B) sum_b exp(-2*pi*i <xi, b>): the grid's ``_masks`` at one point, summed over b in the order given."""
     digits = [[float(x) for x in ((b,) if isinstance(b, numbers.Number) else b)] for b in digits]
     if not digits:
         raise ValueError("digit set is empty")
@@ -44,16 +47,20 @@ def mask_eval(digits, xi) -> complex:
 
 
 def _masks(digits, eta: np.ndarray) -> tuple:
-    """Real and imaginary parts of (1/#B) sum_b exp(-2*pi*i <eta, b>) at each row of ``eta``, b in order."""
+    """Real and imaginary parts of (1/#B) sum_b exp(-2*pi*i <eta, b>) at each row of ``eta``, b in order.
+
+    Each t = <eta, b>, summed in coordinate order, is reduced mod 1 as t - rint(t), exact for every float t.
+    """
     mask = np.zeros(len(eta), dtype=complex)
     for b in digits:
-        mask += np.exp(-2j * math.pi * _fixed_order_dot(b, eta))
+        t = _fixed_order_dot(b, eta)
+        mask += np.exp(-2j * math.pi * (t - np.rint(t)))
     return mask.real / len(digits), mask.imag / len(digits)
 
 
 @dataclass(frozen=True)
 class MaskPolynomial:
-    """Fourier factor of a single digit layer; normalized so mask(0) = 1."""
+    """Fourier factor of a single digit layer, its digits sorted; normalized so mask(0) = 1."""
 
     digits: tuple
     dim: int
@@ -67,7 +74,7 @@ class MaskPolynomial:
         rows = _points_over(digits, dim, 1)
         if None in rows:
             raise ValueError("mask digits must be integer vectors")
-        return cls(digits=tuple(rows), dim=dim)
+        return cls(digits=tuple(sorted(rows)), dim=dim)
 
     def __call__(self, xi) -> complex:
         return mask_eval(self.digits, xi)
@@ -90,8 +97,9 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     take as many steps as the largest count, and a point's product takes a
     step's mask only while the step is below its own count: no point's eta
     depends on another's. A step maps eta to R^-T eta by elementwise sums
-    in a fixed order (no BLAS), and the mask is exp(-2*pi*i <eta, b>)
-    summed over the digits in order, over #B.
+    in a fixed order (no BLAS), and the mask is exp(-2*pi*i <eta, b>),
+    the phase reduced exactly mod 1 (``_masks``), summed over the digits
+    in order, over #B.
 
     The running product is multiplied out in real arithmetic. numpy's
     complex ``*`` may fuse a multiply into an add (FMA) and then differs
@@ -99,8 +107,9 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     would depend on the CPU; the explicit real form rounds every product
     and sum on its own, as CPython does. In one dimension each value, tail
     bound and factor count is therefore bit-identical to a per-point loop
-    of ``cmath.exp`` over the digits. An empty grid returns [] unchecked;
-    a NaN ``tol`` is refused with the tolerances below float resolution.
+    of ``cmath.exp`` of the reduced phases over the digits. An empty grid
+    returns [] unchecked; a NaN ``tol`` is refused with the tolerances
+    below float resolution.
     """
     points = np.asarray(xis, dtype=float)
     if len(points) == 0:

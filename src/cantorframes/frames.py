@@ -1,24 +1,26 @@
 """Frequency sets, frame/Bessel bounds, and shear transport of spectra.
 
-Frame bounds of a discretized measure are the extremal eigenvalues of the
-atom-indexed Hermitian square of the synthesis matrix. Every report comes
-from ``_report``, on exact atoms and masses: one set of input checks, one
-Gram builder (``_gram``), one ``eigvalsh`` per reported Gram and the worst
-vector by shifted inverse iteration (``_frame_report``). The eigen budget
-bounds eigensolves only. When the frequency set is centrally symmetric,
-decided exactly, the Gram is a real symmetric matrix up to a unitary
-diagonal, built from half the synthesis rows: jp spectra of two-digit
-sets and integer pools all are. A cube of frequencies (``_cube_steps``),
-as a two-digit jp spectrum is, whose Gram is exactly diagonal, decided
-in integers (``_vanishing_off_diagonal``), needs neither: its report is
-read off the diagonal F w (``_diagonal_report``).
+Frame bounds of a discretized measure are the extremal eigenvalues of
+the atom-indexed Hermitian square of the synthesis matrix. Every report
+comes from ``frame_bounds``, on exact atoms and masses: one set of input
+checks, one Gram builder (``_gram``), one ``eigvalsh`` per reported Gram
+and the worst vector by shifted inverse iteration (``_frame_report``).
+The eigen budget bounds eigensolves only. When the frequency set is
+centrally symmetric, decided exactly, the Gram is a real symmetric
+matrix up to a unitary diagonal, built from half the synthesis rows: jp
+spectra of two-digit sets and integer pools all are. A cube of
+frequencies (``_cube_steps``), as a two-digit jp spectrum is, whose Gram
+is exactly diagonal, decided in integers (``_vanishing_off_diagonal``),
+needs neither: its report is read off the diagonal F w
+(``_diagonal_report``).
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
 which rounds each once to float on the int64, limb or Python-int path
 that ``_phase_path`` picks. It reads integer numerators only: a
-``FrequencySet`` keeps its coordinates exactly and forms its numerators
-once, when it is built, so no caller converts a frequency set. The
+``FrequencySet`` keeps its coordinates exactly, its rows sorted, and
+forms its numerators once, when it is built, so no caller converts or
+reorders a frequency set and no report depends on a listing order. The
 Hadamard check needs no phases: it decides exactly whether sums of roots
 of unity vanish.
 """
@@ -60,11 +62,11 @@ _INVERSE_STEPS = 2
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """A finite list of exact real frequency vectors.
+    """A finite set of exact real frequency vectors, kept in lexicographic order.
 
     Coordinates are read as ``measures.as_point`` reads them and kept as
     ints when integral, Fractions otherwise. Every phase is computed from
-    ``numerators`` over ``denominator``.
+    ``numerators`` over ``denominator``, sorted as the frequencies are.
     Frequencies that round to one multiple of _DISTINCT_RESOLUTION in
     every coordinate coincide and are refused.
     """
@@ -76,13 +78,11 @@ class FrequencySet:
 
     def __post_init__(self):
         rows = [_exact_point(f, self.dim) for f in self.freqs]
-        if all(type(x) is int for f in rows for x in f):
-            freqs, nums, p = tuple(rows), rows, 1
-        else:
-            nums, p = _common_numerators(rows)
-            freqs = tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
+        nums, p = (rows, 1) if all(type(x) is int for f in rows for x in f) else _common_numerators(rows)
+        nums = tuple(sorted(nums))
+        freqs = nums if p == 1 else tuple(tuple(x // p if x % p == 0 else Fraction(x, p) for x in f) for f in nums)
         object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", p)
         # Distinct integer rows lie at least 1 apart, far above _DISTINCT_RESOLUTION.
         if p == 1 and len(set(nums)) == len(nums):
@@ -328,54 +328,48 @@ def _limb_phases(freqs: np.ndarray, atoms_rev: np.ndarray, dim: int, k: int) -> 
     return phases
 
 
-def _checked_weights(dim: int, masses, freq_dim: int) -> np.ndarray:
-    """The float weights of masses (numerators, denominator), after the checks every report shares, before any phase."""
-    nums, den = masses
-    if freq_dim != dim:
+def _checked_weights(m: AtomicMeasure, freq_set: FrequencySet) -> np.ndarray:
+    """The float weights of m, after the checks every report shares, before any phase."""
+    if freq_set.dim != m.dim:
         raise SizeMismatch("frequency dimension does not match the measure")
-    if not nums:
+    if not m.masses:
         raise ZeroNormInput("measure has no atoms")
-    return np.array([w / den for w in nums], dtype=float)
+    return np.array([w / m.mass_denominator for w in m.masses], dtype=float)
 
 
-def _check_eigen_budget(count: int, eigen_budget: int) -> None:
-    """Refuse an eigensolve on more than ``eigen_budget`` atoms."""
-    if count > eigen_budget:
-        raise EigenBudgetExceeded(f"{count} atoms exceed the eigen budget {eigen_budget}")
-
-
-def _synthesis_rows(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> np.ndarray:
-    """Synthesis rows of ``freq_set`` on atoms (numerators, denominator) of weights sqrt_w**2."""
-    phases = _exact_phase_matrix(dim, (freq_set.numerators, freq_set.denominator), atoms)
+def _synthesis_rows(m: AtomicMeasure, sqrt_w: np.ndarray, freq_set: FrequencySet) -> np.ndarray:
+    """Synthesis rows of ``freq_set`` on the atoms of m, of weights sqrt_w**2."""
+    phases = _exact_phase_matrix(m.dim, (freq_set.numerators, freq_set.denominator), (m.numerators, m.denominator))
     # In place: the complex rows are the one array formed after the phases.
     rows = np.multiply(phases, -2j * np.pi)
     return np.multiply(np.exp(rows, out=rows), sqrt_w, out=rows)
 
 
-def _gram(dim: int, atoms, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:
+def _gram(m: AtomicMeasure, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:
     """The Gram of the synthesis rows as (G_c, d) with Phi^H Phi = diag(d) G_c diag(d)^*.
 
     G_c is real, and d = e(<c, x>), whenever the frequency set is centrally
     symmetric, Lambda = 2c - Lambda. That is decided exactly on the
-    frequency numerators over p: negation reverses lexicographic order, so
-    the set is symmetric iff rows[i] + rows[F-1-i] is one vector s for
-    every i of the sorted rows, and then c = s / (2p). Pairing mu = f - c
-    with -mu turns e(<mu, x - y>) into cosines, so G_c = 2 (C^T C + S^T S),
-    C and S the cosines and sines of 2 pi <mu, x> times sqrt(w) on the
-    floor(F/2) half rows, plus sqrt(w) sqrt(w)^T for mu = 0 when F is odd.
+    frequency numerators over p, which the set keeps sorted: negation
+    reverses lexicographic order, so the set is symmetric iff
+    rows[i] + rows[F-1-i] is one vector s for every i, and then
+    c = s / (2p). Pairing mu = f - c with -mu turns e(<mu, x - y>) into
+    cosines, so G_c = 2 (C^T C + S^T S), C and S the cosines and sines of
+    2 pi <mu, x> times sqrt(w) on the floor(F/2) half rows, plus
+    sqrt(w) sqrt(w)^T for mu = 0 when F is odd.
     One kernel call gives the half-row phases and those of c, each the
     exact rational (2f - s) . a / (2pq) rounded once. Any other set, and an
     empty one, keeps the complex Phi^H Phi with d = None.
     """
-    rows, p = sorted(freq_set.numerators), freq_set.denominator
+    rows, p = freq_set.numerators, freq_set.denominator
     pair_sums = {tuple(x + y for x, y in zip(f, g)) for f, g in zip(rows, reversed(rows))}
     if len(pair_sums) != 1:
-        phi = _synthesis_rows(dim, atoms, sqrt_w, freq_set)
+        phi = _synthesis_rows(m, sqrt_w, freq_set)
         return phi.conj().T @ phi, None
     (s,) = pair_sums
     half = len(rows) // 2
     centred = [tuple(2 * x - y for x, y in zip(f, s)) for f in rows[:half]]
-    angles = 2 * np.pi * _exact_phase_matrix(dim, (centred + [s], 2 * p), atoms)
+    angles = 2 * np.pi * _exact_phase_matrix(m.dim, (centred + [s], 2 * p), (m.numerators, m.denominator))
     real_rows = np.empty((len(rows), len(sqrt_w)))
     np.cos(angles[:half], out=real_rows[:half])
     np.sin(angles[:half], out=real_rows[half : 2 * half])
@@ -403,7 +397,7 @@ def _cube_steps(rows) -> list | None:
     return steps
 
 
-def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
+def _vanishing_off_diagonal(measure: AtomicMeasure, freq_set: FrequencySet) -> bool:
     """True iff the frequency set is a cube and every off-diagonal Gram entry is exactly 0, decided in integers.
 
     With numerators over p a cube c + {sum_j e_j v_j} (``_cube_steps``),
@@ -416,10 +410,10 @@ def _vanishing_off_diagonal(dim: int, atoms, freq_set: FrequencySet) -> bool:
     first, so a Gram that is not diagonal is usually refused in O(M n);
     then blocks of rows against the atoms from the block on.
     """
-    atom_nums, q = atoms
-    modulus, m = freq_set.denominator * q, len(atom_nums)
+    dim, atom_nums, m = measure.dim, measure.numerators, len(measure)
+    modulus = freq_set.denominator * measure.denominator
     # F < M frequencies give a Gram of rank at most F, never the full-rank F diag(w).
-    v = _cube_steps(sorted(freq_set.numerators)) if len(freq_set) >= m else None
+    v = _cube_steps(freq_set.numerators) if len(freq_set) >= m else None
     if v is None or (modulus % 2 and m > 1):
         return False
     dtype = np.int64 if _phase_path(dim, v, atom_nums, modulus) == "int64" else object
@@ -445,38 +439,21 @@ def _resolution(atom_count: int, freq_count: int, upper: float) -> float:
     return float(max(atom_count, freq_count) * np.finfo(float).eps * max(upper, 1.0))
 
 
-def _diagonal_report(sqrt_w: np.ndarray, masses, freq_count: int) -> FrameReport:
-    """The report of the exactly diagonal Gram F diag(w): no Gram, no eigensolve.
+def _diagonal_report(m: AtomicMeasure, sqrt_w: np.ndarray, freq_count: int) -> FrameReport:
+    """The report of the exactly diagonal Gram F diag(w) of m: no Gram, no eigensolve.
 
-    ``masses`` are the weights exactly, numerators over a denominator.
     lower and upper are F w_x at the first smallest and the largest weight,
     each the exact rational rounded once; rank is M. The worst vector is
     the unit vector at that first smallest weight, normalized as
     ``_frame_report`` normalizes, and ``resolution`` is the tolerance an
     eigensolve would have used.
     """
-    nums, den = masses
-    m, first = len(nums), nums.index(min(nums))
+    nums, den, n = m.masses, m.mass_denominator, len(m)
+    first = nums.index(min(nums))
     lower, upper = freq_count * nums[first] / den, freq_count * max(nums) / den
-    worst = np.zeros(m, dtype=complex)
+    worst = np.zeros(n, dtype=complex)
     worst[first] = 1 / sqrt_w[first]
-    return FrameReport(lower, upper, upper / lower, m, tuple(worst), m, freq_count, _resolution(m, freq_count, upper))
-
-
-def _report(dim: int, atoms, masses, freq_set: FrequencySet, eigen_budget: int) -> FrameReport:
-    """Frame bounds on atoms and masses, each given exactly as (numerators, denominator).
-
-    An exactly diagonal Gram is reported from its diagonal, at any size;
-    every other Gram, within the eigen budget, takes ``_gram`` and
-    ``_frame_report``. No phase is computed before either decision.
-    """
-    sqrt_w = np.sqrt(_checked_weights(dim, masses, freq_set.dim))
-    if not len(freq_set):
-        raise EmptyFrequencySet("frequency set is empty")
-    if _vanishing_off_diagonal(dim, atoms, freq_set):
-        return _diagonal_report(sqrt_w, masses, len(freq_set))
-    _check_eigen_budget(len(sqrt_w), eigen_budget)
-    return _frame_report(*_gram(dim, atoms, sqrt_w, freq_set), sqrt_w, len(freq_set))
+    return FrameReport(lower, upper, upper / lower, n, tuple(worst), n, freq_count, _resolution(n, freq_count, upper))
 
 
 def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> FrameReport:
@@ -518,13 +495,25 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
 def frame_bounds(
     m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
 ) -> FrameReport:
-    """Frame bounds of E(freqs) on a discretized measure, with exact phases."""
-    return _report(m.dim, (m.numerators, m.denominator), (m.masses, m.mass_denominator), freq_set, eigen_budget)
+    """Frame bounds of E(freqs) on a discretized measure, with exact phases.
+
+    An exactly diagonal Gram is reported from its diagonal, at any size;
+    every other Gram, within the eigen budget, takes ``_gram`` and
+    ``_frame_report``. No phase is computed before either decision.
+    """
+    sqrt_w = np.sqrt(_checked_weights(m, freq_set))
+    if not len(freq_set):
+        raise EmptyFrequencySet("frequency set is empty")
+    if _vanishing_off_diagonal(m, freq_set):
+        return _diagonal_report(m, sqrt_w, len(freq_set))
+    if len(m) > eigen_budget:
+        raise EigenBudgetExceeded(f"{len(m)} atoms exceed the eigen budget {eigen_budget}")
+    return _frame_report(*_gram(m, sqrt_w, freq_set), sqrt_w, len(freq_set))
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:
     """Rayleigh quotient sum_l |(f dm)^(l)|^2 / ||f||^2 for atom coefficients f."""
-    weights = _checked_weights(m.dim, (m.masses, m.mass_denominator), freq_set.dim)
+    weights = _checked_weights(m, freq_set)
     f = np.asarray(coefficients, dtype=complex).reshape(-1)
     if f.shape[0] != weights.shape[0]:
         raise SizeMismatch("coefficient vector length does not match the atom count")

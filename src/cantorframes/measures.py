@@ -120,7 +120,7 @@ def _sqrt_upper_bound(value: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class DigitSystem:
-    """An expanding integer matrix R with distinct integer digits, checked when built.
+    """An expanding integer matrix R with distinct integer digits, kept sorted, checked when built.
 
     ``inverse`` is R^-1 exactly: integer numerator rows over their least common denominator.
     """
@@ -132,9 +132,10 @@ class DigitSystem:
     def __post_init__(self):
         # Rows and digits are exact points over 1: a row or digit of the wrong length raises DimensionMismatch.
         d = len(self.matrix)
-        matrix, digits = tuple(_points_over(self.matrix, d, 1)), tuple(_points_over(self.digits, d, 1))
+        matrix, digits = tuple(_points_over(self.matrix, d, 1)), _points_over(self.digits, d, 1)
         if None in matrix or None in digits:
             raise ValueError("digit system entries must be integers")
+        digits = tuple(sorted(digits))
         if not digits:
             raise DuplicateDigits("digit set is empty")
         inverse = _fraction_inverse(matrix)  # raises SingularMatrix when det R = 0

@@ -59,9 +59,9 @@ sheared by a float ``np.linalg.solve``, and one ``eigvalsh`` per angle
 of the Gram of those synthesis rows.
 
 Rotated phases: the per-angle check that the basis certificate replaced.
-Every base frequency and every base atom is mapped in exact rationals and
-the whole rotated phase matrix is formed by the phase kernel, to be
-compared bit for bit with the base one.
+Every base frequency and every base atom is mapped in ``Fraction``
+arithmetic, written out from cos and sin without the library's shear
+maps, and both phase matrices are ``Fraction`` phases rounded once.
 """
 import cmath
 import math
@@ -188,11 +188,15 @@ def oracle_laplacian_bounds(edges, n: int) -> tuple:
 
 def oracle_phase_matrix(measure, freq_set) -> np.ndarray:
     """Phases <freq, atom> mod 1, each an exact Fraction rounded once to float."""
-    columns = [p for p, _ in measure.atoms]
-    rows = np.empty((len(freq_set), len(columns)), dtype=float)
-    for i, f in enumerate(freq_set.freqs):
+    return _oracle_phases(freq_set.freqs, measure.locations)
+
+
+def _oracle_phases(freqs, atoms) -> np.ndarray:
+    """Phases <freq, atom> mod 1 of exact rows, each a Fraction rounded once to float."""
+    rows = np.empty((len(freqs), len(atoms)), dtype=float)
+    for i, f in enumerate(freqs):
         exact = [Fraction(v) for v in f]
-        for j, col in enumerate(columns):
+        for j, col in enumerate(atoms):
             value = sum((a * b for a, b in zip(exact, col)), Fraction(0))
             rows[i, j] = float(value - (value.numerator // value.denominator))
     return rows
@@ -429,7 +433,8 @@ def oracle_mu_hat(ds, xi, tol: float) -> tuple:
         eta = rinv_t @ eta
         total = 0j
         for b in ds.digits:
-            total += cmath.exp(-2j * math.pi * float(np.dot(eta, b)))
+            t = float(np.dot(eta, b))
+            total += cmath.exp(-2j * math.pi * (t - round(t)))
         value *= total / len(ds.digits)
     return value, bound, n_factors
 
@@ -546,22 +551,23 @@ def oracle_rotation_bounds(level: int, base_freqs, theta_degrees: float) -> tupl
 
 
 def oracle_rotated_phases(level: int, base_freqs, theta_degrees: float) -> tuple:
-    """(rotated, base) exact phase matrices of the planar sum at one non-right angle."""
-    from cantorframes import BlockedLinearMap, DigitSystem, add, embed_axis, level_measure
-    from cantorframes.experiments import _sheared_atoms
-    from cantorframes.frames import _exact_phase_matrix, _shear_transport
-    from cantorframes.measures import _common_numerators
+    """(rotated, base) phase matrices of the planar sum at one non-right angle, in ``Fraction`` arithmetic.
+
+    With c and s the floats cos(theta) and sin(theta) read as the binary
+    rationals they are, the atoms (x, y) shear to (x - s y, c y) and the
+    frequencies (f1, f2) go to (f1, f2 / c + s f1 / c).
+    """
+    from cantorframes import DigitSystem, add, embed_axis, level_measure
 
     mu = level_measure(DigitSystem.one_dimensional(4, [0, 1]), level)
     nu = level_measure(DigitSystem.one_dimensional(16, [0, 1]), level)
-    planar = add(embed_axis(mu, 2, 0), embed_axis(nu, 2, 1))
-    base_atoms = planar.numerators, planar.denominator
-    t_map = BlockedLinearMap.rotation_2d(math.radians(theta_degrees))
-    c = Fraction(t_map.a4[0][0])
-    freqs, p = _shear_transport(_common_numerators([(f0, Fraction(f1) / c) for f0, f1 in base_freqs.freqs]), t_map)
-    atoms, q = _sheared_atoms(base_atoms, t_map)
-    base = _exact_phase_matrix(2, (base_freqs.numerators, base_freqs.denominator), base_atoms)
-    return _exact_phase_matrix(2, (freqs, p), (atoms, q)), base
+    atoms = add(embed_axis(mu, 2, 0), embed_axis(nu, 2, 1)).locations
+    theta = math.radians(theta_degrees)
+    c, s = Fraction(math.cos(theta)), Fraction(math.sin(theta))
+    freqs = [tuple(map(Fraction, f)) for f in base_freqs.freqs]
+    sheared = [(x - s * y, c * y) for x, y in atoms]
+    transported = [(f1, f2 / c + s * f1 / c) for f1, f2 in freqs]
+    return _oracle_phases(transported, sheared), _oracle_phases(freqs, atoms)
 
 
 def _oracle_points(points) -> list:

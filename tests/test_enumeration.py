@@ -15,6 +15,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from cantorframes import (
     AtomBudgetExceeded,
     AtomicMeasure,
     DigitSystem,
+    FrequencySet,
     NoWitnessFound,
     add,
     ball_mass,
@@ -30,6 +32,7 @@ from cantorframes import (
     cylinder_points,
     difference_set,
     embed_axis,
+    frame_bounds,
     jp_spectrum,
     level_measure,
     radon_nikodym_atoms,
@@ -39,6 +42,7 @@ from cantorframes import (
     translation_overlap,
 )
 import cantorframes.measures as skeletons
+from cantorframes.fourier import _mu_hat_grid
 from cantorframes.packing import CERTIFIED_OVERLAP, CERTIFIED_SSC
 from oracles import (
     oracle_add,
@@ -147,6 +151,27 @@ def hadamard_pairs(draw):
     c, t = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
     ds = DigitSystem.one_dimensional(base, [c + a * j for j in range(m)])
     return ds, [t + (base // m) * e * j for j in range(m)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(digit_systems(), st.data())
+def test_listing_order_reaches_nothing(ds, data):
+    """Digits and frequencies listed in any order give equal objects, hashes, measures, transforms and reports."""
+    listed = DigitSystem(ds.matrix, data.draw(st.permutations(ds.digits)))
+    assert listed == ds and hash(listed) == hash(ds)
+    level = min(_max_level(ds, 64), 3)
+    measure = level_measure(listed, level)
+    assert measure == level_measure(ds, level)
+    grid = np.random.default_rng(0).uniform(-20.0, 20.0, (50, ds.dim))
+    assert _mu_hat_grid(listed, grid, 1e-8) == _mu_hat_grid(ds, grid, 1e-8)
+    denominator = data.draw(st.sampled_from([1, 6]))
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * ds.dim), min_size=1, max_size=8, unique=True))
+    rows = [tuple(Fraction(x, denominator) for x in v) for v in vectors]
+    freq_set = FrequencySet(dim=ds.dim, freqs=tuple(rows))
+    shuffled = FrequencySet(dim=ds.dim, freqs=tuple(data.draw(st.permutations(rows))))
+    assert shuffled == freq_set and hash(shuffled) == hash(freq_set)
+    first, second = frame_bounds(measure, shuffled), frame_bounds(level_measure(ds, level), freq_set)
+    assert repr(first) == repr(second) and np.array_equal(first.worst_vector, second.worst_vector)
 
 
 @settings(max_examples=60, deadline=None)

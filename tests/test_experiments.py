@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cantorframes import (
+    BlockedLinearMap,
     DigitSystem,
     EigenBudgetExceeded,
     NotCertifiedPacking,
@@ -22,6 +23,8 @@ from cantorframes import (
     jp_spectrum,
     rotation_experiment,
 )
+from cantorframes.measures import _common_numerators
+from instances import _planar_sum
 from oracles import oracle_laplacian_bounds, oracle_rotated_phases, oracle_rotation_bounds
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
@@ -193,9 +196,15 @@ class TestRotationIdentity:
     @pytest.mark.parametrize("level", [2, 3, 4])
     def test_rotated_phases_equal_base(self, level):
         freqs = rotation_experiment(level, []).base_frequencies
+        planar = _planar_sum(level)
         for theta in IDENTITY_ANGLES:
             rotated, base = oracle_rotated_phases(level, freqs, theta)
             assert np.array_equal(rotated, base), theta
+            # The library's shear maps through the phase kernel give the same matrix.
+            t_map = BlockedLinearMap.rotation_2d(math.radians(theta))
+            scaled = _common_numerators([(f0, Fraction(f1) / Fraction(t_map.a4[0][0])) for f0, f1 in freqs.freqs])
+            atoms = experiments._sheared_atoms((planar.numerators, planar.denominator), t_map)
+            assert np.array_equal(frames._exact_phase_matrix(2, frames._shear_transport(scaled, t_map), atoms), base)
 
     def test_no_phase_matrix_per_angle(self, monkeypatch):
         calls = []

@@ -68,9 +68,13 @@ class TestMask:
         mask = MaskPolynomial.of([0, 1, 5])
         assert mask(0) == 1
 
+    def test_polynomial_digits_kept_sorted(self):
+        listed = MaskPolynomial.of([5, 0, 1])
+        assert listed == MaskPolynomial.of([0, 1, 5]) and listed.digits == ((0,), (1,), (5,))
+
     @pytest.mark.parametrize("digits", [[(0,), (1,), (5,)], [(0, 0), (2, 1), (1, 3), (-1, 2)]], ids=["1d", "planar"])
     def test_mask_sums_each_phase_in_coordinate_order(self, digits):
-        # <xi, b> is added left to right and never fused into one multiply-add, as the grid forms it.
+        # <xi, b> is added left to right, never fused into one multiply-add, and reduced mod 1, as the grid does.
         rng = np.random.default_rng(4)
         for xi in rng.uniform(-50, 50, (200, len(digits[0]))).tolist():
             total = 0j
@@ -78,7 +82,7 @@ class TestMask:
                 dot = xi[0] * b[0]
                 for x, y in zip(xi[1:], b[1:]):
                     dot = dot + x * y
-                total += cmath.exp(-2j * np.pi * dot)
+                total += cmath.exp(-2j * np.pi * (dot - round(dot)))
             value = mask_eval(digits, xi)
             assert (value.real, value.imag) == (total.real / len(digits), total.imag / len(digits))
 
@@ -171,6 +175,26 @@ class TestMuHatGrid:
 
     def test_empty_grid(self):
         assert _mu_hat_grid(FOUR, [], 1e-10) == []
+
+    def test_digit_order_reaches_no_value(self):
+        grid = np.linspace(-50.0, 50.0, 10_001)
+        listed, ordered = (DigitSystem.one_dimensional(16, digits) for digits in ([5, 4, 1, 0], [0, 1, 4, 5]))
+        assert _mu_hat_grid(listed, grid, 1e-10) == _mu_hat_grid(ordered, grid, 1e-10)
+
+    @pytest.mark.parametrize("ds", [FOUR, SIXTEEN_01, SIXTEEN_04], ids=["4:0,1", "16:0,1", "16:0,4"])
+    def test_large_frequencies_within_the_printed_tail_bound(self, ds):
+        # Here eta and <eta, b> are exact floats, so the reduced phases are exact and only the tail remains.
+        mpmath = pytest.importorskip("mpmath")
+        base, digits = ds.matrix[0][0], [b for (b,) in ds.digits]
+        for k in range(51):
+            xi = 2.0**k + 0.3
+            with mpmath.workdps(60):
+                product, eta = mpmath.mpc(1), mpmath.mpf(xi)
+                while abs(eta) > mpmath.mpf(10) ** -40:
+                    eta /= base
+                    product *= mpmath.fsum(mpmath.expj(-2 * mpmath.pi * eta * b) for b in digits) / len(digits)
+                got = mu_hat(ds, xi, 1e-10)
+                assert abs(mpmath.mpc(got.value) - product) <= got.tail_bound, k
 
     def test_non_finite_middle_point_is_named(self):
         with pytest.raises(ValueError, match=r"frequency \(nan,\) is not finite"):

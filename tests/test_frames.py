@@ -26,6 +26,7 @@ from cantorframes import (
     integer_pool,
     jp_spectrum,
     level_measure,
+    rotation_experiment,
     shear_blocks,
     translate,
 )
@@ -246,6 +247,39 @@ def test_frequency_sets_with_the_same_frequencies_are_equal():
     assert hash(integer_pool(4)) == hash(FrequencySet.from_scalars(range(4)))
 
 
+class TestCanonicalOrder:
+    """Digit and frequency sets are sets: the order they are listed in reaches no field, hash or report."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(3,), (-1,), (7,), (0,)], [(0, 2), (1, 1), (-3, 5)], [(Fraction(1, 3), 2), (0.5, Fraction(-7, 4)), (2, 0)]],
+        ids=["integer", "planar", "fraction"],
+    )
+    def test_reordered_frequency_sets_are_equal(self, rows):
+        first, second = (FrequencySet(dim=len(rows[0]), freqs=tuple(r)) for r in (rows, rows[::-1]))
+        assert first == second and hash(first) == hash(second)
+        assert (first.freqs, first.numerators) == (second.freqs, second.numerators)
+        assert list(first.numerators) == sorted(first.numerators)
+
+    def test_reordered_digit_systems_are_equal(self):
+        listed = DigitSystem(((16,),), [(5,), (4,), (1,), (0,)])
+        assert listed == SIXTEEN_0145 and hash(listed) == hash(SIXTEEN_0145)
+        assert listed.digits == ((0,), (1,), (4,), (5,))
+
+    def test_shuffled_rotation_frame_gives_the_same_report(self):
+        result = rotation_experiment(5, [])
+        rows = list(result.base_frequencies.freqs)
+        random.Random(3).shuffle(rows)
+        assert _same_report(frame_bounds(_planar_sum(5), FrequencySet(dim=2, freqs=tuple(rows))), result.base_report)
+
+    def test_shuffled_float_frequencies_give_the_same_report(self):
+        measure, freq_set = _translate_instance(7)
+        rows = list(freq_set.freqs)
+        random.Random(3).shuffle(rows)
+        shuffled = FrequencySet(dim=1, freqs=tuple(rows))
+        assert _same_report(frame_bounds(measure, shuffled), frame_bounds(measure, freq_set))
+
+
 class TestDistinctFrequencies:
     @pytest.mark.parametrize(
         "values", [[3, 1, 3], [0.0, 1e-13], [Fraction(1, 3), 1 / 3]], ids=["duplicate", "within-1e-12", "fraction"]
@@ -257,7 +291,7 @@ class TestDistinctFrequencies:
     @pytest.mark.parametrize(
         "freqs, pair",
         [
-            (((3,), (1,), (3,), (1,)), "(3,) and (3,)"),
+            (((3,), (1,), (3,), (1,)), "(1,) and (1,)"),
             (np.array([[0, 2], [1, 1], [0, 2]]), "(0, 2) and (0, 2)"),
             (((5,), (2.0,), (2,)), "(2,) and (2,)"),
         ],
@@ -270,7 +304,7 @@ class TestDistinctFrequencies:
 
     def test_integer_rows_are_their_own_numerators(self):
         freq_set = FrequencySet(dim=2, freqs=np.array([[0, 2], [-3, 1]]))
-        assert freq_set.freqs == freq_set.numerators == ((0, 2), (-3, 1)) and freq_set.denominator == 1
+        assert freq_set.freqs == freq_set.numerators == ((-3, 1), (0, 2)) and freq_set.denominator == 1
         assert all(type(x) is int for f in freq_set.freqs for x in f)
         assert freq_set == FrequencySet(dim=2, freqs=((0.0, 2), (Fraction(-3), 1.0)))
 
@@ -282,14 +316,14 @@ class TestDistinctFrequencies:
 
     def test_coordinates_kept_exactly(self):
         freq_set = FrequencySet(dim=2, freqs=((np.int64(2), Fraction(1, 3)), (0.1, np.float64(2.5))))
-        assert freq_set.freqs == ((2, Fraction(1, 3)), (Fraction(0.1), Fraction(5, 2)))
+        assert freq_set.freqs == ((Fraction(0.1), Fraction(5, 2)), (2, Fraction(1, 3)))
         # numpy's float32 and float16 are read through float, which is exact for them.
         narrow = FrequencySet(dim=2, freqs=((np.float32(0.1), np.float16(-0.75)),))
         assert narrow.freqs == ((Fraction(float(np.float32(0.1))), Fraction(-3, 4)),)
         assert FrequencySet.from_scalars(np.array([0.5, 1.0], dtype=np.float32)).freqs == ((Fraction(1, 2),), (1,))
         # Equal numbers hash equally, so the exact tuples still match float tuples.
         floats = FrequencySet.from_scalars([0.5, 2.0, -7.25])
-        assert floats.freqs == ((0.5,), (2.0,), (-7.25,)) and hash(floats.freqs) == hash(((0.5,), (2.0,), (-7.25,)))
+        assert floats.freqs == ((-7.25,), (0.5,), (2.0,)) and hash(floats.freqs) == hash(((-7.25,), (0.5,), (2.0,)))
 
     def test_deep_jp_spectrum_is_exact_and_orthonormal(self):
         # 1024:{0,1} at level 7: frequencies reach 512 * 1024^6 = 2^69, far past the exact doubles.
@@ -501,8 +535,8 @@ class TestWorstVector:
 
     @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
     def test_matches_eigh_oracle(self, name, measure, freq_set):
-        atoms, weights = _atoms_and_weights(measure)
-        phi = frames._synthesis_rows(measure.dim, atoms, np.sqrt(weights), freq_set)
+        weights = _weights(measure)
+        phi = frames._synthesis_rows(measure, np.sqrt(weights), freq_set)
         expected, smallest = oracle_eigh_report(phi, weights)
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
@@ -519,15 +553,15 @@ class TestWorstVector:
         assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
 
-def _atoms_and_weights(measure):
-    """Atom numerators and their denominator, and the float weights the report path forms."""
-    return (measure.numerators, measure.denominator), np.array([w / measure.mass_denominator for w in measure.masses])
+def _weights(measure):
+    """The float weights the report path forms."""
+    return np.array([w / measure.mass_denominator for w in measure.masses])
 
 
 def _gram_and_rows(measure, freq_set):
-    atoms, weights = _atoms_and_weights(measure)
-    gram, d = frames._gram(measure.dim, atoms, np.sqrt(weights), freq_set)
-    return gram, d, frames._synthesis_rows(measure.dim, atoms, np.sqrt(weights), freq_set)
+    weights = _weights(measure)
+    gram, d = frames._gram(measure, np.sqrt(weights), freq_set)
+    return gram, d, frames._synthesis_rows(measure, np.sqrt(weights), freq_set)
 
 
 def _symmetric_gram_cases():
@@ -584,7 +618,7 @@ class TestRealGram:
     def test_matches_complex_oracle(self, name, measure, freq_set):
         gram, d, phi = _gram_and_rows(measure, freq_set)
         assert (d is None) == (name in COMPLEX_ORACLE_CASES)
-        expected, smallest = oracle_eigh_report(phi, _atoms_and_weights(measure)[1])
+        expected, smallest = oracle_eigh_report(phi, _weights(measure))
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
         assert abs(report.upper - expected.upper) <= report.resolution
@@ -595,8 +629,8 @@ class TestRealGram:
 
 def _gram_report(measure, freq_set):
     """The report of the Gram and its eigensolve, the path every set took before exact diagonals."""
-    atoms, weights = _atoms_and_weights(measure)
-    gram, d = frames._gram(measure.dim, atoms, np.sqrt(weights), freq_set)
+    weights = _weights(measure)
+    gram, d = frames._gram(measure, np.sqrt(weights), freq_set)
     return frames._frame_report(gram, d, np.sqrt(weights), len(freq_set))
 
 
@@ -605,7 +639,7 @@ def _same_report(first, second) -> bool:
 
 
 def _vanishes(measure, freq_set) -> bool:
-    return frames._vanishing_off_diagonal(measure.dim, (measure.numerators, measure.denominator), freq_set)
+    return frames._vanishing_off_diagonal(measure, freq_set)
 
 
 SIX_01 = DigitSystem.one_dimensional(6, [0, 1])
@@ -681,7 +715,7 @@ class TestCubeSteps:
 
     @pytest.mark.parametrize("name,measure,freq_set", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
     def test_every_exact_case_is_a_cube(self, name, measure, freq_set):
-        rows = sorted(freq_set.numerators)
+        rows = freq_set.numerators
         steps = frames._cube_steps(rows)
         assert 2 ** len(steps) == len(rows) and _subset_sums(rows[0], steps) == set(rows)
 
