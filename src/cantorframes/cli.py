@@ -25,7 +25,7 @@ from .fourier import _mu_hat_grid
 from .frames import FrequencySet, frame_bounds, jp_spectrum
 from .measures import DigitSystem, convolve, level_measure
 from .packing import CERTIFIED_NOT_PACKING, _digit_certificate, singularity_witness
-from .serialize import _atom_strings, canonical_json, certificate_to_jsonable, csv_text
+from .serialize import _atom_strings, _json_list, canonical_json, certificate_to_jsonable, csv_text
 from .serialize import digit_system_from_jsonable, fraction_to_str, frame_report_to_jsonable, load_json
 from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable, write_json
 
@@ -70,19 +70,14 @@ def _default_hadamard_digits(ds) -> list:
     return [0, base // (2 * b)]
 
 
-def _emit(args, payload_json, csv_header=None, csv_rows=None) -> None:
-    """Write the CSV rows under ``--format csv``, else the JSON payload (a ``str`` is already rendered)."""
-    if args.format == "csv":
-        text = csv_text(csv_header, csv_rows)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+def _emit(args, payload) -> None:
+    """Write ``payload``: text already rendered in ``args.format``, or a JSON object."""
+    if not args.out:
+        sys.stdout.write(payload if isinstance(payload, str) else canonical_json(payload))
+    elif args.format == "csv":
+        Path(args.out).write_text(payload)
     else:
-        if args.out:
-            write_json(args.out, payload_json)
-        else:
-            sys.stdout.write(payload_json if isinstance(payload_json, str) else canonical_json(payload_json))
+        write_json(args.out, payload)
     if args.manifest:
         config = {k: v for k, v in sorted(vars(args).items()) if k not in {"func", "command_path"}}
         if args.out:
@@ -100,11 +95,14 @@ def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
     """Emit rows as CSV columns or JSON row keys, both the fields of ``row_type``; JSON writes Fractions as "p/q"."""
     header = [f.name for f in dataclasses.fields(row_type)]
     cells = [[getattr(row, name) for name in header] for row in rows]
-    json_rows = [
-        {name: fraction_to_str(v) if isinstance(v, Fraction) else v for name, v in zip(header, row)}
-        for row in cells
-    ]
-    _emit(args, {"schema": schema, **fields, "rows": json_rows}, header, cells)
+    if args.format == "csv":
+        _emit(args, csv_text(header, cells))
+    else:
+        json_rows = [
+            {name: fraction_to_str(v) if isinstance(v, Fraction) else v for name, v in zip(header, row)}
+            for row in cells
+        ]
+        _emit(args, {"schema": schema, **fields, "rows": json_rows})
 
 
 def _cmd_measure_build(args) -> int:
@@ -115,9 +113,9 @@ def _cmd_measure_build(args) -> int:
         coordinates, weights = _atom_strings(measure)
         locations = zip(*[iter(coordinates)] * measure.dim)
         rows = [[*location, weight] for location, weight in zip(locations, weights)]
-        _emit(args, None, header, rows)
+        _emit(args, csv_text(header, rows))
     else:
-        _emit(args, measure_json(measure), None, None)
+        _emit(args, measure_json(measure))
     return EXIT_OK
 
 
@@ -130,25 +128,29 @@ def _cmd_measure_convolve(args) -> int:
 
 
 def _cmd_ft_grid(args) -> int:
+    """The grid as CSV rows or ``ft-grid/1`` JSON, rendered in one pass as ``csv_text``/``canonical_json`` would."""
     for flag, value in (("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} {value} is not finite")
+    if args.count < 0:
+        raise ValueError(f"--count {args.count} is negative")
     ds = parse_digit_system(args.system)
     if ds.dim != 1:
         raise ValueError("the CLI grid is one-dimensional; use the library for d >= 2")
     xs = np.linspace(args.xi_min, args.xi_max, args.count)
-    rows = [
-        [x, v.value.real, v.value.imag, v.tail_bound]
-        for x, v in zip(xs.tolist(), _mu_hat_grid(ds, xs, args.tol))
-    ]
+    re, im, bound, _ = _mu_hat_grid(ds, xs, args.tol)
+    # Every cell is a finite float, which both formats write as its repr.
+    columns = [a.tolist() for a in (xs, re, im, bound)]
     if args.format == "csv":
-        _emit(args, None, ["xi1", "re", "im", "certified_tail_bound"], rows)
+        _emit(args, "xi1,re,im,certified_tail_bound\n" + "".join(map("{!r},{!r},{!r},{!r}\n".format, *columns)))
     else:
-        payload = {
-            "schema": "ft-grid/1",
-            "rows": [{"xi": r[0], "re": r[1], "im": r[2], "certified_tail_bound": r[3]} for r in rows],
-        }
-        _emit(args, payload)
+        # Keys sorted and indented as canonical_json writes them.
+        row = (
+            '{{\n      "certified_tail_bound": {3!r},\n      "im": {2!r},'
+            '\n      "re": {1!r},\n      "xi": {0!r}\n    }}'
+        )
+        rows = _json_list(list(map(row.format, *columns)), 2)
+        _emit(args, '{\n  "rows": ' + rows + ',\n  "schema": "ft-grid/1"\n}\n')
     return EXIT_OK
 
 

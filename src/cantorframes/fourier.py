@@ -12,9 +12,10 @@ it meets 2*pi, whose product with a large t would lose the phase digits.
 A ``DigitSystem`` keeps its digits sorted, so the masks sum in one order.
 
 Windowed transforms are exponential sums over a measure's skeleton atoms:
-their phases come from the exact kernel of ``frames``, one call per
-measure for a whole frequency grid; their windows enter the skeleton
-through ``measures._points_over``, the one map of exact points.
+their phases come from the exact kernel of ``frames``, one call for a
+whole frequency grid, and a factorization check makes one call for its
+three windowed sums; their windows enter the skeleton through
+``measures._points_over``, the one map of exact points.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import pairwise, repeat
 
 import numpy as np
 
@@ -87,8 +88,8 @@ class TransformValue:
     factors: int
 
 
-def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
-    """``mu_hat`` at every point of ``xis``, in one vectorized pass.
+def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> tuple:
+    """``mu_hat`` at every point of ``xis``, in one vectorized pass: arrays (re, im, tail bound, factor count).
 
     R^-T and the norm bounds are formed once per grid, from the exact R^-1
     the system keeps. Each point gets the float sequence of the per-point
@@ -108,12 +109,12 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
     and sum on its own, as CPython does. In one dimension each value, tail
     bound and factor count is therefore bit-identical to a per-point loop
     of ``cmath.exp`` of the reduced phases over the digits. An empty grid
-    returns [] unchecked; a NaN ``tol`` is refused with the tolerances
-    below float resolution.
+    returns empty arrays unchecked; a NaN ``tol`` is refused with the
+    tolerances below float resolution.
     """
     points = np.asarray(xis, dtype=float)
     if len(points) == 0:
-        return []
+        return np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
     if not tol >= 1e-15:  # NaN included
         raise ToleranceUnreachable("tolerance below float resolution")
     inv = float(ds.inverse_norm_bound())
@@ -149,10 +150,7 @@ def _mu_hat_grid(ds: DigitSystem, xis, tol: float) -> list:
         eta = np.stack([_fixed_order_dot(row, eta) for row in rinv_t], axis=1)
         mr, mi = _masks(digits, eta)
         re, im = np.where(running, re * mr - im * mi, re), np.where(running, re * mi + im * mr, im)
-    return [
-        TransformValue(value=complex(r, i), tail_bound=t, factors=n)
-        for r, i, t, n in zip(re.tolist(), im.tolist(), bound.tolist(), factors.tolist())
-    ]
+    return re, im, bound, factors
 
 
 def _fixed_order_dot(coefficients, vectors: np.ndarray) -> np.ndarray:
@@ -171,34 +169,49 @@ def mu_hat(ds: DigitSystem, xi, tol: float) -> TransformValue:
     A non-finite coordinate of ``xi`` raises ValueError. This is the
     one-point grid of ``_mu_hat_grid``, the only mask-product path.
     """
-    return _mu_hat_grid(ds, [xi], tol)[0]
+    (re,), (im,), (bound,), (factors,) = _mu_hat_grid(ds, [xi], tol)
+    return TransformValue(value=complex(re, im), tail_bound=float(bound), factors=int(factors))
 
 
-def _skeleton_sums(m: AtomicMeasure, window, xis, denominator: int) -> list:
-    """Windowed sums at frequencies (numerators, denominator), one per row; windows over a multiple of m.denominator."""
-    locations, coefficients = [], []
-    for p, key, w in zip(m.numerators, _over(m, denominator), m.masses):
-        f = 1.0 if window is None else window.get(key, 0.0)
-        if f != 0:
-            locations.append(p)
-            coefficients.append(f * (w / m.mass_denominator))
-    phases = _exact_phase_matrix(m.dim, xis, (locations, m.denominator))
+def _skeleton_sums(groups, xis, denominator: int) -> list:
+    """Windowed sums at frequencies (numerators, denominator): one list per (measure, window) group, one sum per row.
+
+    Windows are keyed over ``denominator``, a multiple of each measure's. All window atoms meet the kernel in one call,
+    over the lcm of the measures' denominators; each group's terms in a row are summed by ``math.fsum``.
+    """
+    common = math.lcm(*(m.denominator for m, _ in groups))
+    locations, coefficients, ends = [], [], []
+    for m, window in groups:
+        for p, key, w in zip(_over(m, common), _over(m, denominator), m.masses):
+            f = 1.0 if window is None else window.get(key, 0.0)
+            if f != 0:
+                locations.append(p)
+                coefficients.append(f * (w / m.mass_denominator))
+        ends.append(len(locations))
+    phases = _exact_phase_matrix(groups[0][0].dim, xis, (locations, common))
     terms = np.asarray(coefficients) * np.exp(-2j * np.pi * phases)
-    return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(terms.real.tolist(), terms.imag.tolist())]
+    flat = memoryview(terms.view(float).ravel())  # each row's re, im interleaved
+    starts = [2 * len(locations) * i for i in range(len(terms))]
+    return [
+        [complex(math.fsum(flat[i + a : i + b : 2]), math.fsum(flat[i + a + 1 : i + b : 2])) for i in starts]
+        for a, b in pairwise([0, *(2 * e for e in ends)])
+    ]
 
 
 def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
-    """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with exact phases and compensated accumulation.
+    """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with exact phases and correctly rounded sums.
 
-    ``window`` is None for the constant 1, a set of exact points for an
-    indicator, or a dict from exact points to coefficients. ``xi`` is read
-    exactly, as ``as_point`` reads it, and the phases <xi, x> mod 1 are
-    exact, so a large xi loses no digits.
+    The real and imaginary parts are each one ``math.fsum`` of the float
+    terms, so no value depends on their order. ``window`` is None for the
+    constant 1, a set of exact points for an indicator, or a dict from
+    exact points to coefficients. ``xi`` is read exactly, as ``as_point``
+    reads it, and the phases <xi, x> mod 1 are exact, so a large xi loses
+    no digits.
     """
     if window is not None:
         coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
         window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
-    return _skeleton_sums(m, window, _common_numerators([_exact_point(xi, m.dim)]), m.denominator)[0]
+    return _skeleton_sums([(m, window)], _common_numerators([_exact_point(xi, m.dim)]), m.denominator)[0][0]
 
 
 @dataclass(frozen=True)
@@ -244,9 +257,8 @@ def factorization_check(
     if not xis:
         raise ValueError("empty frequency grid")
     exact = _common_numerators(xis)
-    lhs = _skeleton_sums(mu, dict.fromkeys(sum_rows, 1.0), exact, den)
-    e_sums = _skeleton_sums(nu, dict.fromkeys(e_rows, 1.0), exact, den)
-    f_sums = _skeleton_sums(lam, dict.fromkeys(f_rows, 1.0), exact, den)
+    windows = [(mu, sum_rows), (nu, e_rows), (lam, f_rows)]
+    lhs, e_sums, f_sums = _skeleton_sums([(m, dict.fromkeys(w, 1.0)) for m, w in windows], exact, den)
     rhs = [a * b for a, b in zip(e_sums, f_sums)]
     deviations = [abs(a - b) for a, b in zip(lhs, rhs)]
     worst = max(range(len(xis)), key=deviations.__getitem__)

@@ -313,7 +313,7 @@ class TestCliCommands:
         emitted = []
         monkeypatch.setattr(cli, "_emit", lambda args, *payload: emitted.append(payload))
         assert main(["measure", "build", "--system", "4:0,1", "--level", "2"]) == 0
-        assert len(emitted) == 1 and emitted[0][1:] == (None, None)
+        assert emitted == [(measure_json(level_measure(FOUR, 2)),)]
 
     def test_measure_files_match_fraction_view(self, tmp_path):
         a_path, b_path, conv, built, table = (tmp_path / n for n in ("a.json", "b.json", "c.json", "m.json", "m.csv"))
@@ -442,6 +442,23 @@ class TestCliCommands:
         assert main(["ft", "grid", "--system", "4:0,1", "--count", "1001", "--format", fmt, "--out", str(out)]) == 0
         expected_csv, expected_json = _oracle_ft_grid(1001)
         assert out.read_text() == (expected_csv if fmt == "csv" else expected_json)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_ft_grid_edge_counts_match_oracle(self, tmp_path, fmt, count):
+        # The one-pass writers at the edges of the grid: no rows ("rows": []), one row, two rows.
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["ft", "grid", "--system", "4:0,1", "--count", str(count), "--format", fmt, "--out", str(out)]) == 0
+        expected_csv, expected_json = _oracle_ft_grid(count)
+        assert out.read_text() == (expected_csv if fmt == "csv" else expected_json)
+
+    def test_ft_grid_negative_count_is_error(self, tmp_path, capsys):
+        # numpy refused it with "Number of samples, -1, must be non-negative.", naming no flag.
+        out = tmp_path / "grid.csv"
+        rc = main(["ft", "grid", "--system", "4:0,1", "--count", "-1", "--format", "csv", "--out", str(out)])
+        assert rc == EXIT_ERROR
+        assert "--count -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -27,7 +27,7 @@ from cantorframes import (
     translate,
     windowed_transform,
 )
-from cantorframes import fourier
+from cantorframes import fourier, frames
 from cantorframes.fourier import _mu_hat_grid
 from cantorframes.packing import CERTIFIED_PACKING
 from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix, oracle_windowed_sums
@@ -144,12 +144,18 @@ class TestMuHat:
             mu_hat(ds, xi, 1e-10)
 
 
+def _grid_values(ds, grid, tol) -> list:
+    """The arrays of ``_mu_hat_grid`` as one ``TransformValue`` per point."""
+    re, im, bound, factors = (a.tolist() for a in _mu_hat_grid(ds, grid, tol))
+    return [TransformValue(complex(r, i), t, n) for r, i, t, n in zip(re, im, bound, factors)]
+
+
 class TestMuHatGrid:
     @pytest.mark.parametrize("ds", [FOUR, SIXTEEN_04, THREE], ids=["4:0,1", "16:0,4", "3:0,2"])
     @pytest.mark.parametrize("tol", [1e-10, 1e-15, 1e-3])
     def test_bit_identical_to_per_point_product(self, ds, tol):
         grid = _mixed_grid()
-        values = _mu_hat_grid(ds, grid, tol)
+        values = _grid_values(ds, grid, tol)
         assert len({v.factors for v in values}) > 5 and min(v.factors for v in values) == 0
         for xi, got in zip(grid, values):
             value, tail_bound, factors = oracle_mu_hat(ds, xi, tol)
@@ -160,26 +166,27 @@ class TestMuHatGrid:
     def test_public_mu_hat_is_the_one_point_grid(self):
         for xi in (0.0, 1e-12, 0.3, -2.7, 9999.5):
             value, tail_bound, factors = oracle_mu_hat(FOUR, xi, 1e-10)
-            assert mu_hat(FOUR, xi, 1e-10) == _mu_hat_grid(FOUR, [xi], 1e-10)[0]
-            assert _mu_hat_grid(FOUR, [xi], 1e-10)[0] == TransformValue(value, tail_bound, factors)
+            assert mu_hat(FOUR, xi, 1e-10) == _grid_values(FOUR, [xi], 1e-10)[0]
+            assert _grid_values(FOUR, [xi], 1e-10)[0] == TransformValue(value, tail_bound, factors)
 
     @pytest.mark.parametrize("ds", [PLANAR, SHEARED], ids=["diagonal", "sheared"])
     def test_planar_matches_per_point_product(self, ds):
         rng = np.random.default_rng(4)
         grid = [(0.0, 0.0), (1e-9, -2e-9), *(tuple(p) for p in rng.uniform(-10, 10, (150, 2)).tolist())]
-        for xi, got in zip(grid, _mu_hat_grid(ds, grid, 1e-10)):
+        for xi, got in zip(grid, _grid_values(ds, grid, 1e-10)):
             value, tail_bound, factors = oracle_mu_hat(ds, xi, 1e-10)
             assert abs(got.value - value) <= 1e-15, xi
             assert got.factors == factors
             assert abs(got.tail_bound - tail_bound) <= 4 * np.finfo(float).eps * tail_bound
 
     def test_empty_grid(self):
-        assert _mu_hat_grid(FOUR, [], 1e-10) == []
+        arrays = _mu_hat_grid(FOUR, [], 1e-10)
+        assert [(a.shape, a.dtype.kind) for a in arrays] == [((0,), "f")] * 3 + [((0,), "i")]
 
     def test_digit_order_reaches_no_value(self):
         grid = np.linspace(-50.0, 50.0, 10_001)
         listed, ordered = (DigitSystem.one_dimensional(16, digits) for digits in ([5, 4, 1, 0], [0, 1, 4, 5]))
-        assert _mu_hat_grid(listed, grid, 1e-10) == _mu_hat_grid(ordered, grid, 1e-10)
+        assert _grid_values(listed, grid, 1e-10) == _grid_values(ordered, grid, 1e-10)
 
     @pytest.mark.parametrize("ds", [FOUR, SIXTEEN_01, SIXTEEN_04], ids=["4:0,1", "16:0,1", "16:0,4"])
     def test_large_frequencies_within_the_printed_tail_bound(self, ds):
@@ -347,6 +354,31 @@ class TestFactorization:
         window_f += window_f[:2]
         grid = np.linspace(-30.0, 30.0, 77)
         report = factorization_check(nu, lam, window_e, window_f, grid, force=True)
+        expected = oracle_factorization(nu, lam, window_e, window_f, grid)
+        assert (report.max_deviation, report.argmax_xi, report.grid_size) == expected
+
+    @pytest.mark.parametrize("shift, path", [(0, "limbs"), (Fraction(1, 3), "object")], ids=["dyadic", "thirds"])
+    def test_window_points_over_three_match_fraction_oracle(self, monkeypatch, shift, path):
+        # e + 1/3 and f - 1/3 are no atoms, yet their sum is an atom of the convolution. The one kernel call
+        # takes its modulus from the measures only, so dyadic atoms stay on the limb path.
+        nu, lam = translate(level_measure(SIXTEEN_01, 2), shift), level_measure(SIXTEEN_04, 2)
+        window_e = list(nu.locations)[::2] + [(nu.locations[1][0] + Fraction(1, 3),)]
+        window_f = list(lam.locations)[1::2] + [(lam.locations[0][0] - Fraction(1, 3),)]
+        grid = np.linspace(-30.0, 30.0, 61) + 0.1372
+        choose, paths = frames._phase_path, []
+        monkeypatch.setattr(frames, "_phase_path", lambda *a: paths.append(choose(*a)) or paths[-1])
+        report = factorization_check(nu, lam, window_e, window_f, grid)
+        assert paths == [path]
+        expected = oracle_factorization(nu, lam, window_e, window_f, grid)
+        assert (report.max_deviation, report.argmax_xi, report.grid_size) == expected
+
+    def test_planar_pair_matches_fraction_oracle(self):
+        nu = level_measure(DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0))), 2)
+        lam = level_measure(DigitSystem(((4, 0), (0, 4)), ((0, 0), (0, 1))), 2)
+        grid = [tuple(p) for p in np.random.default_rng(33).uniform(-12.0, 12.0, (40, 2)).tolist()]
+        window_e, window_f = list(nu.locations)[:3], list(lam.locations)[1:]
+        report = factorization_check(nu, lam, window_e, window_f, grid)
+        assert report.certified and 0 < report.max_deviation < 1e-12
         expected = oracle_factorization(nu, lam, window_e, window_f, grid)
         assert (report.max_deviation, report.argmax_xi, report.grid_size) == expected
 
