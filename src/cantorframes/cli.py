@@ -27,7 +27,7 @@ from .measures import DigitSystem, convolve, level_measure
 from .packing import CERTIFIED_NOT_PACKING, _digit_certificate, singularity_witness
 from .serialize import _atom_strings, _json_list, canonical_json, certificate_to_jsonable, csv_text
 from .serialize import digit_system_from_jsonable, fraction_to_str, frame_report_to_jsonable, load_json
-from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable, write_json
+from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,24 +71,21 @@ def _default_hadamard_digits(ds) -> list:
 
 
 def _emit(args, payload) -> None:
-    """Write ``payload``: text already rendered in ``args.format``, or a JSON object."""
-    if not args.out:
-        sys.stdout.write(payload if isinstance(payload, str) else canonical_json(payload))
-    elif args.format == "csv":
-        Path(args.out).write_text(payload)
-    else:
-        write_json(args.out, payload)
+    """Write ``payload`` (text rendered in ``args.format``, or a JSON object), then its manifest, to files or stdout."""
+    outputs = [(args.out, payload)]
     if args.manifest:
         config = {k: v for k, v in sorted(vars(args).items()) if k not in {"func", "command_path"}}
         if args.out:
             # Relative to the working directory, so a manifest reads the same in any checkout.
             config["out"] = os.path.relpath(args.out)
-        manifest = {"command": args.command_path, "config": config}
         target = Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json") if args.out else None
-        if target is None:
-            sys.stdout.write(canonical_json(manifest))
+        outputs.append((target, {"command": args.command_path, "config": config}))
+    for path, obj in outputs:
+        text = obj if isinstance(obj, str) else canonical_json(obj)
+        if path:
+            Path(path).write_text(text)
         else:
-            write_json(target, manifest)
+            sys.stdout.write(text)
 
 
 def _emit_table(args, schema: str, row_type, rows, **fields) -> None:
@@ -160,10 +157,14 @@ def _cmd_packing_check(args) -> int:
     return EXIT_NEGATIVE if cert.status == CERTIFIED_NOT_PACKING else EXIT_OK
 
 
+def _read_pair(args) -> tuple:
+    """The digit systems of ``--nu`` and ``--lam`` and the exact shift of ``--t``."""
+    nu, lam = parse_digit_system(args.nu), parse_digit_system(args.lam)
+    return nu, lam, tuple(Fraction(x) for x in args.t.split(","))
+
+
 def _cmd_packing_witness(args) -> int:
-    nu = parse_digit_system(args.nu)
-    lam = parse_digit_system(args.lam)
-    shift = tuple(Fraction(x) for x in args.t.split(","))
+    nu, lam, shift = _read_pair(args)
     try:
         witness = singularity_witness(nu, lam, shift, args.level, args.atom_budget)
     except NoWitnessFound as exc:
@@ -200,11 +201,9 @@ def _cmd_frame_bounds(args) -> int:
 
 
 def _cmd_exp_degeneracy(args) -> int:
-    nu = parse_digit_system(args.nu)
-    lam = parse_digit_system(args.lam)
+    nu, lam, shift = _read_pair(args)
     freq_ds = parse_digit_system(args.freq_system)
     freq_set = jp_spectrum(freq_ds, _parse_int_list(args.freq_digits), args.freq_level, args.atom_budget)
-    shift = tuple(Fraction(x) for x in args.t.split(","))
     result = degeneracy_experiment(
         nu,
         lam,
@@ -269,6 +268,13 @@ def _cmd_verify_certificate(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+def _add_pair(parser) -> None:
+    """``--nu``, ``--lam`` and ``--t``, which ``_read_pair`` reads."""
+    parser.add_argument("--nu", required=True)
+    parser.add_argument("--lam", required=True)
+    parser.add_argument("--t", default="0", help="rational shift, comma-separated per coordinate")
+
+
 def _add_common(parser, formats=("json",)) -> None:
     parser.add_argument("--out", help="output file (stdout when omitted)")
     parser.add_argument("--format", choices=formats, default="json")
@@ -319,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=_cmd_packing_check, command_path="packing check")
 
     witness = packing.add_parser("witness", help="translational-singularity witness search")
-    witness.add_argument("--nu", required=True)
-    witness.add_argument("--lam", required=True)
-    witness.add_argument("--t", default="0", help="rational shift, comma-separated per coordinate")
+    _add_pair(witness)
     witness.add_argument("--level", type=int, required=True)
     _add_common(witness)
     witness.set_defaults(func=_cmd_packing_witness, command_path="packing witness")
@@ -339,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = top.add_parser("exp", help="the three experiments").add_subparsers(dest="action", required=True)
     deg = exp.add_parser("degeneracy", help="quotient vs ball-mass table")
-    deg.add_argument("--nu", required=True)
-    deg.add_argument("--lam", required=True)
-    deg.add_argument("--t", default="0")
+    _add_pair(deg)
     deg.add_argument("--level", type=int, required=True, help="level of the two factors")
     deg.add_argument("--freq-system", required=True)
     deg.add_argument("--freq-digits", required=True)

@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotCertifiedPacking, ZeroNormInput
+from .errors import ZeroNormInput
 from .frames import (
     BlockedLinearMap,
     FrameReport,
@@ -26,13 +26,12 @@ from .measures import (
     DigitSystem,
     add,
     as_point,
-    convolve,
     embed_axis,
     level_measure,
     translate,
 )
 from .measures import _common_numerators
-from .packing import CERTIFIED_PACKING, _packing_certificate_for_pair
+from .packing import _certified_packing, _skeletons
 
 
 @dataclass(frozen=True)
@@ -74,13 +73,9 @@ def degeneracy_experiment(
     ks = sorted(map(operator.index, k_list))
     if ks and ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
-    cert = _packing_certificate_for_pair(nu_ds, lam_ds, level, budget)
-    if cert.status != CERTIFIED_PACKING:
-        raise NotCertifiedPacking("degeneracy experiment requires a certified packing pair")
+    cert = _certified_packing(nu_ds, lam_ds, level, budget)
     t = as_point(shift, nu_ds.dim)
-    nu_n = level_measure(nu_ds, level, budget)
-    lam_n = level_measure(lam_ds, level, budget)
-    mu_n = convolve(nu_n, lam_n, budget)
+    nu_n, lam_n, mu_n = _skeletons(nu_ds, lam_ds, level, level, budget)
     rho = add(mu_n, translate(nu_n, t))
 
     upper = frame_bounds(rho, freq_set).upper
@@ -139,9 +134,8 @@ def collinear_lower_bounds(
     for n in sorted(map(operator.index, sum_levels)):
         if n < 2:
             raise ValueError("sum levels must be >= 2")
-        nu_n = level_measure(nu_ds, n // 2, budget)
-        lam_n = level_measure(lam_ds, (n + 1) // 2, budget)
-        rho = add(convolve(nu_n, lam_n, budget), translate(nu_n, t))
+        nu_n, _, mu_n = _skeletons(nu_ds, lam_ds, n // 2, (n + 1) // 2, budget)
+        rho = add(mu_n, translate(nu_n, t))
         pool = integer_pool(2 * len(rho))
         report = frame_bounds(rho, pool)
         out.append((n, report.lower))
@@ -250,8 +244,12 @@ def rotation_experiment(
     row carries the base bounds with deviations 0.0, without an eigensolve.
     A mismatch raises. An angle that is exactly 90 mod 180 degrees reports
     the singular block instead, with None for every bound; it is decided
-    on the angle itself, before a cosine is rounded.
+    on the angle itself, before a cosine is rounded. A NaN or infinite
+    angle is refused before any skeleton is built.
     """
+    thetas = [float(theta) for theta in thetas_degrees]
+    if bad := [theta for theta in thetas if not math.isfinite(theta)]:
+        raise ValueError(f"angle {bad[0]} is not finite")
     four, sixteen = DigitSystem.one_dimensional(4, [0, 1]), DigitSystem.one_dimensional(16, [0, 1])
     mu_1d, nu_1d = level_measure(four, level, budget), level_measure(sixteen, level, budget)
     base = add(embed_axis(mu_1d, 2, 0), embed_axis(nu_1d, 2, 1))
@@ -262,8 +260,7 @@ def rotation_experiment(
     base_report = frame_bounds(base, frame)
 
     rows = []
-    for theta_deg in thetas_degrees:
-        theta = float(theta_deg)
+    for theta in thetas:
         if Fraction(theta) % 180 == 90:
             rows.append(RotationRow(theta, "singular-a4", None, None, None, None))
             continue
@@ -272,7 +269,7 @@ def rotation_experiment(
         atoms, q = _sheared_atoms(([(1, 0), (0, 1)], 1), t_map)
         # (F/p)(A/q)^t = I on the bases, so by linearity <Tf, Sa> = <f, a> for every frequency and atom.
         if [[sum(x * y for x, y in zip(f, a)) for a in atoms] for f in freqs] != [[p * q, 0], [0, p * q]]:
-            raise RuntimeError(f"rotation by {theta_deg} degrees breaks the exact phase identity")
+            raise RuntimeError(f"rotation by {theta} degrees breaks the exact phase identity")
         rows.append(RotationRow(theta, "ok", base_report.lower, base_report.upper, 0.0, 0.0))
     collapse = collinear_lower_bounds(sixteen, DigitSystem.one_dimensional(16, [0, 4]), 0, collapse_levels, budget)
     return RotationResult(

@@ -334,6 +334,8 @@ def _checked_weights(m: AtomicMeasure, freq_set: FrequencySet) -> np.ndarray:
         raise SizeMismatch("frequency dimension does not match the measure")
     if not m.masses:
         raise ZeroNormInput("measure has no atoms")
+    if not len(freq_set):
+        raise EmptyFrequencySet("frequency set is empty")
     return np.array([w / m.mass_denominator for w in m.masses], dtype=float)
 
 
@@ -502,8 +504,6 @@ def frame_bounds(
     ``_frame_report``. No phase is computed before either decision.
     """
     sqrt_w = np.sqrt(_checked_weights(m, freq_set))
-    if not len(freq_set):
-        raise EmptyFrequencySet("frequency set is empty")
     if _vanishing_off_diagonal(m, freq_set):
         return _diagonal_report(m, sqrt_w, len(freq_set))
     if len(m) > eigen_budget:

@@ -5,7 +5,7 @@ turns finite-level separation into certificates about the infinite
 attractors. Certificates are tri-state: a failed sufficient criterion is
 reported as inconclusive, never as a refutation. Packing certificates decide
 on integer difference sets; only their evidence is built as ``Fraction``
-values. Exact points enter a skeleton through ``measures._points_over``.
+values. Every exact point is read through ``measures._exact_point``.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .measures import (
     AtomicMeasure,
     DigitSystem,
     PointCloud,
-    add,
     as_point,
     attractor_points,
     convolve,
@@ -90,12 +89,15 @@ class OverlapReport:
 class SingularityWitness:
     """Finite-resolution witness for translational singularity.
 
-    ``rho_mass`` is the full sum-measure mass of the witness set, which
-    shrinks with the level; ``overlap_mass`` is the mass the shifted copy
-    contributes to the translated overlap (exactly 1 when the witness
-    translate is exactly disjoint); ``overlap_mass_total`` is the overlap
-    of the whole sum measure, which exceeds ``overlap_mass`` by the
-    discretization leakage of the convolution part.
+    Here F = nu_n + x is the witness set and rho = nu_n * lambda_n +
+    delta_t * nu_n. ``rho_mass`` is rho(F), which shrinks with the level.
+    Moved by t - x onto the support E of nu_n * lambda_n, rho charges F;
+    ``overlap_mass`` is the part of that mass delta_t * nu_n carries and
+    ``overlap_mass_total`` all of it. Two identities hold for every
+    witness. F misses nu_n + t, where all of delta_t * nu_n sits, so
+    rho_mass = (nu_n * lambda_n)(F). Every point of F lies in E, since x
+    is an atom of lambda_n, so overlap_mass is the total mass of nu_n and
+    overlap_mass_total = (nu_n * lambda_n)(nu_n + t) + overlap_mass.
     """
 
     shift_point: tuple
@@ -335,16 +337,25 @@ def radon_nikodym_atoms(omega: AtomicMeasure, mu: AtomicMeasure) -> OverlapRepor
     return OverlapReport(ac_part=tuple(ac), ac_mass=ac_mass, singular_mass=singular, sup_ratio=sup)
 
 
-def _packing_certificate_for_pair(
-    nu_ds: DigitSystem, lam_ds: DigitSystem, level: int, budget: int | None
-) -> PackingCertificate:
-    if nu_ds.matrix == lam_ds.matrix:
-        cert = _digit_certificate(nu_ds, lam_ds)
-        if cert.status != INCONCLUSIVE:
-            return cert
-    return packing_certificate_from_clouds(
-        attractor_points(nu_ds, level, budget), attractor_points(lam_ds, level, budget)
-    )
+def _certified_packing(nu_ds: DigitSystem, lam_ds: DigitSystem, level: int, budget: int | None) -> PackingCertificate:
+    """The pair's packing certificate: the digit criterion's if it decides, else the level clouds'."""
+    cert = _digit_certificate(nu_ds, lam_ds) if nu_ds.matrix == lam_ds.matrix else None
+    if cert is None or cert.status == INCONCLUSIVE:
+        cert = packing_certificate_from_clouds(
+            attractor_points(nu_ds, level, budget), attractor_points(lam_ds, level, budget)
+        )
+    if cert.status == CERTIFIED_NOT_PACKING:
+        raise NotCertifiedPacking("the two systems are certified not to pack")
+    if not cert.certified:
+        raise NotCertifiedPacking("no packing certificate available for the pair")
+    return cert
+
+
+def _skeletons(nu_ds: DigitSystem, lam_ds: DigitSystem, nu_level: int, lam_level: int, budget: int | None) -> tuple:
+    """nu_n, lambda_n and nu_n * lambda_n at their two levels."""
+    nu_n = level_measure(nu_ds, nu_level, budget)
+    lam_n = level_measure(lam_ds, lam_level, budget)
+    return nu_n, lam_n, convolve(nu_n, lam_n, budget)
 
 
 def singularity_witness(
@@ -361,30 +372,22 @@ def singularity_witness(
     point, then reports the witness set F = K_nu-points + x together with
     the sum-measure mass of F and the translated-overlap masses. This is a
     finite-resolution demonstration, not a proof about Borel supports.
+    The sum measure is never formed; ``SingularityWitness`` says why.
     """
     if nu_ds.branch < 2 or lam_ds.branch < 2:
         raise NoWitnessFound(
             "a single-digit system has an atomic limit measure; no witness exists"
         )
-    cert = _packing_certificate_for_pair(nu_ds, lam_ds, level, budget)
-    if cert.status == CERTIFIED_NOT_PACKING:
-        raise NotCertifiedPacking("the two systems are certified not to pack")
-    if cert.status != CERTIFIED_PACKING:
-        raise NotCertifiedPacking("no packing certificate available for the pair")
+    cert = _certified_packing(nu_ds, lam_ds, level, budget)
+    (t,), t_denominator = _common_numerators([_exact_point(shift, nu_ds.dim)])
+    nu_n, lam_n, mu_n = _skeletons(nu_ds, lam_ds, level, level, budget)
 
-    t = as_point(shift, nu_ds.dim)
-    nu_n = level_measure(nu_ds, level, budget)
-    lam_n = level_measure(lam_ds, level, budget)
-    mu_n = convolve(nu_n, lam_n, budget)
-    shifted = translate(nu_n, t)
-    rho = add(mu_n, shifted)
-
-    # Points below are numerators over one denominator. Translation keeps
-    # the sorted order, so shifted_points[j] = nu_points[j] + t.
-    denominator = math.lcm(*(m.denominator for m in (nu_n, lam_n, mu_n, shifted, rho)))
-    nu_points, shifted_points = _over(nu_n, denominator), _over(shifted, denominator)
-    shifted_nu, support_e = set(shifted_points), set(_over(mu_n, denominator))
-    rho_masses = dict(zip(_over(rho, denominator), rho.masses))
+    # Points below are numerators over one denominator.
+    denominator = math.lcm(nu_n.denominator, lam_n.denominator, mu_n.denominator, t_denominator)
+    t = tuple(x * (denominator // t_denominator) for x in t)
+    nu_points = _over(nu_n, denominator)
+    shifted_nu = {tuple(map(operator.add, p, t)) for p in nu_points}
+    mu_masses = dict(zip(_over(mu_n, denominator), mu_n.masses))
 
     max_overlap = 0
     for i, x in enumerate(_over(lam_n, denominator)):
@@ -394,17 +397,14 @@ def singularity_witness(
         if collisions:
             max_overlap = max(max_overlap, sum(translated[p] for p in collisions))
             continue
-        # Moved back by t - x onto E, delta_t * nu and rho charge each
-        # point n + x of the witness set that lies in E with nu(n) and rho(n + t).
-        hits = [j for j, y in enumerate(translated) if y in support_e]
-        overlap_total = sum(rho_masses.get(shifted_points[j], 0) for j in hits)
+        on_shifted = Fraction(sum(mu_masses.get(p, 0) for p in shifted_nu), mu_n.mass_denominator)
         return SingularityWitness(
             shift_point=lam_n.locations[i],
             # nu's sorted atoms moved by one x stay sorted.
             witness_points=tuple(tuple(Fraction(v, denominator) for v in p) for p in translated),
-            rho_mass=Fraction(sum(rho_masses.get(y, 0) for y in translated), rho.mass_denominator),
-            overlap_mass=Fraction(sum(nu_n.masses[j] for j in hits), nu_n.mass_denominator),
-            overlap_mass_total=Fraction(overlap_total, rho.mass_denominator),
+            rho_mass=Fraction(sum(mu_masses[y] for y in translated), mu_n.mass_denominator),
+            overlap_mass=nu_n.total,
+            overlap_mass_total=on_shifted + nu_n.total,
             level=level,
             certificate=cert,
         )

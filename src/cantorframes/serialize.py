@@ -231,11 +231,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def write_json(path, obj) -> None:
-    """Write ``obj`` as canonical JSON; a ``str`` is taken as already rendered."""
-    Path(path).write_text(obj if isinstance(obj, str) else canonical_json(obj))
-
-
 def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 

@@ -62,8 +62,14 @@ class TestDegeneracy:
 
     def test_refuses_non_packing_pair(self):
         freq_set = jp_spectrum(FOUR, [0, 2], 2)
-        with pytest.raises(NotCertifiedPacking):
+        with pytest.raises(NotCertifiedPacking, match="^the two systems are certified not to pack$"):
             degeneracy_experiment(SIXTEEN_01, SIXTEEN_01, 0, 1, freq_set, [2])
+
+    def test_refuses_undecided_pair(self):
+        # 4:{0,1} with 4:{0,2} does not pack, but neither the digit criterion nor the clouds decide it.
+        freq_set = jp_spectrum(FOUR, [0, 2], 2)
+        with pytest.raises(NotCertifiedPacking, match="^no packing certificate available for the pair$"):
+            degeneracy_experiment(FOUR, DigitSystem.one_dimensional(4, [0, 2]), 0, 2, freq_set, [2])
 
     def test_planar_pair_table(self):
         # 16 I with {0,1}^2 and {0,4}^2: the level-1 second factor sits at {0, 1/4}^2,
@@ -91,7 +97,7 @@ class TestDegeneracy:
         def nothing_built(*args, **kwargs):
             raise AssertionError("a skeleton or frame bound was built before k was checked")
 
-        for name in ("_packing_certificate_for_pair", "level_measure", "frame_bounds"):
+        for name in ("_certified_packing", "_skeletons", "level_measure", "frame_bounds"):
             monkeypatch.setattr(experiments, name, nothing_built)
         with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
             degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 2, jp_spectrum(FOUR, [0, 2], 2), [2, k])
@@ -239,6 +245,15 @@ class TestRotationIdentity:
             rotation_experiment(3, thetas)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused_first(self, monkeypatch, theta):
+        def nothing_built(*args, **kwargs):
+            raise AssertionError("a skeleton was built before the angles were checked")
+
+        monkeypatch.setattr(experiments, "level_measure", nothing_built)
+        with pytest.raises(ValueError, match=rf"^angle {theta} is not finite$"):
+            rotation_experiment(2, [30, theta])
 
     def test_right_angle_fields_are_none(self):
         (row,) = rotation_experiment(2, [90]).rows

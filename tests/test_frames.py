@@ -354,6 +354,21 @@ class TestBesselQuotient:
         with pytest.raises(ZeroNormInput):
             bessel_quotient(m, FrequencySet.from_scalars([0, 1]), [0, 0, 0, 0])
 
+    def test_empty_frequency_set_rejected_as_frame_bounds_rejects_it(self):
+        m, empty = level_measure(FOUR, 2), FrequencySet.from_scalars([])
+        with pytest.raises(EmptyFrequencySet, match="^frequency set is empty$"):
+            bessel_quotient(m, empty, [1, 0, 0, 0])
+        with pytest.raises(EmptyFrequencySet, match="^frequency set is empty$"):
+            frame_bounds(m, empty)
+
+    def test_measure_checks_come_before_the_empty_set(self):
+        planar = FrequencySet(dim=2, freqs=())
+        for check in (lambda m, f: bessel_quotient(m, f, [1, 0, 0, 0]), frame_bounds):
+            with pytest.raises(SizeMismatch):
+                check(level_measure(FOUR, 2), planar)
+            with pytest.raises(ZeroNormInput):
+                check(AtomicMeasure.from_atoms(1, []), FrequencySet.from_scalars([]))
+
     def test_rayleigh_sandwich(self):
         m = level_measure(FOUR, 3)
         freq_set = FrequencySet.from_scalars([0, 2, 5, 8, 9, 13, 17, 21, 25, 30])

@@ -37,6 +37,7 @@ from cantorframes import (
     translate,
     translation_overlap,
 )
+from cantorframes import measures, packing
 from cantorframes.packing import (
     CERTIFIED_NOT_PACKING,
     CERTIFIED_OVERLAP,
@@ -448,5 +449,29 @@ class TestSingularityWitness:
             singularity_witness(SIXTEEN_01, DigitSystem.one_dimensional(16, [0]), 0, 3)
 
     def test_non_packing_pair_rejected(self):
-        with pytest.raises(NotCertifiedPacking):
+        with pytest.raises(NotCertifiedPacking, match="^the two systems are certified not to pack$"):
             singularity_witness(SIXTEEN_01, SIXTEEN_01, 0, 3)
+
+    def test_undecided_pair_rejected(self):
+        # 4:{0,1} with 4:{0,2} does not pack, but neither the digit criterion nor the clouds decide it.
+        with pytest.raises(NotCertifiedPacking, match="^no packing certificate available for the pair$"):
+            singularity_witness(FOUR, DigitSystem.one_dimensional(4, [0, 2]), 0, 3)
+
+    def test_undecided_pair_is_inconclusive_on_both_criteria(self):
+        nu, lam = FOUR, DigitSystem.one_dimensional(4, [0, 2])
+        assert packing_certificate_from_digits(nu.matrix, nu.digits, lam.digits).status == INCONCLUSIVE
+        for level in (1, 3, 6):
+            clouds = attractor_points(nu, level), attractor_points(lam, level)
+            assert packing_certificate_from_clouds(*clouds).status == INCONCLUSIVE
+
+    @pytest.mark.parametrize("shift", [0, Fraction(1, 3), Fraction(1, 16), -Fraction(1, 15)])
+    def test_sum_measure_is_never_formed(self, monkeypatch, shift):
+        expected = singularity_witness(SIXTEEN_01, SIXTEEN_04, shift, 4)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the witness formed the sum measure")
+
+        for module in (packing, measures):
+            monkeypatch.setattr(module, "add", never, raising=False)
+            monkeypatch.setattr(module, "translate", never, raising=False)
+        assert singularity_witness(SIXTEEN_01, SIXTEEN_04, shift, 4) == expected
