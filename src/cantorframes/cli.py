@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -74,12 +75,12 @@ def _emit(args, payload) -> None:
     """Write ``payload`` (text rendered in ``args.format``, or a JSON object), then its manifest, to files or stdout."""
     outputs = [(args.out, payload)]
     if args.manifest:
-        config = {k: v for k, v in sorted(vars(args).items()) if k not in {"func", "command_path"}}
+        config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
         if args.out:
             # Relative to the working directory, so a manifest reads the same in any checkout.
             config["out"] = os.path.relpath(args.out)
         target = Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json") if args.out else None
-        outputs.append((target, {"command": args.command_path, "config": config}))
+        outputs.append((target, {"command": f"{args.group} {args.action}", "config": config}))
     for path, obj in outputs:
         text = obj if isinstance(obj, str) else canonical_json(obj)
         if path:
@@ -295,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--system", required=True, help="digit system, e.g. 4:0,1 or a JSON file")
     build.add_argument("--level", type=int, required=True)
     _add_common(build, _TABLE_FORMATS)
-    build.set_defaults(func=_cmd_measure_build, command_path="measure build")
+    build.set_defaults(func=_cmd_measure_build)
 
     conv = measure.add_parser("convolve", help="convolve two serialized measures")
     conv.add_argument("--a", required=True)
     conv.add_argument("--b", required=True)
     _add_common(conv)
-    conv.set_defaults(func=_cmd_measure_convolve, command_path="measure convolve")
+    conv.set_defaults(func=_cmd_measure_convolve)
 
     ft = top.add_parser("ft", help="Fourier transform evaluation").add_subparsers(
         dest="action", required=True
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--count", type=int, default=201)
     grid.add_argument("--tol", type=float, default=1e-10)
     _add_common(grid, _TABLE_FORMATS)
-    grid.set_defaults(func=_cmd_ft_grid, command_path="ft grid")
+    grid.set_defaults(func=_cmd_ft_grid)
 
     packing = top.add_parser("packing", help="packing certification and witnesses").add_subparsers(
         dest="action", required=True
@@ -322,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--system-a", required=True, help="first digit system, e.g. 16:0,1 or a JSON file")
     check.add_argument("--system-b", required=True, help="second digit system, same matrix")
     _add_common(check)
-    check.set_defaults(func=_cmd_packing_check, command_path="packing check")
+    check.set_defaults(func=_cmd_packing_check)
 
     witness = packing.add_parser("witness", help="translational-singularity witness search")
     _add_pair(witness)
     witness.add_argument("--level", type=int, required=True)
     _add_common(witness)
-    witness.set_defaults(func=_cmd_packing_witness, command_path="packing witness")
+    witness.set_defaults(func=_cmd_packing_witness)
 
     frame = top.add_parser("frame", help="frame bound computation").add_subparsers(
         dest="action", required=True
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--spectrum", default="jp", help="jp, pool:K, or a JSON file")
     bounds.add_argument("--freq-digits", default=None, help="frequency digits for the jp spectrum")
     _add_common(bounds)
-    bounds.set_defaults(func=_cmd_frame_bounds, command_path="frame bounds")
+    bounds.set_defaults(func=_cmd_frame_bounds)
 
     exp = top.add_parser("exp", help="the three experiments").add_subparsers(dest="action", required=True)
     deg = exp.add_parser("degeneracy", help="quotient vs ball-mass table")
@@ -351,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--k", default="2,8,32,128,512")
     deg.add_argument("--collapse-levels", default=None)
     _add_common(deg, _TABLE_FORMATS)
-    deg.set_defaults(func=_cmd_exp_degeneracy, command_path="exp degeneracy")
+    deg.set_defaults(func=_cmd_exp_degeneracy)
 
     rot = exp.add_parser("rotation", help="frame-bound invariance under rotation")
     rot.add_argument("--thetas", default="10,30,45,60,80,90")
     rot.add_argument("--level", type=int, default=4)
     rot.add_argument("--collapse-levels", default=None)
     _add_common(rot, _TABLE_FORMATS)
-    rot.set_defaults(func=_cmd_exp_rotation, command_path="exp rotation")
+    rot.set_defaults(func=_cmd_exp_rotation)
 
     cross = exp.add_parser("cross-bessel", help="Bessel growth across measures")
     cross.add_argument("--src", required=True)
@@ -367,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     cross.add_argument("--levels", default="2,3,4,5,6")
     cross.add_argument("--depth-ratio", type=int, default=1)
     _add_common(cross, _TABLE_FORMATS)
-    cross.set_defaults(func=_cmd_exp_cross_bessel, command_path="exp cross-bessel")
+    cross.set_defaults(func=_cmd_exp_cross_bessel)
 
     verify = top.add_parser("verify", help="independent re-checks").add_subparsers(
         dest="action", required=True
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     vcert = verify.add_parser("certificate", help="re-derive a serialized certificate")
     vcert.add_argument("--path", required=True)
     _add_common(vcert)
-    vcert.set_defaults(func=_cmd_verify_certificate, command_path="verify certificate")
+    vcert.set_defaults(func=_cmd_verify_certificate)
 
     for enumerating in (build, conv, witness, bounds, deg, rot, cross):
         enumerating.add_argument("--atom-budget", type=int, default=None, help="override the atom budget")
@@ -389,8 +390,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads "-1/15" or "-1e3" as an option unless it looks like -N or -N.N, so a
+    # token of "-" and a digit or "." is glued to the long flag before it as its value.
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1].startswith("--") and "=" not in tokens[-1] and re.match(r"-[0-9.]", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(tokens)
         return args.func(args)
     except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

@@ -49,7 +49,7 @@ class DegeneracyResult:
     upper_estimate: float  # largest eigenvalue of the sum measure's Gram
     nu_upper_estimate: float  # Bessel constant of the spectrum against the first factor
     collapse: tuple  # ((level, lower bound), ...) under the fixed pool rule
-    certificate_status: str
+    certificate_status: str  # always "certified-packing": every other gate answer raises NotCertifiedPacking
 
 
 def degeneracy_experiment(

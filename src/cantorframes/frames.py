@@ -16,13 +16,14 @@ needs neither: its report is read off the diagonal F w
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
-which rounds each once to float on the int64, limb or Python-int path
-that ``_phase_path`` picks. It reads integer numerators only: a
-``FrequencySet`` keeps its coordinates exactly, its rows sorted, and
-forms its numerators once, when it is built, so no caller converts or
-reorders a frequency set and no report depends on a listing order. The
-Hadamard check needs no phases: it decides exactly whether sums of roots
-of unity vanish.
+which rounds each once to float on the path that ``_phase_path`` picks:
+int64 or Python-int rows, read by one helper (``_integer_rows``) that the
+diagonal test shares, or 21-bit limbs whose sums are carried in place.
+It reads integer numerators only: a ``FrequencySet`` keeps its
+coordinates exactly, its rows sorted, and forms its numerators once, so
+no caller converts or reorders a frequency set and no report depends on
+a listing order. The Hadamard check needs no phases: it decides exactly
+whether sums of roots of unity vanish.
 """
 from __future__ import annotations
 
@@ -227,30 +228,30 @@ def _phase_path(dim: int, freq_nums, atom_nums, modulus: int) -> str:
     return "object"
 
 
+def _integer_rows(rows, dim: int, path: str) -> np.ndarray:
+    """Integer rows as an (n, dim) array: int64 on the "int64" path of ``_phase_path``, Python ints on any other."""
+    return np.array(rows, dtype=np.int64 if path == "int64" else object).reshape(len(rows), dim)
+
+
 def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
     """Phases <freq, atom> reduced mod 1 for every frequency row and atom row.
 
     The only code that computes a phase of an exponential sum over atoms.
     Frequencies and atoms each come as a pair (integer numerator rows,
     positive denominator): F over p and A over q; nothing is converted
-    here. Large integer frequencies against deep-level atoms would lose
-    several digits in a float dot product. Instead the phase is (F @ A.T
-    mod p*q) / (p*q). Each of the three paths that ``_phase_path`` chooses
-    from rounds that exact rational once, correctly, as ``float(Fraction)``
-    does: int64 arrays and one float64 division; 21-bit limbs, multiplied
-    exactly in float64 by BLAS, when p*q is a power of two, as it is for
-    float coordinates against dyadic atoms (``_limb_phases``); Python int
-    object arrays and int true division otherwise. Nothing wraps. The limb
-    and object paths run in blocks of rows, so their memory stays bounded.
+    here. A float dot product would lose digits on large frequencies
+    against deep atoms, so the phase is (F @ A.T mod p*q) / (p*q), rounded
+    once, correctly, as ``float(Fraction)`` rounds it, on the path that
+    ``_phase_path`` picks. On int64 or Python-int rows (``_integer_rows``)
+    the product is reduced in place and divided into the phase array, all
+    rows at once on int64 and in blocks of rows on Python ints. A power of
+    two p*q, as float coordinates against dyadic atoms give, takes 21-bit
+    limbs in blocks of rows (``_limb_phases``). Nothing wraps.
     """
     (freq_nums, p), (atom_nums, q) = freqs, atoms
     modulus = p * q
     path = _phase_path(dim, freq_nums, atom_nums, modulus)
-    if path == "int64":
-        freqs = np.array(freq_nums, dtype=np.int64).reshape(len(freq_nums), dim)
-        atoms = np.array(atom_nums, dtype=np.int64).reshape(len(atom_nums), dim)
-        products = freqs @ atoms.T
-        return np.remainder(products, modulus, out=products) / modulus
+    phases = np.empty((len(freq_nums), len(atom_nums)))
     if path == "limbs":
         k = modulus.bit_length() - 1
         freqs, atoms = _limbs(freq_nums, dim, k), _limbs(atom_nums, dim, k)
@@ -259,23 +260,24 @@ def _exact_phase_matrix(dim: int, freqs, atoms) -> np.ndarray:
         # Row block b of atoms_rev holds limb count - 1 - b of every atom, as columns.
         atoms_rev = np.ascontiguousarray(atoms[:, ::-1].reshape(len(atom_nums), width).T)
         step = _LIMB_BLOCK // max(atoms.size, 1)
-        block = lambda rows: _limb_phases(freqs[rows], atoms_rev, dim, k)
     else:
-        freqs = np.array(freq_nums, dtype=object).reshape(len(freq_nums), dim)
-        atoms = np.array(atom_nums, dtype=object).reshape(len(atom_nums), dim)
-        step = _OBJECT_BLOCK // max(len(atoms), 1)
-        block = lambda rows: (freqs[rows] @ atoms.T) % modulus / modulus
-    phases = np.empty((len(freq_nums), len(atom_nums)))
+        freqs, atoms = _integer_rows(freq_nums, dim, path), _integer_rows(atom_nums, dim, path).T
+        step = len(phases) if path == "int64" else _OBJECT_BLOCK // max(len(atom_nums), 1)
     step = max(1, step)
     for i in range(0, len(phases), step):
-        phases[i : i + step] = block(slice(i, i + step))
+        rows, out = slice(i, i + step), phases[i : i + step]
+        if path == "limbs":
+            out[...] = _limb_phases(freqs[rows], atoms_rev, dim, k)
+        else:
+            products = freqs[rows] @ atoms
+            np.divide(np.remainder(products, modulus, out=products), modulus, out=out, casting="unsafe")
     return phases
 
 
 def _limbs(rows, dim: int, k: int) -> np.ndarray:
     """The residues mod 2^k of integer rows as 21-bit float64 limbs, shape (rows, limbs, dim), low limb first."""
     count = max(1, -(-k // _LIMB_BITS))
-    residues = np.array(rows, dtype=object).reshape(len(rows), 1, dim) & ((1 << k) - 1)
+    residues = _integer_rows(rows, dim, "limbs")[:, None] & ((1 << k) - 1)
     shifts = np.array([_LIMB_BITS * i for i in range(count)], dtype=object).reshape(1, count, 1)
     return ((residues >> shifts) & _LIMB_MASK).astype(np.float64)
 
@@ -290,40 +292,37 @@ def _limb_phases(freqs: np.ndarray, atoms_rev: np.ndarray, dim: int, k: int) -> 
     blocks of F with the last s + 1 row blocks of atoms_rev. Its
     (s + 1) * dim <= 2^11 terms are each below 2^42, so every partial sum
     is an integer below 2^53, exact in any order, with or without fused
-    multiply-adds. Carrying leaves the 21-bit digits of
-    R = F @ A.T mod 2^k. The top 63 bits of the k-bit field,
-    R >> max(k - 63, 0), with a sticky bit set for any 1 below them, make
-    an int64 whose one conversion to float64 rounds R to nearest, ties to
-    even, whenever it has at least 55 significant bits (the sticky bit
-    then lies below the rounding position) or nothing was cut off;
-    ``ldexp`` scales it by 2^-k exactly. The rest, phases below 2^-9 with
-    bits cut off, are divided exactly as Python ints.
+    multiply-adds. Carried in place, low first, the sums become the
+    21-bit digits of R = F @ A.T mod 2^k. With cut = max(k - 63, 0), the
+    digits at and above bit cut make the top 63 bits of the k-bit field,
+    R >> cut, and a sticky bit is set for any 1 below cut: in the low bits
+    of the digit that straddles cut or in any digit under it. Their int64
+    converts to float64 once, rounding R to nearest, ties to even,
+    whenever R has at least 55 significant bits (the sticky bit then lies
+    below the rounding position) or nothing was cut off; ``ldexp`` scales
+    it by 2^-k exactly. The rest, phases below 2^-9 with bits cut off, are
+    divided exactly as Python ints from the digits.
     """
     (rows, width), m = freqs.shape, atoms_rev.shape[1]
     count = width // dim
     sums = np.empty((count, rows, m), dtype=np.int64)
     for s in range(count):
         sums[s] = freqs[:, : (s + 1) * dim] @ atoms_rev[(count - 1 - s) * dim :]
-    digits, carry = np.empty_like(sums), np.zeros((rows, m), dtype=np.int64)
-    for s in range(count):
-        total = sums[s] + carry
-        digits[s], carry = total & _LIMB_MASK, total >> _LIMB_BITS
-    digits[-1] &= (1 << (k - _LIMB_BITS * (count - 1))) - 1
+    for s in range(count - 1):
+        sums[s + 1] += sums[s] >> _LIMB_BITS
+        sums[s] &= _LIMB_MASK
+    sums[-1] &= (1 << (k - _LIMB_BITS * (count - 1))) - 1
     cut = max(k - 63, 0)
-    head, sticky = np.zeros((rows, m), dtype=np.int64), np.zeros((rows, m), dtype=bool)
-    for s, digit in enumerate(digits):
-        shift = _LIMB_BITS * s - cut
-        if shift >= 0:
-            head |= digit << shift
-        elif shift > -_LIMB_BITS:
-            head |= digit >> -shift
-            sticky |= (digit & ((1 << -shift) - 1)) != 0
-        else:
-            sticky |= digit != 0
-    phases = np.ldexp((head | sticky).astype(np.float64), cut - k)
+    low, split = divmod(cut, _LIMB_BITS)
+    head = sums[low] >> split
+    for s in range(low + 1, count):
+        head |= sums[s] << (_LIMB_BITS * s - cut)
+    sticky = ((sums[low] & ((1 << split) - 1)) != 0) | sums[:low].any(axis=0)
+    head |= sticky
+    phases = np.ldexp(head.astype(np.float64), cut - k)
     inexact = sticky & (head < 2**54)
     if inexact.any():
-        exact = sum(digits[s][inexact].astype(object) << (_LIMB_BITS * s) for s in range(count))
+        exact = sum(sums[s][inexact].astype(object) << (_LIMB_BITS * s) for s in range(count))
         phases[inexact] = (exact / (1 << k)).astype(np.float64)
     return phases
 
@@ -407,10 +406,10 @@ def _vanishing_off_diagonal(measure: AtomicMeasure, freq_set: FrequencySet) -> b
     sqrt(w_x w_y) prod_j (1 + e(<v_j, a_x - a_y> / pq)). It vanishes iff
     for some j the residues r_j = <v_j, a> mod pq differ by exactly pq/2:
     r_j(y) = s_j(x) := (r_j(x) + pq/2) mod pq, a symmetric relation never
-    true at x = y. Residues are int64 where ``_phase_path`` allows it and
-    Python ints, coded by rank, otherwise. The first atom's row is checked
-    first, so a Gram that is not diagonal is usually refused in O(M n);
-    then blocks of rows against the atoms from the block on.
+    true at x = y. Residues are read by ``_integer_rows`` on the path of
+    ``_phase_path``; Python ints are then coded by rank. The first atom's
+    row is checked first, so a Gram that is not diagonal is usually refused
+    in O(M n); then blocks of rows against the atoms from the block on.
     """
     dim, atom_nums, m = measure.dim, measure.numerators, len(measure)
     modulus = freq_set.denominator * measure.denominator
@@ -418,10 +417,10 @@ def _vanishing_off_diagonal(measure: AtomicMeasure, freq_set: FrequencySet) -> b
     v = _cube_steps(freq_set.numerators) if len(freq_set) >= m else None
     if v is None or (modulus % 2 and m > 1):
         return False
-    dtype = np.int64 if _phase_path(dim, v, atom_nums, modulus) == "int64" else object
-    r = np.array(v, dtype=dtype).reshape(-1, dim) @ np.array(atom_nums, dtype=dtype).reshape(m, dim).T % modulus
+    path = _phase_path(dim, v, atom_nums, modulus)
+    r = _integer_rows(v, dim, path) @ _integer_rows(atom_nums, dim, path).T % modulus
     r = np.stack([r, (r + modulus // 2) % modulus])
-    if dtype is object:
+    if r.dtype == object:
         r = np.unique(r, return_inverse=True)[1].reshape(r.shape)
     r, s = r
     if not (r[:, 1:] == s[:, :1]).any(axis=0).all():

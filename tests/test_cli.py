@@ -560,6 +560,27 @@ class TestCliCommands:
         assert main(["frame", "bounds", "--system", "4:0,1"]) == EXIT_ERROR
         assert "--level" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "3"], "--t", "-1/15"),
+            (["exp", "degeneracy", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "1", "--freq-system", "4:0,1",
+              "--freq-digits", "0,2", "--freq-level", "2", "--k", "2,8"], "--t", "-1/15"),
+            (["exp", "rotation", "--level", "2"], "--thetas", "-30,10"),
+            (["ft", "grid", "--system", "4:0,1", "--count", "5"], "--xi-min", "-1e3"),
+        ],
+        ids=["witness", "degeneracy", "rotation", "ft-grid"],
+    )
+    def test_negative_value_after_its_flag(self, tmp_path, argv, flag, value):
+        # argparse alone takes "-1/15", "-30,10" and "-1e3" for options; only --flag=value reached it.
+        assert main(argv + [flag, value, "--out", str(tmp_path / "spaced")]) == EXIT_OK
+        assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == EXIT_OK
+        assert (tmp_path / "spaced").read_bytes() == (tmp_path / "joined").read_bytes()
+
+    def test_flag_before_another_flag_is_still_a_usage_error(self, capsys):
+        assert main(["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--t", "--level", "3"]) == EXIT_ERROR
+        assert "argument --t: expected one argument" in capsys.readouterr().err
+
     def test_witness_not_found_is_negative_exit(self, tmp_path):
         out = tmp_path / "w.json"
         rc = main(
@@ -679,8 +700,7 @@ def test_every_cli_flag_is_read():
     for parser in _leaf_parsers(cli.build_parser()):
         commands += 1
         flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out", "format", "manifest"}
-        command = parser.get_default("command_path")
-        unread += [f"{command} --{d}" for d in sorted(flags - reads(parser.get_default("func").__name__, set()))]
+        unread += [f"{parser.prog} --{d}" for d in sorted(flags - reads(parser.get_default("func").__name__, set()))]
     assert commands == 10 and not unread
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -890,3 +891,37 @@ def test_limb_products_exact_up_to_their_bound(dim, k, path):
     assert frames._phase_path(dim, freq_nums, atom_nums, 2**k) == path
     phases = frames._exact_phase_matrix(dim, (freq_nums, 2**kp), (atom_nums, 2 ** (k - kp)))
     assert np.array_equal(phases, _phase_oracle(freq_nums, 2**kp, atom_nums, 2 ** (k - kp)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("k", [20, 63, 64, 84, 85, 105, 106, 1022])
+def test_limb_head_assembly_matches_the_oracle(dim, k):
+    # k = 20 is one limb; at k = 63 no bit is cut; cut = k - 63 falls on a digit boundary at
+    # k = 84 and 105 and inside a digit at 64, 85, 106 and 1022. The frequency 1 against the
+    # atoms 1 and 2^cut + 1 gives phases below 2^-9 with bits cut off: the Python-int fallback.
+    rng = random.Random(k * dim)
+    cut, pad = max(k - 63, 0), (0,) * (dim - 1)
+    freq_nums = [(1, *pad), (3 << 62, *pad)]
+    freq_nums += [tuple(rng.randrange(-(2 ** (k + 8)), 2 ** (k + 8)) for _ in range(dim)) for _ in range(6)]
+    atom_nums = [(1, *pad), ((1 << cut) + 1, *pad), ((1 << k) - 1,) * dim]
+    atom_nums += [tuple(rng.randrange(2**k) for _ in range(dim)) for _ in range(6)]
+    kp = k // 3
+    assert frames._phase_path(dim, freq_nums, atom_nums, 2**k) == "limbs"
+    phases = frames._exact_phase_matrix(dim, (freq_nums, 2**kp), (atom_nums, 2 ** (k - kp)))
+    assert np.array_equal(phases, _phase_oracle(freq_nums, 2**kp, atom_nums, 2 ** (k - kp)))
+
+
+def test_int64_phases_peak_at_one_product_and_the_phase_array():
+    # The product is reduced in place and divided into the phase array: about 2 * 8 * F * M bytes.
+    # A remainder or quotient formed as a new F x M array raises the peak to about 3 * 8 * F * M.
+    rng = random.Random(512)
+    freq_nums = [(rng.randrange(-(2**20), 2**20),) for _ in range(512)]
+    atom_nums = [(rng.randrange(-(2**20), 2**20),) for _ in range(512)]
+    assert frames._phase_path(1, freq_nums, atom_nums, 2**30) == "int64"
+    tracemalloc.start()
+    try:
+        frames._exact_phase_matrix(1, (freq_nums, 2**10), (atom_nums, 2**20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * 512 * 512
