@@ -389,12 +389,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _valued_flags() -> frozenset:
+    """The option strings, in every command, whose action takes a value (``nargs != 0``)."""
+    parsers, flags = [_parser()], set()
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.nargs != 0:
+                flags.update(action.option_strings)
+    return frozenset(flags)
+
+
 def main(argv=None) -> int:
     # argparse reads "-1/15" or "-1e3" as an option unless it looks like -N or -N.N, so a
-    # token of "-" and a digit or "." is glued to the long flag before it as its value.
+    # token of "-" and a digit or "." is glued to the flag before it as its value, if that
+    # flag takes one: "--help -1" still prints help and "--manifest -1" is a usage error.
     tokens = []
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1].startswith("--") and "=" not in tokens[-1] and re.match(r"-[0-9.]", token):
+        if tokens and tokens[-1] in _valued_flags() and re.match(r"-[0-9.]", token):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

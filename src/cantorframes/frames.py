@@ -3,16 +3,16 @@
 Frame bounds of a discretized measure are the extremal eigenvalues of
 the atom-indexed Hermitian square of the synthesis matrix. Every report
 comes from ``frame_bounds``, on exact atoms and masses: one set of input
-checks, one Gram builder (``_gram``), one ``eigvalsh`` per reported Gram
-and the worst vector by shifted inverse iteration (``_frame_report``).
-The eigen budget bounds eigensolves only. When the frequency set is
-centrally symmetric, decided exactly, the Gram is a real symmetric
-matrix up to a unitary diagonal, built from half the synthesis rows: jp
-spectra of two-digit sets and integer pools all are. A cube of
-frequencies (``_cube_steps``), as a two-digit jp spectrum is, whose Gram
-is exactly diagonal, decided in integers (``_vanishing_off_diagonal``),
-needs neither: its report is read off the diagonal F w
-(``_diagonal_report``).
+checks, one Gram builder (``_gram``) and one ``eigvalsh`` per reported
+Gram (``_frame_report``). A report is eigenvalues and nothing more: no
+eigenvector is formed. The eigen budget bounds eigensolves only. When
+the frequency set is centrally symmetric, decided exactly, the Gram is a
+real symmetric matrix up to a unitary diagonal, built from half the
+synthesis rows: jp spectra of two-digit sets and integer pools all are.
+A cube of frequencies (``_cube_steps``), as a two-digit jp spectrum is,
+whose Gram is exactly diagonal, decided in integers
+(``_vanishing_off_diagonal``), needs neither: its report is read off the
+diagonal F w (``_diagonal_report``).
 
 Every exponential sum over atoms, here and in ``fourier``, takes its
 phases <freq, atom> mod 1 from one exact kernel, ``_exact_phase_matrix``,
@@ -58,7 +58,6 @@ _LIMB_MAX_EXPONENT = 1022
 # At most 2^11 limb products below 2^42 per sum keep every float64 partial sum exact.
 _LIMB_TERMS = 2**11
 _PAIR_BLOCK = 2**20
-_INVERSE_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,11 @@ class FrequencySet:
 class FrameReport:
     """Extremal frame bounds of an exponential system on a discrete measure.
 
-    ``resolution`` is the eigenvalue tolerance of the float eigensolve:
-    eigenvalues at or below it count as zero, so ``lower`` reads 0 and
-    ``rank`` falls short of ``atom_count`` whenever the smallest does.
+    Eigenvalues alone: no vector attaining ``lower`` is carried, since no
+    bound, experiment or output reads one. ``resolution`` is the
+    eigenvalue tolerance of the float eigensolve: eigenvalues at or below
+    it count as zero, so ``lower`` reads 0 and ``rank`` falls short of
+    ``atom_count`` whenever the smallest does.
     When the Gram is decided exactly diagonal, no eigensolve runs: lower
     and upper are exact eigenvalues rounded once, rank is ``atom_count``,
     and ``resolution`` is the tolerance the eigensolve would have used.
@@ -121,7 +122,6 @@ class FrameReport:
     upper: float
     ratio: float
     rank: int
-    worst_vector: tuple
     atom_count: int
     freq_count: int
     resolution: float
@@ -346,37 +346,38 @@ def _synthesis_rows(m: AtomicMeasure, sqrt_w: np.ndarray, freq_set: FrequencySet
     return np.multiply(np.exp(rows, out=rows), sqrt_w, out=rows)
 
 
-def _gram(m: AtomicMeasure, sqrt_w: np.ndarray, freq_set: FrequencySet) -> tuple:
-    """The Gram of the synthesis rows as (G_c, d) with Phi^H Phi = diag(d) G_c diag(d)^*.
+def _gram(m: AtomicMeasure, sqrt_w: np.ndarray, freq_set: FrequencySet) -> np.ndarray:
+    """A matrix with the eigenvalues of the Gram Phi^H Phi of the synthesis rows.
 
-    G_c is real, and d = e(<c, x>), whenever the frequency set is centrally
-    symmetric, Lambda = 2c - Lambda. That is decided exactly on the
-    frequency numerators over p, which the set keeps sorted: negation
-    reverses lexicographic order, so the set is symmetric iff
-    rows[i] + rows[F-1-i] is one vector s for every i, and then
-    c = s / (2p). Pairing mu = f - c with -mu turns e(<mu, x - y>) into
-    cosines, so G_c = 2 (C^T C + S^T S), C and S the cosines and sines of
+    It is real whenever the frequency set is centrally symmetric,
+    Lambda = 2c - Lambda. That is decided exactly on the frequency
+    numerators over p, which the set keeps sorted: negation reverses
+    lexicographic order, so the set is symmetric iff rows[i] + rows[F-1-i]
+    is one vector s for every i, and then c = s / (2p). Pairing
+    mu = f - c with -mu turns e(<mu, x - y>) into cosines, so
+    Phi^H Phi = diag(d) G diag(d)^* with d = e(<c, x>) unitary and the
+    real G = 2 (C^T C + S^T S), C and S the cosines and sines of
     2 pi <mu, x> times sqrt(w) on the floor(F/2) half rows, plus
-    sqrt(w) sqrt(w)^T for mu = 0 when F is odd.
-    One kernel call gives the half-row phases and those of c, each the
-    exact rational (2f - s) . a / (2pq) rounded once. Any other set, and an
-    empty one, keeps the complex Phi^H Phi with d = None.
+    sqrt(w) sqrt(w)^T for mu = 0 when F is odd. G alone is formed, since
+    d changes no eigenvalue. One kernel call gives the half-row phases,
+    each the exact rational (2f - s) . a / (2pq) rounded once. Any other
+    set keeps the complex Phi^H Phi.
     """
     rows, p = freq_set.numerators, freq_set.denominator
     pair_sums = {tuple(x + y for x, y in zip(f, g)) for f, g in zip(rows, reversed(rows))}
     if len(pair_sums) != 1:
         phi = _synthesis_rows(m, sqrt_w, freq_set)
-        return phi.conj().T @ phi, None
+        return phi.conj().T @ phi
     (s,) = pair_sums
     half = len(rows) // 2
     centred = [tuple(2 * x - y for x, y in zip(f, s)) for f in rows[:half]]
-    angles = 2 * np.pi * _exact_phase_matrix(m.dim, (centred + [s], 2 * p), (m.numerators, m.denominator))
+    angles = 2 * np.pi * _exact_phase_matrix(m.dim, (centred, 2 * p), (m.numerators, m.denominator))
     real_rows = np.empty((len(rows), len(sqrt_w)))
-    np.cos(angles[:half], out=real_rows[:half])
-    np.sin(angles[:half], out=real_rows[half : 2 * half])
+    np.cos(angles, out=real_rows[:half])
+    np.sin(angles, out=real_rows[half : 2 * half])
     real_rows[: 2 * half] *= math.sqrt(2) * sqrt_w
     real_rows[2 * half :] = sqrt_w
-    return real_rows.T @ real_rows, np.exp(1j * angles[half])
+    return real_rows.T @ real_rows
 
 
 def _cube_steps(rows) -> list | None:
@@ -440,39 +441,23 @@ def _resolution(atom_count: int, freq_count: int, upper: float) -> float:
     return float(max(atom_count, freq_count) * np.finfo(float).eps * max(upper, 1.0))
 
 
-def _diagonal_report(m: AtomicMeasure, sqrt_w: np.ndarray, freq_count: int) -> FrameReport:
+def _diagonal_report(m: AtomicMeasure, freq_count: int) -> FrameReport:
     """The report of the exactly diagonal Gram F diag(w) of m: no Gram, no eigensolve.
 
-    lower and upper are F w_x at the first smallest and the largest weight,
-    each the exact rational rounded once; rank is M. The worst vector is
-    the unit vector at that first smallest weight, normalized as
-    ``_frame_report`` normalizes, and ``resolution`` is the tolerance an
-    eigensolve would have used.
+    lower and upper are F w_x at the smallest and the largest weight, each
+    the exact rational rounded once; rank is M, and ``resolution`` is the
+    tolerance an eigensolve would have used.
     """
     nums, den, n = m.masses, m.mass_denominator, len(m)
-    first = nums.index(min(nums))
-    lower, upper = freq_count * nums[first] / den, freq_count * max(nums) / den
-    worst = np.zeros(n, dtype=complex)
-    worst[first] = 1 / sqrt_w[first]
-    return FrameReport(lower, upper, upper / lower, n, tuple(worst), n, freq_count, _resolution(n, freq_count, upper))
+    lower, upper = freq_count * min(nums) / den, freq_count * max(nums) / den
+    return FrameReport(lower, upper, upper / lower, n, n, freq_count, _resolution(n, freq_count, upper))
 
 
-def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> FrameReport:
-    """Frame bounds from one ``eigvalsh`` of the Gram diag(d) G diag(d)^* of ``freq_count`` synthesis rows.
+def _frame_report(gram: np.ndarray, freq_count: int) -> FrameReport:
+    """Frame bounds from one ``eigvalsh`` of a Gram of ``freq_count`` synthesis rows, as ``_gram`` forms it.
 
-    ``gram`` is G, real when ``_gram`` found a symmetric frequency set and
-    complex with d = None otherwise; it is overwritten. Both have the same
-    eigenvalues, and an eigenvector u of G gives d * u of the full Gram.
-    ``eigvalsh`` reads one triangle, so G is never symmetrized. The worst
-    vector comes from shifted inverse iteration (Ipsen, SIAM Review 39,
-    1997): the diagonal is shifted in place by lambda_0 - resolution, then
-    _INVERSE_STEPS = 2 solves run from exp(2*pi*i*j*g), or its real part
-    cos(2*pi*j*g) on a real G, g the golden ratio (sqrt(5) - 1) / 2,
-    normalized after each. One step already kept the Bessel quotient within
-    0.005 * max(resolution, 1e-12 * upper) of lambda_0 on every measured
-    system; the second covers a start nearly orthogonal to the worst
-    vector, as the constant start is on symmetric systems. The
-    largest-modulus entry is then made real and positive.
+    ``eigvalsh`` reads one triangle, so the Gram is never symmetrized.
+    Eigenvalues at or below the resolution count as zero.
     """
     m = len(gram)
     values = np.linalg.eigvalsh(gram)
@@ -481,16 +466,7 @@ def _frame_report(gram: np.ndarray, d, sqrt_w: np.ndarray, freq_count: int) -> F
     rank = int(np.count_nonzero(values > tol))
     lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
-    gram.flat[:: m + 1] -= values[0] - tol
-    turns = np.pi * (math.sqrt(5) - 1) * np.arange(m)
-    vec = np.exp(1j * turns) if d is None else np.cos(turns)
-    for _ in range(_INVERSE_STEPS):
-        vec = np.linalg.solve(gram, vec)
-        vec /= np.linalg.norm(vec)
-    worst = np.conj(vec if d is None else d * vec) / sqrt_w
-    top = worst[np.argmax(np.abs(worst))]
-    worst *= abs(top) / top
-    return FrameReport(lower, upper, ratio, rank, tuple(worst), m, freq_count, tol)
+    return FrameReport(lower, upper, ratio, rank, m, freq_count, tol)
 
 
 def frame_bounds(
@@ -502,12 +478,12 @@ def frame_bounds(
     every other Gram, within the eigen budget, takes ``_gram`` and
     ``_frame_report``. No phase is computed before either decision.
     """
-    sqrt_w = np.sqrt(_checked_weights(m, freq_set))
+    weights = _checked_weights(m, freq_set)
     if _vanishing_off_diagonal(m, freq_set):
-        return _diagonal_report(m, sqrt_w, len(freq_set))
+        return _diagonal_report(m, len(freq_set))
     if len(m) > eigen_budget:
         raise EigenBudgetExceeded(f"{len(m)} atoms exceed the eigen budget {eigen_budget}")
-    return _frame_report(*_gram(m, sqrt_w, freq_set), sqrt_w, len(freq_set))
+    return _frame_report(_gram(m, np.sqrt(weights), freq_set), len(freq_set))
 
 
 def bessel_quotient(m: AtomicMeasure, freq_set: FrequencySet, coefficients) -> float:

@@ -30,7 +30,7 @@ from .packing import (
 SCHEMA_DIGIT_SYSTEM = "digit-system/1"
 SCHEMA_MEASURE = "atomic-measure/1"
 SCHEMA_CERTIFICATE = "packing-certificate/1"
-SCHEMA_FRAME_REPORT = "frame-report/2"
+SCHEMA_FRAME_REPORT = "frame-report/3"
 SCHEMA_WITNESS = "singularity-witness/1"
 
 
@@ -165,7 +165,6 @@ def frame_report_to_jsonable(report: FrameReport) -> dict:
         "atom_count": report.atom_count,
         "freq_count": report.freq_count,
         "resolution": report.resolution,
-        "worst_vector": [[z.real, z.imag] for z in report.worst_vector],
     }
 
 

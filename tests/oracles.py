@@ -5,9 +5,8 @@ Eigenvalues: power iteration on the Gram matrix and on its spectral shift
 smallest eigenvalue when the shifted ratio is too flat. No call into the
 production eigendecomposition path.
 
-Frame reports: the full ``eigh`` of the symmetrized Gram that
-``frames._frame_report`` ran before it took eigenvalues alone, with the
-worst vector read off the first eigenvector.
+Frame reports: the full ``eigh`` of the symmetrized complex Gram that
+``frames._frame_report`` ran before it took eigenvalues alone.
 
 Phases: one ``Fraction`` dot product per (frequency, atom) pair, the
 reference for the integer phase kernel.
@@ -154,8 +153,8 @@ def oracle_frame_bounds(measure, freq_set) -> tuple:
     return oracle_extremes(gram)
 
 
-def oracle_eigh_report(phi: np.ndarray, weights: np.ndarray) -> tuple:
-    """(FrameReport, smallest eigenvalue) from one ``eigh`` of the symmetrized Gram of ``phi``."""
+def oracle_eigh_report(phi: np.ndarray):
+    """The FrameReport of one ``eigh`` of the symmetrized Gram of ``phi``."""
     import math
 
     from cantorframes import FrameReport
@@ -163,14 +162,13 @@ def oracle_eigh_report(phi: np.ndarray, weights: np.ndarray) -> tuple:
     freq_count, m = phi.shape
     gram = phi.conj().T @ phi
     gram = (gram + gram.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(gram)
+    values = np.linalg.eigh(gram)[0]
     upper = max(float(values[-1]), 0.0)
     tol = max(m, freq_count) * np.finfo(float).eps * max(upper, 1.0)
     rank = int(np.count_nonzero(values > tol))
     lower = max(float(values[0]), 0.0) if rank == m else 0.0
     ratio = upper / lower if lower > 0 else math.inf
-    worst = tuple(np.conj(vectors[:, 0]) / np.sqrt(weights))
-    return FrameReport(lower, upper, ratio, rank, worst, m, freq_count, float(tol)), float(values[0])
+    return FrameReport(lower, upper, ratio, rank, m, freq_count, float(tol))
 
 
 def oracle_laplacian_bounds(edges, n: int) -> tuple:

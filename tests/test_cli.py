@@ -577,6 +577,16 @@ class TestCliCommands:
         assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == EXIT_OK
         assert (tmp_path / "spaced").read_bytes() == (tmp_path / "joined").read_bytes()
 
+    def test_only_a_flag_that_takes_a_value_glues_a_negative_token(self, tmp_path, capsys):
+        assert main(["--help", "-1"]) == EXIT_OK
+        assert "usage: cantorframes" in capsys.readouterr().out
+        assert main(["frame", "bounds", "--help", "-1"]) == EXIT_OK
+        assert "usage: cantorframes frame bounds" in capsys.readouterr().out
+        assert main(["frame", "bounds", "--system", "4:0,1", "--level", "2", "--manifest", "-1"]) == EXIT_ERROR
+        assert "unrecognized arguments: -1" in capsys.readouterr().err
+        witness = ["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--level", "3", "--t", "-1/15"]
+        assert main(witness + ["--out", str(tmp_path / "w.json")]) == EXIT_OK
+
     def test_flag_before_another_flag_is_still_a_usage_error(self, capsys):
         assert main(["packing", "witness", "--nu", "16:0,1", "--lam", "16:0,4", "--t", "--level", "3"]) == EXIT_ERROR
         assert "argument --t: expected one argument" in capsys.readouterr().err

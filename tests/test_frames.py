@@ -22,6 +22,8 @@ from cantorframes import (
     add,
     bessel_quotient,
     convolve,
+    cross_bessel_experiment,
+    degeneracy_experiment,
     frame_bounds,
     indicator_coefficients,
     integer_pool,
@@ -34,7 +36,7 @@ from cantorframes import (
 from cantorframes import frames
 from cantorframes.serialize import frame_report_to_jsonable
 from instances import SIXTEEN_04, _planar_sum, build_instances, rotation_pool_instance
-from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_shear_transport, oracle_synthesis
+from oracles import oracle_eigh_report, oracle_frame_bounds, oracle_phase_matrix, oracle_shear_transport, oracle_synthesis
 
 FOUR = DigitSystem.one_dimensional(4, [0, 1])
 SIXTEEN_01 = DigitSystem.one_dimensional(16, [0, 1])
@@ -144,8 +146,9 @@ class TestFrameBounds:
         assert report.lower == 0
         assert report.resolution > 0
         data = frame_report_to_jsonable(report)
-        assert data["schema"] == "frame-report/2"
+        assert data["schema"] == "frame-report/3"
         assert data["resolution"] == report.resolution
+        assert set(data) == {"schema", "lower", "upper", "ratio", "rank", "atom_count", "freq_count", "resolution"}
 
     def test_empty_frequency_set(self):
         with pytest.raises(EmptyFrequencySet):
@@ -159,15 +162,9 @@ class TestFrameBounds:
         report = frame_bounds(m, freq_set)
         assert abs(report.lower - 1) < 1e-10 and abs(report.upper - 1) < 1e-10
 
-    def test_worst_vector_attains_lower_bound(self):
-        m = level_measure(FOUR, 3)
-        freq_set = FrequencySet.from_scalars([0, 1, 3, 4, 9, 11, 12, 15])
-        report = frame_bounds(m, freq_set)
-        assert abs(bessel_quotient(m, freq_set, report.worst_vector) - report.lower) < 1e-8
-
     def test_one_eigvalsh_per_gram(self, monkeypatch):
         calls = []
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "solve"):
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _fn=original, **kwargs):
@@ -177,6 +174,30 @@ class TestFrameBounds:
             monkeypatch.setattr(np.linalg, name, counted)
         frame_bounds(level_measure(FOUR, 3), FrequencySet.from_scalars([0, 1, 3, 4, 9, 11, 12, 15]))
         assert calls == ["eigvalsh"]
+
+    def test_no_report_solves(self, monkeypatch):
+        """No report, and no experiment, runs an inverse-iteration solve or a full ``eigh``."""
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a report ran more than eigvalsh")
+
+        grams, eigvalsh = [], np.linalg.eigvalsh
+
+        def counted(gram):
+            grams.append(gram.dtype)
+            return eigvalsh(gram)
+
+        for name in ("eigh", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        complex_report = frame_bounds(*_translate_instance(7))
+        real_report = frame_bounds(*_collapse_instance(4))
+        assert grams == [np.complex128, np.float64]
+        assert (complex_report.atom_count, real_report.rank, real_report.atom_count) == (128, 16, 16)
+        eight = DigitSystem.one_dimensional(8, [0, 1])
+        degeneracy_experiment(SIXTEEN_01, SIXTEEN_04, 0, 2, jp_spectrum(FOUR, [0, 2], 4), [2, 8], collapse_levels=(2, 3))
+        rotation_experiment(3, [0, 30, 90], collapse_levels=(2,))
+        cross_bessel_experiment(eight, [0, 4], FOUR, range(1, 5))
 
     def test_more_than_1024_atoms_agrees_with_eigvalsh(self):
         # 1088 atoms against 1000 frequencies: F < M, so no frame.
@@ -528,7 +549,7 @@ def _collapse_instance(n: int):
     return rho, FrequencySet.from_scalars(range(2 * len(rho)))
 
 
-def _worst_vector_cases():
+def _report_cases():
     # Every eigenvalue of an orthonormal jp spectrum is 1: a fully clustered spectrum.
     cases = [(f"jp-level{n}", level_measure(FOUR, n), jp_spectrum(FOUR, [0, 2], n)) for n in range(3, 9)]
     cases += [(f"collapse-level{n}", *_collapse_instance(n)) for n in range(2, 6)]
@@ -543,30 +564,20 @@ def _worst_vector_cases():
     return cases
 
 
-WORST_VECTOR_CASES = _worst_vector_cases()
+REPORT_CASES = _report_cases()
 
 
-class TestWorstVector:
-    """Eigenvalues alone plus shifted inverse iteration, against the full ``eigh`` report."""
+class TestEigenvaluesAlone:
+    """One ``eigvalsh`` of the Gram, against the full ``eigh`` report of the symmetrized complex Gram."""
 
-    @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
+    @pytest.mark.parametrize("name,measure,freq_set", REPORT_CASES, ids=[c[0] for c in REPORT_CASES])
     def test_matches_eigh_oracle(self, name, measure, freq_set):
-        weights = _weights(measure)
-        phi = frames._synthesis_rows(measure, np.sqrt(weights), freq_set)
-        expected, smallest = oracle_eigh_report(phi, weights)
+        phi = frames._synthesis_rows(measure, np.sqrt(_weights(measure)), freq_set)
+        expected = oracle_eigh_report(phi)
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
         assert abs(report.upper - expected.upper) <= report.resolution
         assert report.rank == expected.rank
-        quotient = bessel_quotient(measure, freq_set, report.worst_vector)
-        assert abs(quotient - smallest) <= max(report.resolution, 1e-12 * report.upper)
-
-    @pytest.mark.parametrize("name,measure,freq_set", WORST_VECTOR_CASES, ids=[c[0] for c in WORST_VECTOR_CASES])
-    def test_worst_vector_is_reproducible_with_fixed_phase(self, name, measure, freq_set):
-        first = frame_bounds(measure, freq_set).worst_vector
-        assert np.array_equal(first, frame_bounds(measure, freq_set).worst_vector)
-        top = max(first, key=abs)
-        assert top.real > 0 and abs(top.imag) <= 1e-15 * top.real
 
 
 def _weights(measure):
@@ -575,9 +586,15 @@ def _weights(measure):
 
 
 def _gram_and_rows(measure, freq_set):
-    weights = _weights(measure)
-    gram, d = frames._gram(measure, np.sqrt(weights), freq_set)
-    return gram, d, frames._synthesis_rows(measure, np.sqrt(weights), freq_set)
+    sqrt_w = np.sqrt(_weights(measure))
+    return frames._gram(measure, sqrt_w, freq_set), frames._synthesis_rows(measure, sqrt_w, freq_set)
+
+
+def _centre_phases(measure, freq_set):
+    """e(<c, x>) at every atom x, with c the centre of a centrally symmetric frequency set, from exact phases."""
+    first, last = freq_set.freqs[0], freq_set.freqs[-1]
+    centre = tuple(Fraction(a + b, 2) for a, b in zip(first, last))
+    return np.exp(2j * np.pi * oracle_phase_matrix(measure, FrequencySet(dim=freq_set.dim, freqs=(centre,)))[0])
 
 
 def _symmetric_gram_cases():
@@ -588,7 +605,7 @@ def _symmetric_gram_cases():
         for n in range(1, 9)
     ]
     cases += [(f"pool-{size}", measure, integer_pool(size)) for size in (1, 7, 8)]
-    planar = next(case for case in WORST_VECTOR_CASES if case[0] == "planar-sum-level3")
+    planar = next(case for case in REPORT_CASES if case[0] == "planar-sum-level3")
     cases.append(("planar-jp-product", *planar[1:]))
     cases.append(("half-integers", measure, FrequencySet.from_scalars([0.5, 1.5, 2.5])))
     return cases
@@ -609,7 +626,7 @@ def _cross_bessel_cases():
     return [(f"cross-bessel-level{n}", level_measure(FOUR, n), jp_spectrum(eight, [0, 4], n)) for n in range(2, 9)]
 
 
-ORACLE_CASES = WORST_VECTOR_CASES + _cross_bessel_cases() + [(f"collapse-level{n}", *_collapse_instance(n)) for n in (6, 7)]
+ORACLE_CASES = REPORT_CASES + _cross_bessel_cases() + [(f"collapse-level{n}", *_collapse_instance(n)) for n in (6, 7)]
 # The only oracle cases whose frequency sets are not centrally symmetric.
 COMPLEX_ORACLE_CASES = {"translate-128x256", "symmetric-7-asymmetric-freqs"}
 
@@ -619,39 +636,36 @@ class TestRealGram:
 
     @pytest.mark.parametrize("name,measure,freq_set", SYMMETRIC_GRAM_CASES, ids=[c[0] for c in SYMMETRIC_GRAM_CASES])
     def test_symmetric_set_builds_real_gram(self, name, measure, freq_set):
-        gram, d, phi = _gram_and_rows(measure, freq_set)
-        assert gram.dtype == np.float64 and d is not None
+        gram, phi = _gram_and_rows(measure, freq_set)
+        assert gram.dtype == np.float64
+        d = _centre_phases(measure, freq_set)
         full = d[:, None] * gram * d.conj()[None, :]
         assert np.max(np.abs(full - phi.conj().T @ phi)) <= 1e-12 * len(freq_set)
 
     @pytest.mark.parametrize("name,measure,freq_set", ASYMMETRIC_GRAM_CASES, ids=[c[0] for c in ASYMMETRIC_GRAM_CASES])
     def test_other_set_keeps_complex_gram_bit_for_bit(self, name, measure, freq_set):
-        gram, d, phi = _gram_and_rows(measure, freq_set)
-        assert d is None and gram.dtype == np.complex128
+        gram, phi = _gram_and_rows(measure, freq_set)
+        assert gram.dtype == np.complex128
         assert np.array_equal(gram, phi.conj().T @ phi)
 
     @pytest.mark.parametrize("name,measure,freq_set", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
     def test_matches_complex_oracle(self, name, measure, freq_set):
-        gram, d, phi = _gram_and_rows(measure, freq_set)
-        assert (d is None) == (name in COMPLEX_ORACLE_CASES)
-        expected, smallest = oracle_eigh_report(phi, _weights(measure))
+        gram, phi = _gram_and_rows(measure, freq_set)
+        assert (gram.dtype == np.complex128) == (name in COMPLEX_ORACLE_CASES)
+        expected = oracle_eigh_report(phi)
         report = frame_bounds(measure, freq_set)
         assert abs(report.lower - expected.lower) <= report.resolution
         assert abs(report.upper - expected.upper) <= report.resolution
         assert report.rank == expected.rank
-        quotient = bessel_quotient(measure, freq_set, report.worst_vector)
-        assert abs(quotient - smallest) <= max(report.resolution, 1e-12 * report.upper)
 
 
 def _gram_report(measure, freq_set):
     """The report of the Gram and its eigensolve, the path every set took before exact diagonals."""
-    weights = _weights(measure)
-    gram, d = frames._gram(measure, np.sqrt(weights), freq_set)
-    return frames._frame_report(gram, d, np.sqrt(weights), len(freq_set))
+    return frames._frame_report(frames._gram(measure, np.sqrt(_weights(measure)), freq_set), len(freq_set))
 
 
 def _same_report(first, second) -> bool:
-    return repr(first) == repr(second) and np.array_equal(first.worst_vector, second.worst_vector)
+    return repr(first) == repr(second)
 
 
 def _vanishes(measure, freq_set) -> bool:
@@ -758,14 +772,10 @@ class TestExactDiagonal:
         report = frame_bounds(measure, freq_set)
         m, f = len(measure), len(freq_set)
         weights = [Fraction(w, measure.mass_denominator) for w in measure.masses]
-        first = weights.index(min(weights))
         assert (report.lower, report.upper) == (float(f * min(weights)), float(f * max(weights)))
         assert report.ratio == report.upper / report.lower
         assert (report.rank, report.atom_count, report.freq_count) == (m, m, f)
         assert report.resolution == max(m, f) * np.finfo(float).eps * max(report.upper, 1.0)
-        expected = np.zeros(m, dtype=complex)
-        expected[first] = 1 / math.sqrt(weights[first])
-        assert np.array_equal(report.worst_vector, expected)
 
     @pytest.mark.parametrize("name,measure,freq_set", DYADIC_EXACT_CASES, ids=[c[0] for c in DYADIC_EXACT_CASES])
     def test_arrays_take_the_exact_path(self, name, measure, freq_set):
@@ -785,7 +795,6 @@ class TestExactDiagonal:
         tol = max(report.resolution, 1e-12 * report.upper)
         assert abs(report.lower - solved.lower) <= tol and abs(report.upper - solved.upper) <= tol
         assert report.rank == solved.rank
-        assert abs(bessel_quotient(measure, freq_set, report.worst_vector) - report.lower) <= tol
 
     @pytest.mark.parametrize("name,measure,freq_set", FALLBACK_CASES, ids=[c[0] for c in FALLBACK_CASES])
     def test_other_sets_keep_the_eigensolve_bit_for_bit(self, name, measure, freq_set):
