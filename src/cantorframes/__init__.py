@@ -19,12 +19,9 @@ from .errors import (
 )
 from .fourier import (
     FactorizationReport,
-    MaskPolynomial,
     TransformValue,
     factorization_check,
-    mask_eval,
     mu_hat,
-    windowed_transform,
 )
 from .frames import (
     BlockedLinearMap,
@@ -63,17 +60,13 @@ from .measures import (
     translate,
 )
 from .packing import (
-    OverlapReport,
     PackingCertificate,
     SingularityWitness,
     SscCertificate,
-    difference_set,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
-    radon_nikodym_atoms,
     singularity_witness,
     ssc_certificate,
-    translation_overlap,
 )
 
 __version__ = "0.1.0"

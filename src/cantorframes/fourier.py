@@ -11,40 +11,26 @@ mask phase t = <eta, b> is reduced exactly mod 1, as t - rint(t), before
 it meets 2*pi, whose product with a large t would lose the phase digits.
 A ``DigitSystem`` keeps its digits sorted, so the masks sum in one order.
 
-Windowed transforms are exponential sums over a measure's skeleton atoms:
-their phases come from the exact kernel of ``frames``, one call for a
-whole frequency grid, and a factorization check makes one call for its
-three windowed sums; their windows enter the skeleton through
-``measures._points_over``, the one map of exact points.
+A factorization check compares windowed sums, exponential sums over a
+measure's skeleton atoms (``_skeleton_sums``): their phases come from the
+exact kernel of ``frames``, one call for the whole frequency grid and all
+three windows, and each sum is correctly rounded by ``math.fsum``.
 """
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
-from itertools import pairwise, repeat
+from itertools import pairwise
 
 import numpy as np
 
 from .errors import NotCertifiedPacking, ToleranceUnreachable
 from .measures import AtomicMeasure, DigitSystem, convolve
 from .frames import _exact_phase_matrix
-from .measures import _common_numerators, _exact_point, _over, _points_over
+from .measures import _common_numerators, _exact_point, _over
 
 _MAX_FACTORS = 10_000
-
-
-def mask_eval(digits, xi) -> complex:
-    """(1/#B) sum_b exp(-2*pi*i <xi, b>): the grid's ``_masks`` at one point, summed over b in the order given."""
-    digits = [[float(x) for x in ((b,) if isinstance(b, numbers.Number) else b)] for b in digits]
-    if not digits:
-        raise ValueError("digit set is empty")
-    eta = np.asarray(xi, dtype=float).reshape(1, -1)
-    if eta.shape[1] != len(digits[0]):
-        raise ValueError(f"frequency has dimension {eta.shape[1]}, expected {len(digits[0])}")
-    re, im = _masks(digits, eta)
-    return complex(re[0], im[0])
 
 
 def _masks(digits, eta: np.ndarray) -> tuple:
@@ -57,28 +43,6 @@ def _masks(digits, eta: np.ndarray) -> tuple:
         t = _fixed_order_dot(b, eta)
         mask += np.exp(-2j * math.pi * (t - np.rint(t)))
     return mask.real / len(digits), mask.imag / len(digits)
-
-
-@dataclass(frozen=True)
-class MaskPolynomial:
-    """Fourier factor of a single digit layer, its digits sorted; normalized so mask(0) = 1."""
-
-    digits: tuple
-    dim: int
-
-    @classmethod
-    def of(cls, digits) -> "MaskPolynomial":
-        digits = list(digits)
-        if not digits:
-            raise ValueError("digit set is empty")
-        dim = len(_exact_point(digits[0]))
-        rows = _points_over(digits, dim, 1)
-        if None in rows:
-            raise ValueError("mask digits must be integer vectors")
-        return cls(digits=tuple(sorted(rows)), dim=dim)
-
-    def __call__(self, xi) -> complex:
-        return mask_eval(self.digits, xi)
 
 
 @dataclass(frozen=True)
@@ -196,22 +160,6 @@ def _skeleton_sums(groups, xis, denominator: int) -> list:
         [complex(math.fsum(flat[i + a : i + b : 2]), math.fsum(flat[i + a + 1 : i + b : 2])) for i in starts]
         for a, b in pairwise([0, *(2 * e for e in ends)])
     ]
-
-
-def windowed_transform(m: AtomicMeasure, window, xi) -> complex:
-    """sum_x f(x) w_x exp(-2*pi*i <xi, x>) with exact phases and correctly rounded sums.
-
-    The real and imaginary parts are each one ``math.fsum`` of the float
-    terms, so no value depends on their order. ``window`` is None for the
-    constant 1, a set of exact points for an indicator, or a dict from
-    exact points to coefficients. ``xi`` is read exactly, as ``as_point``
-    reads it, and the phases <xi, x> mod 1 are exact, so a large xi loses
-    no digits.
-    """
-    if window is not None:
-        coefficients = window.values() if isinstance(window, dict) else repeat(1.0)
-        window = dict(zip(_points_over(window, m.dim, m.denominator), coefficients))
-    return _skeleton_sums([(m, window)], _common_numerators([_exact_point(xi, m.dim)]), m.denominator)[0][0]
 
 
 @dataclass(frozen=True)

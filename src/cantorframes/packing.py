@@ -21,18 +21,8 @@ from .errors import (
     NoWitnessFound,
     NotCertifiedPacking,
 )
-from .measures import (
-    AtomicMeasure,
-    DigitSystem,
-    PointCloud,
-    as_point,
-    attractor_points,
-    convolve,
-    level_measure,
-    tail_radius,
-    translate,
-)
-from .measures import _common_numerators, _digit_layers, _exact_point, _over, _points_over
+from .measures import DigitSystem, PointCloud, attractor_points, convolve, level_measure, tail_radius
+from .measures import _common_numerators, _digit_layers, _exact_point, _over
 from .measures import _sqrt_upper_bound, _sumset
 
 CERTIFIED_PACKING = "certified-packing"
@@ -70,22 +60,6 @@ class SscCertificate:
 
 
 @dataclass(frozen=True)
-class OverlapReport:
-    """Decomposition of one atomic measure against another.
-
-    ``ac_part`` lists (location, density ratio) over shared atoms;
-    ``ac_mass`` is the total mass carried on those atoms and
-    ``singular_mass`` the mass sitting on locations the reference measure
-    does not charge.
-    """
-
-    ac_part: tuple
-    ac_mass: Fraction
-    singular_mass: Fraction
-    sup_ratio: object  # Fraction, or math.inf when singular mass is present
-
-
-@dataclass(frozen=True)
 class SingularityWitness:
     """Finite-resolution witness for translational singularity.
 
@@ -107,17 +81,6 @@ class SingularityWitness:
     overlap_mass_total: Fraction
     level: int
     certificate: PackingCertificate
-
-
-def difference_set(p_points, q_points) -> tuple:
-    """All pairwise differences p - q, deduplicated and sorted."""
-    ps = [_exact_point(p) for p in p_points]
-    qs = [_exact_point(q) for q in q_points]
-    if ps and qs and len(ps[0]) != len(qs[0]):
-        raise DimensionMismatch("difference_set requires equal dimensions")
-    numerators, denominator = _common_numerators(ps + qs)
-    rows = _differences(numerators[: len(ps)], numerators[len(ps) :])
-    return tuple(tuple(Fraction(x, denominator) for x in p) for p in rows)
 
 
 def _differences(xs, ys) -> list:
@@ -304,37 +267,6 @@ def ssc_certificate(ds: DigitSystem, depth: int, budget: int | None = None) -> S
             return SscCertificate(status=CERTIFIED_SSC, depth_used=d, evidence=evidence)
         depth_used, last_evidence = d, {**evidence, "depth": d}
         d *= 2
-
-
-def translation_overlap(rho: AtomicMeasure, support_points, shift) -> AtomicMeasure:
-    """The measure F -> rho((F + shift) on (E + shift)) as an atomic measure.
-
-    Atoms sit at x with x + shift an atom of rho inside E + shift, carrying
-    rho's weight there. All membership tests are exact.
-    """
-    moved = translate(rho, tuple(-x for x in as_point(shift, rho.dim)))
-    support = set(_points_over(support_points, rho.dim, moved.denominator))
-    # moved's atoms in their sorted order; those off the support get mass 0, which _from_sums drops.
-    masses = [w if p in support else 0 for p, w in zip(moved.numerators, moved.masses)]
-    return AtomicMeasure._from_sums(rho.dim, (moved.numerators, masses), moved.denominator, moved.mass_denominator)
-
-
-def radon_nikodym_atoms(omega: AtomicMeasure, mu: AtomicMeasure) -> OverlapReport:
-    """Split omega into a part with density against mu and a singular part."""
-    if omega.dim != mu.dim:
-        raise DimensionMismatch("measures live in different dimensions")
-    common = math.lcm(omega.denominator, mu.denominator)
-    mu_masses = dict(zip(_over(mu, common), mu.masses))
-    ac, ac_mass = [], 0
-    for p, w in zip(_over(omega, common), omega.masses):
-        if p in mu_masses:
-            ratio = Fraction(w * mu.mass_denominator, omega.mass_denominator * mu_masses[p])
-            ac.append((tuple(Fraction(x, common) for x in p), ratio))
-            ac_mass += w
-    singular = Fraction(sum(omega.masses) - ac_mass, omega.mass_denominator)
-    sup = float("inf") if singular else max((r for _, r in ac), default=Fraction(0))
-    ac_mass = Fraction(ac_mass, omega.mass_denominator)
-    return OverlapReport(ac_part=tuple(ac), ac_mass=ac_mass, singular_mass=singular, sup_ratio=sup)
 
 
 def _certified_packing(nu_ds: DigitSystem, lam_ds: DigitSystem, level: int, budget: int | None) -> PackingCertificate:

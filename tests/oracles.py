@@ -340,29 +340,6 @@ def oracle_ball_mass(measure, center, radius) -> Fraction:
     )
 
 
-def oracle_translation_overlap(rho, support_points, shift) -> tuple:
-    """Atoms at x with x + shift an atom of rho inside support + shift."""
-    t = tuple(Fraction(x) for x in shift)
-    shifted_support = {_oracle_add(tuple(Fraction(x) for x in p), t) for p in support_points}
-    return oracle_merge(
-        (_oracle_sub(loc, t), w) for loc, w in rho.atoms if loc in shifted_support
-    )
-
-
-def oracle_radon_nikodym(omega, mu) -> tuple:
-    """(ac_part, ac_mass, singular_mass, sup_ratio) of omega against mu."""
-    mu_abs = dict(mu.atoms)
-    ac, ac_mass, singular = [], Fraction(0), Fraction(0)
-    for loc, w in omega.atoms:
-        if loc in mu_abs:
-            ac.append((loc, w / mu_abs[loc]))
-            ac_mass += w
-        else:
-            singular += w
-    sup = float("inf") if singular > 0 else max((r for _, r in ac), default=Fraction(0))
-    return tuple(ac), ac_mass, singular, sup
-
-
 def oracle_singularity_witness(nu, lam, shift) -> tuple:
     """The witness search over level measures nu and lam with a rational shift.
 

@@ -11,7 +11,6 @@ from cantorframes import (
     DigitSystem,
     DimensionMismatch,
     FrequencySet,
-    MaskPolynomial,
     NotCertifiedPacking,
     PointCloud,
     ToleranceUnreachable,
@@ -21,14 +20,13 @@ from cantorframes import (
     factorization_check,
     jp_spectrum,
     level_measure,
-    mask_eval,
     mu_hat,
     packing_certificate_from_clouds,
     translate,
-    windowed_transform,
 )
 from cantorframes import fourier, frames
-from cantorframes.fourier import _mu_hat_grid
+from cantorframes.fourier import _masks, _mu_hat_grid, _skeleton_sums
+from cantorframes.measures import _common_numerators, _exact_point, _points_over
 from cantorframes.packing import CERTIFIED_PACKING
 from oracles import oracle_factorization, oracle_mu_hat, oracle_phase_matrix, oracle_windowed_sums
 
@@ -38,6 +36,18 @@ SIXTEEN_04 = DigitSystem.one_dimensional(16, [0, 4])
 PLANAR = DigitSystem(((4, 0), (0, 4)), ((0, 0), (1, 0), (0, 1)))
 SHEARED = DigitSystem(((2, 1), (0, 3)), ((0, 0), (1, 0), (0, 1)))
 THREE = DigitSystem.one_dimensional(3, [0, 2])
+
+
+def _mask(digits, xi) -> complex:
+    """``fourier._masks`` at the one point ``xi``."""
+    (re,), (im,) = _masks(digits, np.array([np.ravel(xi)], dtype=float))
+    return complex(re, im)
+
+
+def _window_sum(m, window, xi) -> complex:
+    """The one-group case of ``fourier._skeleton_sums`` at one exact point; window None or a set of exact points."""
+    keys = None if window is None else dict.fromkeys(_points_over(window, m.dim, m.denominator), 1.0)
+    return _skeleton_sums([(m, keys)], _common_numerators([_exact_point(xi, m.dim)]), m.denominator)[0][0]
 
 
 def _mixed_grid() -> list:
@@ -50,50 +60,27 @@ def _mixed_grid() -> list:
 
 class TestMask:
     def test_at_zero(self):
-        assert mask_eval([(0,), (1,)], 0) == 1
+        assert _mask([(0,), (1,)], 0) == 1
 
     def test_binary_zero_at_half(self):
-        assert abs(mask_eval([(0,), (1,)], 0.5)) < 1e-15
+        assert abs(_mask([(0,), (1,)], 0.5)) < 1e-15
 
     def test_four_digit_zero_at_eighth(self):
-        assert abs(mask_eval([(0,), (4,)], 0.125)) < 1e-15
-
-    @pytest.mark.parametrize("call", [lambda: mask_eval([], 0.5), lambda: MaskPolynomial.of([])], ids=["eval", "of"])
-    def test_empty_digit_set_refused(self, call):
-        with pytest.raises(ValueError) as refused:
-            call()
-        assert str(refused.value) == "digit set is empty"
-
-    def test_polynomial_wrapper_normalized(self):
-        mask = MaskPolynomial.of([0, 1, 5])
-        assert mask(0) == 1
-
-    def test_polynomial_digits_kept_sorted(self):
-        listed = MaskPolynomial.of([5, 0, 1])
-        assert listed == MaskPolynomial.of([0, 1, 5]) and listed.digits == ((0,), (1,), (5,))
+        assert abs(_mask([(0,), (4,)], 0.125)) < 1e-15
 
     @pytest.mark.parametrize("digits", [[(0,), (1,), (5,)], [(0, 0), (2, 1), (1, 3), (-1, 2)]], ids=["1d", "planar"])
     def test_mask_sums_each_phase_in_coordinate_order(self, digits):
         # <xi, b> is added left to right, never fused into one multiply-add, and reduced mod 1, as the grid does.
-        rng = np.random.default_rng(4)
-        for xi in rng.uniform(-50, 50, (200, len(digits[0]))).tolist():
+        xis = np.random.default_rng(4).uniform(-50, 50, (200, len(digits[0])))
+        re, im = _masks(digits, xis)
+        for xi, value in zip(xis.tolist(), zip(re.tolist(), im.tolist())):
             total = 0j
             for b in digits:
                 dot = xi[0] * b[0]
                 for x, y in zip(xi[1:], b[1:]):
                     dot = dot + x * y
                 total += cmath.exp(-2j * np.pi * (dot - round(dot)))
-            value = mask_eval(digits, xi)
-            assert (value.real, value.imag) == (total.real / len(digits), total.imag / len(digits))
-
-    def test_mask_refuses_wrong_dimension(self):
-        with pytest.raises(ValueError, match="frequency has dimension 1, expected 2"):
-            mask_eval([(0, 0), (1, 0)], 0.5)
-
-    @pytest.mark.parametrize("digits", [[(0,), (2.5,)], [0, 2.5], [(0, 0), (1, 0.5)]])
-    def test_polynomial_refuses_non_integer_digits(self, digits):
-        with pytest.raises(ValueError, match="integer"):
-            MaskPolynomial.of(digits)
+            assert value == (total.real / len(digits), total.imag / len(digits))
 
 
 class TestMuHat:
@@ -111,7 +98,7 @@ class TestMuHat:
     def test_matches_deep_level_measure(self):
         deep = level_measure(FOUR, 12)
         for xi in (1.0, 0.3, -2.7):
-            direct = windowed_transform(deep, None, xi)
+            direct = _window_sum(deep, None, xi)
             truncated = mu_hat(FOUR, xi, 1e-10)
             assert abs(direct - truncated.value) < 1e-5
 
@@ -128,7 +115,7 @@ class TestMuHat:
         for xi in (0.9, 3.3, -1.2):
             full = mu_hat(FOUR, xi, tol)
             quarter = xi / 4.0
-            factored = mask_eval(FOUR.digits, quarter) * mu_hat(FOUR, quarter, tol).value
+            factored = _mask(FOUR.digits, quarter) * mu_hat(FOUR, quarter, tol).value
             assert abs(full.value - factored) <= 2 * tol + 1e-12
 
     def test_tolerance_floor(self):
@@ -225,13 +212,15 @@ class TestMuHatGrid:
 
 
 class TestWindowedTransform:
+    """Windowed sums: the one-group case of ``fourier._skeleton_sums``."""
+
     def test_total_mass_at_zero(self):
         m = level_measure(FOUR, 3)
-        assert windowed_transform(m, None, 0) == m.total
+        assert _window_sum(m, None, 0) == m.total
 
     def test_indicator_window(self):
         m = level_measure(FOUR, 1)
-        value = windowed_transform(m, [(Fraction(0),)], 0)
+        value = _window_sum(m, [(Fraction(0),)], 0)
         assert value == Fraction(1, 2)
 
     def test_convolution_identity_in_frequency(self):
@@ -240,21 +229,16 @@ class TestWindowedTransform:
         c = convolve(a, b)
         rng = np.random.default_rng(3)
         for xi in rng.uniform(-40, 40, size=100):
-            lhs = windowed_transform(c, None, float(xi))
-            rhs = windowed_transform(a, None, float(xi)) * windowed_transform(b, None, float(xi))
+            lhs = _window_sum(c, None, float(xi))
+            rhs = _window_sum(a, None, float(xi)) * _window_sum(b, None, float(xi))
             assert abs(lhs - rhs) < 1e-10
 
     def test_phase_of_translation(self):
         m = level_measure(FOUR, 2)
         xi = 1.3
         shifted = translate(m, Fraction(3, 8))
-        expected = cmath.exp(-2j * cmath.pi * xi * 3 / 8) * windowed_transform(m, None, xi)
-        assert abs(windowed_transform(shifted, None, xi) - expected) < 1e-12
-
-    @pytest.mark.parametrize("window", [[(0, 0)], {(0, 0): 1.0}], ids=["set", "dict"])
-    def test_window_point_of_wrong_dimension_raises(self, window):
-        with pytest.raises(DimensionMismatch):
-            windowed_transform(level_measure(FOUR, 2), window, 0.5)
+        expected = cmath.exp(-2j * cmath.pi * xi * 3 / 8) * _window_sum(m, None, xi)
+        assert abs(_window_sum(shifted, None, xi) - expected) < 1e-12
 
     def test_large_frequency_matches_fraction_phases(self):
         # A float product <xi, x> at xi ~ 2^30 keeps only ~7 phase digits.
@@ -262,13 +246,13 @@ class TestWindowedTransform:
         xi = 2.0**30 + 0.3
         phases = oracle_phase_matrix(m, FrequencySet.from_scalars([xi]))[0]
         expected = sum(float(w) * cmath.exp(-2j * cmath.pi * p) for w, p in zip(m.weights, phases))
-        assert abs(windowed_transform(m, None, xi) - expected) < 1e-12
+        assert abs(_window_sum(m, None, xi) - expected) < 1e-12
 
     def test_integer_frequency_past_exact_doubles(self):
         # 2^60 + 1 is 1 mod 16, the atoms' denominator; as a float it used to read 2^60, which is 0 mod 16.
         m = level_measure(FOUR, 2)
-        assert windowed_transform(m, None, 2**60 + 1) == windowed_transform(m, None, 1) != m.total
-        assert windowed_transform(m, None, Fraction(1, 3)) == windowed_transform(m, None, Fraction(1, 3) + 2**60)
+        assert _window_sum(m, None, 2**60 + 1) == _window_sum(m, None, 1) != m.total
+        assert _window_sum(m, None, Fraction(1, 3)) == _window_sum(m, None, Fraction(1, 3) + 2**60)
 
 
 class TestFactorization:
@@ -286,7 +270,7 @@ class TestFactorization:
         for window_e, window_f in windows:
             sums = {tuple(a + b for a, b in zip(p, q)) for p in window_e for q in window_f}
             for measure, window in ((nu, window_e), (lam, window_f), (mu, sums)):
-                values = [windowed_transform(measure, window, xi) for xi in xis]
+                values = [_window_sum(measure, window, xi) for xi in xis]
                 assert values == oracle_windowed_sums(measure, window, xis)
 
     def test_certified_pair_has_tiny_deviation(self):
@@ -397,6 +381,13 @@ class TestFactorization:
         at_one = factorization_check(nu, lam, nu.locations, lam.locations, [1])
         assert report.argmax_xi == (2**60 + 1,) and type(report.argmax_xi[0]) is int
         assert report.max_deviation == at_one.max_deviation
+
+    @pytest.mark.parametrize("side", ["e", "f"])
+    def test_window_point_of_wrong_dimension_raises(self, side):
+        nu, lam = level_measure(SIXTEEN_01, 1), level_measure(SIXTEEN_04, 1)
+        window_e, window_f = ([(0, 0)], lam.locations) if side == "e" else (nu.locations, [(0, 0)])
+        with pytest.raises(DimensionMismatch):
+            factorization_check(nu, lam, window_e, window_f, [0.5])
 
     def test_grid_of_wrong_dimension_raises(self):
         nu, lam = level_measure(SIXTEEN_01, 1), level_measure(SIXTEEN_04, 1)

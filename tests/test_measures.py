@@ -15,7 +15,6 @@ from cantorframes import (
     DigitSystem,
     DimensionMismatch,
     DuplicateDigits,
-    MaskPolynomial,
     NonExpandingMatrix,
     SingularMatrix,
     add,
@@ -30,7 +29,6 @@ from cantorframes import (
     packing_certificate_from_digits,
     tail_radius,
     translate,
-    translation_overlap,
 )
 from cantorframes import measures
 from cantorframes.measures import _fraction_inverse
@@ -212,11 +210,10 @@ class TestValidation:
         (lambda: as_point(np.int64(3)), (fr(3),)),
         (lambda: jp_spectrum(FOUR, np.array([0, 2]), 2).freqs, ((0.0,), (2.0,), (8.0,), (10.0,))),
         (lambda: translate(level_measure(FOUR, 1), np.int64(1)), translate(level_measure(FOUR, 1), 1)),
-        (lambda: MaskPolynomial.of(np.array([0, 1])), MaskPolynomial.of([0, 1])),
         # 2^40 over the denominator 4^30 = 2^60 overflows an int64 numerator.
         (lambda: translate(level_measure(WIDE, 2), np.int64(2**40)), translate(level_measure(WIDE, 2), 2**40)),
     ],
-    ids=["as_point", "jp_spectrum", "translate", "mask_polynomial", "translate_wide"],
+    ids=["as_point", "jp_spectrum", "translate", "translate_wide"],
 )
 def test_numpy_scalars_are_exact_points(call, expected):
     assert call() == expected
@@ -346,7 +343,6 @@ class TestTranslateAdd:
         # 1/3 is not on the quarter grid; truncating 4 * 1/3 would land on 1/4.
         m = level_measure(FOUR, 1)
         assert m.weight_at(fr(1, 3)) == 0
-        assert len(translation_overlap(m, [fr(1, 3)], 0)) == 0
         assert not indicator_coefficients(m, [fr(1, 3)]).any()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import subprocess
@@ -13,29 +12,21 @@ from hypothesis import strategies as st
 
 from cantorframes import (
     AtomBudgetExceeded,
-    AtomicMeasure,
     DigitSystem,
-    FrequencySet,
     NoWitnessFound,
     NotCertifiedPacking,
     PointCloud,
-    add,
     attractor_points,
     convolve,
     cylinder_points,
-    difference_set,
     factorization_check,
-    frame_bounds,
     indicator_coefficients,
     level_measure,
     packing_certificate_from_clouds,
     packing_certificate_from_digits,
-    radon_nikodym_atoms,
     singularity_witness,
     ssc_certificate,
     tail_radius,
-    translate,
-    translation_overlap,
 )
 from cantorframes import measures, packing
 from cantorframes.packing import (
@@ -44,9 +35,11 @@ from cantorframes.packing import (
     CERTIFIED_PACKING,
     CERTIFIED_SSC,
     INCONCLUSIVE,
+    _differences,
     _min_gap_sq,
 )
 from oracles import (
+    oracle_difference_set,
     oracle_min_gap_sq,
     oracle_packing_certificate_from_clouds,
     oracle_packing_certificate_from_digits,
@@ -63,20 +56,28 @@ def fr(*args):
 
 
 class TestDifferenceSet:
+    """``packing._differences``, the integer difference sets of the packing certificates."""
+
+    @staticmethod
+    def _checked(xs, ys) -> list:
+        rows = _differences(xs, ys)
+        assert rows == list(oracle_difference_set(xs, ys))
+        return rows
+
     def test_binary_digits(self):
-        assert difference_set([(0,), (1,)], [(0,), (1,)]) == ((fr(-1),), (fr(0),), (fr(1),))
+        assert self._checked([(0,), (1,)], [(0,), (1,)]) == [(-1,), (0,), (1,)]
 
     def test_four_digits(self):
-        assert difference_set([(0,), (4,)], [(0,), (4,)]) == ((fr(-4),), (fr(0),), (fr(4),))
+        assert self._checked([(0,), (4,)], [(0,), (4,)]) == [(-4,), (0,), (4,)]
 
     def test_singleton(self):
-        assert difference_set([(fr(1, 3),)], [(fr(1, 3),)]) == ((fr(0),),)
+        assert self._checked([(1, -3)], [(1, -3)]) == [(0, 0)]
 
     def test_pair_budget_refuses_before_forming_sums(self):
         # 2049^2 words exceed the 2^22 pair budget; 2048^2 would fit it exactly.
         points = [(k,) for k in range(2049)]
         with pytest.raises(AtomBudgetExceeded):
-            difference_set(points, points)
+            _differences(points, points)
 
 
 class TestDigitCriterion:
@@ -233,16 +234,6 @@ class TestIterableInputs:
         for same in (iter(points), set(points)):
             assert np.array_equal(indicator_coefficients(m, same), expected)
 
-    def test_translation_overlap(self):
-        nu, lam = level_measure(SIXTEEN_01, 2), level_measure(SIXTEEN_04, 2)
-        shift = fr(5, 7)
-        rho = add(convolve(nu, lam), translate(nu, shift))
-        points = list(convolve(nu, lam).locations) + [(0.5,)]
-        expected = translation_overlap(rho, points, shift)
-        assert len(expected)
-        for same in (iter(points), set(points)):
-            assert translation_overlap(rho, same, shift) == expected
-
 
 class TestSsc:
     def test_quarter_system(self):
@@ -331,76 +322,6 @@ class TestGapScan:
         assert _min_gap_sq(1, [[(-3,), (0,)], [(0,), (2,)]], 1) == 4
         assert _min_gap_sq(1, [[(0,)], [(0,)]], 1) is None
         assert _min_gap_sq(1, [[(5,)], []], 1) is None
-
-
-class TestTranslationOverlap:
-    def test_zero_shift_full_support_is_identity(self):
-        rho = level_measure(FOUR, 3)
-        omega = translation_overlap(rho, rho.locations, 0)
-        assert omega == rho
-
-    def test_disjoint_support_vanishes(self):
-        rho = level_measure(FOUR, 2)
-        omega = translation_overlap(rho, rho.locations, 7)
-        assert len(omega) == 0
-
-    def test_shifted_copy_carries_unit_mass(self):
-        nu = level_measure(SIXTEEN_01, 2)
-        lam = level_measure(SIXTEEN_04, 2)
-        mu = convolve(nu, lam)
-        shift = fr(5, 7)
-        rho = add(mu, translate(nu, shift))
-        omega = translation_overlap(rho, mu.locations, shift)
-        restricted = sum(
-            (w for p, w in omega.atoms if p in set(nu.locations)), fr(0)
-        )
-        assert restricted == 1
-
-
-class TestRadonNikodym:
-    def test_identity(self):
-        m = level_measure(FOUR, 3)
-        report = radon_nikodym_atoms(m, m)
-        assert report.singular_mass == 0
-        assert report.sup_ratio == 1
-        assert all(r == 1 for _, r in report.ac_part)
-
-    def test_nested_levels_have_dyadic_ratio(self):
-        for n in (1, 2, 3):
-            omega = level_measure(SIXTEEN_01, n)
-            mu = level_measure(FOUR, 2 * n)
-            report = radon_nikodym_atoms(omega, mu)
-            assert report.singular_mass == 0
-            assert report.sup_ratio == 2**n
-            assert all(r == 2**n for _, r in report.ac_part)
-
-    def test_off_support_mass_is_singular(self):
-        report = radon_nikodym_atoms(AtomicMeasure.dirac(fr(1, 3)), level_measure(FOUR, 2))
-        assert report.singular_mass == 1
-        assert report.sup_ratio == math.inf
-
-    def test_lattice_translation_has_unit_density(self):
-        n = 8
-        uniform = AtomicMeasure.from_atoms(1, [((fr(k, n),), fr(1, n)) for k in range(n)])
-        report = frame_bounds(uniform, FrequencySet.from_scalars(range(n)))
-        assert abs(report.lower - 1) < 1e-9 and abs(report.upper - 1) < 1e-9
-        for j in range(1, n):
-            omega = translation_overlap(uniform, uniform.locations, fr(j, n))
-            rn = radon_nikodym_atoms(omega, uniform)
-            assert rn.singular_mass == 0
-            assert all(r == 1 for _, r in rn.ac_part)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5),
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=5),
-)
-def test_radon_nikodym_mass_conservation(omega_pairs, mu_pairs):
-    omega = AtomicMeasure.from_atoms(1, [((fr(n, 4),), fr(w, 4)) for n, w in omega_pairs])
-    mu = AtomicMeasure.from_atoms(1, [((fr(n, 4),), fr(w, 4)) for n, w in mu_pairs])
-    report = radon_nikodym_atoms(omega, mu)
-    assert report.ac_mass + report.singular_mass == omega.total
 
 
 class TestMassFactorization:

@@ -2,7 +2,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from cantorframes import (
     DigitSystem,
@@ -11,12 +10,12 @@ from cantorframes import (
     frame_bounds,
     FrequencySet,
     level_measure,
-    mask_eval,
     mu_hat,
     packing_certificate_from_digits,
     tail_radius,
-    windowed_transform,
 )
+from cantorframes.fourier import _masks, _skeleton_sums
+from cantorframes.measures import _common_numerators
 from cantorframes.packing import CERTIFIED_PACKING
 
 TWIN = DigitSystem(((2, 0), (0, 2)), ((0, 0), (1, 1)))
@@ -54,11 +53,12 @@ def test_convolution_dimension_agrees():
 
 
 def test_mask_and_transform():
-    assert mask_eval(SCALED.digits, (0.0, 0.0)) == 1
+    assert [a.tolist() for a in _masks(SCALED.digits, np.zeros((1, 2)))] == [[1.0], [0.0]]
     value = mu_hat(SCALED, (1.0, 0.5), 1e-8)
     assert abs(value.value) <= 1 + 1e-12
     deep = level_measure(SCALED, 6)
-    direct = windowed_transform(deep, None, (1.0, 0.5))
+    # the one-group case of the factorization check's windowed sums, window None for every atom
+    ((direct,),) = _skeleton_sums([(deep, None)], _common_numerators([(1.0, 0.5)]), deep.denominator)
     # the two truncations differ by the level-6 geometric tail, about 8e-4
     assert abs(direct - value.value) < 1e-3
 
