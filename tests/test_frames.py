@@ -567,6 +567,19 @@ def _report_cases():
 REPORT_CASES = _report_cases()
 
 
+class TestEigenvaluesAlone:
+    """One ``eigvalsh`` of the Gram, against the full ``eigh`` report of the symmetrized complex Gram."""
+
+    @pytest.mark.parametrize("name,measure,freq_set", REPORT_CASES, ids=[c[0] for c in REPORT_CASES])
+    def test_matches_eigh_oracle(self, name, measure, freq_set):
+        phi = frames._synthesis_rows(measure, np.sqrt(_weights(measure)), freq_set)
+        expected = oracle_eigh_report(phi)
+        report = frame_bounds(measure, freq_set)
+        assert abs(report.lower - expected.lower) <= report.resolution
+        assert abs(report.upper - expected.upper) <= report.resolution
+        assert report.rank == expected.rank
+
+
 def _weights(measure):
     """The float weights the report path forms."""
     return np.array([w / measure.mass_denominator for w in measure.masses])
