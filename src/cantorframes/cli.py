@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 computed-but-negative answers (a refuted packing
 pair, a rejected certificate, a failed witness search), 1 errors, usage
 errors included. Outputs are deterministic: identical invocations write
-byte-identical files.
+byte-identical files. A token of "-" and a digit or "." is a value, never
+an option, so ``--t -1/15`` and ``--xi-min -1e3`` parse as written.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .fourier import _mu_hat_grid
 from .frames import FrequencySet, frame_bounds, jp_spectrum
 from .measures import DigitSystem, convolve, level_measure
 from .packing import CERTIFIED_NOT_PACKING, _digit_certificate, singularity_witness
-from .serialize import _atom_strings, _json_list, canonical_json, certificate_to_jsonable, csv_text
+from .serialize import _atom_strings, canonical_json, certificate_to_jsonable, csv_text
 from .serialize import digit_system_from_jsonable, fraction_to_str, frame_report_to_jsonable, load_json
 from .serialize import measure_from_jsonable, measure_json, verify_certificate, witness_to_jsonable
 
@@ -51,10 +52,7 @@ def _parse_int_list(text: str) -> list:
 
 
 def _parse_float_list(text: str) -> list:
-    values = [float(x) for x in text.split(",") if x != ""]
-    if bad := [v for v in values if not math.isfinite(v)]:
-        raise ValueError(f"{bad[0]} is not finite")
-    return values
+    return [float(x) for x in text.split(",") if x != ""]
 
 
 def _default_hadamard_digits(ds) -> list:
@@ -126,7 +124,7 @@ def _cmd_measure_convolve(args) -> int:
 
 
 def _cmd_ft_grid(args) -> int:
-    """The grid as CSV rows or ``ft-grid/1`` JSON, rendered in one pass as ``csv_text``/``canonical_json`` would."""
+    """The grid as CSV rows, rendered in one pass as ``csv_text`` would, or as ``ft-grid/1`` JSON."""
     for flag, value in (("--xi-min", args.xi_min), ("--xi-max", args.xi_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} {value} is not finite")
@@ -136,19 +134,14 @@ def _cmd_ft_grid(args) -> int:
     if ds.dim != 1:
         raise ValueError("the CLI grid is one-dimensional; use the library for d >= 2")
     xs = np.linspace(args.xi_min, args.xi_max, args.count)
-    re, im, bound, _ = _mu_hat_grid(ds, xs, args.tol)
+    real, im, bound, _ = _mu_hat_grid(ds, xs, args.tol)
     # Every cell is a finite float, which both formats write as its repr.
-    columns = [a.tolist() for a in (xs, re, im, bound)]
+    columns = [a.tolist() for a in (xs, real, im, bound)]
     if args.format == "csv":
         _emit(args, "xi1,re,im,certified_tail_bound\n" + "".join(map("{!r},{!r},{!r},{!r}\n".format, *columns)))
     else:
-        # Keys sorted and indented as canonical_json writes them.
-        row = (
-            '{{\n      "certified_tail_bound": {3!r},\n      "im": {2!r},'
-            '\n      "re": {1!r},\n      "xi": {0!r}\n    }}'
-        )
-        rows = _json_list(list(map(row.format, *columns)), 2)
-        _emit(args, '{\n  "rows": ' + rows + ',\n  "schema": "ft-grid/1"\n}\n')
+        keys = ("xi", "re", "im", "certified_tail_bound")
+        _emit(args, {"schema": "ft-grid/1", "rows": [dict(zip(keys, cells)) for cells in zip(*columns)]})
     return EXIT_OK
 
 
@@ -282,8 +275,17 @@ def _add_common(parser, formats=("json",)) -> None:
     parser.add_argument("--manifest", action="store_true", help="emit the resolved config next to the output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one change, inherited by every subparser: "-1/15", "-30,10", "-1e3" and "-.5" are values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes only -N and -N.N for numbers and reads the rest as options.
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cantorframes",
         description="Finite-level self-affine measures, packing certificates, and Fourier frame bounds.",
     )
@@ -389,31 +391,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _valued_flags() -> frozenset:
-    """The option strings, in every command, whose action takes a value (``nargs != 0``)."""
-    parsers, flags = [_parser()], set()
-    for parser in parsers:
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            elif action.nargs != 0:
-                flags.update(action.option_strings)
-    return frozenset(flags)
-
-
 def main(argv=None) -> int:
-    # argparse reads "-1/15" or "-1e3" as an option unless it looks like -N or -N.N, so a
-    # token of "-" and a digit or "." is glued to the flag before it as its value, if that
-    # flag takes one: "--help -1" still prints help and "--manifest -1" is a usage error.
-    tokens = []
-    for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in _valued_flags() and re.match(r"-[0-9.]", token):
-            tokens[-1] += "=" + token
-        else:
-            tokens.append(token)
     try:
-        args = _parser().parse_args(tokens)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse has printed the help (code 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR

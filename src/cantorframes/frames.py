@@ -469,20 +469,18 @@ def _frame_report(gram: np.ndarray, freq_count: int) -> FrameReport:
     return FrameReport(lower, upper, ratio, rank, m, freq_count, tol)
 
 
-def frame_bounds(
-    m: AtomicMeasure, freq_set: FrequencySet, eigen_budget: int = DEFAULT_EIGEN_BUDGET
-) -> FrameReport:
+def frame_bounds(m: AtomicMeasure, freq_set: FrequencySet) -> FrameReport:
     """Frame bounds of E(freqs) on a discretized measure, with exact phases.
 
     An exactly diagonal Gram is reported from its diagonal, at any size;
-    every other Gram, within the eigen budget, takes ``_gram`` and
-    ``_frame_report``. No phase is computed before either decision.
+    every other Gram, within ``DEFAULT_EIGEN_BUDGET`` atoms, takes ``_gram``
+    and ``_frame_report``. No phase is computed before either decision.
     """
     weights = _checked_weights(m, freq_set)
     if _vanishing_off_diagonal(m, freq_set):
         return _diagonal_report(m, len(freq_set))
-    if len(m) > eigen_budget:
-        raise EigenBudgetExceeded(f"{len(m)} atoms exceed the eigen budget {eigen_budget}")
+    if len(m) > DEFAULT_EIGEN_BUDGET:
+        raise EigenBudgetExceeded(f"{len(m)} atoms exceed the eigen budget {DEFAULT_EIGEN_BUDGET}")
     return _frame_report(_gram(m, np.sqrt(weights), freq_set), len(freq_set))
 
 

@@ -415,12 +415,21 @@ class PointCloud:
 
     Every point of the underlying infinite attractor piece lies within
     ``tail_radius`` of some listed point; ``None`` means no certified bound
-    (the inverse norm bound is >= 1).
+    (the inverse norm bound is >= 1). A cloud holds at least one point,
+    each of length ``dim`` and finite, and its tail radius is None or >= 0.
     """
 
     dim: int
     points: tuple
     tail_radius: Fraction | None
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValueError("a point cloud needs at least one point")
+        for point in self.points:
+            _exact_point(tuple(point), self.dim)  # DimensionMismatch or ValueError (not finite)
+        if self.tail_radius is not None and not self.tail_radius >= 0:
+            raise ValueError(f"tail radius {self.tail_radius} must be None or >= 0")
 
 
 def tail_radius(ds: DigitSystem, n: int) -> Fraction | None:

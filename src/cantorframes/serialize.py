@@ -196,7 +196,7 @@ def _recompute_certificate(inputs: dict) -> PackingCertificate:
     if keys == {"points_1", "tail_1", "points_2", "tail_2"}:
         def cloud(points, tail):
             pts = tuple(strs_to_point(p) for p in points)
-            return PointCloud(len(pts[0]), pts, None if tail is None else Fraction(tail))
+            return PointCloud(len(pts[0]) if pts else 0, pts, None if tail is None else Fraction(tail))
 
         return packing_certificate_from_clouds(
             cloud(inputs["points_1"], inputs["tail_1"]),

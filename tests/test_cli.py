@@ -36,7 +36,7 @@ from cantorframes import (
     translate,
 )
 from cantorframes import cli, measures
-from cantorframes.cli import EXIT_ERROR, EXIT_OK, main, parse_digit_system
+from cantorframes.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main, parse_digit_system
 from cantorframes.serialize import (
     canonical_json,
     certificate_to_jsonable,
@@ -161,7 +161,42 @@ class TestSerializeRoundTrips:
         assert Fraction(data["rho_mass"]) == witness.rho_mass
 
 
+def _unchecked_cloud(points, tail):
+    """A 1-D cloud that skips ``PointCloud``'s check, so that the certificate of an invalid cloud can be written."""
+    cloud = PointCloud(1, ((0,),), None)
+    object.__setattr__(cloud, "points", points)
+    object.__setattr__(cloud, "tail_radius", tail)
+    return cloud
+
+
+def _invalid_cloud_certificate(case):
+    """A certified-packing cloud certificate whose inputs break ``PointCloud``'s check."""
+    if case == "no-points":
+        clouds = attractor_points(SIXTEEN_01, 2), attractor_points(SIXTEEN_04, 2)
+        data = certificate_to_jsonable(packing_certificate_from_clouds(*clouds))
+        data["inputs"]["points_1"] = []
+        return data
+    if case == "wrong-length-point":
+        points, tails = [((0,), (Fraction(1, 2), 7)), ((0,), (Fraction(1, 4),))], [Fraction(1, 100)] * 2
+    else:  # 4:{0,1} and 4:{0,2} do not pack at level 3; a negative tail cancels the threshold.
+        points = [attractor_points(DigitSystem.one_dimensional(4, d), 3).points for d in ([0, 1], [0, 2])]
+        tails = [Fraction(1, 10), Fraction(-1, 10)]
+    clouds = map(_unchecked_cloud, points, tails)
+    return certificate_to_jsonable(packing_certificate_from_clouds(*clouds))
+
+
 class TestCertificateVerification:
+    @pytest.mark.parametrize("case", ["wrong-length-point", "negative-tail", "no-points"])
+    def test_invalid_cloud_certificate_is_refused(self, tmp_path, capsys, case):
+        data = _invalid_cloud_certificate(case)
+        assert data["status"] == "certified-packing"
+        path = tmp_path / "cert.json"
+        path.write_text(canonical_json(data))
+        assert main(["verify", "certificate", "--path", str(path)]) == EXIT_NEGATIVE
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False
+        assert report["reason"].startswith("re-derivation failed")
+
     def test_digit_certificate_verifies(self):
         cert = packing_certificate_from_digits(((16,),), [(0,), (1,)], [(0,), (4,)])
         ok, reason = verify_certificate(certificate_to_jsonable(cert))
@@ -480,8 +515,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_exp_rotation_non_finite_theta_is_error(self, tmp_path, capsys, value):
         out = tmp_path / "rotation.json"
+        # The CLI reads the angles as floats; rotation_experiment refuses them before any skeleton.
         assert main(["exp", "rotation", "--level", "2", "--thetas", value, "--out", str(out)]) == EXIT_ERROR
-        assert "not finite" in capsys.readouterr().err
+        assert f"angle {value} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_verify_certificate_roundtrip(self, tmp_path):
@@ -568,16 +604,24 @@ class TestCliCommands:
               "--freq-digits", "0,2", "--freq-level", "2", "--k", "2,8"], "--t", "-1/15"),
             (["exp", "rotation", "--level", "2"], "--thetas", "-30,10"),
             (["ft", "grid", "--system", "4:0,1", "--count", "5"], "--xi-min", "-1e3"),
+            (["ft", "grid", "--system", "4:0,1", "--count", "5"], "--xi-min", "-.5"),
         ],
-        ids=["witness", "degeneracy", "rotation", "ft-grid"],
+        ids=["witness", "degeneracy", "rotation", "ft-grid", "ft-grid-point"],
     )
     def test_negative_value_after_its_flag(self, tmp_path, argv, flag, value):
-        # argparse alone takes "-1/15", "-30,10" and "-1e3" for options; only --flag=value reached it.
+        # argparse's own pattern reads "-1/15", "-30,10" and "-1e3" as options; the CLI's parser reads them as values.
         assert main(argv + [flag, value, "--out", str(tmp_path / "spaced")]) == EXIT_OK
         assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "joined")]) == EXIT_OK
         assert (tmp_path / "spaced").read_bytes() == (tmp_path / "joined").read_bytes()
 
-    def test_only_a_flag_that_takes_a_value_glues_a_negative_token(self, tmp_path, capsys):
+    def test_abbreviated_flag_takes_a_negative_value(self, tmp_path):
+        argv = ["ft", "grid", "--system", "4:0,1", "--count", "5", "--out"]
+        assert main([*argv, str(tmp_path / "spaced"), "--xi-mi", "-1e3"]) == EXIT_OK
+        assert main([*argv, str(tmp_path / "joined"), "--xi-min=-1e3"]) == EXIT_OK
+        assert (tmp_path / "spaced").read_bytes() == (tmp_path / "joined").read_bytes()
+
+    def test_negative_token_is_a_value_never_an_option(self, tmp_path, capsys):
+        # "-1" after a flag that takes no value is a stray positional, never that flag's value.
         assert main(["--help", "-1"]) == EXIT_OK
         assert "usage: cantorframes" in capsys.readouterr().out
         assert main(["frame", "bounds", "--help", "-1"]) == EXIT_OK

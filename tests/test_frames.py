@@ -857,11 +857,13 @@ class TestEigenBudget:
         with pytest.raises(EmptyFrequencySet):
             frame_bounds(level_measure(FOUR, 13), FrequencySet.from_scalars([]))
 
-    def test_small_budget_spares_a_diagonal_report(self):
+    def test_small_budget_spares_a_diagonal_report(self, monkeypatch):
         measure, freq_set = level_measure(FOUR, 3), jp_spectrum(FOUR, [0, 2], 3)
-        assert _same_report(frame_bounds(measure, freq_set, eigen_budget=4), frame_bounds(measure, freq_set))
+        full = frame_bounds(measure, freq_set)
+        monkeypatch.setattr(frames, "DEFAULT_EIGEN_BUDGET", 4)
+        assert _same_report(frame_bounds(measure, freq_set), full)
         with pytest.raises(EigenBudgetExceeded):
-            frame_bounds(measure, FrequencySet.from_scalars(range(8)), eigen_budget=4)
+            frame_bounds(measure, FrequencySet.from_scalars(range(8)))
 
     def test_gram_past_the_budget_is_refused_before_any_phase(self, monkeypatch):
         measure = level_measure(FOUR, 13)

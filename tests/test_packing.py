@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from cantorframes import (
     AtomBudgetExceeded,
     DigitSystem,
+    DimensionMismatch,
     NoWitnessFound,
     NotCertifiedPacking,
     PointCloud,
@@ -127,6 +129,20 @@ class TestFiniteLevelCertificate:
         cloud = PointCloud(1, ((fr(0),), (fr(1),)), fr(0))
         cert = packing_certificate_from_clouds(cloud, cloud)
         assert cert.status == CERTIFIED_NOT_PACKING
+
+    @pytest.mark.parametrize(
+        "points, tail, error",
+        [
+            (((0,), (fr(1, 2), 7)), fr(1, 100), DimensionMismatch),
+            (((0,), (math.inf,)), None, ValueError),
+            (attractor_points(DigitSystem.one_dimensional(4, [0, 2]), 3).points, fr(-1, 10), ValueError),
+            ((), None, ValueError),
+        ],
+        ids=["wrong-length-point", "not-finite", "negative-tail", "no-points"],
+    )
+    def test_invalid_cloud_is_refused(self, points, tail, error):
+        with pytest.raises(error):
+            PointCloud(1, points, tail)
 
     def test_dyadic_split_inconclusive_at_shallow_depth(self):
         # Digits 2 and 4 of 2:{0,1} sum to 4:{0,1} at level 2, digits 1 and 3 to 4:{0,2}; both keep the level-4 tail.
